@@ -3,7 +3,7 @@ Composition over components, and the metric oracles saying no
 =============================================================
 
 Resonance graphs multiply over elementary components, concatenating the
-codings.  The brute-force recognizers (partial cube, median, daisy cube)
+codings.  The metric recognizers (partial cube, median, daisy cube)
 also reject the right graphs: a pericondensed system loses the daisy
 structure, and a graph that is not weakly elementary loses connectivity.
 """

@@ -36,7 +36,6 @@ from .cube_kit import (
     operator_o,
     split_class,
     theta_classes,
-    theta_related,
 )
 from .decomposition import (
     FaceSplit,

@@ -214,7 +214,7 @@ def cmd_label(args) -> int:
             ),
         }
         if rfd is not None and not g.is_cycle_graph():
-            obj["verification"]["theorem_report"] = theorem_report(g, rfd)
+            obj["verification"]["theorem_report"] = theorem_report(g, rfd, cap)
     _emit(_dump(obj), args.output)
     if args.emit_dot:
         _emit(resonance_to_dot(r, labels=labels, face_names=face_names), args.emit_dot)
@@ -233,7 +233,7 @@ def cmd_verify(args) -> int:
     rfd = None
     if args.rfd not in (None, "auto"):
         rfd = _resolve_rfd(g, args.rfd)
-    report = theorem_report(g, rfd)
+    report = theorem_report(g, rfd, _matching_cap(args))
     _emit(_dump(report), args.output)
     return EXIT_OK if report["ok"] else EXIT_FALSE
 

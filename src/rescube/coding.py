@@ -95,8 +95,22 @@ def _even_cycle_reference_matching(g: PlaneGraph) -> frozenset:
     return frozenset(edge_key(*d) for d in face.darts if anchor[d[0]] == pg.BLACK)
 
 
-def _exterior_handles(g: PlaneGraph, face_id: int):
-    return facial_handle_decomposition(g, face_id).exterior
+def _exterior_handles(g: PlaneGraph, order) -> dict:
+    """Exterior handles of every face in the order.
+
+    Both codings read each exterior handle as an odd path; an even one means
+    the graph is not peripherally 2-colorable, and raises
+    :class:`UnsupportedInput`."""
+    handles_per_face = {}
+    for fid in order:
+        handles_per_face[fid] = facial_handle_decomposition(g, fid).exterior
+        for h in handles_per_face[fid]:
+            if h.length % 2 == 0:
+                raise UnsupportedInput(
+                    f"face {fid} has an exterior handle of even length {h.length}; "
+                    "the graph is not peripherally 2-colorable"
+                )
+    return handles_per_face
 
 
 def daisy_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
@@ -116,7 +130,7 @@ def daisy_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
         labels = {m.id: ("0" if m.edges == reference else "1") for m in family}
         return Labelling(DAISY, labels, order)
 
-    handles_per_face = {fid: _exterior_handles(g, fid) for fid in order}
+    handles_per_face = _exterior_handles(g, order)
     labels = {}
     for m in family:
         bits = []
@@ -182,7 +196,7 @@ def fdl_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
         }
         return Labelling(FDL, labels, order)
 
-    handles_per_face = {fid: _exterior_handles(g, fid) for fid in order}
+    handles_per_face = _exterior_handles(g, order)
     labels = {}
     mixed = []
     for m in family:

@@ -2,17 +2,22 @@
 median recognition, daisy-cube recognition with proper labellings, and the
 expansion operations used to rebuild resonance graphs step by step.
 
-Everything here is a definitional brute-force oracle: distances come from
-breadth-first search, Theta from the four-point inequality, medianness from
-interval triples, daisy recognition from an orientation search.  The point
-is to be trustworthy at desk scale, not fast.
+Distances come from breadth-first search.  The recognizers share one
+bit-vector embedding per graph: Theta classes read from the distance
+differences d(x, w) - d(y, w) of each edge (x, y), one ``int`` label per
+vertex with bit i for class i, checked against the distance table by
+popcount.  Medianness is closure of the labels under bitwise majority
+(Bandelt and Chepoi, "Metric graph theory and geometry: a survey", 2008),
+and daisy recognition is an orientation search over XOR masks.  The
+definitional brute-force versions live with the tests as oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import add, ne, neg, sub
 
 from .errors import CapExceeded, NotAnExpansion
 
@@ -60,6 +65,21 @@ class MetricGraph:
             table[source] = d
         return table
 
+    @cached_property
+    def _rows(self) -> dict:
+        """Distance rows in vertex order; -1 stands for an unreachable vertex."""
+        verts = self.vertices
+        return {v: tuple(map(d.get, verts, repeat(-1))) for v, d in self.dist.items()}
+
+    @cached_property
+    def _theta(self) -> "ThetaClasses":
+        return _theta_from_distance_differences(self)
+
+    @cached_property
+    def _embedding(self) -> "PartialCubeVerdict":
+        """The partial-cube verdict with ``int`` labels, computed once per graph."""
+        return _embed(self)
+
     def d(self, u, v) -> int:
         return self.dist[u][v]
 
@@ -99,25 +119,41 @@ class MetricGraph:
             labels = {v: self.labels[v] for v in sub}
         return MetricGraph(sorted(sub), edges, labels)
 
-    def with_labels(self, labels) -> "MetricGraph":
-        return MetricGraph(self.vertices, self.edges, labels)
 
-    def component_count(self) -> int:
-        seen = set()
-        n = 0
-        for start in self.vertices:
-            if start in seen:
-                continue
-            n += 1
-            stack = [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                for w in self.adjacency[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return n
+# ---------------------------------------------------------------------------
+# bit labels
+# ---------------------------------------------------------------------------
+
+
+def _to_bits(label: str) -> int:
+    """Bit string to ``int``: string position i is bit i."""
+    return int(label[::-1] or "0", 2)
+
+
+def _to_str(bits: int, n: int) -> str:
+    return format(bits, f"0{n}b")[::-1] if n else ""
+
+
+def _isometric(mg: MetricGraph, bits: dict) -> bool:
+    """Whether popcount of XOR equals graph distance for every vertex pair."""
+    labels = [bits[v] for v in mg.vertices]
+    rows = mg._rows
+    return not any(
+        any(map(ne, map(int.bit_count, map(bits[v].__xor__, labels)), rows[v]))
+        for v in mg.vertices
+    )
+
+
+def _is_down_set(labels: set) -> bool:
+    """Every lower cover (one set bit cleared) of every member is a member."""
+    for lab in labels:
+        rest = lab
+        while rest:
+            low = rest & -rest
+            if lab ^ low not in labels:
+                return False
+            rest ^= low
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -125,66 +161,58 @@ class MetricGraph:
 # ---------------------------------------------------------------------------
 
 
-def theta_related(mg: MetricGraph, e1, e2) -> bool:
-    """Four-point test: d(x1,y1) + d(x2,y2) != d(x1,y2) + d(x2,y1).
-
-    Swapping one edge's endpoints swaps the two sums, so the relation does
-    not depend on how the unordered edges are written down.
-    """
-    (x1, x2), (y1, y2) = e1, e2
-    return mg.d(x1, y1) + mg.d(x2, y2) != mg.d(x1, y2) + mg.d(x2, y1)
-
-
 @dataclass(frozen=True)
 class ThetaClasses:
     classes: tuple  # tuple of frozensets of edges, sorted by smallest edge
     raw_transitive: bool
-
-    def class_of(self, e) -> frozenset:
-        key = _edge_key(*e)
-        for cls in self.classes:
-            if key in cls:
-                return cls
-        raise KeyError(e)
 
 
 def theta_classes(mg: MetricGraph) -> ThetaClasses:
     """Partition the edges by the transitive closure of Theta.
 
     The ``raw_transitive`` flag records whether Theta itself was already an
-    equivalence (true on every partial cube)."""
+    equivalence (true on every partial cube).  Computed once per graph."""
+    return mg._theta
+
+
+def _theta_from_distance_differences(mg: MetricGraph) -> ThetaClasses:
+    # With delta_e(w) = d(x, w) - d(y, w) for e = (x, y), the four-point
+    # condition e Theta f reads delta_e(u) != delta_e(v) for f = (u, v).  Edges
+    # whose delta vectors agree up to sign cross the same edges, so one
+    # representative per vector is enough; it crosses its own group.
     edges = sorted(mg.edges)
-    parent = {e: e for e in edges}
-
-    def find(e):
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    related = {}
-    for e1, e2 in combinations(edges, 2):
-        r = theta_related(mg, e1, e2)
-        related[(e1, e2)] = r
-        if r:
-            parent[find(e1)] = find(e2)
-
+    position = {v: i for i, v in enumerate(mg.vertices)}
+    ends = [(position[u], position[v]) for u, v in edges]
+    rows = mg._rows
     groups = {}
-    for e in edges:
-        groups.setdefault(find(e), []).append(e)
-    classes = tuple(
-        sorted((frozenset(g) for g in groups.values()), key=lambda c: sorted(c))
-    )
+    for k, (x, y) in enumerate(edges):
+        delta = tuple(map(sub, rows[x], rows[y]))
+        groups.setdefault(min(delta, tuple(map(neg, delta))), (k, delta))
 
-    raw = True
-    for cls in classes:
-        for e1, e2 in combinations(sorted(cls), 2):
-            if not related.get((e1, e2), related.get((e2, e1))):
-                raw = False
-                break
-        if not raw:
-            break
-    return ThetaClasses(classes, raw)
+    parent = list(range(len(edges)))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    crossings = []
+    for rep, delta in groups.values():
+        crossing = [k for k, (a, b) in enumerate(ends) if delta[a] != delta[b]]
+        crossings.append((rep, len(crossing)))
+        root = find(rep)
+        for k in crossing:
+            parent[find(k)] = root
+
+    by_root = {}
+    for k, e in enumerate(edges):
+        by_root.setdefault(find(k), []).append(e)
+    # a representative's crossing set lies inside its class, so Theta is
+    # transitive exactly when every crossing set fills its class
+    raw = all(size == len(by_root[find(rep)]) for rep, size in crossings)
+    # classes come out ordered by their smallest edge, as the edges are sorted
+    return ThetaClasses(tuple(frozenset(c) for c in by_root.values()), raw)
 
 
 @dataclass(frozen=True)
@@ -240,6 +268,7 @@ class PartialCubeVerdict:
     idim: int = None
     theta_raw_transitive: bool = None
     reason: str = None
+    bits: dict = None  # vertex -> int, bit i is string position i
 
     def __bool__(self):
         return self.ok
@@ -248,10 +277,15 @@ class PartialCubeVerdict:
 def is_partial_cube(mg: MetricGraph) -> PartialCubeVerdict:
     """Recognize isometric subgraphs of hypercubes.
 
-    Builds a candidate labelling (one bit per Theta class, the smallest
-    vertex on the zero side everywhere) and verifies that Hamming distance
-    equals graph distance for every pair; the verification is the verdict.
+    Builds a candidate labelling (one bit per Theta class, the first vertex
+    on the zero side everywhere) and verifies that Hamming distance equals
+    graph distance for every pair; the verification is the verdict.  The
+    verdict is computed once per graph and shared by the other recognizers.
     """
+    return mg._embedding
+
+
+def _embed(mg: MetricGraph) -> PartialCubeVerdict:
     if not mg.vertices:
         return PartialCubeVerdict(False, reason="empty graph")
     if not mg.is_connected:
@@ -263,51 +297,62 @@ def is_partial_cube(mg: MetricGraph) -> PartialCubeVerdict:
         return PartialCubeVerdict(
             False, theta_raw_transitive=False, reason="Theta not transitive"
         )
-    root = mg.vertices[0]
-    bits = {v: [] for v in mg.vertices}
-    for cls in classes.classes:
-        x, y = sorted(cls)[0]
-        if mg.d(root, x) > mg.d(root, y):
-            x, y = y, x
-        for v in mg.vertices:
-            dx, dy = mg.d(v, x), mg.d(v, y)
-            if dx == dy:
-                return PartialCubeVerdict(
-                    False, theta_raw_transitive=True, reason="tied side distances"
-                )
-            bits[v].append("0" if dx < dy else "1")
-    labelling = {v: "".join(b) for v, b in bits.items()}
-    for u, v in combinations(mg.vertices, 2):
-        hamming = sum(a != b for a, b in zip(labelling[u], labelling[v]))
-        if hamming != mg.d(u, v):
-            return PartialCubeVerdict(
-                False, theta_raw_transitive=True, reason="labelling not isometric"
-            )
+    rows = mg._rows
+    labels = [0] * len(mg.vertices)
+    for i, cls in enumerate(classes.classes):
+        # bipartite and connected: no vertex is equidistant from x and y
+        x, y = min(cls)
+        near, far = rows[x], rows[y]
+        if near[0] > far[0]:
+            near, far = far, near
+        bit = 1 << i
+        for j, (a, b) in enumerate(zip(near, far)):
+            if a > b:
+                labels[j] |= bit
+    bits = dict(zip(mg.vertices, labels))
+    if not _isometric(mg, bits):
+        return PartialCubeVerdict(
+            False, theta_raw_transitive=True, reason="labelling not isometric"
+        )
+    n = len(classes.classes)
     return PartialCubeVerdict(
         True,
-        labelling=labelling,
-        idim=len(classes.classes),
+        labelling={v: _to_str(b, n) for v, b in bits.items()},
+        idim=n,
         theta_raw_transitive=True,
+        bits=bits,
     )
 
 
 def is_median(mg: MetricGraph) -> bool:
-    """Brute-force median test over all vertex triples."""
-    if not mg.is_connected:
+    """Median test: a partial cube whose labels are closed under majority.
+
+    The labelling is isometric, so a vertex lies in the interval of two
+    others exactly when its label lies in the hypercube interval of theirs;
+    the one candidate median of three vertices is the bitwise majority of
+    their labels, and the graph is median exactly when that label is there.
+    Pairs at distance two suffice: if a and b are further apart, step from
+    a (or from b) towards the other along a shortest path to a' in the
+    graph; majority(a, b, c) is majority(a', b, c) or majority(a, m, c) with
+    m = majority(a', b, c), and one of the two ends gives pairs closer than
+    a and b, so induction on the distance covers every triple.
+    """
+    if not mg.vertices:
+        return True
+    pc = is_partial_cube(mg)
+    if not pc:
         return False
-    intervals = {}
-    verts = mg.vertices
-    for u, v in combinations(verts, 2):
-        intervals[(u, v)] = mg.interval(u, v)
-
-    def iv(a, b):
-        if a == b:
-            return frozenset((a,))
-        return intervals.get((a, b)) or intervals[(b, a)]
-
-    for u, v, w in combinations(verts, 3):
-        if len(iv(u, v) & iv(v, w) & iv(u, w)) != 1:
-            return False
+    present = set(pc.bits.values())
+    flips = [(1 << i) | (1 << j) for i, j in combinations(range(pc.idim), 2)]
+    for a in present:
+        for differ in flips:
+            b = a ^ differ
+            if b > a and b in present:
+                # majority(a, b, c) keeps a's bits where a and b agree and
+                # takes c's bits where they differ
+                medians = map((a & b).__or__, map(differ.__and__, present))
+                if not present.issuperset(medians):
+                    return False
     return True
 
 
@@ -323,29 +368,23 @@ def label_leq(u: str, v: str) -> bool:
 
 def operator_o(labels: dict, subset) -> frozenset:
     """Downward closure of a vertex subset inside the labelled vertex set."""
-    chosen = [labels[v] for v in subset]
-    return frozenset(
-        v for v, lab in labels.items() if any(label_leq(lab, c) for c in chosen)
-    )
+    bits = {v: _to_bits(lab) for v, lab in labels.items()}
+    chosen = [bits[v] for v in subset]
+    # b lies below c exactly when b & c == b
+    return frozenset(v for v, b in bits.items() if b in map(b.__and__, chosen))
 
 
 def is_downward_closed(label_set) -> bool:
-    """Whether a set of bit strings is closed downward in the coordinatewise order."""
+    """Whether a set of equal-length bit strings is closed downward in the
+    coordinatewise order."""
     # every lower cover of every member is present; induction gives full closure
-    labs = set(label_set)
-    for lab in labs:
-        for i, c in enumerate(lab):
-            if c == "1" and lab[:i] + "0" + lab[i + 1 :] not in labs:
-                return False
-    return True
+    return _is_down_set({_to_bits(lab) for lab in label_set})
 
 
 def is_isometric_labelling(mg: MetricGraph, labels: dict) -> bool:
-    """Whether Hamming distance on the labels equals graph distance for all pairs."""
-    for u, v in combinations(mg.vertices, 2):
-        if sum(a != b for a, b in zip(labels[u], labels[v])) != mg.d(u, v):
-            return False
-    return True
+    """Whether Hamming distance on the equal-length labels equals graph
+    distance for all pairs."""
+    return _isometric(mg, {v: _to_bits(labels[v]) for v in mg.vertices})
 
 
 @dataclass(frozen=True)
@@ -373,42 +412,32 @@ def is_daisy_cube(mg: MetricGraph, method: str = "auto") -> DaisyVerdict:
     pc = is_partial_cube(mg)
     if not pc:
         return DaisyVerdict(False, reason=f"not a partial cube ({pc.reason})")
-    base = pc.labelling
-    n = pc.idim
-
-    def flipped(mask):
-        out = {}
-        for v, lab in base.items():
-            out[v] = "".join(
-                ("1" if c == "0" else "0") if mask >> i & 1 else c
-                for i, c in enumerate(lab)
-            )
-        return out
-
     if method not in ("auto", "roots", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")
+    n = pc.idim
+    present = set(pc.bits.values())
+
+    def proper(mask, found_by):
+        labelling = {v: _to_str(b ^ mask, n) for v, b in pc.bits.items()}
+        return DaisyVerdict(True, labelling, n, method=found_by)
 
     if method in ("auto", "roots"):
         for root in mg.vertices:
-            mask = 0
-            for i, c in enumerate(base[root]):
-                if c == "1":
-                    mask |= 1 << i
-            labelling = flipped(mask)
-            if is_downward_closed(labelling.values()):
-                return DaisyVerdict(True, labelling, n, method="roots")
+            mask = pc.bits[root]
+            if _is_down_set({b ^ mask for b in present}):
+                return proper(mask, "roots")
         if method == "roots":
             return DaisyVerdict(False, idim=n, method="roots", reason="no root works")
 
-    if method in ("auto", "exhaustive"):
-        if n > _EXHAUSTIVE_IDIM_CAP:
-            raise CapExceeded(
-                f"orientation sweep over idim {n} exceeds the cap {_EXHAUSTIVE_IDIM_CAP}"
-            )
-        for mask in range(1 << n):
-            labelling = flipped(mask)
-            if is_downward_closed(labelling.values()):
-                return DaisyVerdict(True, labelling, n, method="exhaustive")
+    if n > _EXHAUSTIVE_IDIM_CAP:
+        raise CapExceeded(
+            f"orientation sweep over idim {n} exceeds the cap {_EXHAUSTIVE_IDIM_CAP}"
+        )
+    for mask in range(1 << n):
+        # a downward-closed image holds the all-zeros label, so the mask
+        # must be some vertex's label
+        if mask in present and _is_down_set({b ^ mask for b in present}):
+            return proper(mask, "exhaustive")
     return DaisyVerdict(False, idim=n, method=method, reason="no orientation works")
 
 
@@ -442,11 +471,15 @@ def _is_isometric_subset(mg: MetricGraph, subset) -> bool:
 
 def is_convex_subset(mg: MetricGraph, subset) -> bool:
     """Whether every shortest path between members stays inside the subset."""
-    sub = set(subset)
-    for u, v in combinations(sorted(sub), 2):
-        if not mg.interval(u, v) <= sub:
-            return False
-    return True
+    members = set(subset)
+    outside = [i for i, w in enumerate(mg.vertices) if w not in members]
+    rows = mg._rows
+    to_outside = {u: [rows[u][i] for i in outside] for u in members}
+    # w lies on a shortest u-v path exactly when d(u, w) + d(w, v) = d(u, v)
+    return not any(
+        mg.d(u, v) in map(add, to_outside[u], to_outside[v])
+        for u, v in combinations(sorted(members), 2)
+    )
 
 
 def expand(mg: MetricGraph, v1, v2) -> ExpansionResult:

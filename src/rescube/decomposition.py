@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from . import cube_kit as ck
 from . import coding
 from .errors import (
+    NoPerfectMatching,
+    NotAnExpansion,
     NotReducibleAtStep,
     PeelingStuck,
     TheoremViolated,
@@ -32,6 +34,7 @@ from .matchings import (
     matching_subset,
 )
 from .plane_graph import (
+    DEFAULT_MATCHING_CAP,
     PlaneGraph,
     edge_key,
     edge_subgraph,
@@ -121,7 +124,7 @@ def _is_plane_elementary(g: PlaneGraph) -> bool:
         return False
     try:
         return elementary_analysis(g).is_elementary
-    except Exception:
+    except NoPerfectMatching:
         return False
 
 
@@ -525,7 +528,7 @@ def verify_reducible_split(
     try:
         expansion = ck.expand(metric_prev, set(metric_prev.vertices), inner_set)
         check("expansion-flags", expansion.peripheral and expansion.convex and expansion.le)
-    except Exception as exc:  # NotAnExpansion and friends
+    except NotAnExpansion as exc:
         check("expansion-flags", False, str(exc))
 
     zero_both = frozenset(
@@ -546,13 +549,16 @@ def verify_reducible_split(
 # ---------------------------------------------------------------------------
 
 
-def theorem_report(g: PlaneGraph, rfd: RfdSequence = None) -> dict:
+def theorem_report(
+    g: PlaneGraph, rfd: RfdSequence = None, cap: int = DEFAULT_MATCHING_CAP
+) -> dict:
     """Run every decomposition and coding check on one graph.
 
     The report nests one entry per clause per face and per step, plus the
     labelling, subset-equality, median and connectivity checks; ``ok``
     aggregates everything.  Works on peripherally 2-colorable inputs that
-    are not even cycles."""
+    are not even cycles.  ``cap`` bounds the enumeration of the graph's
+    perfect matchings; more of them raise :class:`CapExceeded`."""
     verdict = is_peripherally_two_colorable(g)
     report = {
         "peripherally_two_colorable": verdict.ok,
@@ -571,7 +577,7 @@ def theorem_report(g: PlaneGraph, rfd: RfdSequence = None) -> dict:
         report["ok"] = True
         return report
 
-    family = enumerate_matchings(g)
+    family = enumerate_matchings(g, cap=cap)
     r = build_resonance(g, family)
     if rfd is None:
         rfd = auto_rfd(g)

@@ -105,13 +105,6 @@ class Handle:
     def edges(self) -> frozenset:
         return frozenset(edge_key(a, b) for a, b in zip(self.path, self.path[1:]))
 
-    @property
-    def end_edges(self) -> tuple:
-        return (
-            edge_key(self.path[0], self.path[1]),
-            edge_key(self.path[-2], self.path[-1]),
-        )
-
     def reversed(self) -> "Handle":
         return Handle(tuple(reversed(self.path)), self.kind)
 
@@ -235,20 +228,6 @@ class PlaneGraph:
         return tuple(f for f in self.faces if f.is_infinite)
 
     @cached_property
-    def dart_face(self) -> dict:
-        out = {}
-        for f in self.faces:
-            for d in f.darts:
-                out[d] = f.id
-        return out
-
-    def edge_faces(self, e) -> tuple:
-        """Face ids on the two sides of an undirected edge; a bridge reports
-        the same face twice."""
-        u, v = e
-        return (self.dart_face[(u, v)], self.dart_face[(v, u)])
-
-    @cached_property
     def periphery_edges(self) -> frozenset:
         out = set()
         for f in self.infinite_faces:
@@ -266,9 +245,6 @@ class PlaneGraph:
     def face_by_edge_set(self) -> dict:
         """frozenset of undirected boundary edges -> finite face id."""
         return {f.edges: f.id for f in self.finite_faces}
-
-    def face_by_dart_set(self) -> dict:
-        return {f.dart_set: f.id for f in self.faces}
 
     # -- coloring ----------------------------------------------------------
 

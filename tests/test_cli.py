@@ -90,6 +90,20 @@ def test_cap_exit_three(branched_file, capsys, monkeypatch):
     assert "cap" in err.lower()
 
 
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_verify_cap_exit_three(branched_file, capsys, monkeypatch, how):
+    # the branched fixture has 14 perfect matchings
+    argv = ["verify", branched_file]
+    if how == "flag":
+        argv += ["--cap", "3"]
+    else:
+        monkeypatch.setenv("RESCUBE_CAP", "3")
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "cap" in err.lower()
+
+
 def test_cap_flag_overrides_env(branched_file, capsys, monkeypatch):
     monkeypatch.setenv("RESCUBE_CAP", "3")
     code, _, _ = run(capsys, "resonance", branched_file, "--cap", "100")

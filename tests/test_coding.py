@@ -318,6 +318,15 @@ def test_single_position_requires_even_cycle(naphthalene):
         fdl_labelling(naphthalene, family, rfd)
 
 
+@pytest.mark.parametrize("fn", [daisy_labelling, fdl_labelling])
+def test_codings_reject_even_exterior_handle(anthracene, fn):
+    from rescube.errors import UnsupportedInput
+
+    family = enumerate_matchings(anthracene)
+    with pytest.raises(UnsupportedInput, match="even length"):
+        fn(anthracene, family, auto_rfd(anthracene))
+
+
 def test_octagon_even_cycle_codings():
     from rescube.plane_graph import build_plane_graph
     from rescube.matchings import enumerate_matchings

@@ -16,9 +16,10 @@ from rescube.cube_kit import (
     operator_o,
     split_class,
     theta_classes,
-    theta_related,
 )
 from rescube.errors import NotAnExpansion
+
+from cube_oracles import theta_related
 
 
 def path(n):
