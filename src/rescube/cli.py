@@ -103,8 +103,9 @@ def _verdict_obj(verdict):
 
 def cmd_check(args) -> int:
     g = _read_graph(args)
+    cap = _matching_cap(args)
     try:
-        analysis = elementary_analysis(g, cap=_matching_cap(args))
+        analysis = elementary_analysis(g, cap=cap)
         elem = {
             "is_elementary": analysis.is_elementary,
             "is_weakly_elementary": analysis.is_weakly_elementary,
@@ -113,7 +114,7 @@ def cmd_check(args) -> int:
         }
     except NoPerfectMatching as exc:
         elem = {"is_elementary": False, "error": str(exc)}
-    verdict = is_peripherally_two_colorable(g)
+    verdict = is_peripherally_two_colorable(g, cap)
     obj = {
         "edges": len(g.edges),
         "elementary": elem,
@@ -184,7 +185,7 @@ def cmd_label(args) -> int:
     fn = coding.daisy_labelling if args.scheme == "daisy" else coding.fdl_labelling
 
     if elementary_analysis(g, cap=cap).is_elementary:
-        verdict = is_peripherally_two_colorable(g)
+        verdict = is_peripherally_two_colorable(g, cap)
         if not verdict.ok:
             _emit(_dump({"error": "not peripherally 2-colorable",
                          "verdict": _verdict_obj(verdict)}), args.output)

@@ -76,9 +76,6 @@ class Labelling:
     def position_of(self, face_id) -> int:
         return self.face_order.index(face_id) + 1
 
-    def bit(self, matching_id, face_id) -> str:
-        return self.labels[matching_id][self.face_order.index(face_id)]
-
     def label_set(self) -> frozenset:
         return frozenset(self.labels.values())
 
@@ -151,26 +148,21 @@ def daisy_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
     return Labelling(DAISY, labels, order)
 
 
-def _handle_proper(g: PlaneGraph, matching, path) -> bool:
-    """Proper alternation of one clockwise-oriented handle path.
+def _handle_orientation(g: PlaneGraph, matching, path):
+    """Orientation of one clockwise-oriented handle path under a matching.
 
-    With matched edges present, all of them must run white to black.  A
-    single avoided edge carries no matched edge; it counts as proper exactly
-    when the edge runs black to white, the reading consistent with the
-    matched-edge rule on every odd handle."""
-    darts = list(zip(path, path[1:]))
-    matched = [d for d in darts if edge_key(*d) in matching.edges]
-    if not matched:
-        return g.color(path[0]) == pg.BLACK
-    return all(g.color(u) == pg.WHITE for u, _ in matched)
-
-
-def _handle_improper(g: PlaneGraph, matching, path) -> bool:
-    darts = list(zip(path, path[1:]))
-    matched = [d for d in darts if edge_key(*d) in matching.edges]
-    if not matched:
-        return g.color(path[0]) == pg.WHITE
-    return all(g.color(u) == pg.BLACK for u, _ in matched)
+    Returns the color at the tail of every matched dart: WHITE when the
+    handle is proper alternating, BLACK when it is improper, None when its
+    matched darts run both ways.  A single avoided edge carries no matched
+    dart; it reads as the color opposite its first vertex, so it is proper
+    exactly when it runs black to white, the reading consistent with the
+    matched-dart rule on every odd handle."""
+    tails = {
+        g.color(u) for u, v in zip(path, path[1:]) if edge_key(u, v) in matching.edges
+    }
+    if not tails:
+        return pg.WHITE if g.color(path[0]) == pg.BLACK else pg.BLACK
+    return tails.pop() if len(tails) == 1 else None
 
 
 def fdl_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
@@ -202,14 +194,10 @@ def fdl_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
     for m in family:
         bits = []
         for fid in order:
-            paths = [h.path for h in handles_per_face[fid]]
-            proper = [_handle_proper(g, m, p) for p in paths]
-            improper = [_handle_improper(g, m, p) for p in paths]
-            definite_proper = any(p and not i for p, i in zip(proper, improper))
-            definite_improper = any(i and not p for p, i in zip(proper, improper))
-            if definite_proper and definite_improper:
+            tails = {_handle_orientation(g, m, h.path) for h in handles_per_face[fid]}
+            if {pg.WHITE, pg.BLACK} <= tails:
                 mixed.append((m.id, fid))
-            bits.append("1" if all(proper) else "0")
+            bits.append("1" if tails <= {pg.WHITE} else "0")
         labels[m.id] = "".join(bits)
     return Labelling(FDL, labels, order, tuple(mixed))
 

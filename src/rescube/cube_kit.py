@@ -1,6 +1,7 @@
-"""Finite-graph metric machinery: the edge relation Theta, partial-cube and
-median recognition, daisy-cube recognition with proper labellings, and the
-expansion operations used to rebuild resonance graphs step by step.
+"""Finite-graph metric machinery: the component search, the edge relation
+Theta, partial-cube and median recognition, daisy-cube recognition with
+proper labellings, and the expansion operations used to rebuild resonance
+graphs step by step.
 
 Distances come from breadth-first search.  The recognizers share one
 bit-vector embedding per graph: Theta classes read from the distance
@@ -26,6 +27,40 @@ _EXHAUSTIVE_IDIM_CAP = 20
 
 def _edge_key(u, v):
     return (u, v) if u <= v else (v, u)
+
+
+def flood(vertices, neighbors) -> dict:
+    """Breadth-first component search, the one flood fill of the library.
+
+    Maps every vertex to ``(root, parity)``: the first vertex of its
+    component in ``vertices`` order and the parity of its distance from that
+    root.  ``neighbors(v)`` yields the neighbors of ``v``.  On a bipartite
+    graph the parity is the proper 2-coloring that gives every root 0."""
+    found = {}
+    for root in vertices:
+        if root in found:
+            continue
+        found[root] = (root, 0)
+        frontier = [root]
+        parity = 0
+        while frontier:
+            parity ^= 1
+            reached = []
+            for v in frontier:
+                for w in neighbors(v):
+                    if w not in found:
+                        found[w] = (root, parity)
+                        reached.append(w)
+            frontier = reached
+    return found
+
+
+def components(vertices, neighbors) -> tuple:
+    """Vertex sets of the components, in the order of their roots."""
+    groups = {}
+    for v, (root, _) in flood(vertices, neighbors).items():
+        groups.setdefault(root, []).append(v)
+    return tuple(frozenset(c) for c in groups.values())
 
 
 class MetricGraph:
@@ -89,21 +124,8 @@ class MetricGraph:
 
     @cached_property
     def is_bipartite(self) -> bool:
-        color = {}
-        for start in self.vertices:
-            if start in color:
-                continue
-            color[start] = 0
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in self.adjacency[v]:
-                    if w not in color:
-                        color[w] = 1 - color[v]
-                        stack.append(w)
-                    elif color[w] == color[v]:
-                        return False
-        return True
+        side = flood(self.vertices, self.adjacency.__getitem__)
+        return all(side[u][1] != side[v][1] for u, v in self.edges)
 
     def interval(self, u, v) -> frozenset:
         duv = self.d(u, v)

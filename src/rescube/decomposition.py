@@ -206,9 +206,8 @@ def rfd_from_face_order(g: PlaneGraph, order) -> RfdSequence:
         subgraphs.append(frozenset(current_edges))
 
         grown = edge_subgraph(g, current_edges)
-        own_faces = {f.dart_set for f in g.finite_faces}
         for f in grown.finite_faces:
-            if f.dart_set not in own_faces:
+            if f.edges not in g.face_by_edge_set:
                 raise NotReducibleAtStep(step, "step creates a face not in the graph")
 
         sharers = [
@@ -244,10 +243,9 @@ def auto_rfd(g: PlaneGraph) -> RfdSequence:
             attachment={},
             notes=("even cycle: single-face decomposition",),
         )
-    face_id_by_darts = {f.dart_set: f.id for f in g.finite_faces}
 
     def to_own(sub: PlaneGraph, sub_face_id: int) -> int:
-        return face_id_by_darts[sub.faces[sub_face_id].dart_set]
+        return g.face_by_edge_set[sub.faces[sub_face_id].edges]
 
     current = g
     peeled = []
@@ -269,27 +267,6 @@ def auto_rfd(g: PlaneGraph) -> RfdSequence:
 # ---------------------------------------------------------------------------
 # decomposition checks on the resonance graph
 # ---------------------------------------------------------------------------
-
-
-def _components_without(r: ResonanceGraph, dropped) -> list:
-    dropped = {tuple(sorted(e[:2])) for e in dropped}
-    seen = set()
-    comps = []
-    for start in r.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in r.adjacency[v]:
-                if tuple(sorted((v, w))) in dropped or w in comp:
-                    continue
-                comp.add(w)
-                stack.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
 
 
 def split_by_face(
@@ -317,7 +294,9 @@ def split_by_face(
         fail("class-nonempty")
         return None, clauses
 
-    comps = _components_without(r, class_edges)
+    comps = ck.components(
+        r.vertices, lambda v: (w for w, f in r.adjacency[v].items() if f != face_id)
+    )
     clauses["two-components"] = len(comps) == 2
     if len(comps) != 2:
         fail("two-components", f"got {len(comps)} components")
@@ -327,8 +306,7 @@ def split_by_face(
     plus_expected = matching_subset(
         g, family, face_id, "all-exterior-contain-resonant"
     )
-    sides = {frozenset(c) for c in comps}
-    if {frozenset(minus_expected), frozenset(plus_expected)} != sides:
+    if {minus_expected, plus_expected} != set(comps):
         fail("side-sets", "components differ from the matching subsets")
         return None, clauses
     clauses["side-sets"] = True
@@ -354,8 +332,8 @@ def split_by_face(
     split = FaceSplit(
         face=face_id,
         class_edges=tuple(sorted((min(e[:2]), max(e[:2])) for e in class_edges)),
-        minus_side=frozenset(minus_expected),
-        plus_side=frozenset(plus_expected),
+        minus_side=minus_expected,
+        plus_side=plus_expected,
         u_minus=u_minus,
         u_plus=u_plus,
     )
@@ -374,8 +352,7 @@ class StepReport:
 
 
 def _translate_rfd(rfd: RfdSequence, g: PlaneGraph, sub: PlaneGraph) -> RfdSequence:
-    own = {f.dart_set: f.id for f in sub.finite_faces}
-    faces = tuple(own[g.faces[fid].dart_set] for fid in rfd.faces)
+    faces = tuple(sub.face_by_edge_set[g.faces[fid].edges] for fid in rfd.faces)
     return RfdSequence(faces, rfd.subgraph_edges, rfd.attachment, rfd.notes)
 
 
@@ -559,7 +536,7 @@ def theorem_report(
     aggregates everything.  Works on peripherally 2-colorable inputs that
     are not even cycles.  ``cap`` bounds the enumeration of the graph's
     perfect matchings; more of them raise :class:`CapExceeded`."""
-    verdict = is_peripherally_two_colorable(g)
+    verdict = is_peripherally_two_colorable(g, cap)
     report = {
         "peripherally_two_colorable": verdict.ok,
         "faces": {},

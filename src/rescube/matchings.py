@@ -238,13 +238,9 @@ class ExtremalMatchings:
     lattice_top: int
 
 
-def _orientation_free_cycles(g: PlaneGraph):
-    return pg.all_cycles(g)
-
-
 def has_alternating_cycle(g: PlaneGraph, matching: PerfectMatching, kind: str) -> bool:
     """Scan every cycle of the graph for a proper or improper alternating one."""
-    for walk in _orientation_free_cycles(g):
+    for walk in pg.all_cycles(g):
         if alternation_kind(g, matching, walk) == kind:
             return True
     return False

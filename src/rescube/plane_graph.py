@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import combinations
 
+from . import cube_kit as ck
 from .errors import (
     EmbeddingInconsistent,
     NoHandles,
@@ -187,28 +188,8 @@ class PlaneGraph:
 
     @cached_property
     def components(self) -> tuple:
-        seen = set()
-        out = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in self.rotation[v]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            out.append(frozenset(comp))
-        return tuple(out)
-
-    def component_of(self, v) -> frozenset:
-        for comp in self.components:
-            if v in comp:
-                return comp
-        raise KeyError(v)
+        """Vertex sets of the connected components, by smallest vertex."""
+        return ck.components(self.vertices, self.rotation.__getitem__)
 
     @property
     def is_connected(self) -> bool:
@@ -354,24 +335,15 @@ def _canonical_boundary(boundary) -> tuple:
     return best
 
 
-def _two_color(rotation) -> dict:
-    coloring = {}
-    for start in sorted(rotation):
-        if start in coloring:
-            continue
-        coloring[start] = WHITE
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            mine = coloring[v]
-            other = BLACK if mine == WHITE else WHITE
-            for w in rotation[v]:
-                if w not in coloring:
-                    coloring[w] = other
-                    queue.append(w)
-                elif coloring[w] == mine:
-                    raise NotBipartite(f"odd cycle through edge {edge_key(v, w)}")
-    return coloring
+def _two_color(rotation) -> tuple:
+    """The flood map from each component's smallest vertex, and the coloring
+    that makes even depths white and odd depths black."""
+    side = ck.flood(sorted(rotation), rotation.__getitem__)
+    for v, ns in rotation.items():
+        for w in ns:
+            if side[v][1] == side[w][1]:
+                raise NotBipartite(f"odd cycle through edge {edge_key(v, w)}")
+    return side, {v: BLACK if parity else WHITE for v, (_, parity) in side.items()}
 
 
 def _make_faces(walks, infinite_flags) -> list:
@@ -383,41 +355,25 @@ def _make_faces(walks, infinite_flags) -> list:
     return [Face(i, boundary, inf) for i, (inf, boundary) in enumerate(entries)]
 
 
-def _check_euler(rotation, edges, faces):
-    comp_of = {}
-    comps = []
-    for start in sorted(rotation):
-        if start in comp_of:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in rotation[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        idx = len(comps)
-        comps.append(comp)
-        for v in comp:
-            comp_of[v] = idx
-    nfaces = [0] * len(comps)
-    ninf = [0] * len(comps)
+def _check_euler(side, edges, faces):
+    """One infinite face and V - E + F = 2 on every component."""
+    tally = {}  # component root -> [V - E + F, infinite faces]
+    for root, _ in side.values():
+        tally.setdefault(root, [0, 0])[0] += 1
+    for u, _ in edges:
+        tally[side[u][0]][0] -= 1
     for f in faces:
-        idx = comp_of[f.boundary[0]]
-        nfaces[idx] += 1
-        ninf[idx] += f.is_infinite
-    nedges = [0] * len(comps)
-    for u, v in edges:
-        nedges[comp_of[u]] += 1
-    for idx, comp in enumerate(comps):
-        if ninf[idx] != 1:
+        counts = tally[side[f.boundary[0]][0]]
+        counts[0] += 1
+        counts[1] += f.is_infinite
+    for root, (euler, ninf) in tally.items():
+        if ninf != 1:
             raise EmbeddingInconsistent(
-                f"component of vertex {min(comp)} has {ninf[idx]} infinite faces"
+                f"component of vertex {root} has {ninf} infinite faces"
             )
-        if len(comp) - nedges[idx] + nfaces[idx] != 2:
+        if euler != 2:
             raise EmbeddingInconsistent(
-                f"Euler relation fails on component of vertex {min(comp)}"
+                f"Euler relation fails on component of vertex {root}"
             )
 
 
@@ -451,7 +407,7 @@ def build_plane_graph(vertices, edges) -> PlaneGraph:
         adjacency[v].add(u)
 
     rotation = _ccw_rotation(coords, adjacency)
-    coloring = _two_color(rotation)
+    side, coloring = _two_color(rotation)
     walks = _trace_faces(rotation)
 
     # per component the unique walk of maximal signed area is the infinite face
@@ -460,8 +416,7 @@ def build_plane_graph(vertices, edges) -> PlaneGraph:
     for i, walk in enumerate(walks):
         a = _walk_area2(walk, coords)
         areas.append(a)
-        root = walk[0][0]
-        key = min(_component_from(rotation, root))
+        key = side[walk[0][0]][0]
         if key not in comp_best or a > areas[comp_best[key]]:
             comp_best[key] = i
     infinite_flags = [False] * len(walks)
@@ -473,20 +428,8 @@ def build_plane_graph(vertices, edges) -> PlaneGraph:
 
     faces = _make_faces(walks, infinite_flags)
     g = PlaneGraph(coords, eset, rotation, faces, coloring)
-    _check_euler(rotation, eset, faces)
+    _check_euler(side, eset, faces)
     return g
-
-
-def _component_from(rotation, start) -> set:
-    comp = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in rotation[v]:
-            if w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return comp
 
 
 def from_rotation_system(rotation, infinite_darts) -> PlaneGraph:
@@ -508,7 +451,7 @@ def from_rotation_system(rotation, infinite_darts) -> PlaneGraph:
                 raise ValueError(f"rotation not symmetric on ({v}, {w})")
             eset.add(edge_key(v, w))
 
-    coloring = _two_color(rotation)
+    side, coloring = _two_color(rotation)
     walks = _trace_faces(rotation)
     targets = set(tuple(d) for d in infinite_darts)
     infinite_flags = []
@@ -516,7 +459,7 @@ def from_rotation_system(rotation, infinite_darts) -> PlaneGraph:
         infinite_flags.append(bool(targets & set(walk)))
     faces = _make_faces(walks, infinite_flags)
     g = PlaneGraph(None, eset, rotation, faces, coloring)
-    _check_euler(rotation, eset, faces)
+    _check_euler(side, eset, faces)
     return g
 
 
@@ -759,30 +702,24 @@ def elementary_analysis(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -> Eleme
     An edge is allowed when it lies in some perfect matching.  The graph is
     elementary when it is connected and every edge is allowed; it is weakly
     elementary when re-tracing the faces of the allowed subgraph yields no
-    finite face that was not already a finite face of ``g``.
+    finite face that was not already a finite face of ``g``.  Only a graph
+    with a forbidden edge is re-embedded, so that one needs coordinates.
     """
     matchings = enumerate_matching_edge_sets(g, cap)
     if not matchings:
         raise NoPerfectMatching("graph has no perfect matching")
     allowed = frozenset().union(*matchings)
     forbidden = g.edges - allowed
-
-    sub = edge_subgraph(g, allowed) if g.coords is not None else None
-    if sub is None:
-        raise UnsupportedInput("elementary analysis requires coordinates")
-    components = sub.components
-
-    is_elementary = g.is_connected and not forbidden
-
-    own = set(f.dart_set for f in g.finite_faces)
-    weakly = all(f.dart_set in own for f in sub.finite_faces)
+    sub = edge_subgraph(g, allowed) if forbidden else g
 
     return ElementaryReport(
-        is_elementary=is_elementary,
-        elementary_components=tuple(sorted(components, key=min)),
-        is_weakly_elementary=weakly,
+        is_elementary=g.is_connected and not forbidden,
+        elementary_components=sub.components,
+        is_weakly_elementary=all(
+            f.edges in g.face_by_edge_set for f in sub.finite_faces
+        ),
         allowed_edges=allowed,
-        forbidden_edges=frozenset(forbidden),
+        forbidden_edges=forbidden,
     )
 
 
@@ -791,18 +728,21 @@ def elementary_analysis(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -> Eleme
 # ---------------------------------------------------------------------------
 
 
-def is_peripherally_two_colorable(g: PlaneGraph) -> PeripheralColorVerdict:
+def is_peripherally_two_colorable(
+    g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP
+) -> PeripheralColorVerdict:
     """Test the defining clauses in order and report the first failure.
 
     Clauses: more than two vertices; plane elementary bipartite; maximum
     degree 3; every degree-3 vertex on the periphery; degree-3 vertices
-    alternate black/white along the clockwise periphery.
+    alternate black/white along the clockwise periphery.  ``cap`` bounds
+    the perfect-matching enumeration of the elementarity clause.
     """
     if len(g.vertices) <= 2:
         return PeripheralColorVerdict(False, "min-size", len(g.vertices))
 
     try:
-        report = elementary_analysis(g)
+        report = elementary_analysis(g, cap)
     except NoPerfectMatching:
         return PeripheralColorVerdict(False, "elementary", "no perfect matching")
     if not report.is_elementary:
@@ -839,7 +779,7 @@ def swap_colors(g: PlaneGraph) -> PlaneGraph:
 
 def canonical_coloring(g: PlaneGraph) -> dict:
     """The anchor coloring: the smallest vertex id of every component is white."""
-    return _two_color(g.rotation)
+    return _two_color(g.rotation)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -861,13 +801,9 @@ def all_cycles(g: PlaneGraph) -> tuple:
     if cached is not None:
         return cached
 
-    comp_faces = {}
-    for f in g.finite_faces:
-        key = min(g.component_of(f.boundary[0]))
-        comp_faces.setdefault(key, []).append(f)
-
     cycles = []
-    for faces in comp_faces.values():
+    for comp in g.components:
+        faces = [f for f in g.finite_faces if f.boundary[0] in comp]
         if len(faces) > _MAX_FACES_FOR_CYCLES:
             raise CapExceeded(
                 f"cycle enumeration over {len(faces)} faces exceeds the desk-scale guard"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from itertools import product
 
-from .cube_kit import MetricGraph
+from .cube_kit import MetricGraph, components
 from .matchings import MatchingFamily
 from .plane_graph import PlaneGraph
 
@@ -74,24 +74,9 @@ def build_resonance(g: PlaneGraph, family: MatchingFamily) -> ResonanceGraph:
 
 
 def connectivity_report(r) -> int:
-    """Number of connected components (works for composed graphs too)."""
-    vertices = r.vertices
-    adjacency = r.adjacency
-    seen = set()
-    count = 0
-    for start in vertices:
-        if start in seen:
-            continue
-        count += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return count
+    """Number of connected components (works for composed graphs too, whose
+    adjacency is keyed by vertex index)."""
+    return len(components(r.adjacency, r.adjacency.__getitem__))
 
 
 class ComposedResonance:

@@ -1,11 +1,13 @@
 """Definitional metric oracles, kept for the tests only.
 
 These are the brute-force versions of the recognizers in
-``rescube.cube_kit``: Theta from the four-point inequality on every pair of
+``rescube.cube_kit``: components and bipartiteness from union-find instead
+of a traversal, Theta from the four-point inequality on every pair of
 edges, partial cubes from string labels checked pair by pair, medianness
 from the intersection of the three intervals of every vertex triple, and
-daisy cubes from string orientation flips.  The library's bit-vector core
-must agree with them; ``test_cube_oracles.py`` checks that it does.
+daisy cubes from string orientation flips.  The library's flood fill and
+bit-vector core must agree with them; ``test_cube_oracles.py`` checks that
+they do.
 """
 
 from itertools import combinations
@@ -18,6 +20,44 @@ from rescube.cube_kit import (
     ThetaClasses,
 )
 from rescube.errors import CapExceeded
+
+
+def _union_find(items, pairs) -> dict:
+    """Each item mapped to the representative of its class under the pairs."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return {x: find(x) for x in items}
+
+
+def components(mg: MetricGraph) -> tuple:
+    """Vertex sets of the components, by smallest vertex."""
+    groups = {}
+    for v, rep in _union_find(mg.vertices, mg.edges).items():
+        groups.setdefault(rep, set()).add(v)
+    return tuple(sorted((frozenset(c) for c in groups.values()), key=min))
+
+
+def is_connected(mg: MetricGraph) -> bool:
+    return len(components(mg)) <= 1
+
+
+def is_bipartite(mg: MetricGraph) -> bool:
+    """No vertex shares a class with its own copy in the doubled graph,
+    where every edge joins each side of one end to the other side of the
+    other end."""
+    doubled = [(v, side) for v in mg.vertices for side in (0, 1)]
+    pairs = [((u, 0), (v, 1)) for u, v in mg.edges]
+    pairs += [((u, 1), (v, 0)) for u, v in mg.edges]
+    rep = _union_find(doubled, pairs)
+    return all(rep[(v, 0)] != rep[(v, 1)] for v in mg.vertices)
 
 
 def theta_related(mg: MetricGraph, e1, e2) -> bool:
@@ -73,9 +113,9 @@ def is_partial_cube(mg: MetricGraph) -> PartialCubeVerdict:
     """One string bit per Theta class, the first vertex on the zero side."""
     if not mg.vertices:
         return PartialCubeVerdict(False, reason="empty graph")
-    if not mg.is_connected:
+    if not is_connected(mg):
         return PartialCubeVerdict(False, reason="not connected")
-    if not mg.is_bipartite:
+    if not is_bipartite(mg):
         return PartialCubeVerdict(False, reason="not bipartite")
     classes = theta_classes(mg)
     if not classes.raw_transitive:
@@ -107,7 +147,7 @@ def is_partial_cube(mg: MetricGraph) -> PartialCubeVerdict:
 
 def is_median(mg: MetricGraph) -> bool:
     """Every vertex triple has exactly one vertex in all three intervals."""
-    if not mg.is_connected:
+    if not is_connected(mg):
         return False
 
     def iv(a, b):

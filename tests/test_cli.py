@@ -104,6 +104,28 @@ def test_verify_cap_exit_three(branched_file, capsys, monkeypatch, how):
     assert "cap" in err.lower()
 
 
+@pytest.mark.parametrize("command", ["check", "label", "verify"])
+def test_cap_reaches_peripheral_test(branched_file, capsys, monkeypatch, command):
+    # a cap above the default must reach the elementarity clause of the
+    # peripherally 2-colorable test too, not only the other enumerations
+    from rescube import plane_graph
+
+    caps = []
+    analyse = plane_graph.elementary_analysis
+
+    def spy(g, cap=plane_graph.DEFAULT_MATCHING_CAP):
+        caps.append(cap)
+        return analyse(g, cap)
+
+    monkeypatch.setattr(plane_graph, "elementary_analysis", spy)
+    argv = [command, branched_file, "--cap", "200000"]
+    if command == "label":
+        argv += ["--scheme", "daisy"]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert caps == [200_000]
+
+
 def test_cap_flag_overrides_env(branched_file, capsys, monkeypatch):
     monkeypatch.setenv("RESCUBE_CAP", "3")
     code, _, _ = run(capsys, "resonance", branched_file, "--cap", "100")

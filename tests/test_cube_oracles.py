@@ -5,7 +5,8 @@ from four-point tests on every edge pair, medianness from interval triples,
 daisy cubes from string orientation flips.  Both sides run on the resonance
 graphs of every catacondensed system of up to six rings and on random small
 connected graphs, which include odd cycles and graphs that are not partial
-cubes.
+cubes.  The flood fill is checked against union-find on random graphs that
+may be disconnected and may hold odd cycles.
 """
 
 from itertools import combinations
@@ -51,17 +52,8 @@ def test_fast_path_matches_oracle_on_resonance_graphs(shape):
 
 
 def _component_of_first(vertices, edges):
-    adjacency = {v: set() for v in vertices}
-    for u, v in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        for w in adjacency[stack.pop()] - seen:
-            seen.add(w)
-            stack.append(w)
-    return sorted(seen), [(u, v) for u, v in edges if u in seen]
+    first = oracle.components(ck.MetricGraph(vertices, edges))[0]
+    return sorted(first), [(u, v) for u, v in edges if u in first]
 
 
 @st.composite
@@ -94,3 +86,34 @@ def connected_graphs(draw):
 def test_fast_path_matches_oracle_on_random_graphs(case):
     mg, labels = case
     assert_agree(mg, labels)
+
+
+@st.composite
+def any_graphs(draw):
+    """Up to 10 vertices in shuffled order and random edges: often
+    disconnected, with isolated vertices and odd cycles."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    vertices = draw(st.permutations(range(n)))
+    pairs = []
+    if n:
+        end = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(end, end), max_size=2 * n))
+    return ck.MetricGraph(vertices, [(u, v) for u, v in pairs if u != v])
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_graphs())
+def test_flood_matches_oracle_on_random_graphs(mg):
+    comps = oracle.components(mg)
+    neighbors = mg.adjacency.__getitem__
+    assert ck.components(sorted(mg.vertices), neighbors) == comps
+    assert mg.is_connected == oracle.is_connected(mg)
+    assert mg.is_bipartite == oracle.is_bipartite(mg)
+    # roots are the first vertex of each component in the given order, at
+    # parity 0; on a bipartite graph every edge joins the two parities
+    side = ck.flood(mg.vertices, neighbors)
+    first = {v: next(w for w in mg.vertices if w in c) for c in comps for v in c}
+    assert {v: root for v, (root, _) in side.items()} == first
+    assert all(side[root][1] == 0 for root in first.values())
+    if oracle.is_bipartite(mg):
+        assert all(side[u][1] != side[v][1] for u, v in mg.edges)

@@ -3,6 +3,7 @@
 import pytest
 
 from rescube.errors import (
+    CapExceeded,
     EmbeddingInconsistent,
     NoHandles,
     NotAlternating,
@@ -287,6 +288,29 @@ def test_nested_rings_not_weakly_elementary(nested_rings):
     assert not report.is_elementary
     assert not report.is_weakly_elementary
     assert report.forbidden_edges == frozenset({(0, 8), (2, 10)})
+
+
+def test_rotation_system_elementary_analysis(naphthalene, hexagon_with_pendant_path):
+    # an elementary graph is analysed in place, so no coordinates are needed
+    dart = naphthalene.infinite_faces[0].darts[0]
+    g = from_rotation_system(naphthalene.rotation, infinite_darts=[dart])
+    report = elementary_analysis(g)
+    assert report == elementary_analysis(naphthalene)
+    assert report.is_elementary and report.is_weakly_elementary
+    assert is_peripherally_two_colorable(g) == is_peripherally_two_colorable(naphthalene)
+    # a forbidden edge still calls for a re-embedding from coordinates
+    pendant = hexagon_with_pendant_path
+    dart = pendant.infinite_faces[0].darts[0]
+    g = from_rotation_system(pendant.rotation, infinite_darts=[dart])
+    with pytest.raises(UnsupportedInput):
+        elementary_analysis(g)
+
+
+def test_p2c_reads_the_cap(branched5):
+    # the branched fixture has 14 perfect matchings
+    with pytest.raises(CapExceeded):
+        is_peripherally_two_colorable(branched5, cap=3)
+    assert is_peripherally_two_colorable(branched5, cap=14).ok
 
 
 def test_no_perfect_matching():

@@ -66,6 +66,13 @@ def test_connectivity(branched5, nested_rings, two_hexagons):
     assert connectivity_report(resonance_of(two_hexagons)) == 1
 
 
+def test_connectivity_of_composed_graphs(two_hexagons, nested_rings):
+    # composed graphs key their adjacency by vertex index, not by id tuple
+    assert connectivity_report(cartesian_compose(component_parts(two_hexagons))) == 1
+    nested = resonance_of(nested_rings)
+    assert connectivity_report(cartesian_compose([nested, nested])) == 4
+
+
 def test_resonance_bipartite_and_median(branched5):
     metric = resonance_of(branched5).metric()
     assert metric.is_bipartite
