@@ -53,7 +53,8 @@ def _matching_cap(args) -> int:
 
 def _read_graph(args):
     try:
-        text = open(args.input, "r", encoding="utf-8").read()
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         print(f"rescube: cannot read {args.input}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -241,7 +242,8 @@ def cmd_verify(args) -> int:
 
 def cmd_import_benzenoid(args) -> int:
     try:
-        text = open(args.input, "r", encoding="utf-8").read()
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         print(f"rescube: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE

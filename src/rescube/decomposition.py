@@ -175,6 +175,7 @@ def rfd_from_face_order(g: PlaneGraph, order) -> RfdSequence:
     current_edges = set(first.edges)
     current_vertices = set(first.boundary)
     subgraphs = [frozenset(current_edges)]
+    previous = edge_subgraph(g, current_edges)
     attachments = {}
     complete = True
 
@@ -194,7 +195,6 @@ def rfd_from_face_order(g: PlaneGraph, order) -> RfdSequence:
         if set(ear[1:-1]) & current_vertices:
             raise NotReducibleAtStep(step, "ear interior touches the subgraph")
 
-        previous = edge_subgraph(g, current_edges)
         if not _is_plane_elementary(previous):
             raise NotReducibleAtStep(step, "previous subgraph is not elementary")
         old_part = face.edges & current_edges
@@ -209,6 +209,7 @@ def rfd_from_face_order(g: PlaneGraph, order) -> RfdSequence:
         for f in grown.finite_faces:
             if f.edges not in g.face_by_edge_set:
                 raise NotReducibleAtStep(step, "step creates a face not in the graph")
+        previous = grown
 
         sharers = [
             j + 1

@@ -1,11 +1,12 @@
 """Plane bipartite graphs with an explicit straight-line embedding.
 
 Coordinates are exact rationals.  The rotation system (counterclockwise
-neighbor order around each vertex) is derived from the coordinates, and
-faces are traced from the rotation system so that finite facial walks come
-out clockwise (negative shoelace area, y axis up) while the walk of the
-infinite face is counterclockwise.  The periphery of a connected graph,
-oriented clockwise, is therefore the reversed walk of its infinite face.
+neighbor order around each vertex) is derived from them once, at input;
+subgraphs inherit it.  Faces are traced from the rotation system so that
+finite facial walks come out clockwise (negative shoelace area, y axis up)
+while the walk of the infinite face is counterclockwise.  The periphery of
+a connected graph, oriented clockwise, is therefore the reversed walk of
+its infinite face.
 
 Vertices are properly 2-colored white/black, anchored so the smallest
 vertex id of every connected component is white.
@@ -74,10 +75,6 @@ class Face:
         return tuple((b[i], b[(i + 1) % len(b)]) for i in range(len(b)))
 
     @cached_property
-    def dart_set(self) -> frozenset:
-        return frozenset(self.darts)
-
-    @cached_property
     def edges(self) -> frozenset:
         return frozenset(edge_key(u, v) for u, v in self.darts)
 
@@ -98,16 +95,9 @@ class Handle:
     def length(self) -> int:
         return len(self.path) - 1
 
-    @property
-    def ends(self) -> tuple:
-        return (self.path[0], self.path[-1])
-
     @cached_property
     def edges(self) -> frozenset:
         return frozenset(edge_key(a, b) for a, b in zip(self.path, self.path[1:]))
-
-    def reversed(self) -> "Handle":
-        return Handle(tuple(reversed(self.path)), self.kind)
 
     def __eq__(self, other):
         if not isinstance(other, Handle):
@@ -176,15 +166,8 @@ class PlaneGraph:
 
     # -- basic structure ------------------------------------------------
 
-    def neighbors(self, v) -> tuple:
-        return self.rotation[v]
-
     def degree(self, v) -> int:
         return len(self.rotation[v])
-
-    @cached_property
-    def adjacency(self) -> dict:
-        return {v: frozenset(ns) for v, ns in self.rotation.items()}
 
     @cached_property
     def components(self) -> tuple:
@@ -346,15 +329,6 @@ def _two_color(rotation) -> tuple:
     return side, {v: BLACK if parity else WHITE for v, (_, parity) in side.items()}
 
 
-def _make_faces(walks, infinite_flags) -> list:
-    entries = []
-    for walk, inf in zip(walks, infinite_flags):
-        boundary = _canonical_boundary(tuple(u for u, _ in walk))
-        entries.append((inf, boundary))
-    entries.sort(key=lambda t: (t[0], t[1]))
-    return [Face(i, boundary, inf) for i, (inf, boundary) in enumerate(entries)]
-
-
 def _check_euler(side, edges, faces):
     """One infinite face and V - E + F = 2 on every component."""
     tally = {}  # component root -> [V - E + F, infinite faces]
@@ -375,6 +349,22 @@ def _check_euler(side, edges, faces):
             raise EmbeddingInconsistent(
                 f"Euler relation fails on component of vertex {root}"
             )
+
+
+def _assemble(coords, edges, rotation, infinite_walks) -> PlaneGraph:
+    """Two-colour, trace faces, flag the infinite walks, make faces and check
+    Euler.  ``infinite_walks(walks, side)`` is the caller's rule: the indices
+    of the infinite walks, one per component of the ``side`` flood map."""
+    side, coloring = _two_color(rotation)
+    walks = _trace_faces(rotation)
+    infinite = infinite_walks(walks, side)
+    entries = sorted(
+        (i in infinite, _canonical_boundary(tuple(u for u, _ in walk)))
+        for i, walk in enumerate(walks)
+    )
+    faces = [Face(i, boundary, inf) for i, (inf, boundary) in enumerate(entries)]
+    _check_euler(side, edges, faces)
+    return PlaneGraph(coords, edges, rotation, faces, coloring)
 
 
 def build_plane_graph(vertices, edges) -> PlaneGraph:
@@ -406,30 +396,20 @@ def build_plane_graph(vertices, edges) -> PlaneGraph:
         adjacency[u].add(v)
         adjacency[v].add(u)
 
-    rotation = _ccw_rotation(coords, adjacency)
-    side, coloring = _two_color(rotation)
-    walks = _trace_faces(rotation)
-
-    # per component the unique walk of maximal signed area is the infinite face
-    comp_best = {}
-    areas = []
-    for i, walk in enumerate(walks):
-        a = _walk_area2(walk, coords)
-        areas.append(a)
-        key = side[walk[0][0]][0]
-        if key not in comp_best or a > areas[comp_best[key]]:
-            comp_best[key] = i
-    infinite_flags = [False] * len(walks)
-    for i in comp_best.values():
-        infinite_flags[i] = True
-    for i, walk in enumerate(walks):
-        if not infinite_flags[i] and areas[i] >= 0:
+    def largest_area(walks, side):
+        # per component the unique walk of maximal signed area is the infinite face
+        areas = [_walk_area2(walk, coords) for walk in walks]
+        best = {}
+        for i, walk in enumerate(walks):
+            key = side[walk[0][0]][0]
+            if key not in best or areas[i] > areas[best[key]]:
+                best[key] = i
+        infinite = set(best.values())
+        if any(a >= 0 for i, a in enumerate(areas) if i not in infinite):
             raise EmbeddingInconsistent("a finite facial walk is not clockwise")
+        return infinite
 
-    faces = _make_faces(walks, infinite_flags)
-    g = PlaneGraph(coords, eset, rotation, faces, coloring)
-    _check_euler(side, eset, faces)
-    return g
+    return _assemble(coords, eset, _ccw_rotation(coords, adjacency), largest_area)
 
 
 def from_rotation_system(rotation, infinite_darts) -> PlaneGraph:
@@ -451,30 +431,47 @@ def from_rotation_system(rotation, infinite_darts) -> PlaneGraph:
                 raise ValueError(f"rotation not symmetric on ({v}, {w})")
             eset.add(edge_key(v, w))
 
-    side, coloring = _two_color(rotation)
-    walks = _trace_faces(rotation)
     targets = set(tuple(d) for d in infinite_darts)
-    infinite_flags = []
-    for walk in walks:
-        infinite_flags.append(bool(targets & set(walk)))
-    faces = _make_faces(walks, infinite_flags)
-    g = PlaneGraph(None, eset, rotation, faces, coloring)
-    _check_euler(side, eset, faces)
-    return g
+    return _assemble(
+        None, eset, rotation,
+        lambda walks, side: {i for i, w in enumerate(walks) if targets & set(w)},
+    )
 
 
 def edge_subgraph(g: PlaneGraph, keep_edges) -> PlaneGraph:
-    """Plane subgraph on an edge subset, re-embedded from the same coordinates.
+    """Plane subgraph on an edge subset, embedded by ``g``'s rotation system.
 
-    Vertices not covered by ``keep_edges`` are dropped."""
-    if g.coords is None:
-        raise UnsupportedInput("subgraph extraction requires coordinates")
+    Deleting edges keeps every cyclic order, so each facial walk of the
+    subgraph bounds a union of faces of ``g``.  The infinite walk of a
+    component is the one whose region holds the infinite faces of ``g``,
+    found by flooding the faces of ``g`` across the edges not in that
+    component.  Vertices not covered by ``keep_edges`` are dropped;
+    coordinates, when ``g`` has them, are carried over."""
     keep = {edge_key(u, v) for u, v in keep_edges}
     unknown = keep - g.edges
     if unknown:
         raise ValueError(f"edges not in graph: {sorted(unknown)}")
     used = sorted({v for e in keep for v in e})
-    return build_plane_graph([(v, *g.coords[v]) for v in used], sorted(keep))
+    rotation = {
+        v: tuple(w for w in g.rotation[v] if edge_key(v, w) in keep) for v in used
+    }
+    coords = None if g.coords is None else {v: g.coords[v] for v in used}
+
+    def outer_region(walks, side):
+        face_of = {d: f.id for f in g.faces for d in f.darts}
+        outside = {}  # component root -> faces of g outside that component
+        for root in {r for r, _ in side.values()}:
+            own = {e for e in keep if side[e[0]][0] == root}
+            outside[root] = ck.flood(
+                [f.id for f in g.infinite_faces],
+                lambda fid: (face_of[v, u] for u, v in g.faces[fid].darts
+                             if edge_key(u, v) not in own),
+            )
+        return {
+            i for i, w in enumerate(walks) if face_of[w[0]] in outside[side[w[0][0]][0]]
+        }
+
+    return _assemble(coords, keep, rotation, outer_region)
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +699,7 @@ def elementary_analysis(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -> Eleme
     An edge is allowed when it lies in some perfect matching.  The graph is
     elementary when it is connected and every edge is allowed; it is weakly
     elementary when re-tracing the faces of the allowed subgraph yields no
-    finite face that was not already a finite face of ``g``.  Only a graph
-    with a forbidden edge is re-embedded, so that one needs coordinates.
+    finite face that was not already a finite face of ``g``.
     """
     matchings = enumerate_matching_edge_sets(g, cap)
     if not matchings:

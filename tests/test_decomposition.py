@@ -16,6 +16,7 @@ from rescube.decomposition import (
     verify_reducible_split,
 )
 from rescube.matchings import enumerate_matchings
+from rescube.plane_graph import from_rotation_system
 from rescube.resonance import build_resonance
 
 
@@ -221,6 +222,18 @@ def test_theorem_report_branched(branched5, branched5_faces):
         "connected": True,
     }
     assert report["labelling"]["codings_differ"] is True
+
+
+def test_rotation_system_report_matches(branched5, branched5_faces):
+    # subgraphs inherit the rotation system, so coordinates play no part
+    darts = [f.darts[0] for f in branched5.infinite_faces]
+    g = from_rotation_system(branched5.rotation, darts)
+    assert g.coords is None
+    assert theorem_report(g) == theorem_report(branched5)
+    assert auto_rfd(g) == auto_rfd(branched5)
+    rfd = rfd_from_face_order(g, branched5_faces)
+    assert rfd == rfd_from_face_order(branched5, branched5_faces)
+    assert theorem_report(g, rfd) == theorem_report(branched5, rfd)
 
 
 def test_theorem_report_rejects_non_p2c(pyrene):

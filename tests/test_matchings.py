@@ -35,7 +35,7 @@ def matching_count_by_permanent(g):
         return 0
     index = {b: i for i, b in enumerate(black)}
     rows = [
-        sum(1 << index[w] for w in g.adjacency[v] if w in index) for v in white
+        sum(1 << index[w] for w in g.rotation[v] if w in index) for v in white
     ]
 
     @lru_cache(maxsize=None)

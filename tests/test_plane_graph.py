@@ -1,6 +1,10 @@
 """Embedding, faces, coloring, handles, and the structural verdicts."""
 
+import random
+
 import pytest
+
+from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
 
 from rescube.errors import (
     CapExceeded,
@@ -31,6 +35,17 @@ from rescube.plane_graph import (
 def shoelace(g, face):
     walk = face.darts
     return _walk_area2(walk, g.coords)
+
+
+def without_coordinates(g):
+    """The same plane graph rebuilt from its rotation system alone."""
+    return from_rotation_system(g.rotation, [f.darts[0] for f in g.infinite_faces])
+
+
+def reembedded(g, keep):
+    """Oracle for ``edge_subgraph``: embed the kept edges afresh from coordinates."""
+    used = sorted({v for e in keep for v in e})
+    return build_plane_graph([(v, *g.coords[v]) for v in used], sorted(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +129,7 @@ def test_rotation_system_input():
     rotation = {i: ((i + 1) % 6, (i - 1) % 6) for i in range(6)}
     g = from_rotation_system(rotation, infinite_darts=[(1, 0)])
     assert len(g.finite_faces) == 1
-    assert g.finite_faces[0].dart_set == frozenset(
+    assert frozenset(g.finite_faces[0].darts) == frozenset(
         (i, (i + 1) % 6) for i in range(6)
     )
     assert g.coords is None
@@ -290,20 +305,15 @@ def test_nested_rings_not_weakly_elementary(nested_rings):
     assert report.forbidden_edges == frozenset({(0, 8), (2, 10)})
 
 
-def test_rotation_system_elementary_analysis(naphthalene, hexagon_with_pendant_path):
-    # an elementary graph is analysed in place, so no coordinates are needed
-    dart = naphthalene.infinite_faces[0].darts[0]
-    g = from_rotation_system(naphthalene.rotation, infinite_darts=[dart])
-    report = elementary_analysis(g)
-    assert report == elementary_analysis(naphthalene)
-    assert report.is_elementary and report.is_weakly_elementary
-    assert is_peripherally_two_colorable(g) == is_peripherally_two_colorable(naphthalene)
-    # a forbidden edge still calls for a re-embedding from coordinates
-    pendant = hexagon_with_pendant_path
-    dart = pendant.infinite_faces[0].darts[0]
-    g = from_rotation_system(pendant.rotation, infinite_darts=[dart])
-    with pytest.raises(UnsupportedInput):
-        elementary_analysis(g)
+def test_rotation_system_elementary_analysis(
+    naphthalene, hexagon_with_pendant_path, nested_rings
+):
+    # no coordinates are needed, with or without a forbidden edge
+    for plane in (naphthalene, hexagon_with_pendant_path, nested_rings):
+        g = without_coordinates(plane)
+        assert elementary_analysis(g) == elementary_analysis(plane)
+        assert is_peripherally_two_colorable(g) == is_peripherally_two_colorable(plane)
+    assert elementary_analysis(without_coordinates(naphthalene)).is_elementary
 
 
 def test_p2c_reads_the_cap(branched5):
@@ -329,6 +339,30 @@ def test_edge_subgraph_keeps_ids(branched5):
     assert sub.is_cycle_graph()
 
 
+def test_edge_subgraph_matches_reembedding(pyrene, nested_rings):
+    """The inherited rotation system gives the coordinate re-embedding, also
+    on disconnected subsets and on components nested in another's face."""
+    rounds = [(build_benzenoid(cells), 8) for cells in catacondensed_polyhexes(6)]
+    rounds += [(pyrene, 40), (nested_rings, 40)]
+    rng = random.Random(5)
+    # the spoke-free rings: the inner one has no edge on the outer periphery
+    subsets = [(nested_rings, nested_rings.edges - {(0, 8), (2, 10)})]
+    for g, count in rounds:
+        edges = sorted(g.edges)
+        for _ in range(count):
+            p = rng.choice((0.3, 0.6, 0.9))
+            subsets.append((g, {e for e in edges if rng.random() < p}))
+        subsets += [(g, g.edges - {e}) for e in edges[:3]]
+    for g, keep in subsets:
+        want = reembedded(g, keep)
+        for got in (edge_subgraph(g, keep), edge_subgraph(without_coordinates(g), keep)):
+            assert got.edges == want.edges
+            assert got.rotation == want.rotation
+            assert got.faces == want.faces
+            assert got.coloring == want.coloring
+        assert edge_subgraph(g, keep).coords == want.coords
+
+
 # ---------------------------------------------------------------------------
 # cycle space
 # ---------------------------------------------------------------------------
@@ -351,8 +385,6 @@ def test_cycles_are_clockwise(naphthalene):
 
 
 def test_corpus_handles_odd_and_alternating():
-    from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
-
     for shape in catacondensed_polyhexes(5):
         g = build_benzenoid(shape)
         if not is_peripherally_two_colorable(g).ok or g.is_cycle_graph():
