@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _matching_cap(args) -> int:
-    if getattr(args, "cap", None):
+    if getattr(args, "cap", None) is not None:
         return args.cap
     env = os.environ.get("RESCUBE_CAP")
     if env:

@@ -28,6 +28,7 @@ from .errors import (
 from .matchings import (
     AVOIDS_END_EDGES,
     CONTAINS_END_EDGES,
+    MatchingFamily,
     end_edge_state,
     enumerate_matchings,
     extremal_matchings,
@@ -357,6 +358,39 @@ def _translate_rfd(rfd: RfdSequence, g: PlaneGraph, sub: PlaneGraph) -> RfdSeque
     return RfdSequence(faces, rfd.subgraph_edges, rfd.attachment, rfd.notes)
 
 
+@dataclass(frozen=True)
+class _Prefix:
+    """One RFD prefix G_k, analysed once: its subgraph, the decomposition
+    translated to its face ids, its matchings, resonance graph and daisy
+    labelling.  Step k checks G_k against G_(k-1), so the step loop of
+    :func:`theorem_report` hands each record on to the next step."""
+
+    graph: PlaneGraph
+    rfd: RfdSequence
+    family: MatchingFamily
+    resonance: ResonanceGraph
+    daisy: coding.Labelling
+
+
+def _prefix(g, r, rfd, k, cap=DEFAULT_MATCHING_CAP) -> _Prefix:
+    """The record of prefix k; the last prefix is ``g`` itself, whose
+    matchings and resonance graph ``r`` already holds."""
+    if k == rfd.n:
+        return _Prefix(g, rfd, r.family, r, coding.daisy_labelling(g, r.family, rfd))
+    sub = edge_subgraph(g, rfd.subgraph_edges[k - 1])
+    sub_rfd = _translate_rfd(rfd.prefix(k), g, sub)
+    family = enumerate_matchings(sub, cap)
+    res = build_resonance(sub, family)
+    return _Prefix(sub, sub_rfd, family, res, coding.daisy_labelling(sub, family, sub_rfd))
+
+
+def _check_step_index(rfd: RfdSequence, i: int):
+    if i < 2 or i > rfd.n:
+        raise ValueError(f"step must be in 2..{rfd.n}")
+    if rfd.attachment is None:
+        raise TheoremViolated("attachment-unique", "no complete attachment map")
+
+
 def verify_reducible_split(
     g: PlaneGraph, r: ResonanceGraph, rfd: RfdSequence, i: int, strict: bool = True
 ) -> StepReport:
@@ -368,11 +402,18 @@ def verify_reducible_split(
     o-closed subgraph of the previous resonance graph sitting at zero bits
     of the attachment position, and that expanding along that subgraph
     reproduces the current resonance graph with the new bit appended.
+    ``r`` is the resonance graph of ``g``.
     """
-    if i < 2 or i > rfd.n:
-        raise ValueError(f"step must be in 2..{rfd.n}")
-    if rfd.attachment is None:
-        raise TheoremViolated("attachment-unique", "no complete attachment map")
+    _check_step_index(rfd, i)
+    return _check_step(
+        g, rfd, i, _prefix(g, r, rfd, i - 1), _prefix(g, r, rfd, i), strict
+    )
+
+
+def _check_step(
+    g: PlaneGraph, rfd: RfdSequence, i: int, prev: _Prefix, cur: _Prefix, strict: bool
+) -> StepReport:
+    """The clauses of step i, from the records of prefixes i - 1 and i."""
     clauses = {}
     details = {}
 
@@ -381,16 +422,10 @@ def verify_reducible_split(
         if strict and not value:
             raise TheoremViolated(clause, f"step {i} {detail}")
 
-    sub_i = edge_subgraph(g, rfd.subgraph_edges[i - 1])
-    sub_prev = edge_subgraph(g, rfd.subgraph_edges[i - 2])
-    rfd_i = _translate_rfd(rfd.prefix(i), g, sub_i)
-    rfd_prev = _translate_rfd(rfd.prefix(i - 1), g, sub_prev)
-
-    fam_i = enumerate_matchings(sub_i)
-    fam_prev = enumerate_matchings(sub_prev)
-    res_i = build_resonance(sub_i, fam_i)
-    res_prev = build_resonance(sub_prev, fam_prev)
-    labels_i = coding.daisy_labelling(sub_i, fam_i, rfd_i).labels
+    sub_prev, rfd_i, rfd_prev = prev.graph, cur.rfd, prev.rfd
+    fam_i, fam_prev = cur.family, prev.family
+    res_i, res_prev = cur.resonance, prev.resonance
+    labels_i = cur.daisy.labels
 
     ear = _assemble_path(rfd.subgraph_edges[i - 1] - rfd.subgraph_edges[i - 2])
     face_edges = g.faces[rfd.faces[i - 1]].edges
@@ -442,8 +477,7 @@ def verify_reducible_split(
     }
     ok = ok and len(set(labels_prev.values())) == len(labels_prev)
     if i >= 3:
-        handle_rule_prev = coding.daisy_labelling(sub_prev, fam_prev, rfd_prev).labels
-        ok = ok and labels_prev == handle_rule_prev
+        ok = ok and labels_prev == prev.daisy.labels
     check("label-deletion", ok)
 
     # the inner-path side inside the previous resonance graph
@@ -535,8 +569,9 @@ def theorem_report(
     The report nests one entry per clause per face and per step, plus the
     labelling, subset-equality, median and connectivity checks; ``ok``
     aggregates everything.  Works on peripherally 2-colorable inputs that
-    are not even cycles.  ``cap`` bounds the enumeration of the graph's
-    perfect matchings; more of them raise :class:`CapExceeded`."""
+    are not even cycles.  ``cap`` bounds the enumeration of the perfect
+    matchings of the graph and of each decomposition prefix; more of them
+    raise :class:`CapExceeded`."""
     verdict = is_peripherally_two_colorable(g, cap)
     report = {
         "peripherally_two_colorable": verdict.ok,
@@ -569,11 +604,16 @@ def theorem_report(
         _, clauses = split_by_face(g, r, face.id, strict=False)
         report["faces"][str(face.id)] = clauses
 
+    cur = None
     for i in range(2, rfd.n + 1):
-        step = verify_reducible_split(g, r, rfd, i, strict=False)
+        _check_step_index(rfd, i)
+        prev = cur if cur is not None else _prefix(g, r, rfd, 1, cap)
+        cur = _prefix(g, r, rfd, i, cap)
+        step = _check_step(g, rfd, i, prev, cur, strict=False)
         report["steps"][str(i)] = dict(step.clauses)
 
-    daisy = coding.daisy_labelling(g, family, rfd)
+    # the last step's record is the whole graph's
+    daisy = cur.daisy if cur is not None else coding.daisy_labelling(g, family, rfd)
     fdl = coding.fdl_labelling(g, family, rfd)
     metric = r.metric()
     extremal = extremal_matchings(g, family)

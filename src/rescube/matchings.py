@@ -63,6 +63,7 @@ class MatchingFamily:
     def __init__(self, graph: PlaneGraph, matchings):
         self.graph = graph
         self.matchings = tuple(matchings)
+        self.index = {m.edges: m.id for m in self.matchings}  # edge set -> id
         self._cache = {}
 
     def __len__(self):
@@ -79,11 +80,11 @@ class MatchingFamily:
         return range(len(self.matchings))
 
     def by_edges(self, edges) -> PerfectMatching:
-        key = frozenset(edge_key(*e) for e in edges)
-        for m in self.matchings:
-            if m.edges == key:
-                return m
-        raise KeyError("no matching with that edge set")
+        """The matching with exactly these edges; raises KeyError if none."""
+        mid = self.index.get(frozenset(edge_key(*e) for e in edges))
+        if mid is None:
+            raise KeyError("no matching with that edge set")
+        return self.matchings[mid]
 
 
 def enumerate_matchings(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -> MatchingFamily:

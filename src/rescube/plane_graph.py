@@ -210,6 +210,12 @@ class PlaneGraph:
         """frozenset of undirected boundary edges -> finite face id."""
         return {f.edges: f.id for f in self.finite_faces}
 
+    @cached_property
+    def handle_by_edge(self) -> dict:
+        """undirected edge -> the handle holding it; raises as :func:`handles`
+        does, on every access, since a failed computation is not cached."""
+        return {e: h for h in handles(self) for e in h.edges}
+
     # -- coloring ----------------------------------------------------------
 
     def color(self, v) -> str:
@@ -599,11 +605,7 @@ def facial_handle_decomposition(g: PlaneGraph, face_id: int) -> FacialHandleDeco
     face = g.faces[face_id]
     if face.is_infinite:
         raise ValueError("facial handle decomposition needs a finite face")
-    edge_to_handle = {}
-    for h in handles(g):
-        for e in h.edges:
-            edge_to_handle[e] = h
-
+    edge_to_handle = g.handle_by_edge
     walk = face.darts
     missing = [d for d in walk if edge_key(*d) not in edge_to_handle]
     if missing:

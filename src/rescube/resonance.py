@@ -56,20 +56,20 @@ class ResonanceGraph:
 
 
 def build_resonance(g: PlaneGraph, family: MatchingFamily) -> ResonanceGraph:
-    """All-pairs construction: test each symmetric difference against the
-    finite facial cycles (early exit on size)."""
-    by_edges = g.face_by_edge_set
-    longest = max((len(f.edges) for f in g.finite_faces), default=0)
+    """Construct the edges by facial twists.
+
+    Every edge joins a matching M to M twisted on one of its resonant finite
+    faces, M xor the facial boundary, so each (matching, finite face) pair is
+    looked up once in the family's edge-set index and kept when the partner
+    has the larger id: O(N * F) probes instead of testing all N^2 / 2 pairs.
+    """
+    index = family.index
     edges = []
-    ms = family.matchings
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            diff = ms[i].edges ^ ms[j].edges
-            if len(diff) > longest:
-                continue
-            fid = by_edges.get(diff)
-            if fid is not None:
-                edges.append((i, j, fid))
+    for m in family:
+        for face_edges, fid in g.face_by_edge_set.items():
+            j = index.get(m.edges ^ face_edges)
+            if j is not None and j > m.id:
+                edges.append((m.id, j, fid))
     return ResonanceGraph(g, family, edges)
 
 

@@ -126,6 +126,19 @@ def test_cap_reaches_peripheral_test(branched_file, capsys, monkeypatch, command
     assert caps == [200_000]
 
 
+@pytest.mark.parametrize("command", ["check", "label", "verify"])
+def test_cap_zero_is_rejected(branched_file, capsys, command):
+    # --cap 0 is a value, not an absent flag: it must not fall back to the
+    # default cap
+    argv = [command, branched_file, "--cap", "0"]
+    if command == "label":
+        argv += ["--scheme", "daisy"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "cap must be >= 1" in err
+
+
 def test_cap_flag_overrides_env(branched_file, capsys, monkeypatch):
     monkeypatch.setenv("RESCUBE_CAP", "3")
     code, _, _ = run(capsys, "resonance", branched_file, "--cap", "100")

@@ -1,7 +1,11 @@
 """Reducible faces, decompositions, and the split/expansion instance checks."""
 
+from collections import Counter
+
 import pytest
 
+from rescube import plane_graph
+from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
 from rescube.errors import (
     NotReducibleAtStep,
     PeelingStuck,
@@ -300,3 +304,35 @@ def test_theta_graph_non_benzenoid():
     assert sorted(coding.fdl_labelling(g, family, rfd).labels.values()) == [
         "00", "10", "11"
     ]
+
+
+@pytest.mark.parametrize("shape", catacondensed_polyhexes(6), ids=str)
+def test_report_steps_equal_standalone_steps(shape, monkeypatch):
+    """The report carries each prefix's record to the next step; that
+    changes no clause, and no prefix is enumerated twice."""
+    g = build_benzenoid(shape)
+    if g.is_cycle_graph() or not plane_graph.is_peripherally_two_colorable(g).ok:
+        return
+    rfd = auto_rfd(g)
+    enumerated = Counter()
+    enumerate_edge_sets = plane_graph.enumerate_matching_edge_sets
+
+    def spy(graph, cap=plane_graph.DEFAULT_MATCHING_CAP):
+        enumerated[graph.edges] += 1
+        return enumerate_edge_sets(graph, cap)
+
+    monkeypatch.setattr(plane_graph, "enumerate_matching_edge_sets", spy)
+    report = theorem_report(g, rfd)
+    monkeypatch.undo()
+    # the whole graph: at most once for the verdict and once for the
+    # report's family, which the last step reuses
+    assert enumerated.pop(g.edges) <= 2
+    assert set(enumerated) == set(rfd.subgraph_edges[:-1])
+    assert all(count == 1 for count in enumerated.values())
+
+    r = resonance_of(g)
+    standalone = {
+        str(i): verify_reducible_split(g, r, rfd, i, strict=False).clauses
+        for i in range(2, rfd.n + 1)
+    }
+    assert report["steps"] == standalone

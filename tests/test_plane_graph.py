@@ -183,6 +183,34 @@ def test_handles_reject_cut_vertices(hexagon_with_pendant_path):
         handles(hexagon_with_pendant_path)
 
 
+def test_handles_computed_once_per_graph(monkeypatch, hexagon, hexagon_with_pendant_path):
+    from rescube import coding, plane_graph
+    from rescube.decomposition import auto_rfd
+    from rescube.matchings import enumerate_matchings
+
+    calls = []
+    compute = plane_graph.handles
+
+    def spy(g):
+        calls.append(g)
+        return compute(g)
+
+    monkeypatch.setattr(plane_graph, "handles", spy)
+    g = build_benzenoid([(0, 0), (1, 0), (1, 1)])
+    family, rfd = enumerate_matchings(g), auto_rfd(g)
+    for face in g.finite_faces:
+        facial_handle_decomposition(g, face.id)
+    coding.daisy_labelling(g, family, rfd)
+    coding.fdl_labelling(g, family, rfd)
+    assert calls.count(g) == 1
+    # a failure is not cached: it is raised again on every call
+    for bad, error in ((hexagon, NoHandles), (hexagon_with_pendant_path, UnsupportedInput)):
+        for _ in range(2):
+            with pytest.raises(error):
+                facial_handle_decomposition(bad, bad.finite_faces[0].id)
+        assert calls.count(bad) == 2
+
+
 def test_facial_decomposition_shapes(branched5, branched5_faces):
     f1, f2, f3, f4, f5 = branched5_faces
     expected = {f1: 1, f2: 3, f3: 2, f4: 1, f5: 1}

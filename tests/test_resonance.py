@@ -1,10 +1,14 @@
 """Resonance graph construction, labels, connectivity, and composition."""
 
 from collections import Counter
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from rescube.cube_kit import is_median
 from rescube.matchings import enumerate_matchings
-from rescube.benzenoid import build_benzenoid
+from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
 from rescube.plane_graph import edge_subgraph, elementary_analysis
 from rescube.resonance import (
     build_resonance,
@@ -18,6 +22,72 @@ from rescube.resonance import (
 
 def resonance_of(g):
     return build_resonance(g, enumerate_matchings(g))
+
+
+def pairwise_resonance_edges(g, family) -> tuple:
+    """The definitional construction, kept as the oracle for the facial
+    twists: every pair of matchings whose symmetric difference is the
+    boundary of one finite face, labelled by that face."""
+    faces = g.face_by_edge_set
+    ms = family.matchings
+    return tuple(
+        (i, j, faces[ms[i].edges ^ ms[j].edges])
+        for i in range(len(ms))
+        for j in range(i + 1, len(ms))
+        if ms[i].edges ^ ms[j].edges in faces
+    )
+
+
+def assert_twists_match_oracle(g):
+    family = enumerate_matchings(g)
+    assert build_resonance(g, family).edges == pairwise_resonance_edges(g, family)
+    for m in family:
+        assert family.by_edges(m.edges) is m
+        assert family.by_edges([(v, u) for u, v in m.edges]) is m
+
+
+def test_twists_match_oracle_on_fixtures(pyrene, nested_rings):
+    for g in (pyrene, nested_rings):
+        assert_twists_match_oracle(g)
+
+
+@pytest.mark.parametrize("shape", catacondensed_polyhexes(6), ids=str)
+def test_twists_match_oracle_on_corpus(shape):
+    assert_twists_match_oracle(build_benzenoid(shape))
+
+
+@lru_cache(maxsize=None)
+def _small_corpus() -> tuple:
+    return tuple(build_benzenoid(c) for c in catacondensed_polyhexes(5))
+
+
+@st.composite
+def matchable_edge_subsets(draw, graphs):
+    """An edge subgraph that keeps some perfect matchings: the union of a
+    few of them plus random other edges.  One matching alone is a
+    disconnected set of edges, a few leave forbidden edges or new faces,
+    the spokes of ``nested_rings`` leave it not weakly elementary, and with
+    most edges kept the subgraph is often elementary."""
+    g = draw(st.sampled_from(graphs))
+    family = enumerate_matchings(g)
+    picks = draw(st.sets(st.sampled_from(family.matchings), min_size=1, max_size=4))
+    extra = draw(st.sets(st.sampled_from(sorted(g.edges))))
+    return edge_subgraph(g, frozenset().union(*(m.edges for m in picks)) | extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_twists_match_oracle_on_edge_subsets(pyrene, nested_rings, data):
+    graphs = _small_corpus() + (pyrene, nested_rings)
+    assert_twists_match_oracle(data.draw(matchable_edge_subsets(graphs)))
+
+
+def test_by_edges_misses_raise_key_error(branched5):
+    family = enumerate_matchings(branched5)
+    m = family[0]
+    for edges in (m.edges - {min(m.edges)}, branched5.edges, frozenset()):
+        with pytest.raises(KeyError):
+            family.by_edges(edges)
 
 
 def component_parts(g):
