@@ -22,19 +22,14 @@ from .coding import (
     labelling_is_proper,
 )
 from .cube_kit import (
-    ClassSplit,
     DaisyVerdict,
     MetricGraph,
     PartialCubeVerdict,
     ThetaClasses,
-    check_median_split,
-    expand,
     is_daisy_cube,
     is_median,
     is_partial_cube,
-    label_leq,
     operator_o,
-    split_class,
     theta_classes,
 )
 from .decomposition import (

@@ -1,16 +1,18 @@
 """Finite-graph metric machinery: the component search, the edge relation
 Theta, partial-cube and median recognition, daisy-cube recognition with
-proper labellings, and the expansion operations used to rebuild resonance
-graphs step by step.
+proper labellings, and convexity read from labels.
 
-Distances come from breadth-first search.  The recognizers share one
-bit-vector embedding per graph: Theta classes read from the distance
-differences d(x, w) - d(y, w) of each edge (x, y), one ``int`` label per
-vertex with bit i for class i, checked against the distance table by
-popcount.  Medianness is closure of the labels under bitwise majority
-(Bandelt and Chepoi, "Metric graph theory and geometry: a survey", 2008),
-and daisy recognition is an orientation search over XOR masks.  The
-definitional brute-force versions live with the tests as oracles.
+The one distance table, from breadth-first search, serves a graph that
+comes without labels: its Theta classes read the distance differences
+d(x, w) - d(y, w) of each edge (x, y), and give one ``int`` label per
+vertex with bit i for class i.  Labels, found so or given, are certified
+without a table: they are isometric exactly when every edge flips one bit
+and every vertex differs from every other vertex at a bit that one of its
+own edges flips.  On certified labels distance is popcount, so convexity,
+medianness (closure under bitwise majority; Bandelt and Chepoi, "Metric
+graph theory and geometry: a survey", 2008) and the daisy orientation
+search over XOR masks need no distances.  The definitional brute-force
+versions, and the expansion construction, live with the tests as oracles.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, repeat
-from operator import add, ne, neg, sub
+from operator import neg, sub
 
-from .errors import CapExceeded, NotAnExpansion
+from .errors import CapExceeded
 
 _EXHAUSTIVE_IDIM_CAP = 20
 
@@ -64,7 +66,8 @@ def components(vertices, neighbors) -> tuple:
 
 
 class MetricGraph:
-    """An undirected graph with its all-pairs distance table and optional labels."""
+    """An undirected graph with optional labels; its all-pairs distance
+    table is built on first use, for the Theta classes."""
 
     def __init__(self, vertices, edges, labels=None):
         self.vertices = tuple(vertices)
@@ -115,9 +118,6 @@ class MetricGraph:
         """The partial-cube verdict with ``int`` labels, computed once per graph."""
         return _embed(self)
 
-    def d(self, u, v) -> int:
-        return self.dist[u][v]
-
     @property
     def is_connected(self) -> bool:
         return all(len(self.dist[v]) == len(self.vertices) for v in self.vertices[:1])
@@ -126,20 +126,6 @@ class MetricGraph:
     def is_bipartite(self) -> bool:
         side = flood(self.vertices, self.adjacency.__getitem__)
         return all(side[u][1] != side[v][1] for u, v in self.edges)
-
-    def interval(self, u, v) -> frozenset:
-        duv = self.d(u, v)
-        du = self.dist[u]
-        dv = self.dist[v]
-        return frozenset(w for w in self.vertices if du[w] + dv[w] == duv)
-
-    def induced(self, vertex_subset, keep_labels=True) -> "MetricGraph":
-        sub = set(vertex_subset)
-        edges = [(u, v) for u, v in self.edges if u in sub and v in sub]
-        labels = None
-        if keep_labels and self.labels is not None:
-            labels = {v: self.labels[v] for v in sub}
-        return MetricGraph(sorted(sub), edges, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +143,26 @@ def _to_str(bits: int, n: int) -> str:
 
 
 def _isometric(mg: MetricGraph, bits: dict) -> bool:
-    """Whether popcount of XOR equals graph distance for every vertex pair."""
+    """Certify that Hamming distance of the labels is graph distance.
+
+    Accepts exactly when every edge flips one bit and, with F(u) the OR of
+    the bits flipped at u, (L(u) ^ L(v)) & F(u) != 0 for every u != v.
+    Single-bit edges make graph distance at least Hamming distance; the
+    second condition gives u a neighbour one bit closer to v, so by
+    induction graph distance is at most Hamming distance.  It fails on
+    repeated labels and on a disconnected graph.  No table is built."""
+    flips = dict.fromkeys(mg.vertices, 0)
+    for u, v in mg.edges:
+        bit = bits[u] ^ bits[v]
+        if bit.bit_count() != 1:
+            return False
+        flips[u] |= bit
+        flips[v] |= bit
     labels = [bits[v] for v in mg.vertices]
-    rows = mg._rows
-    return not any(
-        any(map(ne, map(int.bit_count, map(bits[v].__xor__, labels)), rows[v]))
-        for v in mg.vertices
+    # u is the one vertex that agrees with u on every bit of F(u)
+    return all(
+        list(map(flips[u].__and__, map(bits[u].__xor__, labels))).count(0) == 1
+        for u in mg.vertices
     )
 
 
@@ -237,47 +237,6 @@ def _theta_from_distance_differences(mg: MetricGraph) -> ThetaClasses:
     return ThetaClasses(tuple(frozenset(c) for c in by_root.values()), raw)
 
 
-@dataclass(frozen=True)
-class ClassSplit:
-    """The side sets of one Theta class for a representative edge (x, y).
-
-    ``w_x`` holds the vertices strictly closer to x, ``u_x`` those of them
-    with a neighbor across the cut; a side is peripheral when u = w."""
-
-    edge: tuple
-    w_x: frozenset
-    w_y: frozenset
-    u_x: frozenset
-    u_y: frozenset
-
-    @property
-    def x_peripheral(self) -> bool:
-        return self.w_x == self.u_x
-
-    @property
-    def y_peripheral(self) -> bool:
-        return self.w_y == self.u_y
-
-    @property
-    def peripheral(self) -> bool:
-        return self.x_peripheral or self.y_peripheral
-
-
-def split_class(mg: MetricGraph, class_edges) -> ClassSplit:
-    """Compute W/U side sets for the smallest edge of the class."""
-    cls = sorted(_edge_key(u, v) for u, v in class_edges)
-    x, y = cls[0]
-    w_x = frozenset(v for v in mg.vertices if mg.d(v, x) < mg.d(v, y))
-    w_y = frozenset(v for v in mg.vertices if mg.d(v, y) < mg.d(v, x))
-    u_x = frozenset(
-        v for v in w_x if any(w in w_y for w in mg.adjacency[v])
-    )
-    u_y = frozenset(
-        v for v in w_y if any(w in w_x for w in mg.adjacency[v])
-    )
-    return ClassSplit((x, y), w_x, w_y, u_x, u_y)
-
-
 # ---------------------------------------------------------------------------
 # partial cubes
 # ---------------------------------------------------------------------------
@@ -299,10 +258,10 @@ class PartialCubeVerdict:
 def is_partial_cube(mg: MetricGraph) -> PartialCubeVerdict:
     """Recognize isometric subgraphs of hypercubes.
 
-    Builds a candidate labelling (one bit per Theta class, the first vertex
-    on the zero side everywhere) and verifies that Hamming distance equals
-    graph distance for every pair; the verification is the verdict.  The
-    verdict is computed once per graph and shared by the other recognizers.
+    Builds a candidate labelling from the distance table (one bit per Theta
+    class, the first vertex on the zero side everywhere) and certifies it
+    isometric; the certificate is the verdict.  The verdict is computed
+    once per graph and shared by the other recognizers.
     """
     return mg._embedding
 
@@ -383,11 +342,6 @@ def is_median(mg: MetricGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def label_leq(u: str, v: str) -> bool:
-    """Coordinatewise order on equal-length bit strings."""
-    return all(a <= b for a, b in zip(u, v))
-
-
 def operator_o(labels: dict, subset) -> frozenset:
     """Downward closure of a vertex subset inside the labelled vertex set."""
     bits = {v: _to_bits(lab) for v, lab in labels.items()}
@@ -405,8 +359,16 @@ def is_downward_closed(label_set) -> bool:
 
 def is_isometric_labelling(mg: MetricGraph, labels: dict) -> bool:
     """Whether Hamming distance on the equal-length labels equals graph
-    distance for all pairs."""
+    distance for all pairs, by the label certificate (no distance table)."""
     return _isometric(mg, {v: _to_bits(labels[v]) for v in mg.vertices})
+
+
+def isometric_bits(mg: MetricGraph, labels: dict):
+    """``int`` labels that embed the graph isometrically: the given bit
+    strings when they pass the certificate, else the partial-cube labels,
+    or None when the graph is not a partial cube."""
+    bits = {v: _to_bits(labels[v]) for v in mg.vertices}
+    return bits if _isometric(mg, bits) else is_partial_cube(mg).bits
 
 
 @dataclass(frozen=True)
@@ -425,11 +387,12 @@ def is_daisy_cube(mg: MetricGraph, method: str = "auto") -> DaisyVerdict:
     """Search for a proper labelling realizing the graph as a daisy cube.
 
     A proper labelling is an isometric hypercube embedding whose image is
-    a downward-closed subset of the bit strings.  ``method='auto'`` first
-    tries every vertex as the all-zeros root (any downward-closed image
-    contains the all-zeros string, so this pass is decisive); the
-    ``'exhaustive'`` method sweeps all 2^idim orientation masks as an
-    independent oracle, with a hard cap at idim 20.
+    a downward-closed subset of the bit strings.  ``method='roots'`` tries
+    every vertex as the all-zeros root (any downward-closed image contains
+    the all-zeros string, so this pass is decisive); ``'exhaustive'`` sweeps
+    all 2^idim orientation masks as an independent check, with a hard cap
+    at idim 20; ``'auto'`` runs the roots pass and, when no root works, the
+    sweep.
     """
     pc = is_partial_cube(mg)
     if not pc:
@@ -464,141 +427,28 @@ def is_daisy_cube(mg: MetricGraph, method: str = "auto") -> DaisyVerdict:
 
 
 # ---------------------------------------------------------------------------
-# expansions
+# convexity
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
-    """An expansion graph plus the flags of the variant actually performed.
+def is_convex_subset(mg: MetricGraph, subset, bits: dict) -> bool:
+    """Whether every shortest path between members stays inside the subset.
 
-    Vertices of the result are ``(0, v)`` for the first copy and ``(1, v)``
-    for the second; shared vertices appear in both copies joined by an edge.
-    """
-
-    graph: MetricGraph
-    convex: bool
-    peripheral: bool
-    le: bool
-
-
-def _is_isometric_subset(mg: MetricGraph, subset) -> bool:
-    sub = mg.induced(subset, keep_labels=False)
-    if not sub.is_connected:
-        return False
-    return all(
-        sub.d(u, v) == mg.d(u, v) for u, v in combinations(sub.vertices, 2)
-    )
-
-
-def is_convex_subset(mg: MetricGraph, subset) -> bool:
-    """Whether every shortest path between members stays inside the subset."""
+    ``bits`` must be an isometric labelling of the graph (certified, or the
+    partial-cube labels).  A neighbour w of u is a step on a shortest path
+    from u to v exactly when (L(w) ^ L(u)) & (L(u) ^ L(v)) != 0, and every
+    shortest path is a chain of such steps, so the subset is convex when no
+    step from a member towards another member leaves it: with X(u) the OR
+    of the bits that u's edges to non-members flip, (L(u) ^ L(v)) & X(u) is
+    0 for all members u, v.  O(|S|^2) word operations."""
     members = set(subset)
-    outside = [i for i, w in enumerate(mg.vertices) if w not in members]
-    rows = mg._rows
-    to_outside = {u: [rows[u][i] for i in outside] for u in members}
-    # w lies on a shortest u-v path exactly when d(u, w) + d(w, v) = d(u, v)
-    return not any(
-        mg.d(u, v) in map(add, to_outside[u], to_outside[v])
-        for u, v in combinations(sorted(members), 2)
-    )
-
-
-def expand(mg: MetricGraph, v1, v2) -> ExpansionResult:
-    """Expansion of the graph along two isometric covering subsets.
-
-    ``v1`` and ``v2`` must cover the vertex set, intersect, both induce
-    isometric subgraphs, and admit no edge between their private parts.  The
-    result takes disjoint copies of both induced subgraphs and joins the two
-    copies of every shared vertex.
-    """
-    v1, v2 = set(v1), set(v2)
-    verts = set(mg.vertices)
-    if v1 | v2 != verts:
-        raise NotAnExpansion("the two sets do not cover the vertex set")
-    shared = v1 & v2
-    if not shared:
-        raise NotAnExpansion("the two sets do not intersect")
-    for u, v in mg.edges:
-        if (u in v1 - v2 and v in v2 - v1) or (u in v2 - v1 and v in v1 - v2):
-            raise NotAnExpansion(f"edge ({u!r}, {v!r}) joins the private parts")
-    if not _is_isometric_subset(mg, v1) or not _is_isometric_subset(mg, v2):
-        raise NotAnExpansion("a side is not isometric in the base graph")
-
-    vertices = [(0, v) for v in mg.vertices if v in v1]
-    vertices += [(1, v) for v in mg.vertices if v in v2]
-    edges = []
-    for u, v in mg.edges:
-        if u in v1 and v in v1:
-            edges.append(((0, u), (0, v)))
-        if u in v2 and v in v2:
-            edges.append(((1, u), (1, v)))
-    edges += [((0, v), (1, v)) for v in shared]
-    graph = MetricGraph(vertices, edges)
-
-    convex = is_convex_subset(mg, shared)
-    peripheral = v1 == verts or v2 == verts
-    le = False
-    if peripheral and mg.labels is not None:
-        le = operator_o(mg.labels, shared) == frozenset(shared)
-    return ExpansionResult(graph, convex=convex, peripheral=peripheral, le=le)
-
-
-# ---------------------------------------------------------------------------
-# median decomposition check
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MedianSplitReport:
-    matching_isomorphism: bool
-    sides_convex: bool
-    sides_median: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.matching_isomorphism and self.sides_convex and self.sides_median
-
-
-def check_median_split(mg: MetricGraph, class_edges, _memo=None) -> MedianSplitReport:
-    """Instance check of the three median-characterization clauses for one class."""
-    memo = _memo if _memo is not None else {}
-    split = split_class(mg, class_edges)
-    cls = {( _edge_key(u, v)) for u, v in class_edges}
-
-    pairing = {}
-    ok_matching = True
-    for u, v in cls:
-        a, b = (u, v) if u in split.w_x else (v, u)
-        if a in pairing or b in pairing or a not in split.u_x or b not in split.u_y:
-            ok_matching = False
-            break
-        pairing[a] = b
-        pairing[b] = a
-    if ok_matching:
-        ok_matching = set(pairing) == set(split.u_x) | set(split.u_y)
-    if ok_matching:
-        ux = mg.induced(split.u_x, keep_labels=False)
-        for a, b in combinations(ux.vertices, 2):
-            adjacent_here = b in ux.adjacency[a]
-            adjacent_there = pairing[b] in mg.adjacency[pairing[a]]
-            if adjacent_here != adjacent_there:
-                ok_matching = False
-                break
-
-    def convex_inside(u_set, w_set):
-        sub = mg.induced(w_set, keep_labels=False)
-        return is_convex_subset(sub, u_set)
-
-    sides_convex = convex_inside(split.u_x, split.w_x) and convex_inside(
-        split.u_y, split.w_y
-    )
-
-    def median_side(w_set):
-        key = frozenset(w_set)
-        if key not in memo:
-            memo[key] = is_median(mg.induced(w_set, keep_labels=False))
-        return memo[key]
-
-    sides_median = median_side(split.w_x) and median_side(split.w_y)
-    return MedianSplitReport(ok_matching, sides_convex, sides_median)
+    labels = [bits[v] for v in members]
+    for u in members:
+        lu = bits[u]
+        leaving = 0
+        for w in mg.adjacency[u]:
+            if w not in members:
+                leaving |= bits[w] ^ lu
+        if leaving and any(map(leaving.__and__, map(lu.__xor__, labels))):
+            return False
+    return True

@@ -76,7 +76,3 @@ class PropertyViolated(RescubeError):
 
 class BadAttachment(RescubeError):
     """An attachment map is not of the required shape (each entry must point earlier)."""
-
-
-class NotAnExpansion(RescubeError):
-    """The two vertex sets do not describe an expansion of the base graph."""

@@ -3,13 +3,18 @@
 These are the brute-force versions of the recognizers in
 ``rescube.cube_kit``: components and bipartiteness from union-find instead
 of a traversal, Theta from the four-point inequality on every pair of
-edges, partial cubes from string labels checked pair by pair, medianness
-from the intersection of the three intervals of every vertex triple, and
-daisy cubes from string orientation flips.  The library's flood fill and
-bit-vector core must agree with them; ``test_cube_oracles.py`` checks that
-they do.
+edges, partial cubes from string labels checked pair by pair against the
+distance table, medianness from the intersection of the three intervals of
+every vertex triple, daisy cubes from string orientation flips, and
+convexity from intervals.  The library's flood fill, bit-vector core and
+label certificate must agree with them; ``test_cube_oracles.py`` checks
+that they do.  The graph expansion, the Theta-class side sets and the
+median split check build graphs and tables that no library path needs;
+they live here too, read ``mg.dist`` directly, and serve as references for
+the step checks of ``rescube.decomposition``.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 
 from rescube.cube_kit import (
@@ -18,8 +23,33 @@ from rescube.cube_kit import (
     MetricGraph,
     PartialCubeVerdict,
     ThetaClasses,
+    operator_o,
 )
-from rescube.errors import CapExceeded
+from rescube.errors import CapExceeded, RescubeError
+
+
+class NotAnExpansion(RescubeError):
+    """The two vertex sets do not describe an expansion of the base graph."""
+
+
+def d(mg: MetricGraph, u, v) -> int:
+    return mg.dist[u][v]
+
+
+def interval(mg: MetricGraph, u, v) -> frozenset:
+    """The vertices on shortest u-v paths (u and v in one component)."""
+    du, dv = mg.dist[u], mg.dist[v]
+    return frozenset(w for w in du if du[w] + dv[w] == du[v])
+
+
+def induced(mg: MetricGraph, vertex_subset) -> MetricGraph:
+    sub = set(vertex_subset)
+    return MetricGraph(sorted(sub), [(u, v) for u, v in mg.edges if u in sub and v in sub])
+
+
+def label_leq(u: str, v: str) -> bool:
+    """Coordinatewise order on equal-length bit strings."""
+    return all(a <= b for a, b in zip(u, v))
 
 
 def _union_find(items, pairs) -> dict:
@@ -63,7 +93,7 @@ def is_bipartite(mg: MetricGraph) -> bool:
 def theta_related(mg: MetricGraph, e1, e2) -> bool:
     """Four-point test: d(x1,y1) + d(x2,y2) != d(x1,y2) + d(x2,y1)."""
     (x1, x2), (y1, y2) = e1, e2
-    return mg.d(x1, y1) + mg.d(x2, y2) != mg.d(x1, y2) + mg.d(x2, y1)
+    return d(mg, x1, y1) + d(mg, x2, y2) != d(mg, x1, y2) + d(mg, x2, y1)
 
 
 def theta_classes(mg: MetricGraph) -> ThetaClasses:
@@ -103,8 +133,10 @@ def hamming(a: str, b: str) -> int:
 
 
 def is_isometric_labelling(mg: MetricGraph, labels: dict) -> bool:
+    """Hamming distance is graph distance for every pair; a pair in two
+    components has no distance and fails."""
     return all(
-        hamming(labels[u], labels[v]) == mg.d(u, v)
+        hamming(labels[u], labels[v]) == mg.dist[u].get(v)
         for u, v in combinations(mg.vertices, 2)
     )
 
@@ -126,10 +158,10 @@ def is_partial_cube(mg: MetricGraph) -> PartialCubeVerdict:
     bits = {v: [] for v in mg.vertices}
     for cls in classes.classes:
         x, y = sorted(cls)[0]
-        if mg.d(root, x) > mg.d(root, y):
+        if d(mg, root, x) > d(mg, root, y):
             x, y = y, x
         for v in mg.vertices:
-            dx, dy = mg.d(v, x), mg.d(v, y)
+            dx, dy = d(mg, v, x), d(mg, v, y)
             if dx == dy:
                 return PartialCubeVerdict(
                     False, theta_raw_transitive=True, reason="tied side distances"
@@ -149,12 +181,8 @@ def is_median(mg: MetricGraph) -> bool:
     """Every vertex triple has exactly one vertex in all three intervals."""
     if not is_connected(mg):
         return False
-
-    def iv(a, b):
-        return mg.interval(a, b) if a != b else frozenset((a,))
-
     return all(
-        len(iv(u, v) & iv(v, w) & iv(u, w)) == 1
+        len(interval(mg, u, v) & interval(mg, v, w) & interval(mg, u, w)) == 1
         for u, v, w in combinations(mg.vertices, 3)
     )
 
@@ -204,3 +232,171 @@ def is_daisy_cube(mg: MetricGraph, method: str = "auto") -> DaisyVerdict:
         if is_downward_closed(labelling.values()):
             return DaisyVerdict(True, labelling, n, method="exhaustive")
     return DaisyVerdict(False, idim=n, method=method, reason="no orientation works")
+
+
+def is_convex_subset(mg: MetricGraph, subset) -> bool:
+    """Every interval between two members of one component lies inside."""
+    members = frozenset(subset)
+    return all(
+        interval(mg, u, v) <= members
+        for u, v in combinations(members, 2)
+        if v in mg.dist[u]
+    )
+
+
+# ---------------------------------------------------------------------------
+# class splits, expansions and the median split check
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ClassSplit:
+    """The side sets of one Theta class for a representative edge (x, y).
+
+    ``w_x`` holds the vertices strictly closer to x, ``u_x`` those of them
+    with a neighbor across the cut; a side is peripheral when u = w."""
+
+    edge: tuple
+    w_x: frozenset
+    w_y: frozenset
+    u_x: frozenset
+    u_y: frozenset
+
+    @property
+    def x_peripheral(self) -> bool:
+        return self.w_x == self.u_x
+
+    @property
+    def y_peripheral(self) -> bool:
+        return self.w_y == self.u_y
+
+    @property
+    def peripheral(self) -> bool:
+        return self.x_peripheral or self.y_peripheral
+
+
+def split_class(mg: MetricGraph, class_edges) -> ClassSplit:
+    """Compute W/U side sets for the smallest edge of the class."""
+    x, y = min(tuple(sorted(e)) for e in class_edges)
+    w_x = frozenset(v for v in mg.vertices if d(mg, v, x) < d(mg, v, y))
+    w_y = frozenset(v for v in mg.vertices if d(mg, v, y) < d(mg, v, x))
+    u_x = frozenset(v for v in w_x if mg.adjacency[v] & w_y)
+    u_y = frozenset(v for v in w_y if mg.adjacency[v] & w_x)
+    return ClassSplit((x, y), w_x, w_y, u_x, u_y)
+
+
+@dataclass(frozen=True)
+class ExpansionResult:
+    """An expansion graph plus the flags of the variant actually performed.
+
+    Vertices of the result are ``(0, v)`` for the first copy and ``(1, v)``
+    for the second; shared vertices appear in both copies joined by an edge.
+    """
+
+    graph: MetricGraph
+    convex: bool
+    peripheral: bool
+    le: bool
+
+
+def _is_isometric_subset(mg: MetricGraph, subset) -> bool:
+    sub = induced(mg, subset)
+    if not is_connected(sub):
+        return False
+    return all(
+        d(sub, u, v) == d(mg, u, v) for u, v in combinations(sub.vertices, 2)
+    )
+
+
+def expand(mg: MetricGraph, v1, v2) -> ExpansionResult:
+    """Expansion of the graph along two isometric covering subsets.
+
+    ``v1`` and ``v2`` must cover the vertex set, intersect, both induce
+    isometric subgraphs, and admit no edge between their private parts.  The
+    result takes disjoint copies of both induced subgraphs and joins the two
+    copies of every shared vertex.
+    """
+    v1, v2 = set(v1), set(v2)
+    verts = set(mg.vertices)
+    if v1 | v2 != verts:
+        raise NotAnExpansion("the two sets do not cover the vertex set")
+    shared = v1 & v2
+    if not shared:
+        raise NotAnExpansion("the two sets do not intersect")
+    for u, v in mg.edges:
+        if (u in v1 - v2 and v in v2 - v1) or (u in v2 - v1 and v in v1 - v2):
+            raise NotAnExpansion(f"edge ({u!r}, {v!r}) joins the private parts")
+    if not _is_isometric_subset(mg, v1) or not _is_isometric_subset(mg, v2):
+        raise NotAnExpansion("a side is not isometric in the base graph")
+
+    vertices = [(0, v) for v in mg.vertices if v in v1]
+    vertices += [(1, v) for v in mg.vertices if v in v2]
+    edges = []
+    for u, v in mg.edges:
+        if u in v1 and v in v1:
+            edges.append(((0, u), (0, v)))
+        if u in v2 and v in v2:
+            edges.append(((1, u), (1, v)))
+    edges += [((0, v), (1, v)) for v in shared]
+    graph = MetricGraph(vertices, edges)
+
+    convex = is_convex_subset(mg, shared)
+    peripheral = v1 == verts or v2 == verts
+    le = False
+    if peripheral and mg.labels is not None:
+        le = operator_o(mg.labels, shared) == frozenset(shared)
+    return ExpansionResult(graph, convex=convex, peripheral=peripheral, le=le)
+
+
+@dataclass(frozen=True)
+class MedianSplitReport:
+    matching_isomorphism: bool
+    sides_convex: bool
+    sides_median: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.matching_isomorphism and self.sides_convex and self.sides_median
+
+
+def check_median_split(mg: MetricGraph, class_edges, _memo=None) -> MedianSplitReport:
+    """Instance check of the three median-characterization clauses for one class."""
+    memo = _memo if _memo is not None else {}
+    split = split_class(mg, class_edges)
+    cls = {tuple(sorted(e)) for e in class_edges}
+
+    pairing = {}
+    ok_matching = True
+    for u, v in cls:
+        a, b = (u, v) if u in split.w_x else (v, u)
+        if a in pairing or b in pairing or a not in split.u_x or b not in split.u_y:
+            ok_matching = False
+            break
+        pairing[a] = b
+        pairing[b] = a
+    if ok_matching:
+        ok_matching = set(pairing) == set(split.u_x) | set(split.u_y)
+    if ok_matching:
+        ux = induced(mg, split.u_x)
+        for a, b in combinations(ux.vertices, 2):
+            adjacent_here = b in ux.adjacency[a]
+            adjacent_there = pairing[b] in mg.adjacency[pairing[a]]
+            if adjacent_here != adjacent_there:
+                ok_matching = False
+                break
+
+    def convex_inside(u_set, w_set):
+        return is_convex_subset(induced(mg, w_set), u_set)
+
+    sides_convex = convex_inside(split.u_x, split.w_x) and convex_inside(
+        split.u_y, split.w_y
+    )
+
+    def median_side(w_set):
+        key = frozenset(w_set)
+        if key not in memo:
+            memo[key] = is_median(induced(mg, w_set))
+        return memo[key]
+
+    sides_median = median_side(split.w_x) and median_side(split.w_y)
+    return MedianSplitReport(ok_matching, sides_convex, sides_median)

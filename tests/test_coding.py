@@ -18,13 +18,14 @@ from rescube.cube_kit import (
     is_downward_closed,
     is_isometric_labelling,
     operator_o,
-    label_leq,
 )
 from rescube.decomposition import auto_rfd, rfd_from_face_order
 from rescube.errors import BadAttachment
 from rescube.matchings import enumerate_matchings, extremal_matchings
 from rescube.plane_graph import edge_subgraph, elementary_analysis, swap_colors
 from rescube.resonance import build_resonance, cartesian_compose
+
+from cube_oracles import label_leq
 
 BRANCHED_LABEL_SET = {
     "00000",

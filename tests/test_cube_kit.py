@@ -1,25 +1,21 @@
-"""Metric oracles: Theta, partial cubes, median graphs, daisy cubes, expansions."""
+"""Metric recognizers: Theta, partial cubes, median graphs, daisy cubes,
+the label certificate and label convexity."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rescube.cube_kit import (
     MetricGraph,
-    check_median_split,
-    expand,
     is_daisy_cube,
     is_downward_closed,
     is_isometric_labelling,
     is_median,
     is_partial_cube,
-    label_leq,
     operator_o,
-    split_class,
     theta_classes,
 )
-from rescube.errors import NotAnExpansion
 
-from cube_oracles import theta_related
+from cube_oracles import check_median_split, label_leq, split_class, theta_related
 
 
 def path(n):
@@ -202,7 +198,7 @@ def test_downward_closure_detector(labels):
 
 
 # ---------------------------------------------------------------------------
-# class splits and expansions
+# class splits
 # ---------------------------------------------------------------------------
 
 
@@ -220,53 +216,6 @@ def test_split_class_p3():
     assert {len(split.w_x), len(split.w_y)} == {1, 2}
     leaf_side = split.w_x if len(split.w_x) == 1 else split.w_y
     assert leaf_side in (split.u_x, split.u_y)
-
-
-def test_expand_k2_to_p3():
-    k2 = MetricGraph([0, 1], [(0, 1)])
-    result = expand(k2, {0, 1}, {1})
-    assert len(result.graph.vertices) == 3
-    assert len(result.graph.edges) == 2
-    assert result.peripheral and result.convex
-
-
-def test_expand_le_flag():
-    k2 = MetricGraph([0, 1], [(0, 1)], labels={0: "0", 1: "1"})
-    assert expand(k2, {0, 1}, {0}).le
-    assert not expand(k2, {0, 1}, {1}).le
-
-
-def test_expand_p3_house():
-    result = expand(path(3), {0, 1, 2}, {1, 2})
-    assert len(result.graph.vertices) == 5
-    assert len(result.graph.edges) == 5
-
-
-def test_expand_k1():
-    k1 = MetricGraph([0], [])
-    result = expand(k1, {0}, {0})
-    assert len(result.graph.vertices) == 2
-    assert len(result.graph.edges) == 1
-
-
-def test_expand_rejections():
-    p4 = path(4)
-    with pytest.raises(NotAnExpansion):
-        expand(p4, {0, 1}, {2, 3})  # no intersection
-    with pytest.raises(NotAnExpansion):
-        expand(p4, {0, 1}, {1, 3})  # right side not isometric (disconnected)
-    triangle = MetricGraph(range(3), [(0, 1), (1, 2), (0, 2)])
-    with pytest.raises(NotAnExpansion):
-        expand(triangle, {0, 1}, {1, 2})  # the private parts 0 and 2 are joined
-    c4 = cycle(4)
-    with pytest.raises(NotAnExpansion):
-        expand(c4, {0, 1}, {1, 2})  # does not cover
-
-
-def test_expansion_of_partial_cube_stays_partial_cube():
-    base = path(3)
-    result = expand(base, {0, 1, 2}, {1, 2})
-    assert is_partial_cube(result.graph).ok
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Reducible faces, decompositions, and the split/expansion instance checks."""
 
+import functools
 from collections import Counter
 
 import pytest
 
 from rescube import plane_graph
 from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
+from rescube.cube_kit import MetricGraph
 from rescube.errors import (
     NotReducibleAtStep,
     PeelingStuck,
@@ -136,7 +138,8 @@ def test_split_sizes(branched5, branched5_faces):
 
 
 def test_split_matches_theta_class(branched5, branched5_faces):
-    from rescube.cube_kit import split_class, theta_classes
+    from cube_oracles import split_class
+    from rescube.cube_kit import theta_classes
 
     r = resonance_of(branched5)
     metric = r.metric()
@@ -336,3 +339,54 @@ def test_report_steps_equal_standalone_steps(shape, monkeypatch):
         for i in range(2, rfd.n + 1)
     }
     assert report["steps"] == standalone
+
+
+@pytest.fixture
+def dist_tables(monkeypatch):
+    """Counts the all-pairs distance tables built while the test runs."""
+    built = []
+    table = MetricGraph.__dict__["dist"]
+
+    def counting(mg):
+        built.append(mg)
+        return table.func(mg)
+
+    spy = functools.cached_property(counting)
+    spy.__set_name__(MetricGraph, "dist")
+    monkeypatch.setattr(MetricGraph, "dist", spy)
+    return built
+
+
+def _zigzag(h):
+    """h rings from (0, 0), stepping q + 1 and r + 1 in turn."""
+    cells = [(0, 0)]
+    for i in range(1, h):
+        q, r = cells[-1]
+        cells.append((q + 1, r) if i % 2 else (q, r + 1))
+    return build_benzenoid(cells)
+
+
+@pytest.mark.parametrize("name", ["branched5", "zigzag9"])
+def test_report_builds_at_most_one_distance_table(name, request, dist_tables):
+    """Every step reads distance from certified labels; only the whole
+    graph's Theta classes need a table."""
+    g = request.getfixturevalue(name) if name == "branched5" else _zigzag(9)
+    report = theorem_report(g)
+    assert report["ok"]
+    assert len(report["steps"]) == len(g.finite_faces) - 1
+    assert len(dist_tables) <= 1
+
+
+def test_label_checks_build_no_distance_table(branched5, branched5_faces, dist_tables):
+    from rescube.coding import daisy_labelling, fdl_labelling, labelling_is_proper
+    from rescube.cube_kit import is_isometric_labelling
+
+    family = enumerate_matchings(branched5)
+    rfd = rfd_from_face_order(branched5, branched5_faces)
+    metric = build_resonance(branched5, family).metric()
+    daisy = daisy_labelling(branched5, family, rfd).labels
+    fdl = fdl_labelling(branched5, family, rfd).labels
+    assert labelling_is_proper(metric, daisy)
+    assert is_isometric_labelling(metric, fdl)
+    assert not is_isometric_labelling(metric, {**daisy, 0: daisy[1], 1: daisy[0]})
+    assert dist_tables == []
