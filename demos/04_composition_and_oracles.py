@@ -53,7 +53,7 @@ metric = build_resonance(pyrene, enumerate_matchings(pyrene)).metric()
 print("\npyrene resonance graph:")
 print("  partial cube:", is_partial_cube(metric).ok)
 print("  median:      ", is_median(metric))
-print("  daisy cube:  ", is_daisy_cube(metric, method="exhaustive").ok)
+print("  daisy cube:  ", is_daisy_cube(metric).ok)
 
 # Two nested octagons joined by two spokes: parity keeps both spokes out of
 # every perfect matching, deleting them exposes a face that never existed,

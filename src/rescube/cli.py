@@ -3,8 +3,8 @@
 Inputs are JSON graph files or benzenoid cell lists; outputs are JSON with
 sorted keys (plus DOT on request) so identical inputs give byte-identical
 files.  Exit codes: 0 ok, 1 usage or I/O error, 2 a checked property is
-false, 3 a resource cap tripped.  The environment variable RESCUBE_CAP
-overrides the perfect-matching enumeration cap.
+false, 3 the perfect-matching enumeration cap tripped.  The environment
+variable RESCUBE_CAP overrides that cap.
 """
 
 from __future__ import annotations

@@ -10,9 +10,11 @@ without a table: they are isometric exactly when every edge flips one bit
 and every vertex differs from every other vertex at a bit that one of its
 own edges flips.  On certified labels distance is popcount, so convexity,
 medianness (closure under bitwise majority; Bandelt and Chepoi, "Metric
-graph theory and geometry: a survey", 2008) and the daisy orientation
-search over XOR masks need no distances.  The definitional brute-force
-versions, and the expansion construction, live with the tests as oracles.
+graph theory and geometry: a survey", 2008) and the daisy search, which
+tries each vertex's label as the XOR mask that makes it the all-zeros
+root, need no distances.  The definitional brute-force versions (among
+them the sweep over all 2^idim masks), and the expansion construction,
+live with the tests as oracles.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, repeat
 from operator import neg, sub
-
-from .errors import CapExceeded
-
-_EXHAUSTIVE_IDIM_CAP = 20
 
 
 def _edge_key(u, v):
@@ -376,54 +374,33 @@ class DaisyVerdict:
     ok: bool
     labelling: dict = None  # a proper labelling when one exists
     idim: int = None
-    method: str = None
     reason: str = None
 
     def __bool__(self):
         return self.ok
 
 
-def is_daisy_cube(mg: MetricGraph, method: str = "auto") -> DaisyVerdict:
+def is_daisy_cube(mg: MetricGraph) -> DaisyVerdict:
     """Search for a proper labelling realizing the graph as a daisy cube.
 
     A proper labelling is an isometric hypercube embedding whose image is
-    a downward-closed subset of the bit strings.  ``method='roots'`` tries
-    every vertex as the all-zeros root (any downward-closed image contains
-    the all-zeros string, so this pass is decisive); ``'exhaustive'`` sweeps
-    all 2^idim orientation masks as an independent check, with a hard cap
-    at idim 20; ``'auto'`` runs the roots pass and, when no root works, the
-    sweep.
+    a downward-closed subset of the bit strings.  Up to the order of the
+    bits, every such embedding is the partial-cube labelling with some bits
+    flipped, and its image holds the all-zeros string, so the flip mask is
+    some vertex's label: trying every vertex as the all-zeros root is
+    decisive.  At most one pass over the vertices, with no cap.
     """
     pc = is_partial_cube(mg)
     if not pc:
         return DaisyVerdict(False, reason=f"not a partial cube ({pc.reason})")
-    if method not in ("auto", "roots", "exhaustive"):
-        raise ValueError(f"unknown method {method!r}")
     n = pc.idim
     present = set(pc.bits.values())
-
-    def proper(mask, found_by):
-        labelling = {v: _to_str(b ^ mask, n) for v, b in pc.bits.items()}
-        return DaisyVerdict(True, labelling, n, method=found_by)
-
-    if method in ("auto", "roots"):
-        for root in mg.vertices:
-            mask = pc.bits[root]
-            if _is_down_set({b ^ mask for b in present}):
-                return proper(mask, "roots")
-        if method == "roots":
-            return DaisyVerdict(False, idim=n, method="roots", reason="no root works")
-
-    if n > _EXHAUSTIVE_IDIM_CAP:
-        raise CapExceeded(
-            f"orientation sweep over idim {n} exceeds the cap {_EXHAUSTIVE_IDIM_CAP}"
-        )
-    for mask in range(1 << n):
-        # a downward-closed image holds the all-zeros label, so the mask
-        # must be some vertex's label
-        if mask in present and _is_down_set({b ^ mask for b in present}):
-            return proper(mask, "exhaustive")
-    return DaisyVerdict(False, idim=n, method=method, reason="no orientation works")
+    for root in mg.vertices:
+        mask = pc.bits[root]
+        if _is_down_set({b ^ mask for b in present}):
+            labelling = {v: _to_str(b ^ mask, n) for v, b in pc.bits.items()}
+            return DaisyVerdict(True, labelling, n)
+    return DaisyVerdict(False, idim=n, reason="no root works")
 
 
 # ---------------------------------------------------------------------------

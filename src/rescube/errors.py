@@ -30,7 +30,7 @@ class NoPerfectMatching(RescubeError):
 
 
 class CapExceeded(RescubeError):
-    """A desk-scale resource guard tripped."""
+    """The graph has more perfect matchings than the enumeration cap."""
 
 
 class BadSelector(RescubeError):

@@ -226,12 +226,12 @@ def matching_subset(
 
 @dataclass(frozen=True)
 class ExtremalMatchings:
-    """Distinguished matchings of a plane elementary graph.
+    """Distinguished matchings of a plane weakly elementary graph.
 
     ``fully_resonant`` (the daisy-cube minimum) makes every finite face
     resonant; it is None when no unique such matching exists.  The lattice
-    bottom has no proper alternating cycle anywhere in the graph, the top no
-    improper one.
+    bottom has no proper resonant face, and so no proper alternating cycle
+    anywhere in the graph; the top has no improper one.
     """
 
     fully_resonant: int
@@ -239,33 +239,39 @@ class ExtremalMatchings:
     lattice_top: int
 
 
-def has_alternating_cycle(g: PlaneGraph, matching: PerfectMatching, kind: str) -> bool:
-    """Scan every cycle of the graph for a proper or improper alternating one."""
-    for walk in pg.all_cycles(g):
-        if alternation_kind(g, matching, walk) == kind:
-            return True
-    return False
-
-
 def extremal_matchings(g: PlaneGraph, family: MatchingFamily) -> ExtremalMatchings:
-    """Locate the three distinguished matchings by exhaustive scan.
+    """Locate the three distinguished matchings in one pass over the faces.
+
+    In a plane elementary bipartite graph every proper (improper)
+    M-alternating cycle encloses a proper (improper) M-resonant finite face
+    (Zhang and Zhang, DAM 105, 2000; Lam and Zhang, Order 20, 2003), so the
+    bottom is the matching with no proper resonant face and the top the one
+    with no improper resonant face.  The rule holds on weakly elementary
+    graphs too: an alternating cycle runs on allowed edges, so it lies in
+    one elementary component, and every finite face of such a component is
+    a face of the graph.  On other graphs an alternating cycle may enclose
+    no resonant face (the two rings of ``nested_rings``), and more than one
+    matching qualifies.
 
     Raises :class:`NotFound` when the lattice bottom or top is missing or
     ambiguous.  ``fully_resonant`` is None unless exactly one matching
     qualifies (on an even cycle both do, and on graphs that are not
     peripherally 2-colorable none may)."""
-    fully = [
-        m.id
-        for m in family
-        if all(is_resonant(g, m, f.id) for f in g.finite_faces)
-    ]
-    bottoms = [m.id for m in family if not has_alternating_cycle(g, m, PROPER)]
-    tops = [m.id for m in family if not has_alternating_cycle(g, m, IMPROPER)]
+    walks = [f.boundary + (f.boundary[0],) for f in g.finite_faces]
+    fully, bottoms, tops = [], [], []
+    for m in family:
+        kinds = {alternation_kind(g, m, walk) for walk in walks}
+        if NOT_ALTERNATING not in kinds:
+            fully.append(m.id)
+        if PROPER not in kinds:
+            bottoms.append(m.id)
+        if IMPROPER not in kinds:
+            tops.append(m.id)
 
     if len(bottoms) != 1:
-        raise NotFound(f"{len(bottoms)} matchings have no proper alternating cycle")
+        raise NotFound(f"{len(bottoms)} matchings have no proper resonant face")
     if len(tops) != 1:
-        raise NotFound(f"{len(tops)} matchings have no improper alternating cycle")
+        raise NotFound(f"{len(tops)} matchings have no improper resonant face")
     return ExtremalMatchings(
         fully_resonant=fully[0] if len(fully) == 1 else None,
         lattice_bottom=bottoms[0],

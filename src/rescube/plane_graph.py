@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import combinations
 
 from . import cube_kit as ck
 from .errors import (
@@ -779,71 +778,3 @@ def canonical_coloring(g: PlaneGraph) -> dict:
     """The anchor coloring: the smallest vertex id of every component is white."""
     return _two_color(g.rotation)[1]
 
-
-# ---------------------------------------------------------------------------
-# cycle space (brute-force oracle for alternating-cycle scans)
-# ---------------------------------------------------------------------------
-
-_MAX_FACES_FOR_CYCLES = 16
-
-
-def all_cycles(g: PlaneGraph) -> tuple:
-    """Every cycle of the graph as a clockwise-oriented closed vertex walk.
-
-    Cycles are enumerated as boundaries of nonempty unions of finite faces
-    (the finite faces are a basis of the cycle space per component); the
-    orientation is inherited from the clockwise facial walks, so each cycle
-    comes out clockwise.  Cached on the graph.
-    """
-    cached = getattr(g, "_all_cycles", None)
-    if cached is not None:
-        return cached
-
-    cycles = []
-    for comp in g.components:
-        faces = [f for f in g.finite_faces if f.boundary[0] in comp]
-        if len(faces) > _MAX_FACES_FOR_CYCLES:
-            raise CapExceeded(
-                f"cycle enumeration over {len(faces)} faces exceeds the desk-scale guard"
-            )
-        for r in range(1, len(faces) + 1):
-            for subset in combinations(faces, r):
-                darts = set()
-                for f in subset:
-                    for d in f.darts:
-                        rev = (d[1], d[0])
-                        if rev in darts:
-                            darts.discard(rev)
-                        else:
-                            darts.add(d)
-                walk = _assemble_single_cycle(darts)
-                if walk is not None:
-                    cycles.append(walk)
-    result = tuple(cycles)
-    g._all_cycles = result
-    return result
-
-
-def _assemble_single_cycle(darts):
-    if not darts:
-        return None
-    succ = {}
-    for u, v in darts:
-        if u in succ:
-            return None
-        succ[u] = v
-    heads = set(succ.values())
-    if heads != set(succ):
-        return None
-    start = min(succ)
-    walk = [start]
-    v = succ[start]
-    while v != start:
-        walk.append(v)
-        v = succ[v]
-        if len(walk) > len(darts):
-            return None
-    if len(walk) != len(darts):
-        return None
-    walk.append(start)
-    return tuple(walk)

@@ -10,6 +10,15 @@ from rescube.plane_graph import build_plane_graph
 BRANCHED_CELLS = ((0, 0), (1, -1), (2, -1), (2, 0), (1, -2))
 
 
+def zigzag(h):
+    """h rings from (0, 0), stepping q + 1 and r + 1 in turn."""
+    cells = [(0, 0)]
+    for i in range(1, h):
+        q, r = cells[-1]
+        cells.append((q + 1, r) if i % 2 else (q, r + 1))
+    return build_benzenoid(cells)
+
+
 @pytest.fixture(scope="session")
 def hexagon():
     return build_benzenoid([(0, 0)])

@@ -1,24 +1,30 @@
-"""Definitional metric oracles, kept for the tests only.
+"""Definitional oracles, kept for the tests only.
 
 These are the brute-force versions of the recognizers in
 ``rescube.cube_kit``: components and bipartiteness from union-find instead
 of a traversal, Theta from the four-point inequality on every pair of
 edges, partial cubes from string labels checked pair by pair against the
 distance table, medianness from the intersection of the three intervals of
-every vertex triple, daisy cubes from string orientation flips, and
-convexity from intervals.  The library's flood fill, bit-vector core and
-label certificate must agree with them; ``test_cube_oracles.py`` checks
-that they do.  The graph expansion, the Theta-class side sets and the
-median split check build graphs and tables that no library path needs;
-they live here too, read ``mg.dist`` directly, and serve as references for
-the step checks of ``rescube.decomposition``.
+every vertex triple, daisy cubes from string orientation flips (every root,
+or every one of the 2^idim masks), and convexity from intervals.  The
+library's flood fill, bit-vector core and label certificate must agree
+with them; ``test_cube_oracles.py`` checks that they do.  The graph
+expansion, the Theta-class side sets and the median split check build
+graphs and tables that no library path needs; they live here too, read
+``mg.dist`` directly, and serve as references for the step checks of
+``rescube.decomposition``.
+
+The cycle-space section enumerates every cycle of a plane graph as a union
+of finite faces (2^F of them, so at most ``MAX_FACES_FOR_CYCLES`` faces per
+component) and finds the lattice extremes by scanning all of them for
+alternating cycles: the reference for the resonant-face rule of
+``rescube.matchings.extremal_matchings``.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
 from rescube.cube_kit import (
-    _EXHAUSTIVE_IDIM_CAP,
     DaisyVerdict,
     MetricGraph,
     PartialCubeVerdict,
@@ -26,6 +32,10 @@ from rescube.cube_kit import (
     operator_o,
 )
 from rescube.errors import CapExceeded, RescubeError
+from rescube.matchings import IMPROPER, PROPER, alternation_kind
+
+SWEEP_IDIM_CAP = 20
+MAX_FACES_FOR_CYCLES = 16
 
 
 class NotAnExpansion(RescubeError):
@@ -198,8 +208,13 @@ def is_downward_closed(label_set) -> bool:
     )
 
 
-def is_daisy_cube(mg: MetricGraph, method: str = "auto") -> DaisyVerdict:
-    """Orientation search over string labels: every root, then every mask."""
+def is_daisy_cube(mg: MetricGraph, method: str) -> DaisyVerdict:
+    """Orientation search over string labels.
+
+    ``'roots'`` flips the labels so that each vertex in turn is the
+    all-zeros root, as the library does; ``'exhaustive'`` sweeps all
+    2^idim orientation masks, an independent check capped at idim
+    ``SWEEP_IDIM_CAP``."""
     pc = is_partial_cube(mg)
     if not pc:
         return DaisyVerdict(False, reason=f"not a partial cube ({pc.reason})")
@@ -215,23 +230,21 @@ def is_daisy_cube(mg: MetricGraph, method: str = "auto") -> DaisyVerdict:
             for v, lab in base.items()
         }
 
-    if method not in ("auto", "roots", "exhaustive"):
+    if method == "roots":
+        masks = [sum(1 << i for i, c in enumerate(base[v]) if c == "1") for v in mg.vertices]
+        failure = "no root works"
+    elif method == "exhaustive":
+        if n > SWEEP_IDIM_CAP:
+            raise CapExceeded(f"orientation sweep over idim {n} exceeds the cap")
+        masks = range(1 << n)
+        failure = "no orientation works"
+    else:
         raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "roots"):
-        for root in mg.vertices:
-            mask = sum(1 << i for i, c in enumerate(base[root]) if c == "1")
-            labelling = flipped(mask)
-            if is_downward_closed(labelling.values()):
-                return DaisyVerdict(True, labelling, n, method="roots")
-        if method == "roots":
-            return DaisyVerdict(False, idim=n, method="roots", reason="no root works")
-    if n > _EXHAUSTIVE_IDIM_CAP:
-        raise CapExceeded(f"orientation sweep over idim {n} exceeds the cap")
-    for mask in range(1 << n):
+    for mask in masks:
         labelling = flipped(mask)
         if is_downward_closed(labelling.values()):
-            return DaisyVerdict(True, labelling, n, method="exhaustive")
-    return DaisyVerdict(False, idim=n, method=method, reason="no orientation works")
+            return DaisyVerdict(True, labelling, n)
+    return DaisyVerdict(False, idim=n, reason=failure)
 
 
 def is_convex_subset(mg: MetricGraph, subset) -> bool:
@@ -400,3 +413,84 @@ def check_median_split(mg: MetricGraph, class_edges, _memo=None) -> MedianSplitR
 
     sides_median = median_side(split.w_x) and median_side(split.w_y)
     return MedianSplitReport(ok_matching, sides_convex, sides_median)
+
+
+# ---------------------------------------------------------------------------
+# cycle space
+# ---------------------------------------------------------------------------
+
+
+def all_cycles(g) -> tuple:
+    """Every cycle of the plane graph as a clockwise-oriented closed walk.
+
+    Cycles are enumerated as boundaries of nonempty unions of finite faces
+    (the finite faces are a basis of the cycle space per component); the
+    orientation is inherited from the clockwise facial walks, so each cycle
+    comes out clockwise.  2^F unions per component of F faces, so more
+    than ``MAX_FACES_FOR_CYCLES`` faces raise :class:`CapExceeded`.
+    """
+    cycles = []
+    for comp in g.components:
+        faces = [f for f in g.finite_faces if f.boundary[0] in comp]
+        if len(faces) > MAX_FACES_FOR_CYCLES:
+            raise CapExceeded(
+                f"cycle enumeration over {len(faces)} faces exceeds the desk-scale guard"
+            )
+        for r in range(1, len(faces) + 1):
+            for subset in combinations(faces, r):
+                darts = set()
+                for f in subset:
+                    for d in f.darts:
+                        rev = (d[1], d[0])
+                        if rev in darts:
+                            darts.discard(rev)
+                        else:
+                            darts.add(d)
+                walk = _assemble_single_cycle(darts)
+                if walk is not None:
+                    cycles.append(walk)
+    return tuple(cycles)
+
+
+def _assemble_single_cycle(darts):
+    if not darts:
+        return None
+    succ = {}
+    for u, v in darts:
+        if u in succ:
+            return None
+        succ[u] = v
+    heads = set(succ.values())
+    if heads != set(succ):
+        return None
+    start = min(succ)
+    walk = [start]
+    v = succ[start]
+    while v != start:
+        walk.append(v)
+        v = succ[v]
+        if len(walk) > len(darts):
+            return None
+    if len(walk) != len(darts):
+        return None
+    walk.append(start)
+    return tuple(walk)
+
+
+def has_alternating_cycle(g, matching, kind: str) -> bool:
+    """Scan every cycle of the graph for a proper or improper alternating one."""
+    return any(alternation_kind(g, matching, walk) == kind for walk in all_cycles(g))
+
+
+def cycle_scan_extremes(g, family) -> tuple:
+    """The lattice extremes by definition: the ids of the matchings with no
+    proper alternating cycle, and of those with no improper one."""
+    cycles = all_cycles(g)
+    bottoms, tops = [], []
+    for m in family:
+        kinds = {alternation_kind(g, m, walk) for walk in cycles}
+        if PROPER not in kinds:
+            bottoms.append(m.id)
+        if IMPROPER not in kinds:
+            tops.append(m.id)
+    return bottoms, tops

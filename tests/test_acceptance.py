@@ -32,6 +32,7 @@ from rescube.resonance import (
     same_labelled_resonance,
 )
 
+import cube_oracles as oracle
 from conftest import BRANCHED_CELLS
 
 BRANCHED_LABEL_SET = {
@@ -112,8 +113,9 @@ def test_criterion_4_daisy_oracle_crosscheck(corpus, pyrene):
         for shape, g in corpus:
             family = enumerate_matchings(g)
             metric = build_resonance(g, family).metric()
-            found = is_daisy_cube(metric, method="exhaustive")
+            found = oracle.is_daisy_cube(metric, "exhaustive")
             assert found.ok, shape
+            assert is_daisy_cube(metric).ok, shape
             if g.is_cycle_graph():
                 continue
             from rescube.decomposition import auto_rfd
@@ -128,9 +130,11 @@ def test_criterion_4_daisy_oracle_crosscheck(corpus, pyrene):
             assert cols(constructive) == cols(found.labelling), shape
 
         pyrene_metric = build_resonance(pyrene, enumerate_matchings(pyrene)).metric()
-        assert not is_daisy_cube(pyrene_metric, method="exhaustive").ok
+        assert not oracle.is_daisy_cube(pyrene_metric, "exhaustive").ok
+        assert not is_daisy_cube(pyrene_metric).ok
         p4 = MetricGraph(range(4), [(0, 1), (1, 2), (2, 3)])
-        assert not is_daisy_cube(p4, method="exhaustive").ok
+        assert not oracle.is_daisy_cube(p4, "exhaustive").ok
+        assert not is_daisy_cube(p4).ok
 
 
 def test_criterion_5_two_coding_contrast(branched5, branched5_faces):

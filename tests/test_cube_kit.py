@@ -15,6 +15,7 @@ from rescube.cube_kit import (
     theta_classes,
 )
 
+import cube_oracles as oracle
 from cube_oracles import check_median_split, label_leq, split_class, theta_related
 
 
@@ -124,20 +125,21 @@ def test_daisy_p3_labels():
     assert sorted(verdict.labelling.values()) == ["00", "01", "10"]
 
 
-@pytest.mark.parametrize("method", ["auto", "roots", "exhaustive"])
-def test_daisy_p4_rejected(method):
-    assert not is_daisy_cube(path(4), method=method).ok
+def test_daisy_p4_rejected():
+    assert not is_daisy_cube(path(4)).ok
+    assert is_daisy_cube(path(4)) == oracle.is_daisy_cube(path(4), "roots")
+    assert not oracle.is_daisy_cube(path(4), "exhaustive").ok
 
 
 def test_daisy_c4_and_c6():
     assert is_daisy_cube(cycle(4)).ok
     assert not is_daisy_cube(cycle(6)).ok
-    assert not is_daisy_cube(cycle(6), method="exhaustive").ok
+    assert not oracle.is_daisy_cube(cycle(6), "exhaustive").ok
 
 
 def test_daisy_methods_agree_on_q3():
     a = is_daisy_cube(hypercube(3))
-    b = is_daisy_cube(hypercube(3), method="exhaustive")
+    b = oracle.is_daisy_cube(hypercube(3), "exhaustive")
     assert a.ok and b.ok
     assert is_downward_closed(a.labelling.values())
     assert is_downward_closed(b.labelling.values())
@@ -280,7 +282,14 @@ def test_median_split_on_branched_resonance(branched5):
 def test_daisy_exhaustive_cap():
     from rescube.errors import CapExceeded
 
-    long_path = path(22)  # 21 classes exceeds the sweep cap
+    long_path = path(22)  # 21 classes exceeds the oracle's sweep cap
     with pytest.raises(CapExceeded):
-        is_daisy_cube(long_path, method="exhaustive")
-    assert not is_daisy_cube(long_path, method="roots").ok
+        oracle.is_daisy_cube(long_path, "exhaustive")
+    assert not oracle.is_daisy_cube(long_path, "roots").ok
+
+
+def test_daisy_search_has_no_cap():
+    # the roots pass is decisive, so no idim cuts the search short
+    verdict = is_daisy_cube(path(22))
+    assert not verdict.ok
+    assert verdict.idim == 21

@@ -25,6 +25,8 @@ from rescube.matchings import enumerate_matchings
 from rescube.plane_graph import from_rotation_system
 from rescube.resonance import build_resonance
 
+from conftest import zigzag
+
 
 def resonance_of(g):
     return build_resonance(g, enumerate_matchings(g))
@@ -357,20 +359,11 @@ def dist_tables(monkeypatch):
     return built
 
 
-def _zigzag(h):
-    """h rings from (0, 0), stepping q + 1 and r + 1 in turn."""
-    cells = [(0, 0)]
-    for i in range(1, h):
-        q, r = cells[-1]
-        cells.append((q + 1, r) if i % 2 else (q, r + 1))
-    return build_benzenoid(cells)
-
-
 @pytest.mark.parametrize("name", ["branched5", "zigzag9"])
 def test_report_builds_at_most_one_distance_table(name, request, dist_tables):
     """Every step reads distance from certified labels; only the whole
     graph's Theta classes need a table."""
-    g = request.getfixturevalue(name) if name == "branched5" else _zigzag(9)
+    g = request.getfixturevalue(name) if name == "branched5" else zigzag(9)
     report = theorem_report(g)
     assert report["ok"]
     assert len(report["steps"]) == len(g.finite_faces) - 1

@@ -3,9 +3,10 @@
 from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from rescube.benzenoid import build_benzenoid
-from rescube.errors import BadSelector, CapExceeded, NoPerfectMatching
+from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
+from rescube.errors import BadSelector, CapExceeded, NoPerfectMatching, NotFound
 from rescube.matchings import (
     AVOIDS_END_EDGES,
     CONTAINS_END_EDGES,
@@ -17,14 +18,17 @@ from rescube.matchings import (
     enumerate_matchings,
     extremal_matchings,
     handle_predicate,
-    has_alternating_cycle,
     is_resonant,
     matching_subset,
     matchings_to_json,
 )
-from rescube.plane_graph import all_cycles, facial_handle_decomposition, handles
-from rescube.decomposition import rfd_from_face_order
-from rescube.coding import daisy_labelling
+from rescube.plane_graph import elementary_analysis, facial_handle_decomposition, handles
+from rescube.decomposition import auto_rfd, rfd_from_face_order
+from rescube.coding import daisy_labelling, fdl_labelling
+
+from conftest import zigzag
+from cube_oracles import all_cycles, cycle_scan_extremes, has_alternating_cycle
+from test_resonance import matchable_edge_subsets, small_corpus
 
 
 def matching_count_by_permanent(g):
@@ -311,6 +315,63 @@ def test_extremal_unique_on_branched(branched5):
     ext = extremal_matchings(branched5, family)
     assert ext.fully_resonant is not None
     assert len({ext.fully_resonant, ext.lattice_bottom, ext.lattice_top}) == 3
+
+
+def assert_extremes_match_cycle_scan(g):
+    family = enumerate_matchings(g)
+    ext = extremal_matchings(g, family)
+    assert cycle_scan_extremes(g, family) == ([ext.lattice_bottom], [ext.lattice_top])
+
+
+CORONENE = ((0, 0), (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
+
+
+def test_extremes_match_cycle_scan_on_corpus(
+    pyrene, triphenylene, two_hexagons, branched5_plus_hexagon
+):
+    for shape in catacondensed_polyhexes(7):
+        assert_extremes_match_cycle_scan(build_benzenoid(shape))
+    for g in (pyrene, triphenylene, two_hexagons, branched5_plus_hexagon):
+        assert_extremes_match_cycle_scan(g)
+    assert_extremes_match_cycle_scan(build_benzenoid(CORONENE))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_resonant_faces_match_cycle_scan_on_edge_subsets(pyrene, nested_rings, data):
+    """On weakly elementary graphs a matching has a proper (improper)
+    alternating cycle exactly when it has a proper (improper) resonant face."""
+    g = data.draw(matchable_edge_subsets(small_corpus() + (pyrene, nested_rings)))
+    assume(elementary_analysis(g).is_weakly_elementary)
+    family = enumerate_matchings(g)
+    cycles = all_cycles(g)
+    walks = [f.boundary + (f.boundary[0],) for f in g.finite_faces]
+    for m in family:
+        on_faces = {alternation_kind(g, m, w) for w in walks} - {NOT_ALTERNATING}
+        on_cycles = {alternation_kind(g, m, w) for w in cycles} - {NOT_ALTERNATING}
+        assert on_faces == on_cycles
+    assert_extremes_match_cycle_scan(g)
+
+
+def test_extremes_outside_weakly_elementary_graphs(nested_rings):
+    # the outer ring alternates but is no face, so the face rule finds two
+    # bottoms where the cycle scan finds one
+    assert not elementary_analysis(nested_rings).is_weakly_elementary
+    family = enumerate_matchings(nested_rings)
+    bottoms, tops = cycle_scan_extremes(nested_rings, family)
+    assert len(bottoms) == len(tops) == 1
+    with pytest.raises(NotFound):
+        extremal_matchings(nested_rings, family)
+
+
+def test_extremes_past_sixteen_faces():
+    g = zigzag(17)
+    family = enumerate_matchings(g)
+    assert len(family) == 4181
+    ext = extremal_matchings(g, family)
+    fdl = fdl_labelling(g, family, auto_rfd(g)).labels
+    assert fdl[ext.lattice_bottom] == "0" * 17
+    assert fdl[ext.lattice_top] == "1" * 17
 
 
 def test_end_edge_state_requires_odd():

@@ -16,7 +16,6 @@ from rescube.errors import (
     UnsupportedInput,
 )
 from rescube.plane_graph import (
-    all_cycles,
     build_plane_graph,
     canonical_coloring,
     edge_subgraph,
@@ -30,6 +29,8 @@ from rescube.plane_graph import (
     swap_colors,
     _walk_area2,
 )
+
+from cube_oracles import all_cycles
 
 
 def shoelace(g, face):

@@ -57,7 +57,7 @@ def test_twists_match_oracle_on_corpus(shape):
 
 
 @lru_cache(maxsize=None)
-def _small_corpus() -> tuple:
+def small_corpus() -> tuple:
     return tuple(build_benzenoid(c) for c in catacondensed_polyhexes(5))
 
 
@@ -78,7 +78,7 @@ def matchable_edge_subsets(draw, graphs):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_twists_match_oracle_on_edge_subsets(pyrene, nested_rings, data):
-    graphs = _small_corpus() + (pyrene, nested_rings)
+    graphs = small_corpus() + (pyrene, nested_rings)
     assert_twists_match_oracle(data.draw(matchable_edge_subsets(graphs)))
 
 
