@@ -3,8 +3,10 @@
 Inputs are JSON graph files or benzenoid cell lists; outputs are JSON with
 sorted keys (plus DOT on request) so identical inputs give byte-identical
 files.  Exit codes: 0 ok, 1 usage or I/O error, 2 a checked property is
-false, 3 the perfect-matching enumeration cap tripped.  The environment
-variable RESCUBE_CAP overrides that cap.
+false, 3 the perfect-matching enumeration cap tripped.  Only resonance,
+label and verify enumerate perfect matchings, so only they take --cap; the
+environment variable RESCUBE_CAP sets the cap when --cap is absent.  check
+and rfd decide elementarity from one matching and never exit 3.
 """
 
 from __future__ import annotations
@@ -43,12 +45,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _matching_cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    env = os.environ.get("RESCUBE_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_MATCHING_CAP
+    cap = args.cap
+    if cap is None:
+        env = os.environ.get("RESCUBE_CAP")
+        cap = int(env) if env else DEFAULT_MATCHING_CAP
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    return cap
 
 
 def _read_graph(args):
@@ -104,9 +107,8 @@ def _verdict_obj(verdict):
 
 def cmd_check(args) -> int:
     g = _read_graph(args)
-    cap = _matching_cap(args)
     try:
-        analysis = elementary_analysis(g, cap=cap)
+        analysis = elementary_analysis(g)
         elem = {
             "is_elementary": analysis.is_elementary,
             "is_weakly_elementary": analysis.is_weakly_elementary,
@@ -115,7 +117,7 @@ def cmd_check(args) -> int:
         }
     except NoPerfectMatching as exc:
         elem = {"is_elementary": False, "error": str(exc)}
-    verdict = is_peripherally_two_colorable(g, cap)
+    verdict = is_peripherally_two_colorable(g)
     obj = {
         "edges": len(g.edges),
         "elementary": elem,
@@ -154,7 +156,7 @@ def cmd_rfd(args) -> int:
 
 def _component_labelling(g, scheme, cap):
     """Concatenated per-component labels keyed by whole-graph matching ids."""
-    analysis = elementary_analysis(g, cap=cap)
+    analysis = elementary_analysis(g)
     if not analysis.is_weakly_elementary:
         raise RescubeError("graph is not weakly elementary; no composed labelling")
     family = enumerate_matchings(g, cap=cap)
@@ -185,8 +187,8 @@ def cmd_label(args) -> int:
     cap = _matching_cap(args)
     fn = coding.daisy_labelling if args.scheme == "daisy" else coding.fdl_labelling
 
-    if elementary_analysis(g, cap=cap).is_elementary:
-        verdict = is_peripherally_two_colorable(g, cap)
+    if elementary_analysis(g).is_elementary:
+        verdict = is_peripherally_two_colorable(g)
         if not verdict.ok:
             _emit(_dump({"error": "not peripherally 2-colorable",
                          "verdict": _verdict_obj(verdict)}), args.output)
@@ -273,10 +275,13 @@ def _build_parser() -> _Parser:
             p.add_argument("--rfd", default="auto",
                            help="'auto' or a comma-separated finite face order")
         if cap_flag:
-            p.add_argument("--cap", type=int, default=None)
+            p.add_argument("--cap", type=int, default=None,
+                           help="bound on the perfect-matching enumeration: more "
+                                "matchings exit 3 (default $RESCUBE_CAP, else "
+                                f"{DEFAULT_MATCHING_CAP})")
 
     p = sub.add_parser("check", help="peripherally-2-colorable and elementary verdicts")
-    common(p, cap_flag=True)
+    common(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("resonance", help="build the resonance graph (JSON, optional DOT)")

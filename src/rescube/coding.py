@@ -25,7 +25,6 @@ from .matchings import (
     AVOIDS_END_EDGES,
     MatchingFamily,
     end_edge_state,
-    enumerate_matchings,
 )
 from .plane_graph import PlaneGraph, edge_key, facial_handle_decomposition, swap_colors
 
@@ -216,7 +215,8 @@ def color_swap_effect(g: PlaneGraph, family: MatchingFamily, rfd) -> ColorSwapRe
     """Check that swapping the color classes complements the lattice coding
     and fixes the daisy coding; raises :class:`PropertyViolated` otherwise."""
     swapped = swap_colors(g)
-    swapped_family = enumerate_matchings(swapped)
+    # swapping colours changes no edge set, so the matchings and ids carry over
+    swapped_family = MatchingFamily(swapped, family.matchings)
 
     fdl_here = fdl_labelling(g, family, rfd)
     fdl_there = fdl_labelling(swapped, swapped_family, rfd)

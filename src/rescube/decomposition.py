@@ -584,7 +584,7 @@ def theorem_report(
     are not even cycles.  ``cap`` bounds the enumeration of the perfect
     matchings of the graph and of each decomposition prefix; more of them
     raise :class:`CapExceeded`."""
-    verdict = is_peripherally_two_colorable(g, cap)
+    verdict = is_peripherally_two_colorable(g)
     report = {
         "peripherally_two_colorable": verdict.ok,
         "faces": {},

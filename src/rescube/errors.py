@@ -30,7 +30,12 @@ class NoPerfectMatching(RescubeError):
 
 
 class CapExceeded(RescubeError):
-    """The graph has more perfect matchings than the enumeration cap."""
+    """The graph has more perfect matchings than the enumeration cap.
+
+    Only the perfect-matching enumeration raises it: in the CLI that is
+    ``resonance``, ``label`` and ``verify`` (exit code 3).  The elementarity
+    and peripherally 2-colorable verdicts and the reducible face
+    decompositions enumerate nothing, so ``check`` and ``rfd`` never do."""
 
 
 class BadSelector(RescubeError):

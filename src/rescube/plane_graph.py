@@ -694,18 +694,106 @@ def enumerate_matching_edge_sets(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP)
 # ---------------------------------------------------------------------------
 
 
-def elementary_analysis(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -> ElementaryReport:
+def _perfect_matching(g: PlaneGraph) -> dict:
+    """One perfect matching as a two-way mate map, grown by augmenting paths
+    from the white vertices in id order.  Raises :class:`NoPerfectMatching`
+    when the colour classes differ in size or a white vertex has no
+    augmenting path, since it then stays unmatched in every maximum
+    matching."""
+    whites = [v for v in g.vertices if g.coloring[v] == WHITE]
+    if 2 * len(whites) != len(g.vertices):
+        raise NoPerfectMatching("graph has no perfect matching")
+    mate = {}
+    for root in whites:
+        reached_from = {}  # black vertex -> the white vertex that reached it
+        stack = [(root, iter(g.rotation[root]))]  # alternating path so far
+        free = None
+        while stack and free is None:
+            w, it = stack[-1]
+            for b in it:
+                if b not in reached_from:
+                    reached_from[b] = w
+                    if b in mate:
+                        stack.append((mate[b], iter(g.rotation[mate[b]])))
+                    else:
+                        free = b
+                    break
+            else:
+                stack.pop()
+        if free is None:
+            raise NoPerfectMatching("graph has no perfect matching")
+        while free is not None:
+            w = reached_from[free]
+            w_was = mate.get(w)
+            mate[free], mate[w] = w, free
+            free = w_was
+    return mate
+
+
+def _strong_components(vertices, successors) -> dict:
+    """Vertex -> the root of its strongly connected component (iterative
+    Tarjan; a vertex visited but not yet assigned is on the path stack)."""
+    order = {}
+    low = {}
+    comp = {}
+    path = []
+    for root in vertices:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        path.append(root)
+        work = [(root, iter(successors(root)))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in order:
+                    order[w] = low[w] = len(order)
+                    path.append(w)
+                    work.append((w, iter(successors(w))))
+                    break
+                if w not in comp:
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    while True:
+                        w = path.pop()
+                        comp[w] = v
+                        if w == v:
+                            break
+    return comp
+
+
+def elementary_analysis(g: PlaneGraph) -> ElementaryReport:
     """Classify edges as allowed/forbidden and judge (weak) elementarity.
 
     An edge is allowed when it lies in some perfect matching.  The graph is
     elementary when it is connected and every edge is allowed; it is weakly
     elementary when re-tracing the faces of the allowed subgraph yields no
     finite face that was not already a finite face of ``g``.
+
+    One perfect matching M decides every edge (the Dulmage-Mendelsohn
+    structure; Lovasz & Plummer, *Matching Theory*, ch. 4): with the edges
+    of M oriented black to white and all others white to black, an edge is
+    allowed exactly when it is in M or both its ends lie in one strongly
+    connected component.  No perfect matching raises
+    :class:`NoPerfectMatching`.
     """
-    matchings = enumerate_matching_edge_sets(g, cap)
-    if not matchings:
-        raise NoPerfectMatching("graph has no perfect matching")
-    allowed = frozenset().union(*matchings)
+    mate = _perfect_matching(g)
+    comp = _strong_components(
+        g.vertices,
+        lambda v: (
+            (w for w in g.rotation[v] if w != mate[v])
+            if g.coloring[v] == WHITE
+            else (mate[v],)
+        ),
+    )
+    allowed = frozenset(
+        e for e in g.edges if comp[e[0]] == comp[e[1]] or mate[e[0]] == e[1]
+    )
     forbidden = g.edges - allowed
     sub = edge_subgraph(g, allowed) if forbidden else g
 
@@ -725,21 +813,18 @@ def elementary_analysis(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -> Eleme
 # ---------------------------------------------------------------------------
 
 
-def is_peripherally_two_colorable(
-    g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP
-) -> PeripheralColorVerdict:
+def is_peripherally_two_colorable(g: PlaneGraph) -> PeripheralColorVerdict:
     """Test the defining clauses in order and report the first failure.
 
     Clauses: more than two vertices; plane elementary bipartite; maximum
     degree 3; every degree-3 vertex on the periphery; degree-3 vertices
-    alternate black/white along the clockwise periphery.  ``cap`` bounds
-    the perfect-matching enumeration of the elementarity clause.
+    alternate black/white along the clockwise periphery.
     """
     if len(g.vertices) <= 2:
         return PeripheralColorVerdict(False, "min-size", len(g.vertices))
 
     try:
-        report = elementary_analysis(g, cap)
+        report = elementary_analysis(g)
     except NoPerfectMatching:
         return PeripheralColorVerdict(False, "elementary", "no perfect matching")
     if not report.is_elementary:

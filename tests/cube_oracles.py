@@ -19,6 +19,10 @@ of finite faces (2^F of them, so at most ``MAX_FACES_FOR_CYCLES`` faces per
 component) and finds the lattice extremes by scanning all of them for
 alternating cycles: the reference for the resonant-face rule of
 ``rescube.matchings.extremal_matchings``.
+
+The last section decides elementarity from every perfect matching: the
+reference for the single-matching analysis of
+``rescube.plane_graph.elementary_analysis``.
 """
 
 from dataclasses import dataclass
@@ -31,8 +35,13 @@ from rescube.cube_kit import (
     ThetaClasses,
     operator_o,
 )
-from rescube.errors import CapExceeded, RescubeError
+from rescube.errors import CapExceeded, NoPerfectMatching, RescubeError
 from rescube.matchings import IMPROPER, PROPER, alternation_kind
+from rescube.plane_graph import (
+    ElementaryReport,
+    edge_subgraph,
+    enumerate_matching_edge_sets,
+)
 
 SWEEP_IDIM_CAP = 20
 MAX_FACES_FOR_CYCLES = 16
@@ -494,3 +503,28 @@ def cycle_scan_extremes(g, family) -> tuple:
         if IMPROPER not in kinds:
             tops.append(m.id)
     return bottoms, tops
+
+
+# ---------------------------------------------------------------------------
+# elementarity by enumeration
+# ---------------------------------------------------------------------------
+
+
+def enumerated_elementary_analysis(g) -> ElementaryReport:
+    """The elementary analysis by definition: an edge is allowed when some
+    perfect matching holds it, read off the union of all of them."""
+    matchings = enumerate_matching_edge_sets(g)
+    if not matchings:
+        raise NoPerfectMatching("graph has no perfect matching")
+    allowed = frozenset().union(*matchings)
+    forbidden = g.edges - allowed
+    sub = edge_subgraph(g, allowed) if forbidden else g
+    return ElementaryReport(
+        is_elementary=g.is_connected and not forbidden,
+        elementary_components=sub.components,
+        is_weakly_elementary=all(
+            f.edges in g.face_by_edge_set for f in sub.finite_faces
+        ),
+        allowed_edges=allowed,
+        forbidden_edges=forbidden,
+    )

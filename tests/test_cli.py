@@ -5,7 +5,7 @@ import json
 import pytest
 
 from rescube.cli import main
-from rescube.plane_graph import graph_from_json
+from rescube.plane_graph import graph_from_json, graph_to_json
 
 BRANCHED = "0 0\n1 -1\n2 -1\n2 0\n1 -2\n"
 PYRENE = "0 0\n1 0\n0 1\n-1 1\n"
@@ -104,39 +104,107 @@ def test_verify_cap_exit_three(branched_file, capsys, monkeypatch, how):
     assert "cap" in err.lower()
 
 
-@pytest.mark.parametrize("command", ["check", "label", "verify"])
-def test_cap_reaches_peripheral_test(branched_file, capsys, monkeypatch, command):
-    # a cap above the default must reach the elementarity clause of the
-    # peripherally 2-colorable test too, not only the other enumerations
+@pytest.fixture()
+def enumerations(monkeypatch):
+    """The cap of every perfect-matching enumeration, by enumerated edge set."""
     from rescube import plane_graph
 
-    caps = []
-    analyse = plane_graph.elementary_analysis
+    calls = []
+    enumerate_edge_sets = plane_graph.enumerate_matching_edge_sets
 
     def spy(g, cap=plane_graph.DEFAULT_MATCHING_CAP):
-        caps.append(cap)
-        return analyse(g, cap)
+        calls.append((g.edges, cap))
+        return enumerate_edge_sets(g, cap)
 
-    monkeypatch.setattr(plane_graph, "elementary_analysis", spy)
-    argv = [command, branched_file, "--cap", "200000"]
-    if command == "label":
-        argv += ["--scheme", "daisy"]
-    code, _, _ = run(capsys, *argv)
+    monkeypatch.setattr(plane_graph, "enumerate_matching_edge_sets", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["label", "--scheme", "daisy"], ["label", "--scheme", "fdl", "--verify"],
+     ["verify"]],
+    ids=" ".join,
+)
+def test_cap_reaches_every_enumeration(branched_file, capsys, enumerations, argv):
+    # a cap above the default must reach each enumeration, of the graph and
+    # of every decomposition prefix alike
+    code, _, _ = run(capsys, argv[0], branched_file, *argv[1:], "--cap", "200000")
     assert code == 0
-    assert caps == [200_000]
+    assert enumerations
+    assert all(cap == 200_000 for _, cap in enumerations)
 
 
-@pytest.mark.parametrize("command", ["check", "label", "verify"])
-def test_cap_zero_is_rejected(branched_file, capsys, command):
+@pytest.mark.parametrize(
+    "argv, whole_graph",
+    [(["label", "--scheme", "daisy"], 1), (["label", "--scheme", "fdl"], 1),
+     (["label", "--scheme", "daisy", "--verify"], 2), (["verify"], 1)],
+    ids=lambda a: " ".join(a) if isinstance(a, list) else str(a),
+)
+def test_whole_graph_enumerated_once_per_use(
+    branched_file, branched5, capsys, enumerations, argv, whole_graph
+):
+    # label enumerates the graph once; --verify adds the report's one pass
+    code, _, _ = run(capsys, argv[0], branched_file, *argv[1:])
+    assert code == 0
+    assert [edges for edges, _ in enumerations].count(branched5.edges) == whole_graph
+
+
+def test_component_labelling_enumerates_each_part_once(
+    tmp_path, capsys, enumerations, hexagon_with_pendant_path
+):
+    p = tmp_path / "pendant.json"
+    p.write_text(graph_to_json(hexagon_with_pendant_path))
+    code, _, _ = run(capsys, "label", str(p), "--scheme", "daisy")
+    assert code == 0
+    # the whole graph, then the hexagon and the pendant edge
+    assert len(enumerations) == 3
+    assert enumerations[0][0] == hexagon_with_pendant_path.edges
+    assert len({edges for edges, _ in enumerations}) == 3
+
+
+@pytest.mark.parametrize("command", ["check", "rfd"])
+@pytest.mark.parametrize("shape", [BRANCHED, PYRENE, HEXAGON, "0 0\n50 0\n"])
+def test_check_and_rfd_enumerate_nothing(tmp_path, capsys, enumerations, command, shape):
+    p = tmp_path / "g.benz"
+    p.write_text(shape)
+    code, _, _ = run(capsys, command, str(p))
+    assert code in (0, 2)
+    assert enumerations == []
+
+
+@pytest.mark.parametrize("shape", [BRANCHED, PYRENE], ids=["branched", "pyrene"])
+@pytest.mark.parametrize("command", ["label", "verify"])
+def test_cap_zero_is_rejected(tmp_path, capsys, command, shape):
     # --cap 0 is a value, not an absent flag: it must not fall back to the
-    # default cap
-    argv = [command, branched_file, "--cap", "0"]
+    # default cap, also where no enumeration follows (pyrene is not
+    # peripherally 2-colorable, so neither command would enumerate it)
+    p = tmp_path / "g.benz"
+    p.write_text(shape)
+    argv = [command, str(p), "--cap", "0"]
     if command == "label":
         argv += ["--scheme", "daisy"]
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert "cap must be >= 1" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "200000"])
+@pytest.mark.parametrize("command", ["check", "rfd"])
+def test_check_and_rfd_take_no_cap(branched_file, capsys, command, cap):
+    # they enumerate no perfect matching, so there is nothing to bound
+    code, out, err = run(capsys, command, branched_file, "--cap", cap)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage:")
+
+
+@pytest.mark.parametrize("command", ["resonance", "label", "verify"])
+def test_cap_help_names_the_enumeration(capsys, command):
+    assert main([command, "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--cap CAP bound on the perfect-matching enumeration" in out
 
 
 def test_cap_flag_overrides_env(branched_file, capsys, monkeypatch):
@@ -275,10 +343,13 @@ def test_verify_with_explicit_order(branched_file, capsys):
     assert json.loads(out)["ok"] is True
 
 
-def test_check_cap_exit_three(branched_file, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["check", "rfd"])
+def test_check_and_rfd_ignore_the_cap_variable(branched_file, capsys, monkeypatch, command):
+    # the branched fixture has 14 perfect matchings; no cap binds either command
+    expected = run(capsys, command, branched_file)
     monkeypatch.setenv("RESCUBE_CAP", "1")
-    code, _, _ = run(capsys, "check", branched_file)
-    assert code == 3
+    assert run(capsys, command, branched_file) == expected
+    assert expected[0] == 0
 
 
 def test_label_weakly_elementary_with_bridge(tmp_path, capsys):

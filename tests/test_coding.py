@@ -236,6 +236,22 @@ def test_color_swap_even_cycle(hexagon):
     assert all(fdl_b[m] == complement(fdl_a[m]) for m in fdl_a)
 
 
+def test_color_swap_enumerates_nothing(branched5, monkeypatch):
+    # swapping colours changes no edge set, so the caller's family serves
+    # both sides, with the same ids the swapped graph would enumerate
+    from rescube import plane_graph
+
+    family = enumerate_matchings(branched5)
+    assert enumerate_matchings(swap_colors(branched5)).matchings == family.matchings
+    rfd = auto_rfd(branched5)
+
+    def refuse(g, cap=plane_graph.DEFAULT_MATCHING_CAP):
+        raise AssertionError("color_swap_effect enumerated perfect matchings")
+
+    monkeypatch.setattr(plane_graph, "enumerate_matching_edge_sets", refuse)
+    assert color_swap_effect(branched5, family, rfd).ok
+
+
 def test_extremal_swap_under_color_swap(branched5, branched5_faces):
     family = enumerate_matchings(branched5)
     swapped = swap_colors(branched5)

@@ -329,9 +329,9 @@ def test_report_steps_equal_standalone_steps(shape, monkeypatch):
     monkeypatch.setattr(plane_graph, "enumerate_matching_edge_sets", spy)
     report = theorem_report(g, rfd)
     monkeypatch.undo()
-    # the whole graph: at most once for the verdict and once for the
-    # report's family, which the last step reuses
-    assert enumerated.pop(g.edges) <= 2
+    # the whole graph once, for the report's family, which the last step
+    # reuses; the verdict and the decomposition enumerate nothing
+    assert enumerated.pop(g.edges) == 1
     assert set(enumerated) == set(rfd.subgraph_edges[:-1])
     assert all(count == 1 for count in enumerated.values())
 

@@ -3,11 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
 
 from rescube.errors import (
-    CapExceeded,
     EmbeddingInconsistent,
     NoHandles,
     NotAlternating,
@@ -30,7 +30,8 @@ from rescube.plane_graph import (
     _walk_area2,
 )
 
-from cube_oracles import all_cycles
+from cube_oracles import all_cycles, enumerated_elementary_analysis
+from test_resonance import matchable_edge_subsets, small_corpus
 
 
 def shoelace(g, face):
@@ -345,11 +346,76 @@ def test_rotation_system_elementary_analysis(
     assert elementary_analysis(without_coordinates(naphthalene)).is_elementary
 
 
-def test_p2c_reads_the_cap(branched5):
-    # the branched fixture has 14 perfect matchings
-    with pytest.raises(CapExceeded):
-        is_peripherally_two_colorable(branched5, cap=3)
-    assert is_peripherally_two_colorable(branched5, cap=14).ok
+def test_verdicts_enumerate_nothing(
+    monkeypatch, branched5, pyrene, two_hexagons, hexagon_with_pendant_path, nested_rings
+):
+    # one perfect matching decides elementarity, so neither verdict nor a
+    # reducible face decomposition enumerates the perfect matchings
+    from rescube import plane_graph
+    from rescube.decomposition import auto_rfd
+
+    def refuse(g, cap=plane_graph.DEFAULT_MATCHING_CAP):
+        raise AssertionError("perfect matchings enumerated")
+
+    monkeypatch.setattr(plane_graph, "enumerate_matching_edge_sets", refuse)
+    assert is_peripherally_two_colorable(branched5).ok
+    assert auto_rfd(branched5).n == 5
+    for g in (pyrene, two_hexagons, hexagon_with_pendant_path, nested_rings):
+        assert not is_peripherally_two_colorable(g).ok
+        elementary_analysis(g)
+
+
+def analyses(g) -> list:
+    """The library's and the oracle's elementary analysis of ``g``, with
+    ``NoPerfectMatching`` standing for a raise."""
+    out = []
+    for analyse in (elementary_analysis, enumerated_elementary_analysis):
+        try:
+            out.append(analyse(g))
+        except NoPerfectMatching:
+            out.append(NoPerfectMatching)
+    return out
+
+
+@pytest.mark.parametrize("shape", catacondensed_polyhexes(7), ids=str)
+def test_elementary_analysis_matches_oracle_on_corpus(shape):
+    library, oracle = analyses(build_benzenoid(shape))
+    assert library == oracle
+
+
+def test_elementary_analysis_matches_oracle_on_fixtures(
+    pyrene, nested_rings, hexagon_with_pendant_path, two_hexagons
+):
+    # odd order; and balanced colours where white 0 and white 2 both have
+    # black 1 as their only neighbour, so the second finds no augmenting path
+    path3 = build_plane_graph([(0, 0, 0), (1, 1, 0), (2, 2, 0)], [(0, 1), (1, 2)])
+    tree = build_plane_graph(
+        [(0, -1, 0), (1, 0, 0), (2, 0, 1), (3, 2, 1), (4, 1, 0), (5, 2, -1)],
+        [(0, 1), (1, 2), (1, 4), (3, 4), (4, 5)],
+    )
+    for g in (pyrene, nested_rings, hexagon_with_pendant_path, two_hexagons):
+        library, oracle = analyses(g)
+        assert library == oracle
+        assert library is not NoPerfectMatching
+    for g in (path3, tree):
+        assert analyses(g) == [NoPerfectMatching, NoPerfectMatching]
+
+
+@st.composite
+def edge_subsets(draw, graphs):
+    """``test_resonance``'s matchable edge subsets less a few more edges:
+    disconnected, odd-order and matching-free subgraphs come out too."""
+    g = draw(matchable_edge_subsets(graphs))
+    drop = draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=4))
+    return edge_subgraph(g, g.edges - drop)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_elementary_analysis_matches_oracle_on_edge_subsets(pyrene, nested_rings, data):
+    g = data.draw(edge_subsets(small_corpus() + (pyrene, nested_rings)))
+    library, oracle = analyses(g)
+    assert library == oracle
 
 
 def test_no_perfect_matching():
