@@ -48,9 +48,7 @@ from .matchings import (
     alternation_kind,
     enumerate_matchings,
     extremal_matchings,
-    handle_predicate,
     is_resonant,
-    matching_subset,
 )
 from .plane_graph import (
     Face,

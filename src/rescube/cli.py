@@ -74,7 +74,8 @@ def _read_graph(args):
 
 
 def _emit(text: str, path):
-    if path:
+    """Write to the file ``path``; no path or '-' means standard output."""
+    if path and path != "-":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -267,9 +268,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="rescube", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output(p):
+        p.add_argument("-o", "--output", default=None,
+                       help="output file (default and '-': standard output)")
+
     def common(p, rfd_flag=False, cap_flag=False):
         p.add_argument("input")
-        p.add_argument("-o", "--output", default=None)
+        output(p)
         p.add_argument("--format", choices=("auto", "json", "benzenoid"), default="auto")
         if rfd_flag:
             p.add_argument("--rfd", default="auto",
@@ -286,7 +291,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("resonance", help="build the resonance graph (JSON, optional DOT)")
     common(p, cap_flag=True)
-    p.add_argument("--dot", default=None)
+    p.add_argument("--dot", default=None,
+                   help="also write the graph as DOT to this file ('-': standard output)")
     p.set_defaults(fn=cmd_resonance)
 
     p = sub.add_parser("rfd", help="reducible face decomposition and attachment map")
@@ -297,7 +303,9 @@ def _build_parser() -> _Parser:
     common(p, rfd_flag=True, cap_flag=True)
     p.add_argument("--scheme", choices=("daisy", "fdl"), required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--emit-dot", default=None)
+    p.add_argument("--emit-dot", default=None,
+                   help="also write the labelled resonance graph as DOT to this "
+                        "file ('-': standard output)")
     p.set_defaults(fn=cmd_label)
 
     p = sub.add_parser("verify", help="full decomposition-theorem report")
@@ -306,7 +314,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("import-benzenoid", help="convert a benzenoid cell list to graph JSON")
     p.add_argument("input")
-    p.add_argument("-o", "--output", default=None)
+    output(p)
     p.set_defaults(fn=cmd_import_benzenoid)
 
     return parser

@@ -64,10 +64,10 @@ def components(vertices, neighbors) -> tuple:
 
 
 class MetricGraph:
-    """An undirected graph with optional labels; its all-pairs distance
-    table is built on first use, for the Theta classes."""
+    """An undirected graph; its all-pairs distance table is built on first
+    use, for the Theta classes."""
 
-    def __init__(self, vertices, edges, labels=None):
+    def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
         vset = set(self.vertices)
         adj = {v: set() for v in self.vertices}
@@ -80,7 +80,6 @@ class MetricGraph:
             eset.add(_edge_key(u, v))
         self.adjacency = {v: frozenset(ws) for v, ws in adj.items()}
         self.edges = frozenset(eset)
-        self.labels = dict(labels) if labels else None
 
     @cached_property
     def dist(self) -> dict:

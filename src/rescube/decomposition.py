@@ -31,7 +31,7 @@ from .matchings import (
     end_edge_state,
     enumerate_matchings,
     extremal_matchings,
-    matching_subset,
+    is_resonant,
 )
 from .plane_graph import (
     DEFAULT_MATCHING_CAP,
@@ -39,6 +39,7 @@ from .plane_graph import (
     edge_key,
     edge_subgraph,
     elementary_analysis,
+    facial_handle_decomposition,
     is_peripherally_two_colorable,
 )
 from .resonance import ResonanceGraph, build_resonance, connectivity_report
@@ -128,28 +129,27 @@ def _is_plane_elementary(g: PlaneGraph) -> bool:
         return False
 
 
-def _reduce_by_path(g: PlaneGraph, path) -> PlaneGraph:
-    """Remove the path's edges and internal vertices (with their edges)."""
+def _reduction(g: PlaneGraph, face_id: int):
+    """``g`` without the face's shared periphery path (its edges and internal
+    vertices, with their edges) when that path is odd and what is left is
+    plane elementary bipartite; otherwise None."""
+    path = _shared_periphery_path(g, face_id)
+    if path is None or (len(path) - 1) % 2 == 0:
+        return None
     internal = set(path[1:-1])
     path_edges = {edge_key(a, b) for a, b in zip(path, path[1:])}
-    keep = [
-        e for e in g.edges if e not in path_edges and not (set(e) & internal)
-    ]
-    return edge_subgraph(g, keep)
+    reduced = edge_subgraph(
+        g, [e for e in g.edges if e not in path_edges and not (set(e) & internal)]
+    )
+    if len(reduced.vertices) >= 2 and _is_plane_elementary(reduced):
+        return reduced
+    return None
 
 
 def find_reducible_faces(g: PlaneGraph) -> frozenset:
     """Every finite face whose shared periphery is a single odd path and whose
     reduction stays plane elementary bipartite."""
-    out = []
-    for face in g.finite_faces:
-        path = _shared_periphery_path(g, face.id)
-        if path is None or (len(path) - 1) % 2 == 0:
-            continue
-        reduced = _reduce_by_path(g, path)
-        if len(reduced.vertices) >= 2 and _is_plane_elementary(reduced):
-            out.append(face.id)
-    return frozenset(out)
+    return frozenset(f.id for f in g.finite_faces if _reduction(g, f.id) is not None)
 
 
 def rfd_from_face_order(g: PlaneGraph, order) -> RfdSequence:
@@ -245,22 +245,21 @@ def auto_rfd(g: PlaneGraph) -> RfdSequence:
             notes=("even cycle: single-face decomposition",),
         )
 
-    def to_own(sub: PlaneGraph, sub_face_id: int) -> int:
-        return g.face_by_edge_set[sub.faces[sub_face_id].edges]
-
     current = g
     peeled = []
     while not current.is_cycle_graph():
-        reducible = find_reducible_faces(current)
-        if not reducible:
+        own = {g.face_by_edge_set[f.edges]: f.id for f in current.finite_faces}
+        for fid in sorted(own):
+            reduced = _reduction(current, own[fid])
+            if reduced is not None:
+                break
+        else:
             raise PeelingStuck(
                 "no reducible face; the graph is not plane elementary"
             )
-        target = min(reducible, key=lambda fid: to_own(current, fid))
-        peeled.append(to_own(current, target))
-        path = _shared_periphery_path(current, target)
-        current = _reduce_by_path(current, path)
-    base = to_own(current, current.finite_faces[0].id)
+        peeled.append(fid)
+        current = reduced
+    base = g.face_by_edge_set[current.finite_faces[0].edges]
     order = [base] + list(reversed(peeled))
     return rfd_from_face_order(g, order)
 
@@ -268,6 +267,36 @@ def auto_rfd(g: PlaneGraph) -> RfdSequence:
 # ---------------------------------------------------------------------------
 # decomposition checks on the resonance graph
 # ---------------------------------------------------------------------------
+
+
+def _in_state(family, handles, state) -> list:
+    """Per matching, whether every handle is in the end-edge ``state``.  Each
+    matching's handles are read in order up to the first in the other state,
+    so an even handle raises ValueError only after handles in ``state``."""
+    return [all(end_edge_state(m, h.path) == state for h in handles) for m in family]
+
+
+def _exterior_pass(g, family, face_id):
+    """The face's handle decomposition and, per matching, whether all its
+    exterior handles avoid their end edges and whether they all contain
+    them."""
+    dec = facial_handle_decomposition(g, face_id)
+    return (
+        dec,
+        _in_state(family, dec.exterior, AVOIDS_END_EDGES),
+        _in_state(family, dec.exterior, CONTAINS_END_EDGES),
+    )
+
+
+def _face_sides(g, family, face_id) -> tuple:
+    """The matchings whose exterior handles all avoid their end edges, and
+    the resonant ones whose exterior handles all contain them."""
+    _, avoid, contain = _exterior_pass(g, family, face_id)
+    minus = frozenset(m.id for m, a in zip(family, avoid) if a)
+    plus = frozenset(
+        m.id for m, c in zip(family, contain) if c and is_resonant(g, m, face_id)
+    )
+    return minus, plus
 
 
 def split_by_face(
@@ -281,7 +310,6 @@ def split_by_face(
     peripheral.  Returns a (FaceSplit, clauses) pair; with ``strict`` the
     first failing clause raises :class:`TheoremViolated`.
     """
-    family = r.family
     clauses = {}
 
     def fail(clause, detail=""):
@@ -303,10 +331,7 @@ def split_by_face(
         fail("two-components", f"got {len(comps)} components")
         return None, clauses
 
-    minus_expected = matching_subset(g, family, face_id, "all-exterior-avoid")
-    plus_expected = matching_subset(
-        g, family, face_id, "all-exterior-contain-resonant"
-    )
+    minus_expected, plus_expected = _face_sides(g, r.family, face_id)
     if {minus_expected, plus_expected} != set(comps):
         fail("side-sets", "components differ from the matching subsets")
         return None, clauses
@@ -682,30 +707,29 @@ def _differ_only_at(a: str, b: str, index: int) -> bool:
 
 
 def _subset_equalities_hold(g, family, face_id) -> bool:
-    """Single-handle subsets equal the all-handle ones, and the resonant
-    refinements swap sides between exterior and interior handles."""
-    from .plane_graph import facial_handle_decomposition
+    """The handle-set equalities of one face, read per matching M.
 
-    dec = facial_handle_decomposition(g, face_id)
-    m = dec.m
-    sel = lambda s, idx=None: matching_subset(g, family, face_id, s, idx)
+    With ext(M) and int(M) the state that all exterior, or all interior,
+    handles of the face share under M, and res(M) whether M makes the face
+    resonant, they hold when for every M:
 
-    all_eavoid = sel("all-exterior-avoid")
-    all_econt = sel("all-exterior-contain")
-    for idx in range(1, m + 1):
-        if sel("exterior-avoid", idx) != all_eavoid:
-            return False
-        if sel("exterior-contain", idx) != all_econt:
-            return False
-    if sel("all-exterior-contain-resonant") != all_econt:
+    - ext(M) exists: then single-handle subsets equal the all-handle ones,
+      and the two exterior sides partition the family;
+    - ext(M) = contain implies res(M);
+    - int(M) = avoid and res(M) exactly when ext(M) = contain;
+    - int(M) = contain exactly when ext(M) = avoid and res(M).
+
+    Every matching's exterior states are read before any interior handle,
+    so a face that fails an exterior condition returns False before an
+    even interior handle can raise."""
+    dec, avoid, contain = _exterior_pass(g, family, face_id)
+    if not all(a or c for a, c in zip(avoid, contain)):
         return False
-    if sel("all-interior-avoid-resonant") != all_econt:
+    resonant = [is_resonant(g, m, face_id) for m in family]
+    if any(c and not r for c, r in zip(contain, resonant)):
         return False
-    all_icont = sel("all-interior-contain")
-    if sel("all-interior-contain-resonant") != all_icont:
+    inner_avoid = _in_state(family, dec.interior, AVOIDS_END_EDGES)
+    if any((i and r) != c for i, r, c in zip(inner_avoid, resonant, contain)):
         return False
-    if sel("all-exterior-avoid-resonant") != all_icont:
-        return False
-    if not (all_eavoid | all_econt) == frozenset(family.ids):
-        return False
-    return not (all_eavoid & all_econt)
+    inner_contain = _in_state(family, dec.interior, CONTAINS_END_EDGES)
+    return all(i == (a and r) for i, a, r in zip(inner_contain, avoid, resonant))

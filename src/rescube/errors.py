@@ -38,10 +38,6 @@ class CapExceeded(RescubeError):
     decompositions enumerate nothing, so ``check`` and ``rfd`` never do."""
 
 
-class BadSelector(RescubeError):
-    """Unknown matching-subset selector."""
-
-
 class NotFound(RescubeError):
     """An extremal matching required by the hypotheses does not exist or is not unique."""
 

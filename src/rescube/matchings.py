@@ -3,8 +3,7 @@
 A matching family enumerates every perfect matching of a plane graph in a
 deterministic order, so matching ids are stable across runs.  On top of it
 live the facial predicates: resonance of a face, proper/improper
-alternation of walks, the two-state end-edge predicate of odd handles, and
-the handle-selected matching subsets used by the decomposition checks.
+alternation of walks, and the two-state end-edge predicate of odd handles.
 """
 
 from __future__ import annotations
@@ -12,18 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import plane_graph as pg
-from .errors import (
-    BadSelector,
-    InternalInvariantBroken,
-    NoPerfectMatching,
-    NotFound,
-)
-from .plane_graph import (
-    DEFAULT_MATCHING_CAP,
-    PlaneGraph,
-    edge_key,
-    facial_handle_decomposition,
-)
+from .errors import InternalInvariantBroken, NoPerfectMatching, NotFound
+from .plane_graph import DEFAULT_MATCHING_CAP, PlaneGraph, edge_key
 
 CONTAINS_END_EDGES = "contains_end_edges"
 AVOIDS_END_EDGES = "avoids_end_edges"
@@ -31,21 +20,6 @@ AVOIDS_END_EDGES = "avoids_end_edges"
 PROPER = "proper"
 IMPROPER = "improper"
 NOT_ALTERNATING = "not_alternating"
-
-SELECTORS = (
-    "exterior-avoid",
-    "exterior-contain",
-    "interior-avoid",
-    "interior-contain",
-    "all-exterior-avoid",
-    "all-exterior-contain",
-    "all-interior-avoid",
-    "all-interior-contain",
-    "all-exterior-avoid-resonant",
-    "all-exterior-contain-resonant",
-    "all-interior-avoid-resonant",
-    "all-interior-contain-resonant",
-)
 
 
 @dataclass(frozen=True)
@@ -64,7 +38,6 @@ class MatchingFamily:
         self.graph = graph
         self.matchings = tuple(matchings)
         self.index = {m.edges: m.id for m in self.matchings}  # edge set -> id
-        self._cache = {}
 
     def __len__(self):
         return len(self.matchings)
@@ -145,78 +118,6 @@ def end_edge_state(matching: PerfectMatching, path) -> str:
             "an odd path contains exactly one of its end edges"
         )
     return CONTAINS_END_EDGES if first else AVOIDS_END_EDGES
-
-
-def handle_predicate(g: PlaneGraph, matching: PerfectMatching, handle) -> str:
-    """Whether the matching contains both end edges of the handle or neither."""
-    return end_edge_state(matching, handle.path)
-
-
-# ---------------------------------------------------------------------------
-# handle-selected subsets of a matching family
-# ---------------------------------------------------------------------------
-
-
-def _face_handles(family: MatchingFamily, face_id: int):
-    key = ("decomposition", face_id)
-    if key not in family._cache:
-        family._cache[key] = facial_handle_decomposition(family.graph, face_id)
-    return family._cache[key]
-
-
-def matching_subset(
-    g: PlaneGraph,
-    family: MatchingFamily,
-    face_id: int,
-    selector: str,
-    handle_index: int = None,
-) -> frozenset:
-    """Matching ids selected by a handle predicate on one facial cycle.
-
-    Selectors pair a handle side ('exterior'/'interior') with a state
-    ('avoid'/'contain').  The plain forms take a 1-based ``handle_index``
-    into the clockwise handle order; the 'all-' forms quantify over every
-    handle of that side, and an '-resonant' suffix additionally requires the
-    face to be resonant.  Results are cached per (face, selector, index).
-    """
-    if selector not in SELECTORS:
-        raise BadSelector(selector)
-    indexed = not selector.startswith("all-")
-    if indexed and handle_index is None:
-        raise BadSelector(f"{selector} needs a handle index")
-    if not indexed and handle_index is not None:
-        raise BadSelector(f"{selector} does not take a handle index")
-
-    key = (face_id, selector, handle_index)
-    cached = family._cache.get(key)
-    if cached is not None:
-        return cached
-
-    decomposition = _face_handles(family, face_id)
-    body = selector[4:] if selector.startswith("all-") else selector
-    resonant = body.endswith("-resonant")
-    if resonant:
-        body = body[: -len("-resonant")]
-    side, state = body.split("-")
-    want = CONTAINS_END_EDGES if state == "contain" else AVOIDS_END_EDGES
-    pool = decomposition.exterior if side == "exterior" else decomposition.interior
-    if indexed:
-        if not 1 <= handle_index <= len(pool):
-            raise BadSelector(
-                f"handle index {handle_index} out of range 1..{len(pool)}"
-            )
-        pool = (pool[handle_index - 1],)
-
-    chosen = []
-    for m in family:
-        if any(end_edge_state(m, h.path) != want for h in pool):
-            continue
-        if resonant and not is_resonant(g, m, face_id):
-            continue
-        chosen.append(m.id)
-    result = frozenset(chosen)
-    family._cache[key] = result
-    return result
 
 
 # ---------------------------------------------------------------------------

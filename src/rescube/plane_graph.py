@@ -519,46 +519,6 @@ def _branch_vertices(g: PlaneGraph) -> list:
     return [v for v in g.vertices if g.degree(v) >= 3]
 
 
-def _has_cut_vertex(g: PlaneGraph) -> bool:
-    """Articulation-point test (iterative DFS), per component."""
-    visited = {}
-    low = {}
-    timer = 0
-    for root in g.vertices:
-        if root in visited:
-            continue
-        stack = [(root, None, iter(g.rotation[root]))]
-        visited[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if w in visited:
-                    low[v] = min(low[v], visited[w])
-                else:
-                    visited[w] = low[w] = timer
-                    timer += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, v, iter(g.rotation[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if pv != root and low[v] >= visited[pv]:
-                        return True
-        if root_children > 1:
-            return True
-    return False
-
-
 def handles(g: PlaneGraph) -> frozenset:
     """All handles of ``g``, classified exterior/interior.
 
@@ -569,7 +529,8 @@ def handles(g: PlaneGraph) -> frozenset:
     branch = _branch_vertices(g)
     if not branch:
         raise NoHandles("every vertex has degree 2")
-    if _has_cut_vertex(g):
+    # a vertex is a cut vertex exactly when some facial walk passes it twice
+    if any(len(set(f.boundary)) != len(f.boundary) for f in g.faces):
         raise UnsupportedInput(
             "handles are only defined for 2-connected components"
         )

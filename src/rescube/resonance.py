@@ -48,8 +48,8 @@ class ResonanceGraph:
     def vertex_keys(self) -> frozenset:
         return frozenset(self.vertex_key(v) for v in self.vertices)
 
-    def metric(self, labels=None) -> MetricGraph:
-        return MetricGraph(self.vertices, [(u, v) for u, v, _ in self.edges], labels)
+    def metric(self) -> MetricGraph:
+        return MetricGraph(self.vertices, [(u, v) for u, v, _ in self.edges])
 
     def edges_with_label(self, face_id) -> tuple:
         return tuple((u, v) for u, v, f in self.edges if f == face_id)
@@ -131,10 +131,9 @@ class ComposedResonance:
     def vertex_keys(self) -> frozenset:
         return frozenset(self.vertex_key(i) for i in range(len(self.vertices)))
 
-    def metric(self, labels=None) -> MetricGraph:
-        return MetricGraph(
-            range(len(self.vertices)), [(a, b) for a, b, _ in self.edges], labels
-        )
+    def metric(self) -> MetricGraph:
+        edges = [(a, b) for a, b, _ in self.edges]
+        return MetricGraph(range(len(self.vertices)), edges)
 
 
 def cartesian_compose(parts) -> ComposedResonance:

@@ -20,9 +20,16 @@ component) and finds the lattice extremes by scanning all of them for
 alternating cycles: the reference for the resonant-face rule of
 ``rescube.matchings.extremal_matchings``.
 
-The last section decides elementarity from every perfect matching: the
-reference for the single-matching analysis of
+The elementarity section decides elementarity from every perfect
+matching: the reference for the single-matching analysis of
 ``rescube.plane_graph.elementary_analysis``.
+
+The handle section selects matching subsets by a small grammar of handle
+predicates and checks the paper's set equalities between them: the
+reference for the per-matching face conditions of
+``rescube.decomposition``.  It also finds cut vertices by deleting each
+vertex in turn: the reference for the facial-walk test of
+``rescube.plane_graph.handles``.
 """
 
 from dataclasses import dataclass
@@ -36,11 +43,20 @@ from rescube.cube_kit import (
     operator_o,
 )
 from rescube.errors import CapExceeded, NoPerfectMatching, RescubeError
-from rescube.matchings import IMPROPER, PROPER, alternation_kind
+from rescube.matchings import (
+    AVOIDS_END_EDGES,
+    CONTAINS_END_EDGES,
+    IMPROPER,
+    PROPER,
+    alternation_kind,
+    end_edge_state,
+    is_resonant,
+)
 from rescube.plane_graph import (
     ElementaryReport,
     edge_subgraph,
     enumerate_matching_edge_sets,
+    facial_handle_decomposition,
 )
 
 SWEEP_IDIM_CAP = 20
@@ -330,13 +346,14 @@ def _is_isometric_subset(mg: MetricGraph, subset) -> bool:
     )
 
 
-def expand(mg: MetricGraph, v1, v2) -> ExpansionResult:
+def expand(mg: MetricGraph, v1, v2, labels=None) -> ExpansionResult:
     """Expansion of the graph along two isometric covering subsets.
 
     ``v1`` and ``v2`` must cover the vertex set, intersect, both induce
     isometric subgraphs, and admit no edge between their private parts.  The
     result takes disjoint copies of both induced subgraphs and joins the two
-    copies of every shared vertex.
+    copies of every shared vertex.  The ``le`` flag needs the vertex
+    ``labels``; without them it is False.
     """
     v1, v2 = set(v1), set(v2)
     verts = set(mg.vertices)
@@ -365,8 +382,8 @@ def expand(mg: MetricGraph, v1, v2) -> ExpansionResult:
     convex = is_convex_subset(mg, shared)
     peripheral = v1 == verts or v2 == verts
     le = False
-    if peripheral and mg.labels is not None:
-        le = operator_o(mg.labels, shared) == frozenset(shared)
+    if peripheral and labels is not None:
+        le = operator_o(labels, shared) == frozenset(shared)
     return ExpansionResult(graph, convex=convex, peripheral=peripheral, le=le)
 
 
@@ -527,4 +544,102 @@ def enumerated_elementary_analysis(g) -> ElementaryReport:
         ),
         allowed_edges=allowed,
         forbidden_edges=forbidden,
+    )
+
+
+# ---------------------------------------------------------------------------
+# handles: matching subsets, set equalities, cut vertices
+# ---------------------------------------------------------------------------
+
+SELECTORS = (
+    "exterior-avoid",
+    "exterior-contain",
+    "interior-avoid",
+    "interior-contain",
+    "all-exterior-avoid",
+    "all-exterior-contain",
+    "all-interior-avoid",
+    "all-interior-contain",
+    "all-exterior-avoid-resonant",
+    "all-exterior-contain-resonant",
+    "all-interior-avoid-resonant",
+    "all-interior-contain-resonant",
+)
+
+
+def matching_subset(g, family, face_id, selector, handle_index=None) -> frozenset:
+    """Matching ids selected by a handle predicate on one facial cycle.
+
+    Selectors pair a handle side ('exterior'/'interior') with a state
+    ('avoid'/'contain').  The plain forms take a 1-based ``handle_index``
+    into the clockwise handle order; the 'all-' forms quantify over every
+    handle of that side, and an '-resonant' suffix additionally requires the
+    face to be resonant.  A bad selector or index raises ValueError.
+    """
+    if selector not in SELECTORS:
+        raise ValueError(f"unknown selector {selector!r}")
+    indexed = not selector.startswith("all-")
+    if indexed != (handle_index is not None):
+        raise ValueError(f"{selector} takes a handle index exactly when not all-")
+    body = selector[4:] if selector.startswith("all-") else selector
+    resonant = body.endswith("-resonant")
+    if resonant:
+        body = body[: -len("-resonant")]
+    side, state = body.split("-")
+    want = CONTAINS_END_EDGES if state == "contain" else AVOIDS_END_EDGES
+    dec = facial_handle_decomposition(g, face_id)
+    pool = dec.exterior if side == "exterior" else dec.interior
+    if indexed:
+        if not 1 <= handle_index <= len(pool):
+            raise ValueError(f"handle index {handle_index} out of range 1..{len(pool)}")
+        pool = (pool[handle_index - 1],)
+    return frozenset(
+        m.id
+        for m in family
+        if not any(end_edge_state(m, h.path) != want for h in pool)
+        and (not resonant or is_resonant(g, m, face_id))
+    )
+
+
+def subset_equalities_hold(g, family, face_id) -> bool:
+    """Single-handle subsets equal the all-handle ones, and the resonant
+    refinements swap sides between exterior and interior handles."""
+    dec = facial_handle_decomposition(g, face_id)
+
+    def sel(selector, index=None):
+        return matching_subset(g, family, face_id, selector, index)
+
+    all_eavoid = sel("all-exterior-avoid")
+    all_econt = sel("all-exterior-contain")
+    for idx in range(1, dec.m + 1):
+        if sel("exterior-avoid", idx) != all_eavoid:
+            return False
+        if sel("exterior-contain", idx) != all_econt:
+            return False
+    if sel("all-exterior-contain-resonant") != all_econt:
+        return False
+    if sel("all-interior-avoid-resonant") != all_econt:
+        return False
+    all_icont = sel("all-interior-contain")
+    if sel("all-interior-contain-resonant") != all_icont:
+        return False
+    if sel("all-exterior-avoid-resonant") != all_icont:
+        return False
+    if not (all_eavoid | all_econt) == frozenset(family.ids):
+        return False
+    return not (all_eavoid & all_econt)
+
+
+def has_cut_vertex(g) -> bool:
+    """Whether deleting some vertex leaves more components than the graph
+    has, counted by union-find."""
+
+    def count(vertices, edges):
+        return len(set(_union_find(vertices, edges).values()))
+
+    whole = count(g.vertices, g.edges)
+    return any(
+        count([u for u in g.vertices if u != v], [e for e in g.edges if v not in e])
+        > whole
+        for v in g.vertices
     )

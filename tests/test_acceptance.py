@@ -169,7 +169,7 @@ def test_criterion_6_composition(two_hexagons, branched5_plus_hexagon):
             labelling = compose_labellings(labellings)
             index = {combo: i for i, combo in enumerate(composed.vertices)}
             labels = {index[c]: labelling.labels[c] for c in composed.vertices}
-            metric = composed.metric(labels)
+            metric = composed.metric()
             assert labelling_is_proper(metric, labels)
             verdict = is_daisy_cube(metric)
             assert verdict.ok and verdict.idim == expected_idim

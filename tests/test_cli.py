@@ -74,6 +74,37 @@ def test_resonance_outputs(branched_file, tmp_path, capsys):
     assert out_dot.read_text().startswith("graph resonance {")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "-o", "-"],
+        ["resonance", "-o", "-", "--dot", "-"],
+        ["label", "--scheme", "daisy", "--emit-dot", "-"],
+        ["import-benzenoid", "-o", "-"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_dash_means_standard_output(branched_file, tmp_path, monkeypatch, capsys, argv):
+    """'-' as an output path writes standard output, not a file named '-',
+    and standard output gets the bytes that named files would get."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    code, out, _ = run(capsys, argv[0], branched_file, *argv[1:])
+    assert code == 0
+    assert list(cwd.iterdir()) == []
+    files = [tmp_path / f"out{i}" for i in range(argv.count("-"))]
+    named = iter(files)
+    code, printed, _ = run(
+        capsys, argv[0], branched_file, *(str(next(named)) if a == "-" else a for a in argv[1:])
+    )
+    assert code == 0
+    expected = "".join(p.read_text() for p in files)
+    if "-o" not in argv:  # the JSON document goes to standard output anyway
+        expected = printed + expected
+    assert out == expected
+
+
 def test_resonance_deterministic(branched_file, tmp_path, capsys):
     outs = []
     for name in ("a.json", "b.json"):

@@ -25,7 +25,7 @@ from rescube.matchings import enumerate_matchings, extremal_matchings
 from rescube.plane_graph import edge_subgraph, elementary_analysis, swap_colors
 from rescube.resonance import build_resonance, cartesian_compose
 
-from cube_oracles import label_leq
+from cube_oracles import label_leq, matching_subset
 
 BRANCHED_LABEL_SET = {
     "00000",
@@ -145,8 +145,6 @@ def test_daisy_on_even_cycle(hexagon):
 
 
 def test_theta_sides_match_bits(branched5, branched5_faces):
-    from rescube.matchings import matching_subset
-
     family = enumerate_matchings(branched5)
     rfd = rfd_from_face_order(branched5, branched5_faces)
     labelling = daisy_labelling(branched5, family, rfd)
@@ -287,8 +285,8 @@ def test_compose_two_hexagons(two_hexagons):
     assert composed.label_set() == {"00", "01", "10", "11"}
     product = cartesian_compose(resonances)
     index = {combo: i for i, combo in enumerate(product.vertices)}
-    metric = product.metric({index[c]: composed.labels[c] for c in product.vertices})
-    assert labelling_is_proper(metric, metric.labels)
+    labels = {index[c]: composed.labels[c] for c in product.vertices}
+    assert labelling_is_proper(product.metric(), labels)
 
 
 def test_compose_branched_with_hexagon(branched5_plus_hexagon):
@@ -298,7 +296,7 @@ def test_compose_branched_with_hexagon(branched5_plus_hexagon):
     product = cartesian_compose(resonances)
     index = {combo: i for i, combo in enumerate(product.vertices)}
     labels = {index[c]: composed.labels[c] for c in product.vertices}
-    metric = product.metric(labels)
+    metric = product.metric()
     assert labelling_is_proper(metric, labels)
     verdict = is_daisy_cube(metric)
     assert verdict.ok and verdict.idim == 6

@@ -216,9 +216,8 @@ def test_certificate_matches_oracle_on_random_graphs(mg, data):
 def oracle_expansion_flags(mg, labels, subset):
     """The flags of the peripheral expansion along (all vertices, subset),
     from the graph expansion; no expansion means no flags."""
-    labelled = ck.MetricGraph(mg.vertices, mg.edges, labels)
     try:
-        result = oracle.expand(labelled, set(mg.vertices), subset)
+        result = oracle.expand(mg, set(mg.vertices), subset, labels)
     except oracle.NotAnExpansion:
         return False
     return result.peripheral and result.convex and result.le
@@ -320,9 +319,11 @@ def test_expand_k2_to_p3():
 
 
 def test_expand_le_flag():
-    k2 = ck.MetricGraph([0, 1], [(0, 1)], labels={0: "0", 1: "1"})
-    assert oracle.expand(k2, {0, 1}, {0}).le
-    assert not oracle.expand(k2, {0, 1}, {1}).le
+    k2 = ck.MetricGraph([0, 1], [(0, 1)])
+    labels = {0: "0", 1: "1"}
+    assert oracle.expand(k2, {0, 1}, {0}, labels).le
+    assert not oracle.expand(k2, {0, 1}, {1}, labels).le
+    assert not oracle.expand(k2, {0, 1}, {0}).le
 
 
 def test_expand_p3_house():

@@ -4,16 +4,21 @@ import functools
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from rescube import plane_graph
+from rescube import decomposition, plane_graph
 from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
 from rescube.cube_kit import MetricGraph
 from rescube.errors import (
     NotReducibleAtStep,
     PeelingStuck,
+    RescubeError,
     TheoremViolated,
 )
 from rescube.decomposition import (
+    FaceSplit,
+    _face_sides,
+    _subset_equalities_hold,
     auto_rfd,
     find_reducible_faces,
     rfd_from_face_order,
@@ -22,10 +27,12 @@ from rescube.decomposition import (
     verify_reducible_split,
 )
 from rescube.matchings import enumerate_matchings
-from rescube.plane_graph import from_rotation_system
+from rescube.plane_graph import elementary_analysis, from_rotation_system
 from rescube.resonance import build_resonance
 
+import cube_oracles as oracle
 from conftest import zigzag
+from test_resonance import matchable_edge_subsets, small_corpus
 
 
 def resonance_of(g):
@@ -106,6 +113,23 @@ def test_auto_rfd_pyrene(pyrene):
 def test_auto_rfd_stuck_on_non_elementary(hexagon_with_pendant_path):
     with pytest.raises(PeelingStuck):
         auto_rfd(hexagon_with_pendant_path)
+
+
+@pytest.mark.parametrize("h, calls", [(9, 17), (14, 27)])
+def test_auto_rfd_reduces_each_face_once(h, calls, monkeypatch):
+    """Every peel keeps the reduction that chose its face: one subgraph per
+    face tried and per validated prefix, h - 1 peels whose first candidate
+    reduces, and h prefixes."""
+    built = []
+    subgraph = decomposition.edge_subgraph
+
+    def spy(g, keep):
+        built.append(g)
+        return subgraph(g, keep)
+
+    monkeypatch.setattr(decomposition, "edge_subgraph", spy)
+    assert auto_rfd(zigzag(h)).n == h
+    assert len(built) == calls
 
 
 def test_prefix(branched5, branched5_faces):
@@ -383,3 +407,78 @@ def test_label_checks_build_no_distance_table(branched5, branched5_faces, dist_t
     assert is_isometric_labelling(metric, fdl)
     assert not is_isometric_labelling(metric, {**daisy, 0: daisy[1], 1: daisy[0]})
     assert dist_tables == []
+
+
+# ---------------------------------------------------------------------------
+# per-face handle conditions against the set-based oracle
+# ---------------------------------------------------------------------------
+
+
+def outcome(fn):
+    """What ``fn()`` returns, or the type of the error it raises."""
+    try:
+        return fn()
+    except (RescubeError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_face_conditions_match_oracle(g):
+    """The handle-set equalities and the split sides of every face, read per
+    matching, equal the oracle's set equalities and subsets: the same bool
+    or sets, or the same error."""
+    family = enumerate_matchings(g)
+    r = build_resonance(g, family)
+    for face in g.finite_faces:
+        fid = face.id
+        assert outcome(lambda: _subset_equalities_hold(g, family, fid)) == outcome(
+            lambda: oracle.subset_equalities_hold(g, family, fid)
+        )
+        sides = outcome(lambda: _face_sides(g, family, fid))
+        assert sides == outcome(
+            lambda: (
+                oracle.matching_subset(g, family, fid, "all-exterior-avoid"),
+                oracle.matching_subset(g, family, fid, "all-exterior-contain-resonant"),
+            )
+        )
+        split = outcome(lambda: split_by_face(g, r, fid, strict=False)[0])
+        if isinstance(split, FaceSplit):
+            assert (split.minus_side, split.plus_side) == sides
+
+
+def test_face_conditions_match_oracle_on_corpus():
+    for shape in catacondensed_polyhexes(7):
+        assert_face_conditions_match_oracle(build_benzenoid(shape))
+
+
+def test_face_conditions_match_oracle_on_fixtures(
+    branched5, pyrene, triphenylene, anthracene, nested_rings,
+    hexagon_plus_naphthalene, branched5_plus_hexagon, hexagon_with_pendant_path,
+):
+    # three hexagons in a row, the middle one sharing two edges with each
+    # side: its exterior handles are single edges in one state, so only the
+    # interior pass meets the even handles and raises
+    even_interior = plane_graph.build_plane_graph(
+        [(0, -1, -2), (1, 1, -2), (2, 2, 0), (3, 1, 2), (4, -1, 2), (5, -2, 0),
+         (6, 3, -3), (7, 4, 0), (8, 3, 3), (9, -3, 3), (10, -4, 0), (11, -3, -3)],
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 6), (6, 7), (7, 8),
+         (8, 3), (4, 9), (9, 10), (10, 11), (11, 0)],
+    )
+    middle = even_interior.face_by_edge_set[frozenset(
+        plane_graph.edge_key(i, (i + 1) % 6) for i in range(6)
+    )]
+    family = enumerate_matchings(even_interior)
+    assert _face_sides(even_interior, family, middle) == (frozenset(family.ids), frozenset())
+    with pytest.raises(ValueError):
+        _subset_equalities_hold(even_interior, family, middle)
+    for g in (branched5, pyrene, triphenylene, anthracene, nested_rings,
+              hexagon_plus_naphthalene, branched5_plus_hexagon,
+              hexagon_with_pendant_path, even_interior):
+        assert_face_conditions_match_oracle(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_face_conditions_match_oracle_on_edge_subsets(pyrene, nested_rings, data):
+    g = data.draw(matchable_edge_subsets(small_corpus() + (pyrene, nested_rings)))
+    assume(elementary_analysis(g).is_weakly_elementary)
+    assert_face_conditions_match_oracle(g)

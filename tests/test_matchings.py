@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
-from rescube.errors import BadSelector, CapExceeded, NoPerfectMatching, NotFound
+from rescube.errors import CapExceeded, NoPerfectMatching, NotFound
 from rescube.matchings import (
     AVOIDS_END_EDGES,
     CONTAINS_END_EDGES,
@@ -17,9 +17,7 @@ from rescube.matchings import (
     end_edge_state,
     enumerate_matchings,
     extremal_matchings,
-    handle_predicate,
     is_resonant,
-    matching_subset,
     matchings_to_json,
 )
 from rescube.plane_graph import elementary_analysis, facial_handle_decomposition, handles
@@ -27,7 +25,12 @@ from rescube.decomposition import auto_rfd, rfd_from_face_order
 from rescube.coding import daisy_labelling, fdl_labelling
 
 from conftest import zigzag
-from cube_oracles import all_cycles, cycle_scan_extremes, has_alternating_cycle
+from cube_oracles import (
+    all_cycles,
+    cycle_scan_extremes,
+    has_alternating_cycle,
+    matching_subset,
+)
 from test_resonance import matchable_edge_subsets, small_corpus
 
 
@@ -191,7 +194,7 @@ def test_handle_predicate_two_states(branched5):
     family = enumerate_matchings(branched5)
     for h in handles(branched5):
         for m in family:
-            assert handle_predicate(branched5, m, h) in (
+            assert end_edge_state(m, h.path) in (
                 CONTAINS_END_EDGES,
                 AVOIDS_END_EDGES,
             )
@@ -205,7 +208,7 @@ def test_trivial_handle_state_is_membership(branched5):
         (e,) = h.edges
         for m in family:
             want = CONTAINS_END_EDGES if e in m.edges else AVOIDS_END_EDGES
-            assert handle_predicate(branched5, m, h) == want
+            assert end_edge_state(m, h.path) == want
 
 
 def test_even_path_rejected(anthracene):
@@ -213,11 +216,11 @@ def test_even_path_rejected(anthracene):
     even = [h for h in handles(anthracene) if h.length % 2 == 0]
     assert even  # the straight middle ring creates even exterior handles
     with pytest.raises(ValueError):
-        handle_predicate(anthracene, family[0], even[0])
+        end_edge_state(family[0], even[0].path)
 
 
 # ---------------------------------------------------------------------------
-# subsets
+# handle-selected subsets (the oracle's grammar)
 # ---------------------------------------------------------------------------
 
 
@@ -268,28 +271,6 @@ def test_resonant_refinements(branched5, branched5_faces):
             matching_subset(branched5, family, fid, "all-exterior-avoid-resonant")
             == icont
         )
-
-
-def test_bad_selectors(branched5, branched5_faces):
-    family = enumerate_matchings(branched5)
-    fid = branched5_faces[0]
-    with pytest.raises(BadSelector):
-        matching_subset(branched5, family, fid, "nonsense")
-    with pytest.raises(BadSelector):
-        matching_subset(branched5, family, fid, "exterior-avoid")  # index missing
-    with pytest.raises(BadSelector):
-        matching_subset(branched5, family, fid, "all-exterior-avoid", 1)
-    with pytest.raises(BadSelector):
-        matching_subset(branched5, family, fid, "exterior-avoid", 99)
-
-
-def test_subset_caching(branched5, branched5_faces):
-    family = enumerate_matchings(branched5)
-    fid = branched5_faces[0]
-    first = matching_subset(branched5, family, fid, "all-exterior-avoid")
-    assert (
-        matching_subset(branched5, family, fid, "all-exterior-avoid") is first
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from rescube.plane_graph import (
     _walk_area2,
 )
 
-from cube_oracles import all_cycles, enumerated_elementary_analysis
+from cube_oracles import all_cycles, enumerated_elementary_analysis, has_cut_vertex
 from test_resonance import matchable_edge_subsets, small_corpus
 
 
@@ -183,6 +183,49 @@ def test_branched_handle_inventory(branched5):
 def test_handles_reject_cut_vertices(hexagon_with_pendant_path):
     with pytest.raises(UnsupportedInput):
         handles(hexagon_with_pendant_path)
+
+
+def handles_outcome(g):
+    try:
+        handles(g)
+    except (NoHandles, UnsupportedInput) as exc:
+        return type(exc)
+    return None
+
+
+def assert_cut_vertices_match_oracle(g):
+    """``handles`` finds cut vertices from repeated vertices on facial walks;
+    the oracle deletes each vertex in turn."""
+    if not any(g.degree(v) >= 3 for v in g.vertices):
+        expected = NoHandles
+    else:
+        expected = UnsupportedInput if has_cut_vertex(g) else None
+    assert handles_outcome(g) == expected
+
+
+def test_cut_vertices_match_oracle_on_fixtures(
+    branched5, pyrene, nested_rings, two_hexagons, hexagon_with_pendant_path
+):
+    # two squares sharing one vertex: the infinite walk passes it twice
+    bowtie = build_plane_graph(
+        [(0, 0, 0), (1, 1, 1), (2, 2, 0), (3, 1, -1), (4, -1, 1), (5, -2, 0), (6, -1, -1)],
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)],
+    )
+    assert has_cut_vertex(bowtie) and has_cut_vertex(hexagon_with_pendant_path)
+    assert not has_cut_vertex(branched5) and not has_cut_vertex(two_hexagons)
+    for g in (branched5, pyrene, nested_rings, two_hexagons, hexagon_with_pendant_path,
+              bowtie):
+        assert_cut_vertices_match_oracle(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cut_vertices_match_oracle_on_edge_subsets(pyrene, nested_rings, data):
+    """Whole graphs are 2-connected; deleting a few edges leaves pendant
+    paths, blocks joined at a vertex, or several components."""
+    g = data.draw(st.sampled_from(small_corpus() + (pyrene, nested_rings)))
+    drop = data.draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=3))
+    assert_cut_vertices_match_oracle(edge_subgraph(g, g.edges - drop))
 
 
 def test_handles_computed_once_per_graph(monkeypatch, hexagon, hexagon_with_pendant_path):
