@@ -219,7 +219,9 @@ def cmd_label(args) -> int:
             ),
         }
         if rfd is not None and not g.is_cycle_graph():
-            obj["verification"]["theorem_report"] = theorem_report(g, rfd, cap)
+            obj["verification"]["theorem_report"] = theorem_report(
+                g, rfd, cap, resonance=r
+            )
     _emit(_dump(obj), args.output)
     if args.emit_dot:
         _emit(resonance_to_dot(r, labels=labels, face_names=face_names), args.emit_dot)

@@ -13,6 +13,10 @@ along the clockwise periphery; it puts the unique matching without proper
 alternating cycles at the all-zeros string and realizes the resonance graph
 as a finite distributive lattice.  Swapping the two color classes
 complements every lattice-coding string and fixes every daisy string.
+
+Both codings read the family's per-edge matching columns: each position is
+one bitset over matching ids, built from the exterior handles' end-edge
+columns, and the bit strings are the transpose of those bitsets.
 """
 
 from __future__ import annotations
@@ -21,11 +25,7 @@ from dataclasses import dataclass, field
 
 from . import plane_graph as pg
 from .errors import BadAttachment, LabelSetMismatch, PropertyViolated, UnsupportedInput
-from .matchings import (
-    AVOIDS_END_EDGES,
-    MatchingFamily,
-    end_edge_state,
-)
+from .matchings import MatchingFamily, bit_ids, handle_column, resonance_columns
 from .plane_graph import PlaneGraph, edge_key, facial_handle_decomposition, swap_colors
 
 DAISY = "daisy"
@@ -126,15 +126,7 @@ def daisy_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
         labels = {m.id: ("0" if m.edges == reference else "1") for m in family}
         return Labelling(DAISY, labels, order)
 
-    handles_per_face = _exterior_handles(g, order)
-    labels = {}
-    for m in family:
-        bits = []
-        for fid in order:
-            states = {end_edge_state(m, h.path) for h in handles_per_face[fid]}
-            bits.append("0" if states == {AVOIDS_END_EDGES} else "1")
-        labels[m.id] = "".join(bits)
-
+    labels = _labels_from_columns(family, _daisy_columns(g, family, order))
     if len(set(labels.values())) != len(labels):
         raise LabelSetMismatch("daisy labels are not injective")
     if rfd.attachment is None:
@@ -147,21 +139,53 @@ def daisy_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
     return Labelling(DAISY, labels, order)
 
 
-def _handle_orientation(g: PlaneGraph, matching, path):
-    """Orientation of one clockwise-oriented handle path under a matching.
+def _daisy_columns(g: PlaneGraph, family: MatchingFamily, order) -> list:
+    """Per face in the order, the matchings whose daisy bit is 1: those that
+    contain the end edges of some exterior handle of the face."""
+    ones = []
+    for handles in _exterior_handles(g, order).values():
+        col = 0
+        for h in handles:
+            col |= handle_column(family, h.path)
+        ones.append(col)
+    return ones
 
-    Returns the color at the tail of every matched dart: WHITE when the
-    handle is proper alternating, BLACK when it is improper, None when its
-    matched darts run both ways.  A single avoided edge carries no matched
-    dart; it reads as the color opposite its first vertex, so it is proper
-    exactly when it runs black to white, the reading consistent with the
-    matched-dart rule on every odd handle."""
-    tails = {
-        g.color(u) for u, v in zip(path, path[1:]) if edge_key(u, v) in matching.edges
-    }
-    if not tails:
-        return pg.WHITE if g.color(path[0]) == pg.BLACK else pg.BLACK
-    return tails.pop() if len(tails) == 1 else None
+
+def _labels_from_columns(family: MatchingFamily, columns) -> dict:
+    """Per matching id, the bit string whose position i is bit id of
+    ``columns[i]``."""
+    width = f"0{len(family)}b"
+    digits = [format(col, width)[::-1] for col in columns]
+    return {mid: "".join(bits) for mid, bits in enumerate(zip(*digits))}
+
+
+def _proper_column(g: PlaneGraph, family: MatchingFamily, path) -> int:
+    """The matchings under which a clockwise-oriented odd handle is proper.
+
+    Its matched darts all have tails of the color of ``path[0]`` when it
+    contains its end edges, and of the other color when it avoids them; a
+    single avoided edge reads the same way.  So it is proper, its matched
+    darts running white to black, on the contain column when ``path[0]`` is
+    white and on its complement when ``path[0]`` is black."""
+    contain = handle_column(family, path)
+    return contain if g.color(path[0]) == pg.WHITE else family.full & ~contain
+
+
+def _fdl_columns(g: PlaneGraph, family: MatchingFamily, order) -> tuple:
+    """Per face in the order, the matchings under which every exterior
+    handle of the face is proper; and the (matching id, face) pairs, by
+    matching and then by position, where some handle is proper and some
+    improper."""
+    ones, mixed = [], []
+    for pos, (fid, handles) in enumerate(_exterior_handles(g, order).items()):
+        all_proper, any_proper = family.full, 0
+        for h in handles:
+            col = _proper_column(g, family, h.path)
+            all_proper &= col
+            any_proper |= col
+        ones.append(all_proper)
+        mixed.extend((mid, pos, fid) for mid in bit_ids(any_proper & ~all_proper))
+    return ones, tuple((mid, fid) for mid, _, fid in sorted(mixed))
 
 
 def fdl_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
@@ -177,28 +201,11 @@ def fdl_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
     if n == 1:
         if not g.is_cycle_graph():
             raise UnsupportedInput("a single finite face should mean an even cycle")
-        from .matchings import PROPER, alternation_kind
+        proper, _ = resonance_columns(g, family, g.finite_faces[0].id)
+        return Labelling(FDL, _labels_from_columns(family, [proper]), order)
 
-        walk = g.finite_faces[0].boundary
-        closed = walk + (walk[0],)
-        labels = {
-            m.id: ("1" if alternation_kind(g, m, closed) == PROPER else "0")
-            for m in family
-        }
-        return Labelling(FDL, labels, order)
-
-    handles_per_face = _exterior_handles(g, order)
-    labels = {}
-    mixed = []
-    for m in family:
-        bits = []
-        for fid in order:
-            tails = {_handle_orientation(g, m, h.path) for h in handles_per_face[fid]}
-            if {pg.WHITE, pg.BLACK} <= tails:
-                mixed.append((m.id, fid))
-            bits.append("1" if tails <= {pg.WHITE} else "0")
-        labels[m.id] = "".join(bits)
-    return Labelling(FDL, labels, order, tuple(mixed))
+    ones, mixed = _fdl_columns(g, family, order)
+    return Labelling(FDL, _labels_from_columns(family, ones), order, mixed)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,17 @@ cycle by attaching odd ears, one new finite face per step; on peripherally
 2-colorable inputs every step's face shares edges with exactly one earlier
 face, recorded in the attachment map that drives the daisy label-set
 construction.
+
+The face conditions of the decomposition theorem (the two sides of a face's
+edge class, the handle-set equalities, and the step checks' ear and inner
+sides) are read from the matching family's per-edge columns: each is a set
+of matchings held as one bitset over matching ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import cube_kit as ck
 from . import coding
@@ -25,13 +31,12 @@ from .errors import (
     UnsupportedInput,
 )
 from .matchings import (
-    AVOIDS_END_EDGES,
-    CONTAINS_END_EDGES,
     MatchingFamily,
-    end_edge_state,
+    bit_ids,
     enumerate_matchings,
     extremal_matchings,
-    is_resonant,
+    handle_column,
+    resonance_columns,
 )
 from .plane_graph import (
     DEFAULT_MATCHING_CAP,
@@ -65,9 +70,6 @@ class RfdSequence:
         if self.attachment is not None:
             att = {k: v for k, v in self.attachment.items() if k <= i}
         return RfdSequence(self.faces[:i], self.subgraph_edges[:i], att, self.notes)
-
-    def position_of(self, face_id) -> int:
-        return self.faces.index(face_id) + 1
 
 
 @dataclass(frozen=True)
@@ -269,38 +271,63 @@ def auto_rfd(g: PlaneGraph) -> RfdSequence:
 # ---------------------------------------------------------------------------
 
 
-def _in_state(family, handles, state) -> list:
-    """Per matching, whether every handle is in the end-edge ``state``.  Each
-    matching's handles are read in order up to the first in the other state,
-    so an even handle raises ValueError only after handles in ``state``."""
-    return [all(end_edge_state(m, h.path) == state for h in handles) for m in family]
+def _in_state(family, handles, contain: bool) -> int:
+    """The matchings under which every handle contains (``contain``) or every
+    handle avoids its end edges, as a bitset.  Handles are read in order
+    while some matching is still in the state, so an even handle raises
+    ValueError only when some matching's earlier handles are all in it."""
+    held = family.full
+    for h in handles:
+        if not held:
+            break
+        col = handle_column(family, h.path)
+        held &= col if contain else ~col
+    return held
 
 
-def _exterior_pass(g, family, face_id):
-    """The face's handle decomposition and, per matching, whether all its
-    exterior handles avoid their end edges and whether they all contain
-    them."""
-    dec = facial_handle_decomposition(g, face_id)
-    return (
-        dec,
-        _in_state(family, dec.exterior, AVOIDS_END_EDGES),
-        _in_state(family, dec.exterior, CONTAINS_END_EDGES),
-    )
+class _FaceRead:
+    """One face's handle decomposition and its column reads, shared by
+    :func:`split_by_face` and :func:`_subset_equalities_hold`.  Each read
+    runs on first use, so a face raises where its first reader reaches it:
+    the decomposition, then all exterior handles avoiding their end edges,
+    then all containing them."""
+
+    def __init__(self, g: PlaneGraph, family: MatchingFamily, face_id: int):
+        self.g, self.family, self.face_id = g, family, face_id
+
+    @cached_property
+    def dec(self):
+        return facial_handle_decomposition(self.g, self.face_id)
+
+    @cached_property
+    def avoid(self) -> int:
+        return _in_state(self.family, self.dec.exterior, contain=False)
+
+    @cached_property
+    def contain(self) -> int:
+        return _in_state(self.family, self.dec.exterior, contain=True)
+
+    @cached_property
+    def resonant(self) -> int:
+        proper, improper = resonance_columns(self.g, self.family, self.face_id)
+        return proper | improper
 
 
-def _face_sides(g, family, face_id) -> tuple:
+def _face_sides(read: _FaceRead) -> tuple:
     """The matchings whose exterior handles all avoid their end edges, and
     the resonant ones whose exterior handles all contain them."""
-    _, avoid, contain = _exterior_pass(g, family, face_id)
-    minus = frozenset(m.id for m, a in zip(family, avoid) if a)
-    plus = frozenset(
-        m.id for m, c in zip(family, contain) if c and is_resonant(g, m, face_id)
-    )
+    minus = frozenset(bit_ids(read.avoid))
+    plus = frozenset(bit_ids(read.contain & read.resonant))
     return minus, plus
 
 
 def split_by_face(
-    g: PlaneGraph, r: ResonanceGraph, face_id: int, strict: bool = True
+    g: PlaneGraph,
+    r: ResonanceGraph,
+    face_id: int,
+    strict: bool = True,
+    *,
+    read: _FaceRead = None,
 ):
     """Check the face-class split of the resonance graph.
 
@@ -308,8 +335,12 @@ def split_by_face(
     avoid-all-end-edges side and the contain-all-and-resonant side, with the
     class a perfect matching between their boundary sets and the plus side
     peripheral.  Returns a (FaceSplit, clauses) pair; with ``strict`` the
-    first failing clause raises :class:`TheoremViolated`.
+    first failing clause raises :class:`TheoremViolated`.  ``read`` is the
+    face's record when :func:`theorem_report` shares it with the handle-set
+    equalities.
     """
+    if read is None:
+        read = _FaceRead(g, r.family, face_id)
     clauses = {}
 
     def fail(clause, detail=""):
@@ -331,7 +362,7 @@ def split_by_face(
         fail("two-components", f"got {len(comps)} components")
         return None, clauses
 
-    minus_expected, plus_expected = _face_sides(g, r.family, face_id)
+    minus_expected, plus_expected = _face_sides(read)
     if {minus_expected, plus_expected} != set(comps):
         fail("side-sets", "components differ from the matching subsets")
         return None, clauses
@@ -467,14 +498,15 @@ def _check_step(
         return StepReport(i, clauses, details)
 
     # restriction map: avoid-side matchings of sub_i <-> matchings of sub_prev
-    minus = [m for m in fam_i if end_edge_state(m, ear) == AVOIDS_END_EDGES]
-    plus = [m for m in fam_i if end_edge_state(m, ear) == CONTAINS_END_EDGES]
+    ear_contain = handle_column(fam_i, ear)
+    minus = bit_ids(fam_i.full & ~ear_contain)
+    plus = bit_ids(ear_contain)
     restrict = {}
     ok = len(minus) == len(fam_prev)
     if ok:
-        for m in minus:
+        for mid in minus:
             try:
-                restrict[m.id] = fam_prev.by_edges(m.edges & sub_prev.edges).id
+                restrict[mid] = fam_prev.index[fam_i[mid].edges & sub_prev.edges]
             except KeyError:
                 ok = False
                 break
@@ -487,7 +519,7 @@ def _check_step(
 
     pos_i = {fid: p for p, fid in enumerate(rfd_i.faces, start=1)}
     pos_prev = {fid: p for p, fid in enumerate(rfd_prev.faces, start=1)}
-    minus_ids = {m.id for m in minus}
+    minus_ids = set(minus)
     mapped = {
         (min(restrict[u], restrict[v]), max(restrict[u], restrict[v]), pos_i[f])
         for u, v, f in res_i.edges
@@ -500,12 +532,11 @@ def _check_step(
     # graph; when that subgraph is not an even cycle the handle rule must
     # reproduce exactly the same labelling
     bit = i - 1  # 0-based string index of position i
-    ok = all(labels_i[m.id][bit] == "0" for m in minus) and all(
-        labels_i[m.id][bit] == "1" for m in plus
+    ok = all(labels_i[mid][bit] == "0" for mid in minus) and all(
+        labels_i[mid][bit] == "1" for mid in plus
     )
     labels_prev = {
-        restrict[m.id]: labels_i[m.id][:bit] + labels_i[m.id][bit + 1 :]
-        for m in minus
+        restrict[mid]: labels_i[mid][:bit] + labels_i[mid][bit + 1 :] for mid in minus
     }
     ok = ok and len(set(labels_prev.values())) == len(labels_prev)
     if i >= 3:
@@ -513,9 +544,7 @@ def _check_step(
     check("label-deletion", ok)
 
     # the inner-path side inside the previous resonance graph
-    inner_set = frozenset(
-        m.id for m in fam_prev if end_edge_state(m, inner) == CONTAINS_END_EDGES
-    )
+    inner_set = frozenset(bit_ids(handle_column(fam_prev, inner)))
     details["inner_size"] = len(inner_set)
     # R(G_(i-1)) is a partial cube, so its daisy labels are certified once
     # and distance is read from them.  Should the certificate fail, the
@@ -542,14 +571,11 @@ def _check_step(
     even_ear = frozenset(ear_edges_seq[1::2])
     cycle_edges = face_edges
 
-    def extend_minus(m_prev):
-        return fam_i.by_edges(m_prev.edges | even_ear).id
-
     expected_vertices = set()
     expected_edges = set()
     lift = {}
     for m_prev in fam_prev:
-        lid = extend_minus(m_prev)
+        lid = fam_i.index[m_prev.edges | even_ear]
         lift[m_prev.id] = lid
         expected_vertices.add(lid)
     for u, v, f in res_prev.edges:
@@ -558,7 +584,7 @@ def _check_step(
     partner = {}
     for mid in sorted(inner_set):
         base = fam_i[lift[mid]]
-        twin = fam_i.by_edges(base.edges ^ cycle_edges).id
+        twin = fam_i.index[base.edges ^ cycle_edges]
         partner[mid] = twin
         expected_vertices.add(twin)
         a, b = sorted((lift[mid], twin))
@@ -585,9 +611,7 @@ def _check_step(
         for mid in labels_i
         if labels_i[mid][att_bit] == "0" and labels_i[mid][bit] == "0"
     )
-    inner_lifted = frozenset(
-        m.id for m in fam_i if end_edge_state(m, inner) == CONTAINS_END_EDGES
-    )
+    inner_lifted = frozenset(bit_ids(handle_column(fam_i, inner)))
     check("zero-positions", zero_both == inner_lifted)
 
     return StepReport(i, clauses, details)
@@ -599,7 +623,10 @@ def _check_step(
 
 
 def theorem_report(
-    g: PlaneGraph, rfd: RfdSequence = None, cap: int = DEFAULT_MATCHING_CAP
+    g: PlaneGraph,
+    rfd: RfdSequence = None,
+    cap: int = DEFAULT_MATCHING_CAP,
+    resonance: ResonanceGraph = None,
 ) -> dict:
     """Run every decomposition and coding check on one graph.
 
@@ -608,7 +635,9 @@ def theorem_report(
     aggregates everything.  Works on peripherally 2-colorable inputs that
     are not even cycles.  ``cap`` bounds the enumeration of the perfect
     matchings of the graph and of each decomposition prefix; more of them
-    raise :class:`CapExceeded`."""
+    raise :class:`CapExceeded`.  ``resonance`` is R(G) when the caller has
+    built it already; the report then reuses it and its matching family
+    instead of enumerating the graph again."""
     verdict = is_peripherally_two_colorable(g)
     report = {
         "peripherally_two_colorable": verdict.ok,
@@ -627,8 +656,9 @@ def theorem_report(
         report["ok"] = True
         return report
 
-    family = enumerate_matchings(g, cap=cap)
-    r = build_resonance(g, family)
+    if resonance is None:
+        resonance = build_resonance(g, enumerate_matchings(g, cap=cap))
+    r, family = resonance, resonance.family
     if rfd is None:
         rfd = auto_rfd(g)
     report["rfd"] = {
@@ -637,9 +667,10 @@ def theorem_report(
         "notes": list(rfd.notes),
     }
 
-    for face in g.finite_faces:
-        _, clauses = split_by_face(g, r, face.id, strict=False)
-        report["faces"][str(face.id)] = clauses
+    reads = {face.id: _FaceRead(g, family, face.id) for face in g.finite_faces}
+    for fid, read in reads.items():
+        _, clauses = split_by_face(g, r, fid, strict=False, read=read)
+        report["faces"][str(fid)] = clauses
 
     cur = None
     for i in range(2, rfd.n + 1):
@@ -663,9 +694,8 @@ def theorem_report(
     lab["fdl_top_ones"] = fdl.labels[top] == "1" * rfd.n
     lab["fdl_no_mixed_orientation"] = not fdl.mixed_orientation
     lab["edges_flip_their_face_bit"] = all(
-        _differ_only_at(labels[u], labels[v], rfd.position_of(f) - 1)
+        _edges_flip_their_face_bit(r, rfd, labels)
         for labels in (daisy.labels, fdl.labels)
-        for u, v, f in r.edges
     )
     lab["fully_resonant_is_daisy_zero"] = (
         extremal.fully_resonant is not None
@@ -676,8 +706,8 @@ def theorem_report(
     )
 
     subsets_ok = True
-    for face in g.finite_faces:
-        subsets_ok = subsets_ok and _subset_equalities_hold(g, family, face.id)
+    for read in reads.values():
+        subsets_ok = subsets_ok and _subset_equalities_hold(read)
     report["subsets"]["handle-set-equalities"] = subsets_ok
 
     classes = ck.theta_classes(metric)
@@ -702,12 +732,16 @@ def theorem_report(
     return report
 
 
-def _differ_only_at(a: str, b: str, index: int) -> bool:
-    return all((x != y) == (k == index) for k, (x, y) in enumerate(zip(a, b)))
+def _edges_flip_their_face_bit(r: ResonanceGraph, rfd: RfdSequence, labels) -> bool:
+    """Every resonance edge joins two labels that differ exactly at its
+    face's position."""
+    flip = {fid: 1 << (rfd.n - p) for p, fid in enumerate(rfd.faces, start=1)}
+    value = {mid: int(label, 2) for mid, label in labels.items()}
+    return all(value[u] ^ value[v] == flip[f] for u, v, f in r.edges)
 
 
-def _subset_equalities_hold(g, family, face_id) -> bool:
-    """The handle-set equalities of one face, read per matching M.
+def _subset_equalities_hold(read: _FaceRead) -> bool:
+    """The handle-set equalities of one face, read on bitsets of matchings.
 
     With ext(M) and int(M) the state that all exterior, or all interior,
     handles of the face share under M, and res(M) whether M makes the face
@@ -719,17 +753,16 @@ def _subset_equalities_hold(g, family, face_id) -> bool:
     - int(M) = avoid and res(M) exactly when ext(M) = contain;
     - int(M) = contain exactly when ext(M) = avoid and res(M).
 
-    Every matching's exterior states are read before any interior handle,
-    so a face that fails an exterior condition returns False before an
-    even interior handle can raise."""
-    dec, avoid, contain = _exterior_pass(g, family, face_id)
-    if not all(a or c for a, c in zip(avoid, contain)):
+    Every exterior condition is read before any interior handle, so a face
+    that fails one returns False before an even interior handle can
+    raise."""
+    family, interior = read.family, read.dec.interior
+    avoid, contain = read.avoid, read.contain
+    if (avoid | contain) != family.full:
         return False
-    resonant = [is_resonant(g, m, face_id) for m in family]
-    if any(c and not r for c, r in zip(contain, resonant)):
+    resonant = read.resonant
+    if contain & ~resonant:
         return False
-    inner_avoid = _in_state(family, dec.interior, AVOIDS_END_EDGES)
-    if any((i and r) != c for i, r, c in zip(inner_avoid, resonant, contain)):
+    if (_in_state(family, interior, contain=False) & resonant) != contain:
         return False
-    inner_contain = _in_state(family, dec.interior, CONTAINS_END_EDGES)
-    return all(i == (a and r) for i, a, r in zip(inner_contain, avoid, resonant))
+    return _in_state(family, interior, contain=True) == (avoid & resonant)

@@ -4,11 +4,20 @@ A matching family enumerates every perfect matching of a plane graph in a
 deterministic order, so matching ids are stable across runs.  On top of it
 live the facial predicates: resonance of a face, proper/improper
 alternation of walks, and the two-state end-edge predicate of odd handles.
+
+Each predicate has two reads.  The per-matching one (:func:`is_resonant`,
+:func:`alternation_kind`, :func:`end_edge_state`) answers for a single
+matching.  The column read answers for the whole family at once: the family
+is transposed into one int per edge whose bit k is set when matching k
+holds the edge, and a face or handle condition becomes a few big-int
+operations on those columns (:func:`handle_column`,
+:func:`resonance_columns`), giving a set of matchings as a bitset over ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import plane_graph as pg
 from .errors import InternalInvariantBroken, NoPerfectMatching, NotFound
@@ -51,6 +60,26 @@ class MatchingFamily:
     @property
     def ids(self):
         return range(len(self.matchings))
+
+    @cached_property
+    def full(self) -> int:
+        """The bitset of every matching id."""
+        return (1 << len(self.matchings)) - 1
+
+    @cached_property
+    def columns(self) -> dict:
+        """Edge -> an int whose bit k is set when matching k holds the edge;
+        edges that no matching holds are absent."""
+        size = (len(self.matchings) + 7) // 8
+        rows = {}
+        for m in self.matchings:
+            byte, bit = m.id >> 3, 1 << (m.id & 7)
+            for e in m.edges:
+                row = rows.get(e)
+                if row is None:
+                    row = rows[e] = bytearray(size)
+                row[byte] |= bit
+        return {e: int.from_bytes(row, "little") for e, row in rows.items()}
 
     def by_edges(self, edges) -> PerfectMatching:
         """The matching with exactly these edges; raises KeyError if none."""
@@ -121,6 +150,59 @@ def end_edge_state(matching: PerfectMatching, path) -> str:
 
 
 # ---------------------------------------------------------------------------
+# column reads over a whole family
+# ---------------------------------------------------------------------------
+
+
+def bit_ids(bits: int) -> list:
+    """The matching ids in a bitset, ascending."""
+    return [k for k, c in enumerate(reversed(bin(bits))) if c == "1"]
+
+
+def handle_column(family: MatchingFamily, path) -> int:
+    """The matchings that contain the end edges of an odd path whose interior
+    is matched within it, as a bitset: :func:`end_edge_state` over the
+    family.  Raises ValueError on an even path, and
+    :class:`InternalInvariantBroken` when some matching holds exactly one of
+    the two end edges."""
+    if (len(path) - 1) % 2 == 0:
+        raise ValueError("end-edge state is only defined for odd-length paths")
+    cols = family.columns
+    first = cols.get(edge_key(path[0], path[1]), 0)
+    if first != cols.get(edge_key(path[-2], path[-1]), 0):
+        raise InternalInvariantBroken(
+            "an odd path contains exactly one of its end edges"
+        )
+    return first
+
+
+def resonance_columns(g: PlaneGraph, family: MatchingFamily, face_id: int) -> tuple:
+    """The matchings under which a finite face is proper resonant, and those
+    under which it is improper resonant, as two bitsets: :func:`alternation_kind`
+    on the closed facial walk over the family, whose union is
+    :func:`is_resonant`.
+
+    The walk alternates exactly when every dart of one alternate half is
+    matched: consecutive darts share a vertex, so a perfect matching then
+    holds no dart of the other half (a finite facial walk has more than two
+    darts and passes each dart once).  The tails of one half's darts all
+    share the color of the tail of its first dart, so that color tells
+    proper from improper."""
+    darts = g.faces[face_id].darts
+    cols = family.columns
+    col = [cols.get(edge_key(*d), 0) for d in darts]
+    halves = []
+    for start in (0, 1):
+        held = family.full
+        for c in col[start::2]:
+            held &= c
+        halves.append(held)
+    if g.color(darts[0][0]) == pg.WHITE:
+        return halves[0], halves[1]
+    return halves[1], halves[0]
+
+
+# ---------------------------------------------------------------------------
 # extremal matchings
 # ---------------------------------------------------------------------------
 
@@ -157,26 +239,28 @@ def extremal_matchings(g: PlaneGraph, family: MatchingFamily) -> ExtremalMatchin
     Raises :class:`NotFound` when the lattice bottom or top is missing or
     ambiguous.  ``fully_resonant`` is None unless exactly one matching
     qualifies (on an even cycle both do, and on graphs that are not
-    peripherally 2-colorable none may)."""
-    walks = [f.boundary + (f.boundary[0],) for f in g.finite_faces]
-    fully, bottoms, tops = [], [], []
-    for m in family:
-        kinds = {alternation_kind(g, m, walk) for walk in walks}
-        if NOT_ALTERNATING not in kinds:
-            fully.append(m.id)
-        if PROPER not in kinds:
-            bottoms.append(m.id)
-        if IMPROPER not in kinds:
-            tops.append(m.id)
+    peripherally 2-colorable none may).
 
-    if len(bottoms) != 1:
-        raise NotFound(f"{len(bottoms)} matchings have no proper resonant face")
-    if len(tops) != 1:
-        raise NotFound(f"{len(tops)} matchings have no improper resonant face")
+    Read from the columns: fully resonant is the AND of resonant over the
+    faces, and bottom and top are the complements of the ORs of proper and
+    of improper resonant."""
+    fully, any_proper, any_improper = family.full, 0, 0
+    for face in g.finite_faces:
+        proper, improper = resonance_columns(g, family, face.id)
+        fully &= proper | improper
+        any_proper |= proper
+        any_improper |= improper
+    bottoms = family.full & ~any_proper
+    tops = family.full & ~any_improper
+
+    if bottoms.bit_count() != 1:
+        raise NotFound(f"{bottoms.bit_count()} matchings have no proper resonant face")
+    if tops.bit_count() != 1:
+        raise NotFound(f"{tops.bit_count()} matchings have no improper resonant face")
     return ExtremalMatchings(
-        fully_resonant=fully[0] if len(fully) == 1 else None,
-        lattice_bottom=bottoms[0],
-        lattice_top=tops[0],
+        fully_resonant=fully.bit_length() - 1 if fully.bit_count() == 1 else None,
+        lattice_bottom=bottoms.bit_length() - 1,
+        lattice_top=tops.bit_length() - 1,
     )
 
 

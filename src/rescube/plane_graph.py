@@ -215,6 +215,11 @@ class PlaneGraph:
         does, on every access, since a failed computation is not cached."""
         return {e: h for h in handles(self) for e in h.edges}
 
+    @cached_property
+    def _facial_handles(self) -> dict:
+        """face id -> its facial handle decomposition, filled on first use."""
+        return {}
+
     # -- coloring ----------------------------------------------------------
 
     def color(self, v) -> str:
@@ -542,8 +547,6 @@ def handles(g: PlaneGraph) -> frozenset:
                 prev, cur = path[-2], path[-1]
                 nxt = [w for w in g.rotation[cur] if w != prev][0]
                 path.append(nxt)
-            if path[-1] == b:
-                raise UnsupportedInput("cycle attached at a single branch vertex")
             first = edge_key(path[0], path[1])
             exterior = first in g.periphery_edges
             for a, c in zip(path, path[1:]):
@@ -560,8 +563,12 @@ def facial_handle_decomposition(g: PlaneGraph, face_id: int) -> FacialHandleDeco
 
     Handles are listed clockwise starting with an interior handle; every
     handle path is oriented along the clockwise facial walk and consecutive
-    handles meet in exactly one vertex.
+    handles meet in exactly one vertex.  Each face is decomposed once per
+    graph; a face that raises raises on every call.
     """
+    memo = g._facial_handles
+    if face_id in memo:
+        return memo[face_id]
     face = g.faces[face_id]
     if face.is_infinite:
         raise ValueError("facial handle decomposition needs a finite face")
@@ -603,7 +610,8 @@ def facial_handle_decomposition(g: PlaneGraph, face_id: int) -> FacialHandleDeco
     for h, darts in runs:
         path = tuple([darts[0][0]] + [d[1] for d in darts])
         oriented.append(Handle(path, h.kind))
-    return FacialHandleDecomposition(face_id, tuple(oriented))
+    memo[face_id] = FacialHandleDecomposition(face_id, tuple(oriented))
+    return memo[face_id]
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,19 @@ def hexagon_with_pendant_path(hexagon):
 
 
 @pytest.fixture(scope="session")
+def even_interior():
+    """Three hexagons in a row, the middle one sharing two edges with each
+    side: its interior handles are even, and its two exterior edges start
+    at vertices of different colors."""
+    return build_plane_graph(
+        [(0, -1, -2), (1, 1, -2), (2, 2, 0), (3, 1, 2), (4, -1, 2), (5, -2, 0),
+         (6, 3, -3), (7, 4, 0), (8, 3, 3), (9, -3, 3), (10, -4, 0), (11, -3, -3)],
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 6), (6, 7), (7, 8),
+         (8, 3), (4, 9), (9, 10), (10, 11), (11, 0)],
+    )
+
+
+@pytest.fixture(scope="session")
 def nested_rings():
     """Two concentric octagons joined by two spokes two steps apart.
 

@@ -26,10 +26,13 @@ matching: the reference for the single-matching analysis of
 
 The handle section selects matching subsets by a small grammar of handle
 predicates and checks the paper's set equalities between them: the
-reference for the per-matching face conditions of
-``rescube.decomposition``.  It also finds cut vertices by deleting each
-vertex in turn: the reference for the facial-walk test of
-``rescube.plane_graph.handles``.
+reference for the face conditions of ``rescube.decomposition``.  It also
+finds cut vertices by deleting each vertex in turn: the reference for the
+facial-walk test of ``rescube.plane_graph.handles``.
+
+The per-matching section reads every face condition one matching at a
+time through the single-matching predicates: the reference for the
+per-edge column reads of ``rescube.matchings`` and ``rescube.coding``.
 """
 
 from dataclasses import dataclass
@@ -47,13 +50,17 @@ from rescube.matchings import (
     AVOIDS_END_EDGES,
     CONTAINS_END_EDGES,
     IMPROPER,
+    NOT_ALTERNATING,
     PROPER,
     alternation_kind,
     end_edge_state,
     is_resonant,
 )
 from rescube.plane_graph import (
+    BLACK,
+    WHITE,
     ElementaryReport,
+    edge_key,
     edge_subgraph,
     enumerate_matching_edge_sets,
     facial_handle_decomposition,
@@ -642,4 +649,70 @@ def has_cut_vertex(g) -> bool:
         count([u for u in g.vertices if u != v], [e for e in g.edges if v not in e])
         > whole
         for v in g.vertices
+    )
+
+
+# ---------------------------------------------------------------------------
+# per-matching face reads
+# ---------------------------------------------------------------------------
+
+
+def bitset(family, predicate) -> int:
+    """The ids of the matchings on which ``predicate`` holds, as a bitset,
+    read one matching at a time in id order."""
+    return sum(1 << m.id for m in family if predicate(m))
+
+
+def face_scan_extremes(g, family) -> tuple:
+    """The ids of the fully resonant matchings, of those with no proper
+    resonant face and of those with no improper one, from
+    :func:`alternation_kind` on every closed facial walk of every matching."""
+    walks = [f.boundary + (f.boundary[0],) for f in g.finite_faces]
+    fully, bottoms, tops = [], [], []
+    for m in family:
+        kinds = {alternation_kind(g, m, walk) for walk in walks}
+        if NOT_ALTERNATING not in kinds:
+            fully.append(m.id)
+        if PROPER not in kinds:
+            bottoms.append(m.id)
+        if IMPROPER not in kinds:
+            tops.append(m.id)
+    return fully, bottoms, tops
+
+
+def handle_orientation(g, matching, path):
+    """Orientation of one clockwise-oriented handle path under a matching:
+    the color at the tail of every matched dart, None when they run both
+    ways.  A single avoided edge carries no matched dart; it reads as the
+    color opposite its first vertex."""
+    tails = {
+        g.color(u) for u, v in zip(path, path[1:]) if edge_key(u, v) in matching.edges
+    }
+    if not tails:
+        return WHITE if g.color(path[0]) == BLACK else BLACK
+    return tails.pop() if len(tails) == 1 else None
+
+
+def daisy_bits(g, family, face_id) -> int:
+    """The matchings whose daisy bit at the face is 1: the states of the
+    face's exterior handles are not all 'avoids'."""
+    exterior = facial_handle_decomposition(g, face_id).exterior
+    return bitset(
+        family,
+        lambda m: {end_edge_state(m, h.path) for h in exterior} != {AVOIDS_END_EDGES},
+    )
+
+
+def fdl_bits(g, family, face_id) -> tuple:
+    """The matchings whose lattice bit at the face is 1 (every exterior
+    handle proper), and the matchings under which the face's exterior
+    handles are of mixed orientation."""
+    exterior = facial_handle_decomposition(g, face_id).exterior
+
+    def tails(m):
+        return {handle_orientation(g, m, h.path) for h in exterior}
+
+    return (
+        bitset(family, lambda m: tails(m) <= {WHITE}),
+        bitset(family, lambda m: {WHITE, BLACK} <= tails(m)),
     )

@@ -169,13 +169,13 @@ def test_cap_reaches_every_enumeration(branched_file, capsys, enumerations, argv
 @pytest.mark.parametrize(
     "argv, whole_graph",
     [(["label", "--scheme", "daisy"], 1), (["label", "--scheme", "fdl"], 1),
-     (["label", "--scheme", "daisy", "--verify"], 2), (["verify"], 1)],
+     (["label", "--scheme", "daisy", "--verify"], 1), (["verify"], 1)],
     ids=lambda a: " ".join(a) if isinstance(a, list) else str(a),
 )
 def test_whole_graph_enumerated_once_per_use(
     branched_file, branched5, capsys, enumerations, argv, whole_graph
 ):
-    # label enumerates the graph once; --verify adds the report's one pass
+    # label enumerates the graph once; --verify hands that family to the report
     code, _, _ = run(capsys, argv[0], branched_file, *argv[1:])
     assert code == 0
     assert [edges for edges, _ in enumerations].count(branched5.edges) == whole_graph

@@ -17,7 +17,9 @@ from rescube.errors import (
 )
 from rescube.decomposition import (
     FaceSplit,
+    _FaceRead,
     _face_sides,
+    _in_state,
     _subset_equalities_hold,
     auto_rfd,
     find_reducible_faces,
@@ -26,7 +28,12 @@ from rescube.decomposition import (
     theorem_report,
     verify_reducible_split,
 )
-from rescube.matchings import enumerate_matchings
+from rescube.matchings import (
+    AVOIDS_END_EDGES,
+    CONTAINS_END_EDGES,
+    end_edge_state,
+    enumerate_matchings,
+)
 from rescube.plane_graph import elementary_analysis, from_rotation_system
 from rescube.resonance import build_resonance
 
@@ -430,10 +437,10 @@ def assert_face_conditions_match_oracle(g):
     r = build_resonance(g, family)
     for face in g.finite_faces:
         fid = face.id
-        assert outcome(lambda: _subset_equalities_hold(g, family, fid)) == outcome(
+        assert outcome(lambda: _subset_equalities_hold(_FaceRead(g, family, fid))) == outcome(
             lambda: oracle.subset_equalities_hold(g, family, fid)
         )
-        sides = outcome(lambda: _face_sides(g, family, fid))
+        sides = outcome(lambda: _face_sides(_FaceRead(g, family, fid)))
         assert sides == outcome(
             lambda: (
                 oracle.matching_subset(g, family, fid, "all-exterior-avoid"),
@@ -453,23 +460,18 @@ def test_face_conditions_match_oracle_on_corpus():
 def test_face_conditions_match_oracle_on_fixtures(
     branched5, pyrene, triphenylene, anthracene, nested_rings,
     hexagon_plus_naphthalene, branched5_plus_hexagon, hexagon_with_pendant_path,
+    even_interior,
 ):
-    # three hexagons in a row, the middle one sharing two edges with each
-    # side: its exterior handles are single edges in one state, so only the
-    # interior pass meets the even handles and raises
-    even_interior = plane_graph.build_plane_graph(
-        [(0, -1, -2), (1, 1, -2), (2, 2, 0), (3, 1, 2), (4, -1, 2), (5, -2, 0),
-         (6, 3, -3), (7, 4, 0), (8, 3, 3), (9, -3, 3), (10, -4, 0), (11, -3, -3)],
-        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 6), (6, 7), (7, 8),
-         (8, 3), (4, 9), (9, 10), (10, 11), (11, 0)],
-    )
+    # the middle hexagon's exterior handles are single edges in one state,
+    # so only the interior pass meets the even handles and raises
     middle = even_interior.face_by_edge_set[frozenset(
         plane_graph.edge_key(i, (i + 1) % 6) for i in range(6)
     )]
     family = enumerate_matchings(even_interior)
-    assert _face_sides(even_interior, family, middle) == (frozenset(family.ids), frozenset())
+    read = _FaceRead(even_interior, family, middle)
+    assert _face_sides(read) == (frozenset(family.ids), frozenset())
     with pytest.raises(ValueError):
-        _subset_equalities_hold(even_interior, family, middle)
+        _subset_equalities_hold(read)
     for g in (branched5, pyrene, triphenylene, anthracene, nested_rings,
               hexagon_plus_naphthalene, branched5_plus_hexagon,
               hexagon_with_pendant_path, even_interior):
@@ -482,3 +484,37 @@ def test_face_conditions_match_oracle_on_edge_subsets(pyrene, nested_rings, data
     g = data.draw(matchable_edge_subsets(small_corpus() + (pyrene, nested_rings)))
     assume(elementary_analysis(g).is_weakly_elementary)
     assert_face_conditions_match_oracle(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_in_state_matches_per_matching_read(pyrene, anthracene, even_interior, data):
+    """The column read of "every handle in one state" equals the per-matching
+    read that stops at each matching's first handle in the other state: an
+    even handle raises only when some matching reaches it."""
+    g = data.draw(st.sampled_from((pyrene, anthracene, even_interior)))
+    family = enumerate_matchings(g)
+    pool = sorted(plane_graph.handles(g), key=lambda h: h.path)
+    seq = data.draw(st.lists(st.sampled_from(pool), max_size=5))
+    contain = data.draw(st.booleans())
+    state = CONTAINS_END_EDGES if contain else AVOIDS_END_EDGES
+    assert outcome(lambda: _in_state(family, seq, contain)) == outcome(
+        lambda: oracle.bitset(
+            family, lambda m: all(end_edge_state(m, h.path) == state for h in seq)
+        )
+    )
+
+
+def test_report_reads_each_face_once(branched5, monkeypatch):
+    """split_by_face and the handle-set equalities share one record per
+    face, so each face's resonance columns are read once per report."""
+    reads = Counter()
+    real = decomposition.resonance_columns
+
+    def spy(g, family, face_id):
+        reads[face_id] += 1
+        return real(g, family, face_id)
+
+    monkeypatch.setattr(decomposition, "resonance_columns", spy)
+    assert theorem_report(branched5)["ok"]
+    assert reads == Counter({f.id: 1 for f in branched5.finite_faces})

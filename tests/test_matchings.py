@@ -6,25 +6,43 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
-from rescube.errors import CapExceeded, NoPerfectMatching, NotFound
+from rescube.errors import (
+    CapExceeded,
+    InternalInvariantBroken,
+    NoPerfectMatching,
+    NotFound,
+    RescubeError,
+    UnsupportedInput,
+)
 from rescube.matchings import (
     AVOIDS_END_EDGES,
     CONTAINS_END_EDGES,
     IMPROPER,
     NOT_ALTERNATING,
     PROPER,
+    MatchingFamily,
+    PerfectMatching,
     alternation_kind,
+    bit_ids,
     end_edge_state,
     enumerate_matchings,
     extremal_matchings,
+    handle_column,
     is_resonant,
     matchings_to_json,
+    resonance_columns,
 )
-from rescube.plane_graph import elementary_analysis, facial_handle_decomposition, handles
+from rescube.plane_graph import (
+    edge_key,
+    elementary_analysis,
+    facial_handle_decomposition,
+    handles,
+)
 from rescube.decomposition import auto_rfd, rfd_from_face_order
-from rescube.coding import daisy_labelling, fdl_labelling
+from rescube.coding import _daisy_columns, _fdl_columns, daisy_labelling, fdl_labelling
 
 from conftest import zigzag
+import cube_oracles as oracle
 from cube_oracles import (
     all_cycles,
     cycle_scan_extremes,
@@ -361,3 +379,108 @@ def test_end_edge_state_requires_odd():
     m = PerfectMatching(0, frozenset({(0, 1), (2, 3)}))
     with pytest.raises(ValueError):
         end_edge_state(m, (0, 1, 2))
+
+
+# ---------------------------------------------------------------------------
+# column reads against the per-matching oracles
+# ---------------------------------------------------------------------------
+
+
+def outcome(fn):
+    """What ``fn()`` returns, or the type of the error it raises."""
+    try:
+        return fn()
+    except (RescubeError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_columns_match_oracles(g):
+    """Every column read equals its per-matching oracle on every finite face
+    and handle of ``g``: the same bitset, or the same error type."""
+    family = enumerate_matchings(g)
+    for face in g.finite_faces:
+        fid = face.id
+        walk = face.boundary + (face.boundary[0],)
+        proper, improper = resonance_columns(g, family, fid)
+        assert proper == oracle.bitset(family, lambda m: alternation_kind(g, m, walk) == PROPER)
+        assert improper == oracle.bitset(
+            family, lambda m: alternation_kind(g, m, walk) == IMPROPER
+        )
+        assert proper | improper == oracle.bitset(family, lambda m: is_resonant(g, m, fid))
+
+        dec = outcome(lambda: facial_handle_decomposition(g, fid))
+        if isinstance(dec, type):
+            continue
+        for h in dec.sequence:
+            assert outcome(lambda: handle_column(family, h.path)) == outcome(
+                lambda: oracle.bitset(
+                    family, lambda m: end_edge_state(m, h.path) == CONTAINS_END_EDGES
+                )
+            )
+        daisy = outcome(lambda: _daisy_columns(g, family, (fid,)))
+        fdl = outcome(lambda: _fdl_columns(g, family, (fid,)))
+        if any(h.length % 2 == 0 for h in dec.exterior):
+            # the codings reject the face before reading any matching
+            assert daisy == fdl == UnsupportedInput
+            continue
+        assert daisy == outcome(lambda: [oracle.daisy_bits(g, family, fid)])
+        ones, mixed = oracle.fdl_bits(g, family, fid)
+        assert fdl == ([ones], tuple((mid, fid) for mid in bit_ids(mixed)))
+
+    fully, bottoms, tops = oracle.face_scan_extremes(g, family)
+    ext = outcome(lambda: extremal_matchings(g, family))
+    if len(bottoms) != 1 or len(tops) != 1:
+        assert ext == NotFound
+    else:
+        assert ext.lattice_bottom == bottoms[0] and ext.lattice_top == tops[0]
+        assert ext.fully_resonant == (fully[0] if len(fully) == 1 else None)
+
+
+def test_columns_match_oracles_on_corpus():
+    for shape in catacondensed_polyhexes(7):
+        assert_columns_match_oracles(build_benzenoid(shape))
+
+
+def test_columns_match_oracles_on_fixtures(
+    hexagon, pyrene, triphenylene, nested_rings, hexagon_with_pendant_path,
+    branched5_plus_hexagon, even_interior,
+):
+    for g in (hexagon, pyrene, triphenylene, nested_rings, hexagon_with_pendant_path,
+              branched5_plus_hexagon, even_interior, build_benzenoid(CORONENE)):
+        assert_columns_match_oracles(g)
+    # the middle hexagon's exterior edges start at different colors: a
+    # matching that avoids both reads one proper and one improper
+    family = enumerate_matchings(even_interior)
+    middle = even_interior.face_by_edge_set[
+        frozenset(edge_key(i, (i + 1) % 6) for i in range(6))
+    ]
+    assert _fdl_columns(even_interior, family, (middle,))[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_columns_match_oracles_on_edge_subsets(pyrene, nested_rings, data):
+    g = data.draw(matchable_edge_subsets(small_corpus() + (pyrene, nested_rings)))
+    assert_columns_match_oracles(g)
+
+
+def test_handle_column_requires_odd_and_both_ends(branched5):
+    # two edge sets that are no perfect matchings: the first holds one end
+    # edge of the path 0-1-2-3, the second both
+    family = MatchingFamily(
+        branched5,
+        [PerfectMatching(0, frozenset({(0, 1)})), PerfectMatching(1, frozenset({(0, 1), (2, 3)}))],
+    )
+    with pytest.raises(ValueError):
+        handle_column(family, (0, 1, 2))
+    with pytest.raises(InternalInvariantBroken):
+        handle_column(family, (0, 1, 2, 3))
+    assert handle_column(family, (3, 2)) == 0b10
+
+
+def test_columns_transpose_the_family(branched5):
+    family = enumerate_matchings(branched5)
+    assert family.full == (1 << len(family)) - 1
+    for e in branched5.edges:
+        assert bit_ids(family.columns.get(e, 0)) == [m.id for m in family if e in m.edges]
+    assert bit_ids(0) == [] and bit_ids(0b1011) == [0, 1, 3]
