@@ -2,27 +2,35 @@
 Theta, partial-cube and median recognition, daisy-cube recognition with
 proper labellings, and convexity read from labels.
 
-The one distance table, from breadth-first search, serves a graph that
-comes without labels: its Theta classes read the distance differences
-d(x, w) - d(y, w) of each edge (x, y), and give one ``int`` label per
-vertex with bit i for class i.  Labels, found so or given, are certified
-without a table: they are isometric exactly when every edge flips one bit
-and every vertex differs from every other vertex at a bit that one of its
-own edges flips.  On certified labels distance is popcount, so convexity,
-medianness (closure under bitwise majority; Bandelt and Chepoi, "Metric
-graph theory and geometry: a survey", 2008) and the daisy search, which
-tries each vertex's label as the XOR mask that makes it the all-zeros
-root, need no distances.  The definitional brute-force versions (among
-them the sweep over all 2^idim masks), and the expansion construction,
-live with the tests as oracles.
+No distance table is built.  A graph that comes without labels is embedded
+from one pair of breadth-first rows per Theta class: the rows from the ends
+x, y of the smallest unclassified edge split the vertices into those nearer
+x and those nearer y, the edges between the two halves are the class, and
+the far half sets the class's bit.  On a partial cube Theta is transitive
+(Winkler, "Isometric embedding in products of complete graphs", 1984), so
+one representative's crossing set is its whole class; Eppstein
+("Recognizing partial cubes in quadratic time", 2011) builds on the same
+fact.  Labels, found so or given, are certified: they are isometric exactly
+when every edge flips one bit and every vertex differs from every other
+vertex at a bit that one of its own edges flips.  On certified labels
+distance is popcount, so convexity, medianness (closure under bitwise
+majority; Bandelt and Chepoi, "Metric graph theory and geometry: a
+survey", 2008) and the daisy search (the per-bit majority as the XOR mask
+that makes the labels a down-set) need no distances.  The definitional
+brute-force versions, the distance table and the Theta classes read from
+its distance differences, and the expansion construction live with the
+tests as oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, repeat
-from operator import neg, sub
+from itertools import combinations
+
+from .errors import NotAPartialCube
+
+_NOT_TRANSITIVE = "Theta not transitive"
 
 
 def _edge_key(u, v):
@@ -64,8 +72,8 @@ def components(vertices, neighbors) -> tuple:
 
 
 class MetricGraph:
-    """An undirected graph; its all-pairs distance table is built on first
-    use, for the Theta classes."""
+    """An undirected graph; its partial-cube embedding is built on first
+    use, and each label set given to it is certified once."""
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
@@ -80,35 +88,16 @@ class MetricGraph:
             eset.add(_edge_key(u, v))
         self.adjacency = {v: frozenset(ws) for v, ws in adj.items()}
         self.edges = frozenset(eset)
+        self._certified = {}  # labels in vertex order -> int labels, or None
 
     @cached_property
-    def dist(self) -> dict:
-        table = {}
-        for source in self.vertices:
-            d = {source: 0}
-            frontier = [source]
-            step = 0
-            while frontier:
-                step += 1
-                nxt = []
-                for v in frontier:
-                    for w in self.adjacency[v]:
-                        if w not in d:
-                            d[w] = step
-                            nxt.append(w)
-                frontier = nxt
-            table[source] = d
-        return table
+    def _flood(self) -> dict:
+        return flood(self.vertices, self.adjacency.__getitem__)
 
     @cached_property
-    def _rows(self) -> dict:
-        """Distance rows in vertex order; -1 stands for an unreachable vertex."""
-        verts = self.vertices
-        return {v: tuple(map(d.get, verts, repeat(-1))) for v, d in self.dist.items()}
-
-    @cached_property
-    def _theta(self) -> "ThetaClasses":
-        return _theta_from_distance_differences(self)
+    def _theta(self):
+        """The BFS-pair embedding, or why the graph is not a partial cube."""
+        return _embed_by_bfs_pairs(self)
 
     @cached_property
     def _embedding(self) -> "PartialCubeVerdict":
@@ -117,11 +106,11 @@ class MetricGraph:
 
     @property
     def is_connected(self) -> bool:
-        return all(len(self.dist[v]) == len(self.vertices) for v in self.vertices[:1])
+        return all(root == self.vertices[0] for root, _ in self._flood.values())
 
     @cached_property
     def is_bipartite(self) -> bool:
-        side = flood(self.vertices, self.adjacency.__getitem__)
+        side = self._flood
         return all(side[u][1] != side[v][1] for u, v in self.edges)
 
 
@@ -139,7 +128,16 @@ def _to_str(bits: int, n: int) -> str:
     return format(bits, f"0{n}b")[::-1] if n else ""
 
 
-def _isometric(mg: MetricGraph, bits: dict) -> bool:
+def _transpose(rows: list, width: int) -> list:
+    """The bit matrix transposed: bit k of entry i is bit i of ``rows[k]``;
+    ``width`` entries, one per bit of the rows."""
+    if not rows or not width:
+        return [0] * width
+    digits = [format(row, f"0{width}b") for row in reversed(rows)]
+    return [int("".join(column), 2) for column in zip(*digits)][::-1]
+
+
+def _isometric(mg: MetricGraph, bits: dict, sides: list = None) -> bool:
     """Certify that Hamming distance of the labels is graph distance.
 
     Accepts exactly when every edge flips one bit and, with F(u) the OR of
@@ -147,7 +145,10 @@ def _isometric(mg: MetricGraph, bits: dict) -> bool:
     Single-bit edges make graph distance at least Hamming distance; the
     second condition gives u a neighbour one bit closer to v, so by
     induction graph distance is at most Hamming distance.  It fails on
-    repeated labels and on a disconnected graph.  No table is built."""
+    repeated labels and on a disconnected graph.  ``sides[i]`` has bit k
+    set when vertex k has bit i (built from the labels when not given); the
+    vertices that agree with u on F(u) are the AND of |F(u)| of them and
+    their complements, and u passes when that AND holds u alone."""
     flips = dict.fromkeys(mg.vertices, 0)
     for u, v in mg.edges:
         bit = bits[u] ^ bits[v]
@@ -155,12 +156,20 @@ def _isometric(mg: MetricGraph, bits: dict) -> bool:
             return False
         flips[u] |= bit
         flips[v] |= bit
-    labels = [bits[v] for v in mg.vertices]
-    # u is the one vertex that agrees with u on every bit of F(u)
-    return all(
-        list(map(flips[u].__and__, map(bits[u].__xor__, labels))).count(0) == 1
-        for u in mg.vertices
-    )
+    if sides is None:
+        labels = [bits[v] for v in mg.vertices]
+        sides = _transpose(labels, max(labels, default=0).bit_length())
+    everyone = (1 << len(mg.vertices)) - 1
+    for k, u in enumerate(mg.vertices):
+        lu, rest, agree = bits[u], flips[u], everyone
+        while rest:
+            low = rest & -rest
+            side = sides[low.bit_length() - 1]
+            agree &= side if lu & low else ~side
+            rest ^= low
+        if agree != 1 << k:
+            return False
+    return True
 
 
 def _is_down_set(labels: set) -> bool:
@@ -186,52 +195,87 @@ class ThetaClasses:
     raw_transitive: bool
 
 
-def theta_classes(mg: MetricGraph) -> ThetaClasses:
-    """Partition the edges by the transitive closure of Theta.
+@dataclass(frozen=True)
+class _Embedding:
+    theta: ThetaClasses
+    bits: dict  # vertex -> int, bit i for class i
+    sides: list  # class i -> int, bit k set when vertex k has bit i
 
-    The ``raw_transitive`` flag records whether Theta itself was already an
-    equivalence (true on every partial cube).  Computed once per graph."""
-    return mg._theta
+
+def _distances(neighbours: list, source: int) -> list:
+    """One breadth-first row: the distance of every vertex index from
+    ``source`` in a connected graph given by neighbour index lists."""
+    row = [-1] * len(neighbours)
+    row[source] = 0
+    frontier = [source]
+    step = 0
+    while frontier:
+        step += 1
+        reached = []
+        for v in frontier:
+            for w in neighbours[v]:
+                if row[w] < 0:
+                    row[w] = step
+                    reached.append(w)
+        frontier = reached
+    return row
 
 
-def _theta_from_distance_differences(mg: MetricGraph) -> ThetaClasses:
-    # With delta_e(w) = d(x, w) - d(y, w) for e = (x, y), the four-point
-    # condition e Theta f reads delta_e(u) != delta_e(v) for f = (u, v).  Edges
-    # whose delta vectors agree up to sign cross the same edges, so one
-    # representative per vector is enough; it crosses its own group.
+def _embed_by_bfs_pairs(mg: MetricGraph):
+    """Theta classes and labels from two BFS rows per class, certified.
+
+    The smallest unclassified edge xy starts class i: the vertices nearer
+    y than x (the graph is connected and bipartite, so none is equidistant)
+    form one half, the edges between the halves form the class, and bit i
+    is set on the half without the first vertex.  Classes come out ordered
+    by their smallest edge.  Two overlapping crossing sets show Theta is
+    not transitive; so does a failed certificate, since a connected
+    bipartite graph with transitive Theta is a partial cube (Winkler).
+    Returns the reason as a string on every graph that is not a partial
+    cube."""
+    if not mg.vertices:
+        return "empty graph"
+    if not mg.is_connected:
+        return "not connected"
+    if not mg.is_bipartite:
+        return "not bipartite"
+    position = {v: k for k, v in enumerate(mg.vertices)}
+    neighbours = [[position[w] for w in mg.adjacency[v]] for v in mg.vertices]
     edges = sorted(mg.edges)
-    position = {v: i for i, v in enumerate(mg.vertices)}
     ends = [(position[u], position[v]) for u, v in edges]
-    rows = mg._rows
-    groups = {}
-    for k, (x, y) in enumerate(edges):
-        delta = tuple(map(sub, rows[x], rows[y]))
-        groups.setdefault(min(delta, tuple(map(neg, delta))), (k, delta))
+    owner = [None] * len(edges)
+    classes, sides = [], []
+    everyone = (1 << len(mg.vertices)) - 1
+    for k, (x, y) in enumerate(ends):
+        if owner[k] is not None:
+            continue
+        near_x, near_y = _distances(neighbours, x), _distances(neighbours, y)
+        far = "".join(["1" if a > b else "0" for a, b in zip(near_x, near_y)])
+        crossing = [j for j, (a, b) in enumerate(ends) if far[a] != far[b]]
+        if any(owner[j] is not None for j in crossing):
+            return _NOT_TRANSITIVE
+        for j in crossing:
+            owner[j] = len(classes)
+        classes.append(frozenset(edges[j] for j in crossing))
+        side = int(far[::-1], 2)
+        sides.append(everyone ^ side if side & 1 else side)
+    bits = dict(zip(mg.vertices, _transpose(sides, len(mg.vertices))))
+    if not _isometric(mg, bits, sides):
+        return _NOT_TRANSITIVE
+    return _Embedding(ThetaClasses(tuple(classes), True), bits, sides)
 
-    parent = list(range(len(edges)))
 
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
+def theta_classes(mg: MetricGraph) -> ThetaClasses:
+    """The Theta classes of a partial cube, ordered by their smallest edge.
 
-    crossings = []
-    for rep, delta in groups.values():
-        crossing = [k for k, (a, b) in enumerate(ends) if delta[a] != delta[b]]
-        crossings.append((rep, len(crossing)))
-        root = find(rep)
-        for k in crossing:
-            parent[find(k)] = root
-
-    by_root = {}
-    for k, e in enumerate(edges):
-        by_root.setdefault(find(k), []).append(e)
-    # a representative's crossing set lies inside its class, so Theta is
-    # transitive exactly when every crossing set fills its class
-    raw = all(size == len(by_root[find(rep)]) for rep, size in crossings)
-    # classes come out ordered by their smallest edge, as the edges are sorted
-    return ThetaClasses(tuple(frozenset(c) for c in by_root.values()), raw)
+    Theta is an equivalence there, so ``raw_transitive`` is always True.
+    On any other graph (empty, disconnected, not bipartite, or with Theta
+    not transitive) raises :class:`NotAPartialCube`.  Computed once per
+    graph, from one BFS pair per class."""
+    found = mg._theta
+    if isinstance(found, str):
+        raise NotAPartialCube(found)
+    return found.theta
 
 
 # ---------------------------------------------------------------------------
@@ -255,44 +299,24 @@ class PartialCubeVerdict:
 def is_partial_cube(mg: MetricGraph) -> PartialCubeVerdict:
     """Recognize isometric subgraphs of hypercubes.
 
-    Builds a candidate labelling from the distance table (one bit per Theta
-    class, the first vertex on the zero side everywhere) and certifies it
-    isometric; the certificate is the verdict.  The verdict is computed
-    once per graph and shared by the other recognizers.
+    Builds a candidate labelling from one BFS pair per Theta class (the
+    first vertex on the zero side everywhere) and certifies it isometric;
+    the certificate is the verdict.  The verdict is computed once per graph
+    and shared by the other recognizers.
     """
     return mg._embedding
 
 
 def _embed(mg: MetricGraph) -> PartialCubeVerdict:
-    if not mg.vertices:
-        return PartialCubeVerdict(False, reason="empty graph")
-    if not mg.is_connected:
-        return PartialCubeVerdict(False, reason="not connected")
-    if not mg.is_bipartite:
-        return PartialCubeVerdict(False, reason="not bipartite")
-    classes = theta_classes(mg)
-    if not classes.raw_transitive:
-        return PartialCubeVerdict(
-            False, theta_raw_transitive=False, reason="Theta not transitive"
-        )
-    rows = mg._rows
-    labels = [0] * len(mg.vertices)
-    for i, cls in enumerate(classes.classes):
-        # bipartite and connected: no vertex is equidistant from x and y
-        x, y = min(cls)
-        near, far = rows[x], rows[y]
-        if near[0] > far[0]:
-            near, far = far, near
-        bit = 1 << i
-        for j, (a, b) in enumerate(zip(near, far)):
-            if a > b:
-                labels[j] |= bit
-    bits = dict(zip(mg.vertices, labels))
-    if not _isometric(mg, bits):
-        return PartialCubeVerdict(
-            False, theta_raw_transitive=True, reason="labelling not isometric"
-        )
-    n = len(classes.classes)
+    try:
+        classes = theta_classes(mg).classes
+    except NotAPartialCube as exc:
+        reason = str(exc)
+        # a connected bipartite graph fails only by a non-transitive Theta
+        raw = False if reason == _NOT_TRANSITIVE else None
+        return PartialCubeVerdict(False, theta_raw_transitive=raw, reason=reason)
+    bits = mg._theta.bits
+    n = len(classes)
     return PartialCubeVerdict(
         True,
         labelling={v: _to_str(b, n) for v, b in bits.items()},
@@ -313,24 +337,28 @@ def is_median(mg: MetricGraph) -> bool:
     a (or from b) towards the other along a shortest path to a' in the
     graph; majority(a, b, c) is majority(a', b, c) or majority(a, m, c) with
     m = majority(a', b, c), and one of the two ends gives pairs closer than
-    a and b, so induction on the distance covers every triple.
+    a and b, so induction on the distance covers every triple.  A pair at
+    distance two has a common neighbour and differs at two bits e_i | e_j;
+    majority(a, b, c) is (a & b) | (c & (e_i | e_j)), and c & (e_i | e_j)
+    takes at most four values over the labels, collected once per bit pair.
     """
     if not mg.vertices:
         return True
     pc = is_partial_cube(mg)
     if not pc:
         return False
-    present = set(pc.bits.values())
-    flips = [(1 << i) | (1 << j) for i, j in combinations(range(pc.idim), 2)]
-    for a in present:
-        for differ in flips:
-            b = a ^ differ
-            if b > a and b in present:
-                # majority(a, b, c) keeps a's bits where a and b agree and
-                # takes c's bits where they differ
-                medians = map((a & b).__or__, map(differ.__and__, present))
-                if not present.issuperset(medians):
-                    return False
+    bits = pc.bits
+    present = set(bits.values())
+    projections = {}
+    for w in mg.vertices:
+        for a, b in combinations([bits[u] for u in mg.adjacency[w]], 2):
+            differ = a ^ b
+            values = projections.get(differ)
+            if values is None:
+                values = projections[differ] = {c & differ for c in present}
+            base = a & b
+            if any(base | value not in present for value in values):
+                return False
     return True
 
 
@@ -354,18 +382,28 @@ def is_downward_closed(label_set) -> bool:
     return _is_down_set({_to_bits(lab) for lab in label_set})
 
 
+def _certified_bits(mg: MetricGraph, labels: dict):
+    """The ``int`` labels when the bit strings pass the certificate, else
+    None; each label set is certified once per graph."""
+    key = tuple(labels[v] for v in mg.vertices)
+    if key not in mg._certified:
+        bits = dict(zip(mg.vertices, map(_to_bits, key)))
+        mg._certified[key] = bits if _isometric(mg, bits) else None
+    return mg._certified[key]
+
+
 def is_isometric_labelling(mg: MetricGraph, labels: dict) -> bool:
     """Whether Hamming distance on the equal-length labels equals graph
     distance for all pairs, by the label certificate (no distance table)."""
-    return _isometric(mg, {v: _to_bits(labels[v]) for v in mg.vertices})
+    return _certified_bits(mg, labels) is not None
 
 
 def isometric_bits(mg: MetricGraph, labels: dict):
     """``int`` labels that embed the graph isometrically: the given bit
     strings when they pass the certificate, else the partial-cube labels,
     or None when the graph is not a partial cube."""
-    bits = {v: _to_bits(labels[v]) for v in mg.vertices}
-    return bits if _isometric(mg, bits) else is_partial_cube(mg).bits
+    bits = _certified_bits(mg, labels)
+    return bits if bits is not None else is_partial_cube(mg).bits
 
 
 @dataclass(frozen=True)
@@ -384,22 +422,31 @@ def is_daisy_cube(mg: MetricGraph) -> DaisyVerdict:
 
     A proper labelling is an isometric hypercube embedding whose image is
     a downward-closed subset of the bit strings.  Up to the order of the
-    bits, every such embedding is the partial-cube labelling with some bits
-    flipped, and its image holds the all-zeros string, so the flip mask is
-    some vertex's label: trying every vertex as the all-zeros root is
-    decisive.  At most one pass over the vertices, with no cap.
+    bits, every such embedding is the partial-cube labelling XOR some mask.
+    In a down-set no bit is set on more labels than it is clear on
+    (clearing it maps the first labels into the second), and a bit set on
+    exactly half of them can be flipped without changing the set.  So the
+    per-bit majority decides with one down-set test, and the labelling is
+    the one that makes the first vertex (in vertex order) whose label
+    agrees with the majority on every untied bit the all-zeros root: the
+    first root that works.
     """
     pc = is_partial_cube(mg)
     if not pc:
         return DaisyVerdict(False, reason=f"not a partial cube ({pc.reason})")
-    n = pc.idim
-    present = set(pc.bits.values())
-    for root in mg.vertices:
-        mask = pc.bits[root]
-        if _is_down_set({b ^ mask for b in present}):
-            labelling = {v: _to_str(b ^ mask, n) for v, b in pc.bits.items()}
-            return DaisyVerdict(True, labelling, n)
-    return DaisyVerdict(False, idim=n, reason="no root works")
+    n, size = pc.idim, len(mg.vertices)
+    mask = untied = 0
+    for i, side in enumerate(mg._theta.sides):
+        ones = 2 * side.bit_count()
+        if ones != size:
+            untied |= 1 << i
+        if ones > size:
+            mask |= 1 << i
+    if not _is_down_set({b ^ mask for b in pc.bits.values()}):
+        return DaisyVerdict(False, idim=n, reason="no root works")
+    root = next(b for b in pc.bits.values() if (b ^ mask) & untied == 0)
+    labelling = {v: _to_str(b ^ root, n) for v, b in pc.bits.items()}
+    return DaisyVerdict(True, labelling, n)
 
 
 # ---------------------------------------------------------------------------

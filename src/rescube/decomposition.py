@@ -25,6 +25,7 @@ from . import cube_kit as ck
 from . import coding
 from .errors import (
     NoPerfectMatching,
+    NotAPartialCube,
     NotReducibleAtStep,
     PeelingStuck,
     TheoremViolated,
@@ -555,7 +556,14 @@ def _check_step(
     convex = bits_prev is not None and ck.is_convex_subset(
         metric_prev, inner_set, bits_prev
     )
-    o_closed = ck.operator_o(labels_prev, inner_set) == inner_set
+    # once label-deletion holds, the previous labels are the previous daisy
+    # labels, a down-set (daisy_labelling checks them against the iterated
+    # construction); inside a down-set the inner side is o-closed exactly
+    # when every lower cover of a member is a member
+    if clauses["label-deletion"]:
+        o_closed = ck.is_downward_closed({labels_prev[mid] for mid in inner_set})
+    else:
+        o_closed = ck.operator_o(labels_prev, inner_set) == inner_set
     check("inner-convex", convex)
     check("inner-le-subgraph", o_closed)
     att = rfd.attachment[i]
@@ -710,14 +718,17 @@ def theorem_report(
         subsets_ok = subsets_ok and _subset_equalities_hold(read)
     report["subsets"]["handle-set-equalities"] = subsets_ok
 
-    classes = ck.theta_classes(metric)
     label_classes = {
         frozenset(tuple(sorted(e)) for e in r.edges_with_label(face.id))
         for face in g.finite_faces
     }
-    theta_sets = {
-        frozenset(tuple(sorted(e)) for e in cls) for cls in classes.classes
-    }
+    try:
+        theta_sets = {
+            frozenset(tuple(sorted(e)) for e in cls)
+            for cls in ck.theta_classes(metric).classes
+        }
+    except NotAPartialCube:
+        theta_sets = None  # R(G) has no Theta classes for the faces to match
     report["metric"]["face_classes_are_theta_classes"] = label_classes == theta_sets
     report["metric"]["median"] = ck.is_median(metric)
     report["metric"]["connected"] = connectivity_report(r) == 1

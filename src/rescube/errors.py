@@ -9,6 +9,10 @@ class NotBipartite(RescubeError):
     """The input graph contains an odd cycle."""
 
 
+class NotAPartialCube(RescubeError):
+    """The graph is not a partial cube, so it has no Theta classes to report."""
+
+
 class EmbeddingInconsistent(RescubeError):
     """Face tracing contradicts Euler's relation on a connected component."""
 

@@ -9,6 +9,7 @@ face as its label.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from itertools import product
 
 from .cube_kit import MetricGraph, components
@@ -49,6 +50,12 @@ class ResonanceGraph:
         return frozenset(self.vertex_key(v) for v in self.vertices)
 
     def metric(self) -> MetricGraph:
+        """R(G) as a metric graph, built once, so that its embedding and its
+        label certificates are shared by every caller."""
+        return self._metric
+
+    @cached_property
+    def _metric(self) -> MetricGraph:
         return MetricGraph(self.vertices, [(u, v) for u, v, _ in self.edges])
 
     def edges_with_label(self, face_id) -> tuple:

@@ -1,17 +1,20 @@
 """Definitional oracles, kept for the tests only.
 
 These are the brute-force versions of the recognizers in
-``rescube.cube_kit``: components and bipartiteness from union-find instead
-of a traversal, Theta from the four-point inequality on every pair of
-edges, partial cubes from string labels checked pair by pair against the
-distance table, medianness from the intersection of the three intervals of
-every vertex triple, daisy cubes from string orientation flips (every root,
-or every one of the 2^idim masks), and convexity from intervals.  The
-library's flood fill, bit-vector core and label certificate must agree
-with them; ``test_cube_oracles.py`` checks that they do.  The graph
-expansion, the Theta-class side sets and the median split check build
-graphs and tables that no library path needs; they live here too, read
-``mg.dist`` directly, and serve as references for the step checks of
+``rescube.cube_kit``: the all-pairs distance table (one breadth-first row
+per vertex), components and bipartiteness from union-find instead of a
+traversal, Theta from the four-point inequality on every pair of edges and
+from the distance differences of each edge's ends (on any graph, with the
+flag whether Theta is transitive), partial cubes from string labels
+checked pair by pair against the distance table, medianness from the
+intersection of the three intervals of every vertex triple, daisy cubes
+from string orientation flips (every root, or every one of the 2^idim
+masks), and convexity from intervals.  The library's flood fill, BFS-pair
+embedding, bit-vector core and label certificate must agree with them;
+``test_cube_oracles.py`` checks that they do.  The graph expansion, the
+Theta-class side sets and the median split check build graphs and tables
+that no library path needs; they live here too, read the distance table
+directly, and serve as references for the step checks of
 ``rescube.decomposition``.
 
 The cycle-space section enumerates every cycle of a plane graph as a union
@@ -37,6 +40,7 @@ per-edge column reads of ``rescube.matchings`` and ``rescube.coding``.
 
 from dataclasses import dataclass
 from itertools import combinations
+from weakref import WeakKeyDictionary
 
 from rescube.cube_kit import (
     DaisyVerdict,
@@ -74,13 +78,37 @@ class NotAnExpansion(RescubeError):
     """The two vertex sets do not describe an expansion of the base graph."""
 
 
+_TABLES = WeakKeyDictionary()
+
+
+def dist(mg: MetricGraph) -> dict:
+    """The all-pairs distance table, one breadth-first row per vertex
+    (reachable vertices only), built once per graph."""
+    table = _TABLES.get(mg)
+    if table is None:
+        table = _TABLES[mg] = {}
+        for source in mg.vertices:
+            row = {source: 0}
+            frontier = [source]
+            while frontier:
+                reached = []
+                for v in frontier:
+                    for w in mg.adjacency[v]:
+                        if w not in row:
+                            row[w] = row[v] + 1
+                            reached.append(w)
+                frontier = reached
+            table[source] = row
+    return table
+
+
 def d(mg: MetricGraph, u, v) -> int:
-    return mg.dist[u][v]
+    return dist(mg)[u][v]
 
 
 def interval(mg: MetricGraph, u, v) -> frozenset:
     """The vertices on shortest u-v paths (u and v in one component)."""
-    du, dv = mg.dist[u], mg.dist[v]
+    du, dv = dist(mg)[u], dist(mg)[v]
     return frozenset(w for w in du if du[w] + dv[w] == du[v])
 
 
@@ -170,6 +198,35 @@ def theta_classes(mg: MetricGraph) -> ThetaClasses:
     return ThetaClasses(classes, raw)
 
 
+def theta_from_distance_differences(mg: MetricGraph) -> ThetaClasses:
+    """Theta read from the distance table, on any graph.
+
+    With delta_e(w) = d(x, w) - d(y, w) for e = (x, y), the four-point
+    condition e Theta f reads delta_e(u) != delta_e(v) for f = (u, v).
+    Edges whose delta vectors agree up to sign cross the same edges, so one
+    representative per vector is enough; it crosses its own group, and
+    Theta is transitive exactly when every crossing set fills its class."""
+    edges = sorted(mg.edges)
+    table = dist(mg)
+    rows = {v: [table[v].get(w, -1) for w in mg.vertices] for v in mg.vertices}
+    position = {v: i for i, v in enumerate(mg.vertices)}
+    ends = [(position[u], position[v]) for u, v in edges]
+    groups = {}
+    for k, (x, y) in enumerate(edges):
+        delta = tuple(a - b for a, b in zip(rows[x], rows[y]))
+        groups.setdefault(min(delta, tuple(-a for a in delta)), (k, delta))
+    crossings = [
+        (rep, [k for k, (a, b) in enumerate(ends) if delta[a] != delta[b]])
+        for rep, delta in groups.values()
+    ]
+    rep_of = _union_find(range(len(edges)), [(rep, k) for rep, cross in crossings for k in cross])
+    by_root = {}
+    for k, e in enumerate(edges):
+        by_root.setdefault(rep_of[k], []).append(e)
+    raw = all(len(cross) == len(by_root[rep_of[rep]]) for rep, cross in crossings)
+    return ThetaClasses(tuple(frozenset(c) for c in by_root.values()), raw)
+
+
 def hamming(a: str, b: str) -> int:
     return sum(x != y for x, y in zip(a, b))
 
@@ -178,7 +235,7 @@ def is_isometric_labelling(mg: MetricGraph, labels: dict) -> bool:
     """Hamming distance is graph distance for every pair; a pair in two
     components has no distance and fails."""
     return all(
-        hamming(labels[u], labels[v]) == mg.dist[u].get(v)
+        hamming(labels[u], labels[v]) == dist(mg)[u].get(v)
         for u, v in combinations(mg.vertices, 2)
     )
 
@@ -285,7 +342,7 @@ def is_convex_subset(mg: MetricGraph, subset) -> bool:
     return all(
         interval(mg, u, v) <= members
         for u, v in combinations(members, 2)
-        if v in mg.dist[u]
+        if v in dist(mg)[u]
     )
 
 

@@ -265,6 +265,26 @@ def test_label_daisy_with_verify(branched_file, capsys):
     assert obj["verification"]["theorem_report"]["ok"] is True
 
 
+@pytest.mark.parametrize("scheme", ["daisy", "fdl"])
+def test_label_verify_certifies_each_label_set_once(branched_file, capsys, monkeypatch, scheme):
+    # label's own check and the report share one certificate per label set:
+    # the daisy labels, the fdl labels and the partial-cube labels of R(G)
+    from rescube import cube_kit
+
+    certified = []
+    isometric = cube_kit._isometric
+
+    def spy(mg, bits, sides=None):
+        if len(mg.vertices) == 14:
+            certified.append(tuple(bits[v] for v in mg.vertices))
+        return isometric(mg, bits, sides)
+
+    monkeypatch.setattr(cube_kit, "_isometric", spy)
+    code, _, _ = run(capsys, "label", branched_file, "--scheme", scheme, "--verify")
+    assert code == 0
+    assert len(certified) == len(set(certified)) == 3
+
+
 def test_label_explicit_rfd_order(branched_file, capsys):
     code, out, _ = run(capsys, "rfd", branched_file)
     faces = json.loads(out)["faces"]

@@ -14,6 +14,7 @@ from rescube.cube_kit import (
     operator_o,
     theta_classes,
 )
+from rescube.errors import NotAPartialCube
 
 import cube_oracles as oracle
 from cube_oracles import check_median_split, label_leq, split_class, theta_related
@@ -81,9 +82,25 @@ def test_theta_classes_q3():
 
 
 def test_theta_not_transitive_on_k23():
-    tc = theta_classes(K23)
-    assert not tc.raw_transitive
-    assert not is_partial_cube(K23).ok
+    # the library reads Theta on partial cubes only; the oracle's tests check
+    # that Theta itself is not transitive here
+    with pytest.raises(NotAPartialCube, match="Theta not transitive"):
+        theta_classes(K23)
+    verdict = is_partial_cube(K23)
+    assert not verdict.ok
+    assert verdict.theta_raw_transitive is False
+
+
+@pytest.mark.parametrize(
+    "graph, reason",
+    [(MetricGraph([], []), "empty graph"), (MetricGraph(range(2), []), "not connected"),
+     (cycle(5), "not bipartite")],
+    ids=["empty", "disconnected", "odd cycle"],
+)
+def test_theta_classes_raise_off_partial_cubes(graph, reason):
+    with pytest.raises(NotAPartialCube, match=reason):
+        theta_classes(graph)
+    assert is_partial_cube(graph).reason == reason
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ The oracles in ``cube_oracles.py`` are the brute-force recognizers: Theta
 from four-point tests on every edge pair, medianness from interval triples,
 daisy cubes from string orientation flips, isometry and convexity from the
 distance table.  Both sides run on the resonance graphs of every
-catacondensed system of up to six rings and on random small connected
-graphs, which include odd cycles and graphs that are not partial cubes.
-The flood fill and the label certificate are also checked on random graphs
-that may be disconnected.  The decomposition steps' label convexity and
-expansion flags are checked against the table convexity and the graph
-expansion at every step of the six-ring corpus.
+catacondensed system of up to six rings, on random small connected
+graphs, which include odd cycles and graphs that are not partial cubes,
+and on induced subgraphs of Q2-Q6 with tied bits, where the daisy root is
+a choice.  The flood fill and the label certificate are also checked on
+random graphs that may be disconnected.  The decomposition steps' label
+convexity and expansion flags are checked against the table convexity and
+the graph expansion, and their lower-cover o-closed test against the
+downward-closure operator, at every step of the six-ring corpus.
 """
 
 from itertools import combinations
@@ -21,16 +23,26 @@ import cube_oracles as oracle
 from rescube import cube_kit as ck
 from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
 from rescube.decomposition import theorem_report
+from rescube.errors import NotAPartialCube
 from rescube.matchings import enumerate_matchings
 from rescube.plane_graph import is_peripherally_two_colorable
 from rescube.resonance import build_resonance
 
 
 def assert_agree(mg, labels=None):
-    assert ck.theta_classes(mg) == oracle.theta_classes(mg)
+    """The library and the oracles agree on a connected graph: on a partial
+    cube Theta, the labelling and idim, everywhere the verdicts and their
+    reasons; off partial cubes the library's Theta raises."""
+    theta = oracle.theta_classes(mg)
+    assert oracle.theta_from_distance_differences(mg) == theta
     fast, slow = ck.is_partial_cube(mg), oracle.is_partial_cube(mg)
     fields = ("ok", "labelling", "idim", "theta_raw_transitive", "reason")
     assert [getattr(fast, f) for f in fields] == [getattr(slow, f) for f in fields]
+    if slow.ok:
+        assert ck.theta_classes(mg) == theta
+    else:
+        with pytest.raises(NotAPartialCube):
+            ck.theta_classes(mg)
     assert ck.is_median(mg) == oracle.is_median(mg)
     daisy = ck.is_daisy_cube(mg)
     assert daisy == oracle.is_daisy_cube(mg, "roots")
@@ -92,6 +104,47 @@ def connected_graphs(draw):
 def test_fast_path_matches_oracle_on_random_graphs(case):
     mg, labels = case
     assert_agree(mg, labels)
+
+
+@st.composite
+def tied_cube_subgraphs(draw):
+    """The component of the first vertex, in shuffled order, of an induced
+    subgraph of Q_d for 2 <= d <= 6: a set A of Q_(d-1) and its copy across
+    one more bit, all XORed with a drawn mask.  That bit is set on exactly
+    half the labels (tied), and so is every bit on which A is symmetric.  A
+    is a down-set (a daisy cube, cut to its 12 smallest members, which stay
+    a down-set) or any set of up to 12 members."""
+    dim = draw(st.integers(min_value=2, max_value=6))
+    corner = st.integers(0, (1 << (dim - 1)) - 1)
+    if draw(st.booleans()):
+        tops = draw(st.sets(corner, min_size=1, max_size=3))
+        base = [c for c in range(1 << (dim - 1)) if any(c & t == c for t in tops)][:12]
+    else:
+        base = draw(st.sets(corner, min_size=1, max_size=12))
+    tie = draw(st.integers(0, dim - 1))
+    mask = draw(st.integers(0, (1 << dim) - 1))
+    low = (1 << tie) - 1
+    points = [
+        ((c & ~low) << 1 | side << tie | c & low) ^ mask for c in base for side in (0, 1)
+    ]
+    order = draw(st.permutations(points))
+    edges = [(u, v) for u, v in combinations(order, 2) if (u ^ v).bit_count() == 1]
+    first = oracle.components(ck.MetricGraph(order, edges))[0]
+    vertices = [v for v in order if v in first]
+    return ck.MetricGraph(vertices, [(u, v) for u, v in edges if u in first])
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_cube_subgraphs())
+def test_fast_path_matches_oracle_on_tied_cube_subgraphs(mg):
+    assert_agree(mg)
+
+
+def test_k23_theta_is_not_transitive():
+    k23 = ck.MetricGraph(range(5), [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+    assert not oracle.theta_classes(k23).raw_transitive
+    assert not oracle.theta_from_distance_differences(k23).raw_transitive
+    assert_agree(k23)
 
 
 @st.composite
@@ -258,14 +311,13 @@ def _step_subsets(mg, bits, inner):
     yield from (a | b for a, b in combinations(halves[:4], 2))
 
 
-@pytest.mark.parametrize("shape", catacondensed_polyhexes(6), ids=str)
-def test_step_convexity_matches_oracle(shape, monkeypatch):
-    """At every step the certificate holds on the previous daisy labels, and
-    the report's inner-convex and expansion-flags clauses equal the table
-    convexity and the graph expansion's flags."""
+def _report_steps(shape, monkeypatch):
+    """Per decomposition step of the report on the shape: its clauses, the
+    previous resonance graph, the previous labels, the bits certified from
+    them, and the inner side; none when the shape has no decomposition."""
     g = build_benzenoid(shape)
     if g.is_cycle_graph() or not is_peripherally_two_colorable(g).ok:
-        return
+        return []
     certified, convex_calls = [], []
     isometric_bits, is_convex_subset = ck.isometric_bits, ck.is_convex_subset
 
@@ -285,16 +337,47 @@ def test_step_convexity_matches_oracle(shape, monkeypatch):
 
     steps = [report["steps"][k] for k in sorted(report["steps"], key=int)]
     assert len(steps) == len(certified) == len(convex_calls) >= 1
-    for clauses, (mg, labels, bits), inner in zip(steps, certified, convex_calls):
+    return [(clauses, *cert, inner) for clauses, cert, inner in zip(steps, certified, convex_calls)]
+
+
+@pytest.mark.parametrize("shape", catacondensed_polyhexes(6), ids=str)
+def test_step_convexity_matches_oracle(shape, monkeypatch):
+    """At every step the certificate holds on the previous daisy labels, and
+    the report's inner-convex and expansion-flags clauses equal the table
+    convexity and the graph expansion's flags."""
+    for clauses, mg, labels, bits, inner in _report_steps(shape, monkeypatch):
         assert bits == {v: int(labels[v][::-1], 2) for v in mg.vertices}
         assert oracle.is_isometric_labelling(mg, labels)
         assert clauses["inner-convex"] == oracle.is_convex_subset(mg, inner)
         assert clauses["expansion-flags"] == oracle_expansion_flags(mg, labels, inner)
         for subset in _step_subsets(mg, bits, inner):
-            assert is_convex_subset(mg, subset, bits) == oracle.is_convex_subset(mg, subset)
+            assert ck.is_convex_subset(mg, subset, bits) == oracle.is_convex_subset(mg, subset)
             assert derived_expansion_flags(
                 mg, bits, labels, subset
             ) == oracle_expansion_flags(mg, labels, subset)
+
+
+@pytest.mark.parametrize("shape", catacondensed_polyhexes(6), ids=str)
+def test_step_lower_cover_test_matches_operator_o(shape, monkeypatch):
+    """The previous labels are a down-set at every step, so the report's
+    lower-cover reading of inner-le-subgraph equals o-closedness by the
+    downward-closure operator; so it does on the steps' other subsets."""
+    tested = []
+    is_downward_closed = ck.is_downward_closed
+
+    def lower_cover_spy(label_set):
+        tested.append(frozenset(label_set))
+        return is_downward_closed(label_set)
+
+    monkeypatch.setattr(ck, "is_downward_closed", lower_cover_spy)
+    for clauses, mg, labels, bits, inner in _report_steps(shape, monkeypatch):
+        assert clauses["label-deletion"]
+        assert oracle.is_downward_closed(labels.values())
+        assert frozenset(labels[v] for v in inner) in tested
+        assert clauses["inner-le-subgraph"] == (ck.operator_o(labels, inner) == inner)
+        for subset in _step_subsets(mg, bits, inner):
+            lower_closed = ck.is_downward_closed({labels[v] for v in subset})
+            assert lower_closed == (ck.operator_o(labels, subset) == subset)
 
 
 # ---------------------------------------------------------------------------

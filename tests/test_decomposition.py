@@ -1,15 +1,14 @@
 """Reducible faces, decompositions, and the split/expansion instance checks."""
 
-import functools
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rescube import decomposition, plane_graph
+from rescube import cube_kit as ck, decomposition, plane_graph
 from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
-from rescube.cube_kit import MetricGraph
 from rescube.errors import (
+    NotAPartialCube,
     NotReducibleAtStep,
     PeelingStuck,
     RescubeError,
@@ -276,6 +275,31 @@ def test_rotation_system_report_matches(branched5, branched5_faces):
     assert theorem_report(g, rfd) == theorem_report(branched5, rfd)
 
 
+@pytest.mark.parametrize("forged", ["odd cycle", "K2,12"])
+def test_report_on_a_metric_that_is_not_a_partial_cube(branched5, monkeypatch, forged):
+    """A resonance graph whose metric is forged to be no partial cube (an
+    odd cycle with a pendant vertex, or the bipartite K2,12): the report
+    returns, with no Theta classes for the faces to match and no median."""
+    r = resonance_of(branched5)
+    n = len(r)
+    if forged == "odd cycle":
+        edges = [(k, (k + 1) % (n - 1)) for k in range(n - 1)] + [(0, n - 1)]
+    else:
+        edges = [(hub, k) for hub in (0, 1) for k in range(2, n)]
+    metric = ck.MetricGraph(r.vertices, edges)
+    with pytest.raises(NotAPartialCube):
+        ck.theta_classes(metric)
+    monkeypatch.setattr(r, "metric", lambda: metric)
+    report = theorem_report(branched5, resonance=r)
+    assert report["metric"] == {
+        "face_classes_are_theta_classes": False,
+        "median": False,
+        "connected": True,
+    }
+    assert report["labelling"]["daisy_accepted_by_search"] is False
+    assert report["ok"] is False
+
+
 def test_theorem_report_rejects_non_p2c(pyrene):
     report = theorem_report(pyrene)
     assert not report["ok"]
@@ -375,33 +399,35 @@ def test_report_steps_equal_standalone_steps(shape, monkeypatch):
 
 
 @pytest.fixture
-def dist_tables(monkeypatch):
-    """Counts the all-pairs distance tables built while the test runs."""
-    built = []
-    table = MetricGraph.__dict__["dist"]
+def bfs_rows(monkeypatch):
+    """The breadth-first distance rows computed while the test runs, as
+    (graph size, source index) pairs."""
+    rows = []
+    distances = ck._distances
 
-    def counting(mg):
-        built.append(mg)
-        return table.func(mg)
+    def counting(neighbours, source):
+        rows.append((len(neighbours), source))
+        return distances(neighbours, source)
 
-    spy = functools.cached_property(counting)
-    spy.__set_name__(MetricGraph, "dist")
-    monkeypatch.setattr(MetricGraph, "dist", spy)
-    return built
+    monkeypatch.setattr(ck, "_distances", counting)
+    return rows
 
 
-@pytest.mark.parametrize("name", ["branched5", "zigzag9"])
-def test_report_builds_at_most_one_distance_table(name, request, dist_tables):
-    """Every step reads distance from certified labels; only the whole
-    graph's Theta classes need a table."""
+@pytest.mark.parametrize(
+    "name, n, idim", [("branched5", 14, 5), ("zigzag9", 89, 9)], ids=["branched5", "zigzag9"]
+)
+def test_report_runs_two_bfs_rows_per_theta_class(name, n, idim, request, bfs_rows):
+    """Every step reads distance from certified labels; the whole graph's
+    Theta classes take one BFS pair each, not one row per vertex."""
     g = request.getfixturevalue(name) if name == "branched5" else zigzag(9)
     report = theorem_report(g)
     assert report["ok"]
     assert len(report["steps"]) == len(g.finite_faces) - 1
-    assert len(dist_tables) <= 1
+    assert len(bfs_rows) == 2 * idim < n
+    assert {size for size, _ in bfs_rows} == {n}
 
 
-def test_label_checks_build_no_distance_table(branched5, branched5_faces, dist_tables):
+def test_label_checks_build_no_distance_table(branched5, branched5_faces, bfs_rows):
     from rescube.coding import daisy_labelling, fdl_labelling, labelling_is_proper
     from rescube.cube_kit import is_isometric_labelling
 
@@ -413,7 +439,7 @@ def test_label_checks_build_no_distance_table(branched5, branched5_faces, dist_t
     assert labelling_is_proper(metric, daisy)
     assert is_isometric_labelling(metric, fdl)
     assert not is_isometric_labelling(metric, {**daisy, 0: daisy[1], 1: daisy[0]})
-    assert dist_tables == []
+    assert bfs_rows == []
 
 
 # ---------------------------------------------------------------------------
