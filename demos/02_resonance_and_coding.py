@@ -11,6 +11,7 @@ oriented.
 
 from rescube import (
     auto_rfd,
+    bit_string,
     build_benzenoid,
     build_resonance,
     daisy_labelling,
@@ -38,25 +39,31 @@ rfd = auto_rfd(g)
 print("\nface order:", rfd.faces)
 print("attachment:", rfd.attachment)
 
+# A label is an int whose bit p - 1 is position p; bit_string writes it
+# out with position 1 first.
 daisy = daisy_labelling(g, family, rfd)
-print("\ndaisy labels:", sorted(daisy.labels.values()))
+shown = {mid: bit_string(label, daisy.length) for mid, label in daisy.labels.items()}
+print("\ndaisy labels:", sorted(shown.values()))
 
 # The daisy coding's minimum is the matching that makes every finite face
 # resonant at once; the lattice coding bottoms out at the matching without
 # proper alternating cycles and tops out at its improper twin.
 lattice = fdl_labelling(g, family, rfd)
 special = extremal_matchings(g, family)
-print("\nfully resonant matching  ->", daisy.labels[special.fully_resonant], "(daisy)")
-print("lattice bottom matching  ->", lattice.labels[special.lattice_bottom], "(fdl)")
-print("lattice top matching     ->", lattice.labels[special.lattice_top], "(fdl)")
+bottom, top = (
+    bit_string(lattice.labels[mid], lattice.length)
+    for mid in (special.lattice_bottom, special.lattice_top)
+)
+print("\nfully resonant matching  ->", shown[special.fully_resonant], "(daisy)")
+print("lattice bottom matching  ->", bottom, "(fdl)")
+print("lattice top matching     ->", top, "(fdl)")
 
 # Both codings flip exactly the bit of the flipped face across every edge.
 for u, v, face in r.edges[:3]:
-    a, b = daisy.labels[u], daisy.labels[v]
-    flips = [i + 1 for i, (x, y) in enumerate(zip(a, b)) if x != y]
-    print(f"edge M{u}--M{v}: {a} -> {b}, flips position {flips[0]},"
-          f" face at that position: {rfd.faces[flips[0] - 1]}")
+    position = (daisy.labels[u] ^ daisy.labels[v]).bit_length()
+    print(f"edge M{u}--M{v}: {shown[u]} -> {shown[v]}, flips position {position},"
+          f" face at that position: {rfd.faces[position - 1]}")
 
 # DOT export for rendering
 print("\nDOT preview:")
-print("\n".join(resonance_to_dot(r, labels=daisy.labels).splitlines()[:5]))
+print("\n".join(resonance_to_dot(r, labels=shown).splitlines()[:5]))

@@ -14,6 +14,7 @@ from .coding import (
     ColorSwapReport,
     ComposedLabelling,
     Labelling,
+    bit_string,
     color_swap_effect,
     compose_labellings,
     daisy_label_set,

@@ -156,31 +156,29 @@ def cmd_rfd(args) -> int:
 
 
 def _component_labelling(g, scheme, cap):
-    """Concatenated per-component labels keyed by whole-graph matching ids."""
+    """Concatenated per-component labels keyed by whole-graph matching ids,
+    the family, and the total number of positions."""
     analysis = elementary_analysis(g)
     if not analysis.is_weakly_elementary:
         raise RescubeError("graph is not weakly elementary; no composed labelling")
     family = enumerate_matchings(g, cap=cap)
+    fn = coding.daisy_labelling if scheme == "daisy" else coding.fdl_labelling
     parts = []
     for comp in analysis.elementary_components:
         sub = edge_subgraph(g, [e for e in analysis.allowed_edges if set(e) <= comp])
         sub_family = enumerate_matchings(sub, cap=cap)
-        if not sub.finite_faces:
-            parts.append((sub, sub_family, None))
-            continue
-        rfd = auto_rfd(sub)
-        fn = coding.daisy_labelling if scheme == "daisy" else coding.fdl_labelling
-        parts.append((sub, sub_family, fn(sub, sub_family, rfd)))
+        if sub.finite_faces:  # a single edge has no positions
+            parts.append((sub, sub_family, fn(sub, sub_family, auto_rfd(sub))))
+    width = sum(lab.length for _, _, lab in parts)
     labels = {}
     for m in family:
-        bits = []
+        label = shift = 0
         for sub, sub_family, lab in parts:
-            if lab is None:
-                continue
             mid = sub_family.by_edges(m.edges & sub.edges).id
-            bits.append(lab.labels[mid])
-        labels[m.id] = "".join(bits)
-    return labels, family
+            label |= lab.labels[mid] << shift
+            shift += lab.length
+        labels[m.id] = label
+    return labels, family, width
 
 
 def cmd_label(args) -> int:
@@ -197,17 +195,18 @@ def cmd_label(args) -> int:
         family = enumerate_matchings(g, cap=cap)
         rfd = _resolve_rfd(g, args.rfd)
         labelling = fn(g, family, rfd)
-        labels = labelling.labels
+        labels, width = labelling.labels, labelling.length
         r = build_resonance(g, family)
         face_names = {fid: f"s{pos}" for pos, fid in enumerate(rfd.faces, start=1)}
     else:
         # weakly elementary graphs label componentwise, concatenated
-        labels, family = _component_labelling(g, args.scheme, cap)
+        labels, family, width = _component_labelling(g, args.scheme, cap)
         r = build_resonance(g, family)
         rfd = None
         face_names = None
 
-    obj = {"scheme": args.scheme, "labels": {str(k): v for k, v in sorted(labels.items())}}
+    text = {mid: coding.bit_string(label, width) for mid, label in labels.items()}
+    obj = {"scheme": args.scheme, "labels": {str(k): v for k, v in sorted(text.items())}}
     if args.verify:
         metric = r.metric()
         obj["verification"] = {
@@ -224,7 +223,7 @@ def cmd_label(args) -> int:
             )
     _emit(_dump(obj), args.output)
     if args.emit_dot:
-        _emit(resonance_to_dot(r, labels=labels, face_names=face_names), args.emit_dot)
+        _emit(resonance_to_dot(r, labels=text, face_names=face_names), args.emit_dot)
     if args.verify:
         ver = obj["verification"]
         ok = ver["isometric"] and ver.get("downward_closed") in (True, None)

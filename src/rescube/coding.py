@@ -10,20 +10,24 @@ edge of every exterior handle on face i; its label set is downward closed,
 realizing the resonance graph as a daisy cube.  The lattice coding sets bit
 i to 1 exactly when every exterior handle on face i is proper alternating
 along the clockwise periphery; it puts the unique matching without proper
-alternating cycles at the all-zeros string and realizes the resonance graph
+alternating cycles at the zero label and realizes the resonance graph
 as a finite distributive lattice.  Swapping the two color classes
-complements every lattice-coding string and fixes every daisy string.
+complements every lattice-coding label and fixes every daisy label.
 
-Both codings read the family's per-edge matching columns: each position is
-one bitset over matching ids, built from the exterior handles' end-edge
-columns, and the bit strings are the transpose of those bitsets.
+A label is an ``int`` whose bit p - 1 is position p.  Both codings read the
+family's per-edge matching columns: each position is one bitset over
+matching ids, built from the exterior handles' end-edge columns, and the
+labels are the transpose of those bitsets.  :func:`bit_string` is the one
+place a label becomes text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, product
 
 from . import plane_graph as pg
+from .cube_kit import _transpose, is_downward_closed, is_isometric_labelling
 from .errors import BadAttachment, LabelSetMismatch, PropertyViolated, UnsupportedInput
 from .matchings import MatchingFamily, bit_ids, handle_column, resonance_columns
 from .plane_graph import PlaneGraph, edge_key, facial_handle_decomposition, swap_colors
@@ -32,15 +36,16 @@ DAISY = "daisy"
 FDL = "fdl"
 
 
-def complement(label: str) -> str:
-    return "".join("1" if c == "0" else "0" for c in label)
+def bit_string(label: int, n: int) -> str:
+    """The n-character text of a label: character p - 1 is bit p - 1."""
+    return format(label, f"0{n}b")[::-1] if n else ""
 
 
 def daisy_label_set(attachment: dict, n: int) -> frozenset:
-    """Iterate the daisy label sets from {0, 1} up to length n.
+    """Iterate the daisy label sets from {0, 1} up to n positions.
 
-    Each step appends 0 to every string and appends 1 to the strings whose
-    digit at the attachment position is 0; ``attachment[i]`` must name an
+    Step i keeps every label with bit i - 1 clear and adds it set to the
+    labels whose attachment position is 0; ``attachment[i]`` must name an
     earlier position (1-based) for every i in 2..n.
     """
     if n < 1:
@@ -50,18 +55,16 @@ def daisy_label_set(attachment: dict, n: int) -> frozenset:
     for i, a in attachment.items():
         if not 1 <= a < i:
             raise BadAttachment(f"attachment {i} -> {a} does not point earlier")
-    labels = {"0", "1"}
+    labels = {0, 1}
     for i in range(2, n + 1):
-        a = attachment[i] - 1
-        labels = {x + "0" for x in labels} | {
-            x + "1" for x in labels if x[a] == "0"
-        }
+        a, new = attachment[i] - 1, 1 << (i - 1)
+        labels |= {x | new for x in labels if not x >> a & 1}
     return frozenset(labels)
 
 
 @dataclass(frozen=True)
 class Labelling:
-    """A bit string per matching id; position i (1-based) is face ``face_order[i-1]``."""
+    """A label per matching id; position p, bit p - 1, is face ``face_order[p - 1]``."""
 
     scheme: str
     labels: dict
@@ -123,7 +126,7 @@ def daisy_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
         if not g.is_cycle_graph():
             raise UnsupportedInput("a single finite face should mean an even cycle")
         reference = _even_cycle_reference_matching(g)
-        labels = {m.id: ("0" if m.edges == reference else "1") for m in family}
+        labels = {m.id: int(m.edges != reference) for m in family}
         return Labelling(DAISY, labels, order)
 
     labels = _labels_from_columns(family, _daisy_columns(g, family, order))
@@ -133,9 +136,11 @@ def daisy_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
         raise BadAttachment("decomposition lacks a complete attachment map")
     expected = daisy_label_set(rfd.attachment, n)
     if frozenset(labels.values()) != expected:
-        raise LabelSetMismatch(
-            f"daisy label set {sorted(labels.values())} != expected {sorted(expected)}"
+        found, wanted = (
+            sorted(bit_string(x, n) for x in side)
+            for side in (labels.values(), expected)
         )
+        raise LabelSetMismatch(f"daisy label set {found} != expected {wanted}")
     return Labelling(DAISY, labels, order)
 
 
@@ -152,11 +157,8 @@ def _daisy_columns(g: PlaneGraph, family: MatchingFamily, order) -> list:
 
 
 def _labels_from_columns(family: MatchingFamily, columns) -> dict:
-    """Per matching id, the bit string whose position i is bit id of
-    ``columns[i]``."""
-    width = f"0{len(family)}b"
-    digits = [format(col, width)[::-1] for col in columns]
-    return {mid: "".join(bits) for mid, bits in enumerate(zip(*digits))}
+    """Per matching id, the label whose bit i is bit id of ``columns[i]``."""
+    return dict(enumerate(_transpose(columns, len(family))))
 
 
 def _proper_column(g: PlaneGraph, family: MatchingFamily, path) -> int:
@@ -227,9 +229,9 @@ def color_swap_effect(g: PlaneGraph, family: MatchingFamily, rfd) -> ColorSwapRe
 
     fdl_here = fdl_labelling(g, family, rfd)
     fdl_there = fdl_labelling(swapped, swapped_family, rfd)
+    ones = (1 << fdl_here.length) - 1
     fdl_ok = all(
-        fdl_there.labels[mid] == complement(fdl_here.labels[mid])
-        for mid in fdl_here.labels
+        fdl_there.labels[mid] == fdl_here.labels[mid] ^ ones for mid in fdl_here.labels
     )
 
     daisy_here = daisy_labelling(g, family, rfd)
@@ -254,7 +256,7 @@ class ComposedLabelling:
     """Concatenated labels over tuples of part matching ids."""
 
     scheme: str
-    labels: dict  # tuple of part matching ids -> bit string
+    labels: dict  # tuple of part matching ids -> label
     parts: tuple  # the part Labelling objects
 
     @property
@@ -266,7 +268,8 @@ class ComposedLabelling:
 
 
 def compose_labellings(parts) -> ComposedLabelling:
-    """Concatenate part labellings over the Cartesian product of matchings.
+    """Concatenate part labellings over the Cartesian product of matchings;
+    each part's positions follow those of the parts before it.
 
     Vertex tuples enumerate part matching ids in the same order that
     :func:`rescube.resonance.cartesian_compose` uses, so the composed labels
@@ -277,24 +280,21 @@ def compose_labellings(parts) -> ComposedLabelling:
     schemes = {p.scheme for p in parts}
     if len(schemes) != 1:
         raise ValueError(f"mixed schemes {sorted(schemes)}")
-    from itertools import product
-
+    shifts = (0, *accumulate(p.length for p in parts[:-1]))
     labels = {}
     for combo in product(*(sorted(p.labels) for p in parts)):
-        labels[combo] = "".join(p.labels[mid] for p, mid in zip(parts, combo))
+        labels[combo] = sum(
+            p.labels[mid] << shift for p, mid, shift in zip(parts, combo, shifts)
+        )
     return ComposedLabelling(schemes.pop(), labels, parts)
 
 
 def labelling_is_proper(metric, labels) -> bool:
     """Isometric into the hypercube and downward closed: a proper daisy labelling."""
-    from .cube_kit import is_downward_closed, is_isometric_labelling
-
-    return is_isometric_labelling(metric, labels) and is_downward_closed(
-        set(labels.values())
-    )
+    return is_isometric_labelling(metric, labels) and is_downward_closed(labels.values())
 
 
 def codings_differ(daisy: Labelling, fdl: Labelling) -> bool:
-    """Report whether some matching receives different strings (expected as
+    """Report whether some matching receives different labels (expected as
     soon as the graph has at least two finite faces)."""
     return any(daisy.labels[mid] != fdl.labels[mid] for mid in daisy.labels)

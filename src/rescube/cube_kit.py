@@ -10,9 +10,10 @@ the far half sets the class's bit.  On a partial cube Theta is transitive
 (Winkler, "Isometric embedding in products of complete graphs", 1984), so
 one representative's crossing set is its whole class; Eppstein
 ("Recognizing partial cubes in quadratic time", 2011) builds on the same
-fact.  Labels, found so or given, are certified: they are isometric exactly
-when every edge flips one bit and every vertex differs from every other
-vertex at a bit that one of its own edges flips.  On certified labels
+fact.  A label is an ``int`` whose bit i is coordinate i of the hypercube.
+Labels, found so or given, are certified: they are isometric exactly when
+every edge flips one bit and every vertex differs from every other vertex
+at a bit that one of its own edges flips.  On certified labels
 distance is popcount, so convexity, medianness (closure under bitwise
 majority; Bandelt and Chepoi, "Metric graph theory and geometry: a
 survey", 2008) and the daisy search (the per-bit majority as the XOR mask
@@ -88,7 +89,7 @@ class MetricGraph:
             eset.add(_edge_key(u, v))
         self.adjacency = {v: frozenset(ws) for v, ws in adj.items()}
         self.edges = frozenset(eset)
-        self._certified = {}  # labels in vertex order -> int labels, or None
+        self._certified = {}  # labels in vertex order -> certificate verdict
 
     @cached_property
     def _flood(self) -> dict:
@@ -101,7 +102,7 @@ class MetricGraph:
 
     @cached_property
     def _embedding(self) -> "PartialCubeVerdict":
-        """The partial-cube verdict with ``int`` labels, computed once per graph."""
+        """The partial-cube verdict, computed once per graph."""
         return _embed(self)
 
     @property
@@ -117,15 +118,6 @@ class MetricGraph:
 # ---------------------------------------------------------------------------
 # bit labels
 # ---------------------------------------------------------------------------
-
-
-def _to_bits(label: str) -> int:
-    """Bit string to ``int``: string position i is bit i."""
-    return int(label[::-1] or "0", 2)
-
-
-def _to_str(bits: int, n: int) -> str:
-    return format(bits, f"0{n}b")[::-1] if n else ""
 
 
 def _transpose(rows: list, width: int) -> list:
@@ -172,13 +164,16 @@ def _isometric(mg: MetricGraph, bits: dict, sides: list = None) -> bool:
     return True
 
 
-def _is_down_set(labels: set) -> bool:
-    """Every lower cover (one set bit cleared) of every member is a member."""
-    for lab in labels:
+def is_downward_closed(labels) -> bool:
+    """Whether a set of labels is closed downward in the bitwise order:
+    every lower cover (one set bit cleared) of every member is a member,
+    which by induction gives the whole closure."""
+    present = set(labels)
+    for lab in present:
         rest = lab
         while rest:
             low = rest & -rest
-            if lab ^ low not in labels:
+            if lab ^ low not in present:
                 return False
             rest ^= low
     return True
@@ -286,11 +281,10 @@ def theta_classes(mg: MetricGraph) -> ThetaClasses:
 @dataclass(frozen=True)
 class PartialCubeVerdict:
     ok: bool
-    labelling: dict = None  # vertex -> bit string, root gets all zeros
+    labelling: dict = None  # vertex -> int, bit i for class i; root gets 0
     idim: int = None
     theta_raw_transitive: bool = None
     reason: str = None
-    bits: dict = None  # vertex -> int, bit i is string position i
 
     def __bool__(self):
         return self.ok
@@ -315,14 +309,8 @@ def _embed(mg: MetricGraph) -> PartialCubeVerdict:
         # a connected bipartite graph fails only by a non-transitive Theta
         raw = False if reason == _NOT_TRANSITIVE else None
         return PartialCubeVerdict(False, theta_raw_transitive=raw, reason=reason)
-    bits = mg._theta.bits
-    n = len(classes)
     return PartialCubeVerdict(
-        True,
-        labelling={v: _to_str(b, n) for v, b in bits.items()},
-        idim=n,
-        theta_raw_transitive=True,
-        bits=bits,
+        True, labelling=mg._theta.bits, idim=len(classes), theta_raw_transitive=True
     )
 
 
@@ -347,7 +335,7 @@ def is_median(mg: MetricGraph) -> bool:
     pc = is_partial_cube(mg)
     if not pc:
         return False
-    bits = pc.bits
+    bits = pc.labelling
     present = set(bits.values())
     projections = {}
     for w in mg.vertices:
@@ -369,41 +357,28 @@ def is_median(mg: MetricGraph) -> bool:
 
 def operator_o(labels: dict, subset) -> frozenset:
     """Downward closure of a vertex subset inside the labelled vertex set."""
-    bits = {v: _to_bits(lab) for v, lab in labels.items()}
-    chosen = [bits[v] for v in subset]
+    chosen = [labels[v] for v in subset]
     # b lies below c exactly when b & c == b
-    return frozenset(v for v, b in bits.items() if b in map(b.__and__, chosen))
-
-
-def is_downward_closed(label_set) -> bool:
-    """Whether a set of equal-length bit strings is closed downward in the
-    coordinatewise order."""
-    # every lower cover of every member is present; induction gives full closure
-    return _is_down_set({_to_bits(lab) for lab in label_set})
-
-
-def _certified_bits(mg: MetricGraph, labels: dict):
-    """The ``int`` labels when the bit strings pass the certificate, else
-    None; each label set is certified once per graph."""
-    key = tuple(labels[v] for v in mg.vertices)
-    if key not in mg._certified:
-        bits = dict(zip(mg.vertices, map(_to_bits, key)))
-        mg._certified[key] = bits if _isometric(mg, bits) else None
-    return mg._certified[key]
+    return frozenset(v for v, b in labels.items() if b in map(b.__and__, chosen))
 
 
 def is_isometric_labelling(mg: MetricGraph, labels: dict) -> bool:
-    """Whether Hamming distance on the equal-length labels equals graph
-    distance for all pairs, by the label certificate (no distance table)."""
-    return _certified_bits(mg, labels) is not None
+    """Whether Hamming distance on the labels equals graph distance for all
+    pairs, by the label certificate (no distance table); each label set is
+    certified once per graph."""
+    key = tuple(labels[v] for v in mg.vertices)
+    if key not in mg._certified:
+        mg._certified[key] = _isometric(mg, labels)
+    return mg._certified[key]
 
 
 def isometric_bits(mg: MetricGraph, labels: dict):
-    """``int`` labels that embed the graph isometrically: the given bit
-    strings when they pass the certificate, else the partial-cube labels,
-    or None when the graph is not a partial cube."""
-    bits = _certified_bits(mg, labels)
-    return bits if bits is not None else is_partial_cube(mg).bits
+    """Labels that embed the graph isometrically: the given ones when they
+    pass the certificate, else the partial-cube labels, or None when the
+    graph is not a partial cube."""
+    if is_isometric_labelling(mg, labels):
+        return labels
+    return is_partial_cube(mg).labelling
 
 
 @dataclass(frozen=True)
@@ -421,14 +396,14 @@ def is_daisy_cube(mg: MetricGraph) -> DaisyVerdict:
     """Search for a proper labelling realizing the graph as a daisy cube.
 
     A proper labelling is an isometric hypercube embedding whose image is
-    a downward-closed subset of the bit strings.  Up to the order of the
-    bits, every such embedding is the partial-cube labelling XOR some mask.
+    a downward-closed set of labels.  Up to the order of the bits, every
+    such embedding is the partial-cube labelling XOR some mask.
     In a down-set no bit is set on more labels than it is clear on
     (clearing it maps the first labels into the second), and a bit set on
     exactly half of them can be flipped without changing the set.  So the
     per-bit majority decides with one down-set test, and the labelling is
     the one that makes the first vertex (in vertex order) whose label
-    agrees with the majority on every untied bit the all-zeros root: the
+    agrees with the majority on every untied bit the zero root: the
     first root that works.
     """
     pc = is_partial_cube(mg)
@@ -442,10 +417,10 @@ def is_daisy_cube(mg: MetricGraph) -> DaisyVerdict:
             untied |= 1 << i
         if ones > size:
             mask |= 1 << i
-    if not _is_down_set({b ^ mask for b in pc.bits.values()}):
+    if not is_downward_closed({b ^ mask for b in pc.labelling.values()}):
         return DaisyVerdict(False, idim=n, reason="no root works")
-    root = next(b for b in pc.bits.values() if (b ^ mask) & untied == 0)
-    labelling = {v: _to_str(b ^ root, n) for v, b in pc.bits.items()}
+    root = next(b for b in pc.labelling.values() if (b ^ mask) & untied == 0)
+    labelling = {v: b ^ root for v, b in pc.labelling.items()}
     return DaisyVerdict(True, labelling, n)
 
 
@@ -461,17 +436,19 @@ def is_convex_subset(mg: MetricGraph, subset, bits: dict) -> bool:
     partial-cube labels).  A neighbour w of u is a step on a shortest path
     from u to v exactly when (L(w) ^ L(u)) & (L(u) ^ L(v)) != 0, and every
     shortest path is a chain of such steps, so the subset is convex when no
-    step from a member towards another member leaves it: with X(u) the OR
-    of the bits that u's edges to non-members flip, (L(u) ^ L(v)) & X(u) is
-    0 for all members u, v.  O(|S|^2) word operations."""
+    step from a member towards another member leaves it.  The bits on which
+    u differs from some member are the bits that vary across the subset, so
+    it is convex exactly when no edge from a member to a non-member flips a
+    varying bit.  O(|S| deg) word operations."""
     members = set(subset)
-    labels = [bits[v] for v in members]
-    for u in members:
-        lu = bits[u]
-        leaving = 0
-        for w in mg.adjacency[u]:
-            if w not in members:
-                leaving |= bits[w] ^ lu
-        if leaving and any(map(leaving.__and__, map(lu.__xor__, labels))):
-            return False
-    return True
+    ones, common = 0, -1
+    for v in members:
+        ones |= bits[v]
+        common &= bits[v]
+    varying = ones & ~common
+    return not any(
+        (bits[w] ^ bits[u]) & varying
+        for u in members
+        for w in mg.adjacency[u]
+        if w not in members
+    )

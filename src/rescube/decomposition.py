@@ -532,13 +532,12 @@ def _check_step(
     # deleting the new bit from the avoid side labels the previous resonance
     # graph; when that subgraph is not an even cycle the handle rule must
     # reproduce exactly the same labelling
-    bit = i - 1  # 0-based string index of position i
-    ok = all(labels_i[mid][bit] == "0" for mid in minus) and all(
-        labels_i[mid][bit] == "1" for mid in plus
+    new = 1 << (i - 1)  # the bit of position i
+    ok = not any(labels_i[mid] & new for mid in minus) and all(
+        labels_i[mid] & new for mid in plus
     )
-    labels_prev = {
-        restrict[mid]: labels_i[mid][:bit] + labels_i[mid][bit + 1 :] for mid in minus
-    }
+    # position i is the last, so deleting it clears the bit
+    labels_prev = {restrict[mid]: labels_i[mid] & ~new for mid in minus}
     ok = ok and len(set(labels_prev.values())) == len(labels_prev)
     if i >= 3:
         ok = ok and labels_prev == prev.daisy.labels
@@ -567,10 +566,8 @@ def _check_step(
     check("inner-convex", convex)
     check("inner-le-subgraph", o_closed)
     att = rfd.attachment[i]
-    att_bit = att - 1
-    zero_att = frozenset(
-        mid for mid in labels_prev if labels_prev[mid][att_bit] == "0"
-    )
+    att_bit = 1 << (att - 1)
+    zero_att = frozenset(mid for mid in labels_prev if not labels_prev[mid] & att_bit)
     check("inner-zero-at-attachment", inner_set == zero_att,
           f"attachment position {att}")
 
@@ -614,11 +611,7 @@ def _check_step(
     check("expansion-flags", bool(inner_set) and convex and o_closed,
           "the inner side is empty" if not inner_set else "")
 
-    zero_both = frozenset(
-        mid
-        for mid in labels_i
-        if labels_i[mid][att_bit] == "0" and labels_i[mid][bit] == "0"
-    )
+    zero_both = frozenset(mid for mid in labels_i if not labels_i[mid] & (att_bit | new))
     inner_lifted = frozenset(bit_ids(handle_column(fam_i, inner)))
     check("zero-positions", zero_both == inner_lifted)
 
@@ -698,8 +691,8 @@ def theorem_report(
     lab["daisy_proper"] = coding.labelling_is_proper(metric, daisy.labels)
     lab["daisy_accepted_by_search"] = ck.is_daisy_cube(metric).ok
     lab["fdl_isometric"] = ck.is_isometric_labelling(metric, fdl.labels)
-    lab["fdl_bottom_zero"] = fdl.labels[bottom] == "0" * rfd.n
-    lab["fdl_top_ones"] = fdl.labels[top] == "1" * rfd.n
+    lab["fdl_bottom_zero"] = fdl.labels[bottom] == 0
+    lab["fdl_top_ones"] = fdl.labels[top] == (1 << rfd.n) - 1
     lab["fdl_no_mixed_orientation"] = not fdl.mixed_orientation
     lab["edges_flip_their_face_bit"] = all(
         _edges_flip_their_face_bit(r, rfd, labels)
@@ -707,7 +700,7 @@ def theorem_report(
     )
     lab["fully_resonant_is_daisy_zero"] = (
         extremal.fully_resonant is not None
-        and daisy.labels[extremal.fully_resonant] == "0" * rfd.n
+        and daisy.labels[extremal.fully_resonant] == 0
     )
     lab["codings_differ"] = (
         coding.codings_differ(daisy, fdl) if rfd.n >= 2 else None
@@ -746,9 +739,8 @@ def theorem_report(
 def _edges_flip_their_face_bit(r: ResonanceGraph, rfd: RfdSequence, labels) -> bool:
     """Every resonance edge joins two labels that differ exactly at its
     face's position."""
-    flip = {fid: 1 << (rfd.n - p) for p, fid in enumerate(rfd.faces, start=1)}
-    value = {mid: int(label, 2) for mid, label in labels.items()}
-    return all(value[u] ^ value[v] == flip[f] for u, v, f in r.edges)
+    flip = {fid: 1 << p for p, fid in enumerate(rfd.faces)}
+    return all(labels[u] ^ labels[v] == flip[f] for u, v, f in r.edges)
 
 
 def _subset_equalities_hold(read: _FaceRead) -> bool:

@@ -169,7 +169,8 @@ def _face_name(face_id, face_names) -> str:
 
 
 def resonance_to_dot(r: ResonanceGraph, labels=None, face_names=None) -> str:
-    """Deterministic DOT text; optional bit-string labels annotate the nodes."""
+    """Deterministic DOT text; optional label texts (vertex -> string, as
+    :func:`rescube.coding.bit_string` makes them) annotate the nodes."""
     lines = ["graph resonance {"]
     for v in r.vertices:
         if labels:
@@ -182,14 +183,11 @@ def resonance_to_dot(r: ResonanceGraph, labels=None, face_names=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def resonance_to_json(r: ResonanceGraph, labels=None, face_names=None) -> str:
+def resonance_to_json(r: ResonanceGraph) -> str:
     obj = {
-        "vertices": [
-            {"id": v, **({"label": labels[v]} if labels else {})} for v in r.vertices
-        ],
+        "vertices": [{"id": v} for v in r.vertices],
         "edges": [
-            {"face": _face_name(fid, face_names), "u": u, "v": v}
-            for u, v, fid in r.edges
+            {"face": _face_name(fid, None), "u": u, "v": v} for u, v, fid in r.edges
         ],
     }
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -9,13 +9,15 @@ flag whether Theta is transitive), partial cubes from string labels
 checked pair by pair against the distance table, medianness from the
 intersection of the three intervals of every vertex triple, daisy cubes
 from string orientation flips (every root, or every one of the 2^idim
-masks), and convexity from intervals.  The library's flood fill, BFS-pair
-embedding, bit-vector core and label certificate must agree with them;
-``test_cube_oracles.py`` checks that they do.  The graph expansion, the
-Theta-class side sets and the median split check build graphs and tables
-that no library path needs; they live here too, read the distance table
-directly, and serve as references for the step checks of
-``rescube.decomposition``.
+masks), and convexity from intervals.  The oracles reason on bit strings
+and take and return the library's ``int`` labels: ``bits`` and ``text``
+convert at their boundary, character p - 1 being bit p - 1.  The
+library's flood fill, BFS-pair embedding, bit-vector core and label
+certificate must agree with them; ``test_cube_oracles.py`` checks that
+they do.  The graph expansion, the Theta-class side sets and the median
+split check build graphs and tables that no library path needs; they live
+here too, read the distance table directly, and serve as references for
+the step checks of ``rescube.decomposition``.
 
 The cycle-space section enumerates every cycle of a plane graph as a union
 of finite faces (2^F of them, so at most ``MAX_FACES_FOR_CYCLES`` faces per
@@ -117,9 +119,26 @@ def induced(mg: MetricGraph, vertex_subset) -> MetricGraph:
     return MetricGraph(sorted(sub), [(u, v) for u, v in mg.edges if u in sub and v in sub])
 
 
-def label_leq(u: str, v: str) -> bool:
-    """Coordinatewise order on equal-length bit strings."""
-    return all(a <= b for a, b in zip(u, v))
+def bits(string: str) -> int:
+    """The label of a bit string: character p - 1 is bit p - 1."""
+    return int(string[::-1] or "0", 2)
+
+
+def text(label: int, n: int) -> str:
+    """The n-character bit string of a label; ``bits`` inverts it."""
+    return "".join("1" if label >> p & 1 else "0" for p in range(n))
+
+
+def _texts(labels: dict) -> dict:
+    """The labels as bit strings of one length, wide enough for all."""
+    n = max(labels.values(), default=0).bit_length()
+    return {k: text(lab, n) for k, lab in labels.items()}
+
+
+def label_leq(u: int, v: int) -> bool:
+    """Coordinatewise order on the labels' equal-length bit strings."""
+    a, b = _texts({0: u, 1: v}).values()
+    return all(x <= y for x, y in zip(a, b))
 
 
 def _union_find(items, pairs) -> dict:
@@ -234,6 +253,10 @@ def hamming(a: str, b: str) -> int:
 def is_isometric_labelling(mg: MetricGraph, labels: dict) -> bool:
     """Hamming distance is graph distance for every pair; a pair in two
     components has no distance and fails."""
+    return _is_isometric_text(mg, _texts(labels))
+
+
+def _is_isometric_text(mg: MetricGraph, labels: dict) -> bool:
     return all(
         hamming(labels[u], labels[v]) == dist(mg)[u].get(v)
         for u, v in combinations(mg.vertices, 2)
@@ -254,7 +277,7 @@ def is_partial_cube(mg: MetricGraph) -> PartialCubeVerdict:
             False, theta_raw_transitive=False, reason="Theta not transitive"
         )
     root = mg.vertices[0]
-    bits = {v: [] for v in mg.vertices}
+    digits = {v: [] for v in mg.vertices}
     for cls in classes.classes:
         x, y = sorted(cls)[0]
         if d(mg, root, x) > d(mg, root, y):
@@ -265,14 +288,17 @@ def is_partial_cube(mg: MetricGraph) -> PartialCubeVerdict:
                 return PartialCubeVerdict(
                     False, theta_raw_transitive=True, reason="tied side distances"
                 )
-            bits[v].append("0" if dx < dy else "1")
-    labelling = {v: "".join(b) for v, b in bits.items()}
-    if not is_isometric_labelling(mg, labelling):
+            digits[v].append("0" if dx < dy else "1")
+    labelling = {v: "".join(b) for v, b in digits.items()}
+    if not _is_isometric_text(mg, labelling):
         return PartialCubeVerdict(
             False, theta_raw_transitive=True, reason="labelling not isometric"
         )
     return PartialCubeVerdict(
-        True, labelling=labelling, idim=len(classes.classes), theta_raw_transitive=True
+        True,
+        labelling={v: bits(lab) for v, lab in labelling.items()},
+        idim=len(classes.classes),
+        theta_raw_transitive=True,
     )
 
 
@@ -288,6 +314,10 @@ def is_median(mg: MetricGraph) -> bool:
 
 def is_downward_closed(label_set) -> bool:
     """Every lower cover of every member is a member."""
+    return _is_downward_closed_text(_texts(dict(enumerate(label_set))).values())
+
+
+def _is_downward_closed_text(label_set) -> bool:
     labs = set(label_set)
     return all(
         lab[:i] + "0" + lab[i + 1 :] in labs
@@ -307,8 +337,8 @@ def is_daisy_cube(mg: MetricGraph, method: str) -> DaisyVerdict:
     pc = is_partial_cube(mg)
     if not pc:
         return DaisyVerdict(False, reason=f"not a partial cube ({pc.reason})")
-    base = pc.labelling
     n = pc.idim
+    base = {v: text(lab, n) for v, lab in pc.labelling.items()}
 
     def flipped(mask):
         return {
@@ -331,8 +361,8 @@ def is_daisy_cube(mg: MetricGraph, method: str) -> DaisyVerdict:
         raise ValueError(f"unknown method {method!r}")
     for mask in masks:
         labelling = flipped(mask)
-        if is_downward_closed(labelling.values()):
-            return DaisyVerdict(True, labelling, n)
+        if _is_downward_closed_text(labelling.values()):
+            return DaisyVerdict(True, {v: bits(lab) for v, lab in labelling.items()}, n)
     return DaisyVerdict(False, idim=n, reason=failure)
 
 

@@ -36,20 +36,23 @@ import cube_oracles as oracle
 from conftest import BRANCHED_CELLS
 
 BRANCHED_LABEL_SET = {
-    "00000",
-    "10000",
-    "01000",
-    "00100",
-    "10100",
-    "00010",
-    "10010",
-    "01010",
-    "00001",
-    "10001",
-    "00101",
-    "10101",
-    "00011",
-    "10011",
+    oracle.bits(s)
+    for s in (
+        "00000",
+        "10000",
+        "01000",
+        "00100",
+        "10100",
+        "00010",
+        "10010",
+        "01010",
+        "00001",
+        "10001",
+        "00101",
+        "10101",
+        "00011",
+        "10011",
+    )
 }
 
 
@@ -123,9 +126,10 @@ def test_criterion_4_daisy_oracle_crosscheck(corpus, pyrene):
             constructive = daisy_labelling(g, family, auto_rfd(g)).labels
             assert labelling_is_proper(metric, constructive), shape
             order = sorted(constructive)
+            n = found.idim
             cols = lambda labels: sorted(
-                "".join(labels[m][i] for m in order)
-                for i in range(len(labels[order[0]]))
+                "".join(oracle.text(labels[m], n)[i] for m in order)
+                for i in range(n)
             )
             assert cols(constructive) == cols(found.labelling), shape
 
@@ -143,8 +147,8 @@ def test_criterion_5_two_coding_contrast(branched5, branched5_faces):
         rfd = rfd_from_face_order(branched5, branched5_faces)
         fdl = fdl_labelling(branched5, family, rfd)
         ext = extremal_matchings(branched5, family)
-        assert fdl.labels[ext.lattice_bottom] == "00000"
-        assert fdl.labels[ext.lattice_top] == "11111"
+        assert fdl.labels[ext.lattice_bottom] == oracle.bits("00000")
+        assert fdl.labels[ext.lattice_top] == oracle.bits("11111")
         assert color_swap_effect(branched5, family, rfd).ok
 
 

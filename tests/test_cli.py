@@ -419,3 +419,50 @@ def test_label_weakly_elementary_with_bridge(tmp_path, capsys):
     code, out, _ = run(capsys, "label", str(p), "--scheme", "daisy")
     assert code == 0
     assert sorted(json.loads(out)["labels"].values()) == ["0", "1"]
+
+
+# the exact labels of the parent implementation; a sorted label set alone
+# would not see the bit order reversed at the output edge
+GOLDEN_LABELS = {
+    ("branched5", "daisy"): {
+        "0": "10100", "1": "00100", "2": "10000", "3": "00000", "4": "01000",
+        "5": "10010", "6": "00010", "7": "01010", "8": "10001", "9": "00001",
+        "10": "01001", "11": "10011", "12": "00011", "13": "01011",
+    },
+    ("branched5", "fdl"): {
+        "0": "11111", "1": "01111", "2": "11011", "3": "01011", "4": "00011",
+        "5": "11001", "6": "01001", "7": "00001", "8": "11010", "9": "01010",
+        "10": "00010", "11": "11000", "12": "01000", "13": "00000",
+    },
+    ("hexagon_plus_naphthalene", "daisy"): {
+        "0": "101", "1": "100", "2": "110", "3": "001", "4": "000", "5": "010",
+    },
+    ("hexagon_plus_naphthalene", "fdl"): {
+        "0": "111", "1": "110", "2": "100", "3": "011", "4": "010", "5": "000",
+    },
+}
+
+
+@pytest.mark.parametrize("name, scheme", sorted(GOLDEN_LABELS))
+def test_label_golden_labels_and_dot_nodes(
+    name, scheme, tmp_path, capsys, hexagon_plus_naphthalene
+):
+    # branched5 runs the elementary path, the disjoint hexagon and
+    # naphthalene the composed one
+    if name == "branched5":
+        p = tmp_path / "branched.benz"
+        p.write_text(BRANCHED)
+    else:
+        p = tmp_path / "composed.json"
+        p.write_text(graph_to_json(hexagon_plus_naphthalene))
+    dot = tmp_path / "labelled.dot"
+    code, out, _ = run(
+        capsys, "label", str(p), "--scheme", scheme, "--emit-dot", str(dot)
+    )
+    assert code == 0
+    golden = GOLDEN_LABELS[name, scheme]
+    assert json.loads(out)["labels"] == golden
+    nodes = [line for line in dot.read_text().splitlines() if "[label=" in line]
+    assert nodes == [
+        f'  M{mid} [label="M{mid}\\n{golden[str(mid)]}"];' for mid in range(len(golden))
+    ]

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from rescube.coding import (
     color_swap_effect,
     codings_differ,
-    complement,
     compose_labellings,
     daisy_label_set,
     daisy_labelling,
@@ -25,23 +24,26 @@ from rescube.matchings import enumerate_matchings, extremal_matchings
 from rescube.plane_graph import edge_subgraph, elementary_analysis, swap_colors
 from rescube.resonance import build_resonance, cartesian_compose
 
-from cube_oracles import label_leq, matching_subset
+from cube_oracles import bits, label_leq, matching_subset, text
 
 BRANCHED_LABEL_SET = {
-    "00000",
-    "10000",
-    "01000",
-    "00100",
-    "10100",
-    "00010",
-    "10010",
-    "01010",
-    "00001",
-    "10001",
-    "00101",
-    "10101",
-    "00011",
-    "10011",
+    bits(s)
+    for s in (
+        "00000",
+        "10000",
+        "01000",
+        "00100",
+        "10100",
+        "00010",
+        "10010",
+        "01010",
+        "00001",
+        "10001",
+        "00101",
+        "10101",
+        "00011",
+        "10011",
+    )
 }
 
 
@@ -58,8 +60,8 @@ def test_label_set_sizes_on_branched_attachment():
 
 
 def test_label_set_exact_values():
-    assert daisy_label_set({}, 1) == {"0", "1"}
-    assert daisy_label_set({2: 1}, 2) == {"00", "10", "01"}
+    assert daisy_label_set({}, 1) == {bits("0"), bits("1")}
+    assert daisy_label_set({2: 1}, 2) == {bits("00"), bits("10"), bits("01")}
     assert daisy_label_set({2: 1, 3: 2, 4: 3, 5: 2}, 5) == BRANCHED_LABEL_SET
 
 
@@ -86,7 +88,7 @@ def test_label_set_is_downward_closed_and_graded(data):
     att, n = data
     labels = daisy_label_set(att, n)
     assert is_downward_closed(labels)
-    assert "0" * n in labels
+    assert bits("0" * n) in labels
     assert len(labels) >= n + 1
 
 
@@ -107,7 +109,7 @@ def test_daisy_fully_resonant_is_minimum(branched5, branched5_faces):
     rfd = rfd_from_face_order(branched5, branched5_faces)
     labelling = daisy_labelling(branched5, family, rfd)
     ext = extremal_matchings(branched5, family)
-    assert labelling.labels[ext.fully_resonant] == "00000"
+    assert labelling.labels[ext.fully_resonant] == bits("00000")
 
 
 def test_daisy_edges_flip_their_face_bit(branched5, branched5_faces):
@@ -116,7 +118,7 @@ def test_daisy_edges_flip_their_face_bit(branched5, branched5_faces):
     labelling = daisy_labelling(branched5, family, rfd)
     r = build_resonance(branched5, family)
     for u, v, fid in r.edges:
-        a, b = labelling.labels[u], labelling.labels[v]
+        a, b = text(labelling.labels[u], 5), text(labelling.labels[v], 5)
         pos = labelling.position_of(fid) - 1
         assert [i for i, (x, y) in enumerate(zip(a, b)) if x != y] == [pos]
 
@@ -141,7 +143,7 @@ def test_daisy_is_proper_and_o_closed(branched5, branched5_faces):
 def test_daisy_on_even_cycle(hexagon):
     family = enumerate_matchings(hexagon)
     labelling = daisy_labelling(hexagon, family, auto_rfd(hexagon))
-    assert sorted(labelling.labels.values()) == ["0", "1"]
+    assert sorted(labelling.labels.values()) == [bits("0"), bits("1")]
 
 
 def test_theta_sides_match_bits(branched5, branched5_faces):
@@ -150,7 +152,7 @@ def test_theta_sides_match_bits(branched5, branched5_faces):
     labelling = daisy_labelling(branched5, family, rfd)
     for fid in branched5_faces:
         pos = labelling.position_of(fid) - 1
-        zeros = {m for m, lab in labelling.labels.items() if lab[pos] == "0"}
+        zeros = {m for m, lab in labelling.labels.items() if text(lab, 5)[pos] == "0"}
         assert zeros == matching_subset(
             branched5, family, fid, "all-exterior-avoid"
         )
@@ -166,8 +168,8 @@ def test_fdl_anchors(branched5, branched5_faces):
     rfd = rfd_from_face_order(branched5, branched5_faces)
     labelling = fdl_labelling(branched5, family, rfd)
     ext = extremal_matchings(branched5, family)
-    assert labelling.labels[ext.lattice_bottom] == "00000"
-    assert labelling.labels[ext.lattice_top] == "11111"
+    assert labelling.labels[ext.lattice_bottom] == bits("00000")
+    assert labelling.labels[ext.lattice_top] == bits("11111")
     assert not labelling.mixed_orientation
 
 
@@ -178,7 +180,7 @@ def test_fdl_isometric_and_one_bit_edges(branched5, branched5_faces):
     r = build_resonance(branched5, family)
     assert is_isometric_labelling(r.metric(), labelling.labels)
     for u, v, fid in r.edges:
-        a, b = labelling.labels[u], labelling.labels[v]
+        a, b = text(labelling.labels[u], 5), text(labelling.labels[v], 5)
         pos = labelling.position_of(fid) - 1
         assert [i for i, (x, y) in enumerate(zip(a, b)) if x != y] == [pos]
 
@@ -201,7 +203,7 @@ def test_fdl_even_cycle(hexagon):
     walk = hexagon.finite_faces[0].boundary
     closed = walk + (walk[0],)
     for m in family:
-        want = "1" if alternation_kind(hexagon, m, closed) == PROPER else "0"
+        want = bits("1") if alternation_kind(hexagon, m, closed) == PROPER else bits("0")
         assert labelling.labels[m.id] == want
 
 
@@ -231,7 +233,7 @@ def test_color_swap_even_cycle(hexagon):
     swapped = swap_colors(hexagon)
     fdl_a = fdl_labelling(hexagon, family, rfd).labels
     fdl_b = fdl_labelling(swapped, enumerate_matchings(swapped), rfd).labels
-    assert all(fdl_b[m] == complement(fdl_a[m]) for m in fdl_a)
+    assert all(fdl_b[m] == fdl_a[m] ^ bits("1") for m in fdl_a)  # complemented
 
 
 def test_color_swap_enumerates_nothing(branched5, monkeypatch):
@@ -282,7 +284,7 @@ def _parts(g, scheme):
 def test_compose_two_hexagons(two_hexagons):
     labellings, resonances = _parts(two_hexagons, "daisy")
     composed = compose_labellings(labellings)
-    assert composed.label_set() == {"00", "01", "10", "11"}
+    assert composed.label_set() == {bits("00"), bits("01"), bits("10"), bits("11")}
     product = cartesian_compose(resonances)
     index = {combo: i for i, combo in enumerate(product.vertices)}
     labels = {index[c]: composed.labels[c] for c in product.vertices}
@@ -354,6 +356,6 @@ def test_octagon_even_cycle_codings():
     rfd = auto_rfd(g)
     daisy = daisy_labelling(g, family, rfd)
     fdl = fdl_labelling(g, family, rfd)
-    assert sorted(daisy.labels.values()) == ["0", "1"]
-    assert sorted(fdl.labels.values()) == ["0", "1"]
+    assert sorted(daisy.labels.values()) == [bits("0"), bits("1")]
+    assert sorted(fdl.labels.values()) == [bits("0"), bits("1")]
     assert color_swap_effect(g, family, rfd).ok

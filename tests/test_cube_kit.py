@@ -17,7 +17,14 @@ from rescube.cube_kit import (
 from rescube.errors import NotAPartialCube
 
 import cube_oracles as oracle
-from cube_oracles import check_median_split, label_leq, split_class, theta_related
+from cube_oracles import (
+    bits,
+    check_median_split,
+    label_leq,
+    split_class,
+    text,
+    theta_related,
+)
 
 
 def path(n):
@@ -119,8 +126,9 @@ def test_partial_cube_verdicts():
 
 def test_partial_cube_root_all_zeros():
     verdict = is_partial_cube(path(4))
-    root = min(verdict.labelling, key=lambda v: verdict.labelling[v].count("1"))
-    assert verdict.labelling[root] == "0" * verdict.idim
+    labels = {v: text(lab, verdict.idim) for v, lab in verdict.labelling.items()}
+    root = min(labels, key=lambda v: labels[v].count("1"))
+    assert labels[root] == "0" * verdict.idim
 
 
 def test_median_verdicts():
@@ -139,7 +147,7 @@ def test_median_verdicts():
 def test_daisy_p3_labels():
     verdict = is_daisy_cube(path(3))
     assert verdict.ok
-    assert sorted(verdict.labelling.values()) == ["00", "01", "10"]
+    assert sorted(text(lab, 2) for lab in verdict.labelling.values()) == ["00", "01", "10"]
 
 
 def test_daisy_p4_rejected():
@@ -174,7 +182,7 @@ def test_daisy_labelling_is_proper():
 
 
 def test_operator_o_examples():
-    labels = {0: "00", 1: "10", 2: "01", 3: "11"}
+    labels = {0: bits("00"), 1: bits("10"), 2: bits("01"), 3: bits("11")}
     assert operator_o(labels, [3]) == frozenset({0, 1, 2, 3})
     assert operator_o(labels, []) == frozenset()
     assert operator_o(labels, [1]) == frozenset({0, 1})
@@ -192,7 +200,7 @@ def labelled_sets(draw):
             unique=True,
         )
     )
-    mapping = dict(enumerate(labels))
+    mapping = {k: bits(lab) for k, lab in enumerate(labels)}
     subset = draw(st.lists(st.sampled_from(sorted(mapping)), unique=True))
     return mapping, frozenset(subset)
 
@@ -209,7 +217,8 @@ def test_operator_o_is_a_closure(data):
 
 @given(st.lists(st.text(alphabet="01", min_size=3, max_size=3), unique=True))
 def test_downward_closure_detector(labels):
-    full = {format(i, "03b") for i in range(8)}
+    labels = [bits(lab) for lab in labels]
+    full = {bits(format(i, "03b")) for i in range(8)}
     closure = {u for u in full if any(label_leq(u, v) for v in labels)}
     assert is_downward_closed(closure)
     if set(labels) != closure:
@@ -271,7 +280,7 @@ def test_daisy_orientation_structure_on_resonance_graphs():
         metric = build_resonance(g, enumerate_matchings(g)).metric()
         verdict = is_daisy_cube(metric)
         assert verdict.ok
-        labels = verdict.labelling
+        labels = {v: text(lab, verdict.idim) for v, lab in verdict.labelling.items()}
         for cls in theta_classes(metric).classes:
             split = split_class(metric, cls)
             assert split.peripheral

@@ -51,10 +51,9 @@ def assert_agree(mg, labels=None):
     if fast.ok and mg.vertices:
         candidates.append(fast.labelling)
         v = mg.vertices[-1]
-        lab = fast.labelling[v]
-        if lab:
+        if fast.idim:
             bent = dict(fast.labelling)
-            bent[v] = ("1" if lab[0] == "0" else "0") + lab[1:]
+            bent[v] ^= 1  # position 1 flipped
             candidates.append(bent)
     for cand in candidates:
         assert ck.is_isometric_labelling(mg, cand) == oracle.is_isometric_labelling(
@@ -76,10 +75,11 @@ def _component_of_first(vertices, edges):
 
 @st.composite
 def connected_graphs(draw):
-    """A connected graph with up to 16 vertices and a bit-string label per
-    vertex: either the component of an induced subgraph of a hypercube
-    (often a partial cube, sometimes median or daisy), or a random tree plus
-    random chords (often with odd cycles or a non-transitive Theta)."""
+    """A connected graph with up to 16 vertices, a label per vertex drawn as
+    a bit string, and the strings' length.  The graph is either the
+    component of an induced subgraph of a hypercube (often a partial cube,
+    sometimes median or daisy), or a random tree plus random chords (often
+    with odd cycles or a non-transitive Theta)."""
     if draw(st.booleans()):
         dim = draw(st.integers(min_value=1, max_value=4))
         chosen = sorted(draw(st.sets(st.integers(0, (1 << dim) - 1), min_size=1)))
@@ -95,14 +95,14 @@ def connected_graphs(draw):
         edges += [(u, v) for u, v in chords if u != v]
     width = draw(st.integers(min_value=0, max_value=4))
     label = st.text(alphabet="01", min_size=width, max_size=width)
-    labels = {v: draw(label) for v in vertices}
-    return ck.MetricGraph(vertices, edges), labels
+    labels = {v: oracle.bits(draw(label)) for v in vertices}
+    return ck.MetricGraph(vertices, edges), labels, width
 
 
 @settings(max_examples=300, deadline=None)
 @given(connected_graphs())
 def test_fast_path_matches_oracle_on_random_graphs(case):
-    mg, labels = case
+    mg, labels, _ = case
     assert_agree(mg, labels)
 
 
@@ -188,20 +188,17 @@ def test_certificate_rejects_gray_cycle():
     bit per edge, but opposite vertices are 4 apart and 2 bits apart."""
     gray = ["000", "001", "011", "010", "110", "111", "101", "100"]
     c8 = ck.MetricGraph(range(8), [(i, (i + 1) % 8) for i in range(8)])
-    labels = dict(enumerate(gray))
+    labels = {k: oracle.bits(s) for k, s in enumerate(gray)}
     assert len(set(gray)) == 8
-    assert all(oracle.hamming(labels[u], labels[v]) == 1 for u, v in c8.edges)
+    assert all(oracle.hamming(gray[u], gray[v]) == 1 for u, v in c8.edges)
     assert not oracle.is_isometric_labelling(c8, labels)
     assert not ck.is_isometric_labelling(c8, labels)
 
 
-def _flip(label, position):
-    return label[:position] + ("1" if label[position] == "0" else "0") + label[position + 1 :]
-
-
-def assert_certificate_agrees(data, mg, labels):
+def assert_certificate_agrees(data, mg, labels, width):
     """The certificate and the table agree on the labels, on the labels with
-    two of them swapped, and on the labels with one bit flipped."""
+    two of them swapped, and on the labels with one of their ``width`` bits
+    flipped."""
     candidates = [labels]
     if len(mg.vertices) >= 2:
         u, v = data.draw(st.lists(st.sampled_from(mg.vertices), min_size=2, max_size=2, unique=True))
@@ -209,9 +206,9 @@ def assert_certificate_agrees(data, mg, labels):
         swapped[u], swapped[v] = labels[v], labels[u]
         candidates.append(swapped)
     w = data.draw(st.sampled_from(mg.vertices))
-    if labels[w]:
+    if width:
         flipped = dict(labels)
-        flipped[w] = _flip(labels[w], data.draw(st.integers(0, len(labels[w]) - 1)))
+        flipped[w] = labels[w] ^ 1 << data.draw(st.integers(0, width - 1))
         candidates.append(flipped)
     for cand in candidates:
         assert ck.is_isometric_labelling(mg, cand) == oracle.is_isometric_labelling(mg, cand)
@@ -220,16 +217,19 @@ def assert_certificate_agrees(data, mg, labels):
 @settings(max_examples=300, deadline=None)
 @given(connected_graphs(), st.data())
 def test_certificate_matches_oracle_on_connected_graphs(case, data):
-    mg, labels = case
+    mg, labels, width = case
     pc = ck.is_partial_cube(mg)
-    assert_certificate_agrees(data, mg, pc.labelling if pc.ok else labels)
+    if pc.ok:
+        labels, width = pc.labelling, pc.idim
+    assert_certificate_agrees(data, mg, labels, width)
 
 
 @st.composite
 def disconnected_labelled_graphs(draw):
     """Two components, each an induced connected subgraph of one hypercube
-    labelled by its coordinates; the second component's labels are XORed
-    with a drawn mask, so labels may repeat across the components or not."""
+    labelled by its coordinates, and the labels' width; the second
+    component's labels are XORed with a drawn mask, so labels may repeat
+    across the components or not."""
     dim = draw(st.integers(min_value=1, max_value=4))
     cube = st.sets(st.integers(0, (1 << dim) - 1), min_size=1)
     vertices, edges, labels = [], [], {}
@@ -239,16 +239,16 @@ def disconnected_labelled_graphs(draw):
         part, part_edges = _component_of_first(chosen, cube_edges)
         vertices += [(side, x) for x in part]
         edges += [((side, u), (side, v)) for u, v in part_edges]
-        labels.update({(side, x): format(x ^ mask, f"0{dim}b") for x in part})
-    return ck.MetricGraph(vertices, edges), labels
+        labels.update({(side, x): oracle.bits(format(x ^ mask, f"0{dim}b")) for x in part})
+    return ck.MetricGraph(vertices, edges), labels, dim
 
 
 @settings(max_examples=200, deadline=None)
 @given(disconnected_labelled_graphs(), st.data())
 def test_certificate_matches_oracle_on_disconnected_graphs(case, data):
-    mg, labels = case
+    mg, labels, width = case
     assert not ck.is_isometric_labelling(mg, labels)
-    assert_certificate_agrees(data, mg, labels)
+    assert_certificate_agrees(data, mg, labels, width)
 
 
 @settings(max_examples=200, deadline=None)
@@ -257,8 +257,8 @@ def test_certificate_matches_oracle_on_random_graphs(mg, data):
     assume(mg.vertices)
     width = data.draw(st.integers(min_value=0, max_value=4))
     label = st.text(alphabet="01", min_size=width, max_size=width)
-    labels = {v: data.draw(label) for v in mg.vertices}
-    assert_certificate_agrees(data, mg, labels)
+    labels = {v: oracle.bits(data.draw(label)) for v in mg.vertices}
+    assert_certificate_agrees(data, mg, labels, width)
 
 
 # ---------------------------------------------------------------------------
@@ -276,23 +276,25 @@ def oracle_expansion_flags(mg, labels, subset):
     return result.peripheral and result.convex and result.le
 
 
-def derived_expansion_flags(mg, bits, labels, subset):
+def derived_expansion_flags(mg, labels, subset):
     subset = frozenset(subset)
-    convex = ck.is_convex_subset(mg, subset, bits)
+    convex = ck.is_convex_subset(mg, subset, labels)
     return bool(subset) and convex and ck.operator_o(labels, subset) == subset
 
 
 @settings(max_examples=300, deadline=None)
 @given(connected_graphs(), st.data())
 def test_label_convexity_matches_oracle_on_partial_cubes(case, data):
-    mg, _ = case
+    mg, _, _ = case
     pc = ck.is_partial_cube(mg)
     assume(pc.ok)
     for _ in range(3):
         subset = data.draw(st.sets(st.sampled_from(mg.vertices)))
-        assert ck.is_convex_subset(mg, subset, pc.bits) == oracle.is_convex_subset(mg, subset)
+        assert ck.is_convex_subset(mg, subset, pc.labelling) == oracle.is_convex_subset(
+            mg, subset
+        )
         assert derived_expansion_flags(
-            mg, pc.bits, pc.labelling, subset
+            mg, pc.labelling, subset
         ) == oracle_expansion_flags(mg, pc.labelling, subset)
 
 
@@ -346,14 +348,14 @@ def test_step_convexity_matches_oracle(shape, monkeypatch):
     the report's inner-convex and expansion-flags clauses equal the table
     convexity and the graph expansion's flags."""
     for clauses, mg, labels, bits, inner in _report_steps(shape, monkeypatch):
-        assert bits == {v: int(labels[v][::-1], 2) for v in mg.vertices}
+        assert bits == {v: labels[v] for v in mg.vertices}
         assert oracle.is_isometric_labelling(mg, labels)
         assert clauses["inner-convex"] == oracle.is_convex_subset(mg, inner)
         assert clauses["expansion-flags"] == oracle_expansion_flags(mg, labels, inner)
         for subset in _step_subsets(mg, bits, inner):
             assert ck.is_convex_subset(mg, subset, bits) == oracle.is_convex_subset(mg, subset)
             assert derived_expansion_flags(
-                mg, bits, labels, subset
+                mg, labels, subset
             ) == oracle_expansion_flags(mg, labels, subset)
 
 
@@ -403,7 +405,7 @@ def test_expand_k2_to_p3():
 
 def test_expand_le_flag():
     k2 = ck.MetricGraph([0, 1], [(0, 1)])
-    labels = {0: "0", 1: "1"}
+    labels = {0: oracle.bits("0"), 1: oracle.bits("1")}
     assert oracle.expand(k2, {0, 1}, {0}, labels).le
     assert not oracle.expand(k2, {0, 1}, {1}, labels).le
     assert not oracle.expand(k2, {0, 1}, {0}).le

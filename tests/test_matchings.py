@@ -199,7 +199,7 @@ def test_code_10000_matching_not_resonant_on_branch_face(
     family = enumerate_matchings(branched5)
     rfd = rfd_from_face_order(branched5, branched5_faces)
     labels = daisy_labelling(branched5, family, rfd).labels
-    (mid,) = [k for k, v in labels.items() if v == "10000"]
+    (mid,) = [k for k, v in labels.items() if v == oracle.bits("10000")]
     assert not is_resonant(branched5, family[mid], branched5_faces[1])
 
 
@@ -369,8 +369,8 @@ def test_extremes_past_sixteen_faces():
     assert len(family) == 4181
     ext = extremal_matchings(g, family)
     fdl = fdl_labelling(g, family, auto_rfd(g)).labels
-    assert fdl[ext.lattice_bottom] == "0" * 17
-    assert fdl[ext.lattice_top] == "1" * 17
+    assert fdl[ext.lattice_bottom] == oracle.bits("0" * 17)
+    assert fdl[ext.lattice_top] == oracle.bits("1" * 17)
 
 
 def test_end_edge_state_requires_odd():
