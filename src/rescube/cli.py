@@ -166,8 +166,8 @@ def _component_labelling(g, scheme, cap):
     parts = []
     for comp in analysis.elementary_components:
         sub = edge_subgraph(g, [e for e in analysis.allowed_edges if set(e) <= comp])
-        sub_family = enumerate_matchings(sub, cap=cap)
         if sub.finite_faces:  # a single edge has no positions
+            sub_family = enumerate_matchings(sub, cap=cap)
             parts.append((sub, sub_family, fn(sub, sub_family, auto_rfd(sub))))
     width = sum(lab.length for _, _, lab in parts)
     labels = {}

@@ -18,7 +18,7 @@ of matchings held as one bitset over matching ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from . import cube_kit as ck
@@ -55,12 +55,18 @@ from .resonance import ResonanceGraph, build_resonance, connectivity_report
 class RfdSequence:
     """A reducible face decomposition: face order, edge sets of the growing
     subgraphs, and the attachment map (1-based positions) when every step
-    attaches to exactly one earlier face."""
+    attaches to exactly one earlier face.
+
+    ``graphs`` holds the growing subgraphs themselves, embedded once when
+    the decomposition is validated (the last is the graph itself), so that
+    the checks on each prefix re-embed none of them.  They take no part in
+    equality or in the repr."""
 
     faces: tuple
     subgraph_edges: tuple
     attachment: dict = None
     notes: tuple = field(default_factory=tuple)
+    graphs: tuple = field(compare=False, repr=False, kw_only=True)
 
     @property
     def n(self) -> int:
@@ -70,7 +76,10 @@ class RfdSequence:
         att = None
         if self.attachment is not None:
             att = {k: v for k, v in self.attachment.items() if k <= i}
-        return RfdSequence(self.faces[:i], self.subgraph_edges[:i], att, self.notes)
+        return RfdSequence(
+            self.faces[:i], self.subgraph_edges[:i], att, self.notes,
+            graphs=self.graphs[:i],
+        )
 
 
 @dataclass(frozen=True)
@@ -163,7 +172,22 @@ def rfd_from_face_order(g: PlaneGraph, order) -> RfdSequence:
     previous subgraph must be elementary.  Raises
     :class:`NotReducibleAtStep` at the first failing step.
     """
-    order = tuple(order)
+    return _validated_rfd(g, tuple(order), ())
+
+
+def _validated_rfd(g: PlaneGraph, order: tuple, built: tuple) -> RfdSequence:
+    """:func:`rfd_from_face_order`, reusing ``built``: subgraphs of ``g``
+    already embedded, such as the reductions :func:`auto_rfd` peeled.  A
+    prefix whose edge set is the graph's is ``g`` itself; any other prefix
+    is taken from ``built`` when a graph there has its edge set, and
+    embedded otherwise."""
+    known = {sub.edges: sub for sub in built}
+    known[g.edges] = g
+
+    def embedded(edges):
+        sub = known.get(edges)
+        return sub if sub is not None else edge_subgraph(g, edges)
+
     finite_ids = sorted(f.id for f in g.finite_faces)
     if sorted(order) != finite_ids:
         raise ValueError(f"order must list all finite faces {finite_ids}")
@@ -178,7 +202,8 @@ def rfd_from_face_order(g: PlaneGraph, order) -> RfdSequence:
     current_edges = set(first.edges)
     current_vertices = set(first.boundary)
     subgraphs = [frozenset(current_edges)]
-    previous = edge_subgraph(g, current_edges)
+    previous = embedded(subgraphs[0])
+    graphs = [previous]
     attachments = {}
     complete = True
 
@@ -208,11 +233,12 @@ def rfd_from_face_order(g: PlaneGraph, order) -> RfdSequence:
         current_vertices |= set(ear)
         subgraphs.append(frozenset(current_edges))
 
-        grown = edge_subgraph(g, current_edges)
+        grown = embedded(subgraphs[-1])
         for f in grown.finite_faces:
             if f.edges not in g.face_by_edge_set:
                 raise NotReducibleAtStep(step, "step creates a face not in the graph")
         previous = grown
+        graphs.append(grown)
 
         sharers = [
             j + 1
@@ -231,12 +257,15 @@ def rfd_from_face_order(g: PlaneGraph, order) -> RfdSequence:
         subgraph_edges=tuple(subgraphs),
         attachment=attachments if complete else None,
         notes=notes,
+        graphs=tuple(graphs),
     )
 
 
 def auto_rfd(g: PlaneGraph) -> RfdSequence:
     """Greedy decomposition: repeatedly peel the reducible face with the
-    smallest id, then validate the reversed order."""
+    smallest id, then validate the reversed order.  The validation takes
+    its prefixes from the reductions the peel built, so no subgraph is
+    embedded twice."""
     if len(g.vertices) <= 2:
         raise UnsupportedInput("need more than two vertices")
     if g.is_cycle_graph():
@@ -246,10 +275,12 @@ def auto_rfd(g: PlaneGraph) -> RfdSequence:
             subgraph_edges=(g.edges,),
             attachment={},
             notes=("even cycle: single-face decomposition",),
+            graphs=(g,),
         )
 
     current = g
     peeled = []
+    reductions = []
     while not current.is_cycle_graph():
         own = {g.face_by_edge_set[f.edges]: f.id for f in current.finite_faces}
         for fid in sorted(own):
@@ -261,10 +292,11 @@ def auto_rfd(g: PlaneGraph) -> RfdSequence:
                 "no reducible face; the graph is not plane elementary"
             )
         peeled.append(fid)
+        reductions.append(reduced)
         current = reduced
     base = g.face_by_edge_set[current.finite_faces[0].edges]
-    order = [base] + list(reversed(peeled))
-    return rfd_from_face_order(g, order)
+    order = (base,) + tuple(reversed(peeled))
+    return _validated_rfd(g, order, tuple(reductions))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +443,7 @@ class StepReport:
 
 def _translate_rfd(rfd: RfdSequence, g: PlaneGraph, sub: PlaneGraph) -> RfdSequence:
     faces = tuple(sub.face_by_edge_set[g.faces[fid].edges] for fid in rfd.faces)
-    return RfdSequence(faces, rfd.subgraph_edges, rfd.attachment, rfd.notes)
+    return replace(rfd, faces=faces)
 
 
 @dataclass(frozen=True)
@@ -429,11 +461,12 @@ class _Prefix:
 
 
 def _prefix(g, r, rfd, k, cap=DEFAULT_MATCHING_CAP) -> _Prefix:
-    """The record of prefix k; the last prefix is ``g`` itself, whose
-    matchings and resonance graph ``r`` already holds."""
+    """The record of prefix k, on the subgraph the decomposition carries;
+    the last prefix is ``g`` itself, whose matchings and resonance graph
+    ``r`` already holds."""
     if k == rfd.n:
         return _Prefix(g, rfd, r.family, r, coding.daisy_labelling(g, r.family, rfd))
-    sub = edge_subgraph(g, rfd.subgraph_edges[k - 1])
+    sub = rfd.graphs[k - 1]
     sub_rfd = _translate_rfd(rfd.prefix(k), g, sub)
     family = enumerate_matchings(sub, cap)
     res = build_resonance(sub, family)
@@ -586,6 +619,8 @@ def _check_step(
     for u, v, f in res_prev.edges:
         a, b = sorted((lift[u], lift[v]))
         expected_edges.add((a, b, pos_i[rfd_i.faces[pos_prev[f] - 1]]))
+    # each twin by its definition, the twist looked up by edge set: the
+    # prediction stays independent of the column pairing that built res_i
     partner = {}
     for mid in sorted(inner_set):
         base = fam_i[lift[mid]]

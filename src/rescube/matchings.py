@@ -41,12 +41,18 @@ class PerfectMatching:
 
 
 class MatchingFamily:
-    """All perfect matchings of one graph, indexed in enumeration order."""
+    """All perfect matchings of one graph, indexed in enumeration order.
+
+    The ids follow the order of :func:`plane_graph.enumerate_matching_edge_sets`:
+    of two matchings, the one that gives the smaller mate to the smallest
+    vertex whose mates differ comes first (equivalently, the ids sort the
+    matchings by their sorted edge lists).  :func:`resonance.build_resonance`
+    relies on that order.
+    """
 
     def __init__(self, graph: PlaneGraph, matchings):
         self.graph = graph
         self.matchings = tuple(matchings)
-        self.index = {m.edges: m.id for m in self.matchings}  # edge set -> id
 
     def __len__(self):
         return len(self.matchings)
@@ -60,6 +66,11 @@ class MatchingFamily:
     @property
     def ids(self):
         return range(len(self.matchings))
+
+    @cached_property
+    def index(self) -> dict:
+        """Edge set -> matching id."""
+        return {m.edges: m.id for m in self.matchings}
 
     @cached_property
     def full(self) -> int:
@@ -90,7 +101,11 @@ class MatchingFamily:
 
 
 def enumerate_matchings(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -> MatchingFamily:
-    """Exhaustively enumerate perfect matchings (deterministic backtracking)."""
+    """Exhaustively enumerate perfect matchings (deterministic backtracking).
+
+    Ids are given in enumeration order, the order :class:`MatchingFamily`
+    documents.  Raises :class:`NoPerfectMatching` when there is none and
+    :class:`CapExceeded` past ``cap`` matchings."""
     sets = pg.enumerate_matching_edge_sets(g, cap)
     if not sets:
         raise NoPerfectMatching("graph has no perfect matching")

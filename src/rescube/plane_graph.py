@@ -44,8 +44,11 @@ def edge_key(u, v) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_rational(value):
+    """An exact rational.  An int stays an int: it compares and hashes equal
+    to its Fraction and keeps the orientation arithmetic in ints.  Other
+    values, a bool included, become a Fraction."""
+    if isinstance(value, Fraction) or type(value) is int:
         return value
     if isinstance(value, int):
         return Fraction(value)
@@ -156,7 +159,7 @@ class PlaneGraph:
     """Immutable plane bipartite graph; construct via the module-level builders."""
 
     def __init__(self, coords, edges, rotation, faces, coloring):
-        self.coords = coords  # dict id -> (Fraction, Fraction), or None
+        self.coords = coords  # dict id -> (x, y) as int or Fraction, or None
         self.edges = frozenset(edges)
         self.rotation = {v: tuple(ns) for v, ns in rotation.items()}
         self.faces = tuple(faces)
@@ -214,6 +217,12 @@ class PlaneGraph:
         """undirected edge -> the handle holding it; raises as :func:`handles`
         does, on every access, since a failed computation is not cached."""
         return {e: h for h in handles(self) for e in h.edges}
+
+    @cached_property
+    def _elementary(self) -> ElementaryReport:
+        """:func:`elementary_analysis` of this graph, computed on first use;
+        a raised :class:`NoPerfectMatching` is not cached."""
+        return _analyse_elementary(self)
 
     @cached_property
     def _facial_handles(self) -> dict:
@@ -305,9 +314,9 @@ def _trace_faces(rotation) -> list:
     return walks
 
 
-def _walk_area2(walk, coords) -> Fraction:
+def _walk_area2(walk, coords):
     """Twice the signed area of the closed walk (positive = counterclockwise)."""
-    total = Fraction(0)
+    total = 0
     for u, v in walk:
         ux, uy = coords[u]
         vx, vy = coords[v]
@@ -388,7 +397,7 @@ def build_plane_graph(vertices, edges) -> PlaneGraph:
     for vid, x, y in vertices:
         if vid in coords:
             raise ValueError(f"duplicate vertex id {vid}")
-        coords[vid] = (_as_fraction(x), _as_fraction(y))
+        coords[vid] = (_as_rational(x), _as_rational(y))
     if len(set(coords.values())) != len(coords):
         raise ValueError("duplicate coordinates")
 
@@ -489,7 +498,7 @@ def edge_subgraph(g: PlaneGraph, keep_edges) -> PlaneGraph:
 # ---------------------------------------------------------------------------
 
 
-def _coord_to_number(value: Fraction):
+def _coord_to_number(value):
     if value.denominator == 1:
         return int(value)
     return float(value)
@@ -630,6 +639,7 @@ def enumerate_matching_edge_sets(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP)
     order = list(g.vertices)
     if len(order) % 2 == 1:
         return []
+    neighbors = {v: sorted(ns) for v, ns in g.rotation.items()}
     out = []
     matched = set()
     chosen = []
@@ -643,7 +653,7 @@ def enumerate_matching_edge_sets(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP)
             out.append(frozenset(chosen))
             return
         v = order[i]
-        for w in sorted(g.rotation[v]):
+        for w in neighbors[v]:
             if w in matched:
                 continue
             matched.add(v)
@@ -750,7 +760,14 @@ def elementary_analysis(g: PlaneGraph) -> ElementaryReport:
     allowed exactly when it is in M or both its ends lie in one strongly
     connected component.  No perfect matching raises
     :class:`NoPerfectMatching`.
+
+    The report is memoised on the graph, so the decomposition's peel, its
+    order validation and the commands share one verdict per graph.
     """
+    return g._elementary
+
+
+def _analyse_elementary(g: PlaneGraph) -> ElementaryReport:
     mate = _perfect_matching(g)
     comp = _strong_components(
         g.vertices,

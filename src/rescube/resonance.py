@@ -13,7 +13,8 @@ from functools import cached_property
 from itertools import product
 
 from .cube_kit import MetricGraph, components
-from .matchings import MatchingFamily
+from .errors import InternalInvariantBroken
+from .matchings import MatchingFamily, bit_ids, resonance_columns
 from .plane_graph import PlaneGraph
 
 
@@ -63,20 +64,42 @@ class ResonanceGraph:
 
 
 def build_resonance(g: PlaneGraph, family: MatchingFamily) -> ResonanceGraph:
-    """Construct the edges by facial twists.
+    """Construct the edges by pairing, on each finite face, the matchings
+    under which it is proper resonant with those under which it is improper
+    resonant, in id order.  ``family`` must be enumerated
+    (:func:`~rescube.matchings.enumerate_matchings`), so that its ids follow
+    the order :class:`~rescube.matchings.MatchingFamily` documents.
 
-    Every edge joins a matching M to M twisted on one of its resonant finite
-    faces, M xor the facial boundary, so each (matching, finite face) pair is
-    looked up once in the family's edge-set index and kept when the partner
-    has the larger id: O(N * F) probes instead of testing all N^2 / 2 pairs.
+    The edge labelled f joins M to the twist M xor the boundary of f, and
+    the k-th proper id pairs with the k-th improper id, because:
+
+    (a) M xor the boundary of f is a perfect matching exactly when f is
+        M-alternating, and the twist swaps the matched half of the boundary,
+        so it is a bijection from the proper to the improper resonant
+        matchings of f (Lam and Zhang, Order 20, 2003);
+    (b) of two matchings, the one that gives the smaller mate to the smallest
+        vertex whose mates differ has the smaller id;
+    (c) two matchings under which f is proper resonant hold the same half of
+        its boundary, so they agree on every vertex of f; twisting both
+        changes no mate where they differ, and so keeps their order.
+
+    Both resonant sets come from the family's columns
+    (:func:`~rescube.matchings.resonance_columns`), so no edge set is built
+    or looked up.  Raises :class:`InternalInvariantBroken` when a face has
+    more proper than improper resonant matchings or fewer.
     """
-    index = family.index
     edges = []
-    for m in family:
-        for face_edges, fid in g.face_by_edge_set.items():
-            j = index.get(m.edges ^ face_edges)
-            if j is not None and j > m.id:
-                edges.append((m.id, j, fid))
+    for face in g.finite_faces:
+        proper, improper = resonance_columns(g, family, face.id)
+        if proper.bit_count() != improper.bit_count():
+            raise InternalInvariantBroken(
+                f"face {face.id} has {proper.bit_count()} proper and "
+                f"{improper.bit_count()} improper resonant matchings"
+            )
+        edges.extend(
+            (min(a, b), max(a, b), face.id)
+            for a, b in zip(bit_ids(proper), bit_ids(improper))
+        )
     return ResonanceGraph(g, family, edges)
 
 

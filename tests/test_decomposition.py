@@ -121,11 +121,11 @@ def test_auto_rfd_stuck_on_non_elementary(hexagon_with_pendant_path):
         auto_rfd(hexagon_with_pendant_path)
 
 
-@pytest.mark.parametrize("h, calls", [(9, 17), (14, 27)])
+@pytest.mark.parametrize("h, calls", [(9, 8), (14, 13)])
 def test_auto_rfd_reduces_each_face_once(h, calls, monkeypatch):
-    """Every peel keeps the reduction that chose its face: one subgraph per
-    face tried and per validated prefix, h - 1 peels whose first candidate
-    reduces, and h prefixes."""
+    """Every peel keeps the reduction that chose its face, and the order
+    validation takes its prefixes from those reductions: one subgraph per
+    face tried, h - 1 peels whose first candidate reduces."""
     built = []
     subgraph = decomposition.edge_subgraph
 
@@ -136,6 +136,52 @@ def test_auto_rfd_reduces_each_face_once(h, calls, monkeypatch):
     monkeypatch.setattr(decomposition, "edge_subgraph", spy)
     assert auto_rfd(zigzag(h)).n == h
     assert len(built) == calls
+
+
+@pytest.mark.parametrize("shape", catacondensed_polyhexes(5), ids=str)
+def test_carried_graphs_are_the_prefixes(shape):
+    """The graphs an RFD carries are its prefixes as a fresh embedding would
+    give them, and they take no part in equality."""
+    g = build_benzenoid(shape)
+    try:
+        rfd = auto_rfd(g)
+    except RescubeError:
+        return  # not plane elementary: no decomposition to carry
+    if rfd.n > 1:  # an even cycle's decomposition carries its own note
+        assert rfd == rfd_from_face_order(g, rfd.faces)
+    assert rfd.graphs[-1] is g
+    assert len(rfd.graphs) == rfd.n
+    for edges, sub in zip(rfd.subgraph_edges, rfd.graphs):
+        fresh = plane_graph.edge_subgraph(g, edges)
+        assert sub.edges == edges
+        assert sub.rotation == fresh.rotation and sub.coloring == fresh.coloring
+        assert [(f.id, f.boundary, f.is_infinite) for f in sub.faces] == [
+            (f.id, f.boundary, f.is_infinite) for f in fresh.faces
+        ]
+    pre = rfd.prefix(2)
+    assert pre.graphs == rfd.graphs[:2]
+
+
+def test_theorem_report_embeds_each_prefix_once(monkeypatch):
+    """The report checks every prefix on the graphs the peel built: it
+    embeds nothing beyond the h - 1 reductions."""
+    h = 9
+    g = zigzag(h)
+    built = []
+    embed = plane_graph.edge_subgraph
+
+    def spy(graph, keep):
+        keep = frozenset(keep)
+        built.append(keep)
+        return embed(graph, keep)
+
+    monkeypatch.setattr(decomposition, "edge_subgraph", spy)
+    monkeypatch.setattr(plane_graph, "edge_subgraph", spy)
+    report = theorem_report(g)
+    monkeypatch.undo()
+    assert report["ok"]
+    assert len(built) == h - 1
+    assert set(built) == set(auto_rfd(g).subgraph_edges[:-1])
 
 
 def test_prefix(branched5, branched5_faces):

@@ -408,6 +408,29 @@ def test_verdicts_enumerate_nothing(
         elementary_analysis(g)
 
 
+def test_elementary_analysis_is_memoised_on_the_graph(branched5, monkeypatch):
+    from rescube import plane_graph
+
+    g = plane_graph.edge_subgraph(branched5, branched5.edges)  # not yet analysed
+    calls = []
+    grow = plane_graph._perfect_matching
+
+    def counted(graph):
+        calls.append(graph)
+        return grow(graph)
+
+    monkeypatch.setattr(plane_graph, "_perfect_matching", counted)
+    assert elementary_analysis(g) is elementary_analysis(g)
+    assert is_peripherally_two_colorable(g).ok
+    assert calls == [g]
+    # a raise is not cached: every call looks for a perfect matching again
+    path = build_plane_graph([(0, 0, 0), (1, 1, 0), (2, 2, 0)], [(0, 1), (1, 2)])
+    for _ in range(2):
+        with pytest.raises(NoPerfectMatching):
+            elementary_analysis(path)
+    assert calls == [g, path, path]
+
+
 def analyses(g) -> list:
     """The library's and the oracle's elementary analysis of ``g``, with
     ``NoPerfectMatching`` standing for a raise."""
@@ -556,3 +579,16 @@ def test_string_rational_coordinates():
     from fractions import Fraction
 
     assert g.coords[2] == (Fraction(1), Fraction(1, 2))
+
+
+def test_int_coordinates_stay_ints():
+    from fractions import Fraction
+
+    g = build_plane_graph(
+        [(0, 0, 0), (1, 1, 0), (2, True, Fraction(3, 2)), (3, 0, 3)],
+        [(0, 1), (1, 2), (2, 3), (3, 0)],
+    )
+    assert [type(c) for c in g.coords[1]] == [int, int]
+    # a bool converts as any other non-int value does
+    assert [type(c) for c in g.coords[2]] == [Fraction, Fraction]
+    assert graph_from_json(graph_to_json(g)).coords == g.coords

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rescube.cube_kit import is_median
-from rescube.matchings import enumerate_matchings
+from rescube.errors import InternalInvariantBroken
+from rescube.matchings import (
+    MatchingFamily,
+    bit_ids,
+    enumerate_matchings,
+    resonance_columns,
+)
 from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
 from rescube.plane_graph import edge_subgraph, elementary_analysis
 from rescube.resonance import (
@@ -25,9 +31,10 @@ def resonance_of(g):
 
 
 def pairwise_resonance_edges(g, family) -> tuple:
-    """The definitional construction, kept as the oracle for the facial
-    twists: every pair of matchings whose symmetric difference is the
-    boundary of one finite face, labelled by that face."""
+    """The definitional construction, kept as the oracle for the pairing of
+    proper with improper resonant matchings: every pair of matchings whose
+    symmetric difference is the boundary of one finite face, labelled by
+    that face."""
     faces = g.face_by_edge_set
     ms = family.matchings
     return tuple(
@@ -38,7 +45,7 @@ def pairwise_resonance_edges(g, family) -> tuple:
     )
 
 
-def assert_twists_match_oracle(g):
+def assert_face_pairing_matches_oracle(g):
     family = enumerate_matchings(g)
     assert build_resonance(g, family).edges == pairwise_resonance_edges(g, family)
     for m in family:
@@ -46,14 +53,36 @@ def assert_twists_match_oracle(g):
         assert family.by_edges([(v, u) for u, v in m.edges]) is m
 
 
-def test_twists_match_oracle_on_fixtures(pyrene, nested_rings):
+def assert_enumeration_order(g):
+    """The two facts the face pairing rests on: ids sort the matchings by
+    their sorted edge lists, and twisting the k-th proper resonant matching
+    of a face gives its k-th improper resonant one."""
+    family = enumerate_matchings(g)
+    assert list(family) == sorted(family, key=lambda m: sorted(m.edges))
+    for face in g.finite_faces:
+        proper, improper = resonance_columns(g, family, face.id)
+        twisted = [family.index[family[k].edges ^ face.edges] for k in bit_ids(proper)]
+        assert twisted == bit_ids(improper)
+
+
+def test_face_pairing_matches_oracle_on_fixtures(pyrene, nested_rings):
     for g in (pyrene, nested_rings):
-        assert_twists_match_oracle(g)
+        assert_face_pairing_matches_oracle(g)
 
 
 @pytest.mark.parametrize("shape", catacondensed_polyhexes(6), ids=str)
-def test_twists_match_oracle_on_corpus(shape):
-    assert_twists_match_oracle(build_benzenoid(shape))
+def test_face_pairing_matches_oracle_on_corpus(shape):
+    assert_face_pairing_matches_oracle(build_benzenoid(shape))
+
+
+def test_enumeration_order_on_fixtures(pyrene, nested_rings):
+    for g in (pyrene, nested_rings):
+        assert_enumeration_order(g)
+
+
+@pytest.mark.parametrize("shape", catacondensed_polyhexes(6), ids=str)
+def test_enumeration_order_on_corpus(shape):
+    assert_enumeration_order(build_benzenoid(shape))
 
 
 @lru_cache(maxsize=None)
@@ -77,9 +106,25 @@ def matchable_edge_subsets(draw, graphs):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_twists_match_oracle_on_edge_subsets(pyrene, nested_rings, data):
+def test_face_pairing_matches_oracle_on_edge_subsets(pyrene, nested_rings, data):
     graphs = small_corpus() + (pyrene, nested_rings)
-    assert_twists_match_oracle(data.draw(matchable_edge_subsets(graphs)))
+    assert_face_pairing_matches_oracle(data.draw(matchable_edge_subsets(graphs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_enumeration_order_on_edge_subsets(pyrene, nested_rings, data):
+    graphs = small_corpus() + (pyrene, nested_rings)
+    assert_enumeration_order(data.draw(matchable_edge_subsets(graphs)))
+
+
+def test_unpaired_face_breaks_an_invariant(hexagon):
+    # a family that lacks one of the hexagon's two matchings leaves its face
+    # with a proper resonant matching and no improper one
+    family = enumerate_matchings(hexagon)
+    half = MatchingFamily(hexagon, family.matchings[:1])
+    with pytest.raises(InternalInvariantBroken):
+        build_resonance(hexagon, half)
 
 
 def test_by_edges_misses_raise_key_error(branched5):
