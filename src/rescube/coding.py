@@ -125,8 +125,11 @@ def daisy_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
     if n == 1:
         if not g.is_cycle_graph():
             raise UnsupportedInput("a single finite face should mean an even cycle")
-        reference = _even_cycle_reference_matching(g)
-        labels = {m.id: int(m.edges != reference) for m in family}
+        # the matchings that hold every edge of the reference: only itself
+        reference = family.full
+        for e in _even_cycle_reference_matching(g):
+            reference &= family.columns.get(e, 0)
+        labels = _labels_from_columns(family, [family.full & ~reference])
         return Labelling(DAISY, labels, order)
 
     labels = _labels_from_columns(family, _daisy_columns(g, family, order))
@@ -224,8 +227,8 @@ def color_swap_effect(g: PlaneGraph, family: MatchingFamily, rfd) -> ColorSwapRe
     """Check that swapping the color classes complements the lattice coding
     and fixes the daisy coding; raises :class:`PropertyViolated` otherwise."""
     swapped = swap_colors(g)
-    # swapping colours changes no edge set, so the matchings and ids carry over
-    swapped_family = MatchingFamily(swapped, family.matchings)
+    # swapping colours changes no edge set, so the columns and ids carry over
+    swapped_family = MatchingFamily(swapped, family.columns, len(family))
 
     fdl_here = fdl_labelling(g, family, rfd)
     fdl_there = fdl_labelling(swapped, swapped_family, rfd)

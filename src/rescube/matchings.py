@@ -8,9 +8,9 @@ alternation of walks, and the two-state end-edge predicate of odd handles.
 Each predicate has two reads.  The per-matching one (:func:`is_resonant`,
 :func:`alternation_kind`, :func:`end_edge_state`) answers for a single
 matching.  The column read answers for the whole family at once: the family
-is transposed into one int per edge whose bit k is set when matching k
-holds the edge, and a face or handle condition becomes a few big-int
-operations on those columns (:func:`handle_column`,
+is enumerated as one int per edge whose bit k is set when matching k holds
+the edge, and a face or handle condition becomes a few big-int operations
+on those columns (:func:`handle_column`,
 :func:`resonance_columns`), giving a set of matchings as a bitset over ids.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from . import plane_graph as pg
 from .errors import InternalInvariantBroken, NoPerfectMatching, NotFound
@@ -43,19 +44,29 @@ class PerfectMatching:
 class MatchingFamily:
     """All perfect matchings of one graph, indexed in enumeration order.
 
-    The ids follow the order of :func:`plane_graph.enumerate_matching_edge_sets`:
+    The family is held as its columns: ``columns`` maps each edge to an int
+    whose bit k is set when matching k holds the edge (edges that no
+    matching holds are absent), and ``size`` is the number of matchings.
+    The enumeration writes them directly: its search tree finishes one
+    subtree before the next, so the matchings below the choice of an edge
+    are one id interval, OR-ed into that edge's column.  The matchings as
+    edge sets (``matchings``, iteration, indexing, :meth:`by_edges`) are
+    derived from the columns on first use.
+
+    The ids follow the order of :func:`plane_graph.enumerate_matching_columns`:
     of two matchings, the one that gives the smaller mate to the smallest
     vertex whose mates differ comes first (equivalently, the ids sort the
     matchings by their sorted edge lists).  :func:`resonance.build_resonance`
     relies on that order.
     """
 
-    def __init__(self, graph: PlaneGraph, matchings):
+    def __init__(self, graph: PlaneGraph, columns: dict, size: int):
         self.graph = graph
-        self.matchings = tuple(matchings)
+        self.columns = columns
+        self.size = size
 
     def __len__(self):
-        return len(self.matchings)
+        return self.size
 
     def __iter__(self):
         return iter(self.matchings)
@@ -65,7 +76,20 @@ class MatchingFamily:
 
     @property
     def ids(self):
-        return range(len(self.matchings))
+        return range(self.size)
+
+    @cached_property
+    def matchings(self) -> tuple:
+        """The matchings as edge sets, in id order: the columns transposed."""
+        edges = list(self.columns)
+        if edges:
+            rows = zip(*(_bit_row(c, self.size) for c in self.columns.values()))
+        else:  # the empty graph's one matching holds no edge
+            rows = [()] * self.size
+        return tuple(
+            PerfectMatching(mid, frozenset(compress(edges, row)))
+            for mid, row in enumerate(rows)
+        )
 
     @cached_property
     def index(self) -> dict:
@@ -75,22 +99,7 @@ class MatchingFamily:
     @cached_property
     def full(self) -> int:
         """The bitset of every matching id."""
-        return (1 << len(self.matchings)) - 1
-
-    @cached_property
-    def columns(self) -> dict:
-        """Edge -> an int whose bit k is set when matching k holds the edge;
-        edges that no matching holds are absent."""
-        size = (len(self.matchings) + 7) // 8
-        rows = {}
-        for m in self.matchings:
-            byte, bit = m.id >> 3, 1 << (m.id & 7)
-            for e in m.edges:
-                row = rows.get(e)
-                if row is None:
-                    row = rows[e] = bytearray(size)
-                row[byte] |= bit
-        return {e: int.from_bytes(row, "little") for e, row in rows.items()}
+        return (1 << self.size) - 1
 
     def by_edges(self, edges) -> PerfectMatching:
         """The matching with exactly these edges; raises KeyError if none."""
@@ -101,15 +110,16 @@ class MatchingFamily:
 
 
 def enumerate_matchings(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -> MatchingFamily:
-    """Exhaustively enumerate perfect matchings (deterministic backtracking).
+    """Exhaustively enumerate perfect matchings (deterministic backtracking)
+    straight into the family's columns; no matching is built as an edge set.
 
     Ids are given in enumeration order, the order :class:`MatchingFamily`
     documents.  Raises :class:`NoPerfectMatching` when there is none and
     :class:`CapExceeded` past ``cap`` matchings."""
-    sets = pg.enumerate_matching_edge_sets(g, cap)
-    if not sets:
+    size, columns = pg.enumerate_matching_columns(g, cap)
+    if not size:
         raise NoPerfectMatching("graph has no perfect matching")
-    return MatchingFamily(g, [PerfectMatching(i, s) for i, s in enumerate(sets)])
+    return MatchingFamily(g, columns, size)
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +179,18 @@ def end_edge_state(matching: PerfectMatching, path) -> str:
 # ---------------------------------------------------------------------------
 
 
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_row(bits: int, width: int) -> bytes:
+    """Byte k is bit k of ``bits``, for at least ``width`` bytes."""
+    return format(bits, f"0{width}b").encode().translate(_DIGITS)[::-1]
+
+
 def bit_ids(bits: int) -> list:
     """The matching ids in a bitset, ascending."""
-    return [k for k, c in enumerate(reversed(bin(bits))) if c == "1"]
+    row = _bit_row(bits, 1)
+    return list(compress(range(len(row)), row))
 
 
 def handle_column(family: MatchingFamily, path) -> int:

@@ -628,44 +628,55 @@ def facial_handle_decomposition(g: PlaneGraph, face_id: int) -> FacialHandleDeco
 # ---------------------------------------------------------------------------
 
 
-def enumerate_matching_edge_sets(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -> list:
-    """All perfect matchings as frozensets of edges, in deterministic order.
+def enumerate_matching_columns(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -> tuple:
+    """All perfect matchings, as their count and per-edge columns.
 
     Backtracking over vertices in id order, branching on incident edges in
-    neighbor-id order; raises :class:`CapExceeded` past ``cap`` matchings.
+    neighbor-id order; the k-th leaf reached is matching k.  The columns map
+    each edge to an int whose bit k is set when matching k holds the edge;
+    edges that no matching holds are absent.  No matching is built as a set:
+    the search numbers its leaves in order and finishes a subtree before it
+    moves on, so the leaves below the call that chose an edge are one id
+    interval [start, count), and a matching holds the edge exactly when its
+    root-to-leaf path chose it, so that interval is OR-ed into the edge's
+    column when the call returns.  Raises :class:`CapExceeded` past ``cap``
+    matchings; a graph of odd order has none, ``(0, {})``.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    order = list(g.vertices)
-    if len(order) % 2 == 1:
-        return []
-    neighbors = {v: sorted(ns) for v, ns in g.rotation.items()}
-    out = []
-    matched = set()
-    chosen = []
+    order = g.vertices
+    n = len(order)
+    if n % 2 == 1:
+        return 0, {}
+    pos = {v: i for i, v in enumerate(order)}
+    options = [[(pos[w], edge_key(v, w)) for w in sorted(g.rotation[v])] for v in order]
+    matched = bytearray(n + 1)  # the 0 at index n stops the skip below
+    columns = {}
+    count = 0
 
     def rec(i):
-        while i < len(order) and order[i] in matched:
+        nonlocal count
+        while matched[i]:
             i += 1
-        if i == len(order):
-            if len(out) >= cap:
+        if i == n:
+            if count >= cap:
                 raise CapExceeded(f"more than {cap} perfect matchings")
-            out.append(frozenset(chosen))
+            count += 1
             return
-        v = order[i]
-        for w in neighbors[v]:
-            if w in matched:
+        matched[i] = 1
+        for j, e in options[i]:
+            if matched[j]:
                 continue
-            matched.add(v)
-            matched.add(w)
-            chosen.append(edge_key(v, w))
+            matched[j] = 1
+            start = count
             rec(i + 1)
-            chosen.pop()
-            matched.discard(v)
-            matched.discard(w)
+            matched[j] = 0
+            if count > start:
+                columns[e] = columns.get(e, 0) | ((1 << count) - (1 << start))
+        matched[i] = 0
 
     rec(0)
-    return out
+    return count, columns
 
 
 # ---------------------------------------------------------------------------

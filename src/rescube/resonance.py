@@ -19,18 +19,26 @@ from .plane_graph import PlaneGraph
 
 
 class ResonanceGraph:
-    """Face-labelled resonance graph bound to a graph and its matching family."""
+    """Face-labelled resonance graph bound to a graph and its matching family.
+
+    ``edges`` is the graph's one stored form; ``adjacency`` (vertex ->
+    neighbour -> face, both in id order) is built from it on first use."""
 
     def __init__(self, graph: PlaneGraph, family: MatchingFamily, edges):
         self.graph = graph
         self.family = family
         self.vertices = tuple(family.ids)
         self.edges = tuple(sorted(edges))  # (id, id, face_id) with id < id
+
+    @cached_property
+    def adjacency(self) -> dict:
+        # the edges are sorted with u < v, so every vertex meets its smaller
+        # neighbours before its larger ones, each side in id order
         adj = {v: {} for v in self.vertices}
         for u, v, fid in self.edges:
             adj[u][v] = fid
             adj[v][u] = fid
-        self.adjacency = {v: dict(sorted(ns.items())) for v, ns in adj.items()}
+        return adj
 
     def __len__(self):
         return len(self.vertices)

@@ -25,9 +25,11 @@ component) and finds the lattice extremes by scanning all of them for
 alternating cycles: the reference for the resonant-face rule of
 ``rescube.matchings.extremal_matchings``.
 
-The elementarity section decides elementarity from every perfect
-matching: the reference for the single-matching analysis of
-``rescube.plane_graph.elementary_analysis``.
+The elementarity section enumerates the perfect matchings as edge sets,
+one frozenset per matching: the reference for the column enumeration of
+``rescube.plane_graph.enumerate_matching_columns``.  It decides
+elementarity from every perfect matching: the reference for the
+single-matching analysis of ``rescube.plane_graph.elementary_analysis``.
 
 The handle section selects matching subsets by a small grammar of handle
 predicates and checks the paper's set equalities between them: the
@@ -64,11 +66,11 @@ from rescube.matchings import (
 )
 from rescube.plane_graph import (
     BLACK,
+    DEFAULT_MATCHING_CAP,
     WHITE,
     ElementaryReport,
     edge_key,
     edge_subgraph,
-    enumerate_matching_edge_sets,
     facial_handle_decomposition,
 )
 
@@ -619,6 +621,46 @@ def cycle_scan_extremes(g, family) -> tuple:
 # ---------------------------------------------------------------------------
 # elementarity by enumeration
 # ---------------------------------------------------------------------------
+
+
+def enumerate_matching_edge_sets(g, cap: int = DEFAULT_MATCHING_CAP) -> list:
+    """All perfect matchings as frozensets of edges, in deterministic order.
+
+    Backtracking over vertices in id order, branching on incident edges in
+    neighbor-id order; raises :class:`CapExceeded` past ``cap`` matchings.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    order = list(g.vertices)
+    if len(order) % 2 == 1:
+        return []
+    neighbors = {v: sorted(ns) for v, ns in g.rotation.items()}
+    out = []
+    matched = set()
+    chosen = []
+
+    def rec(i):
+        while i < len(order) and order[i] in matched:
+            i += 1
+        if i == len(order):
+            if len(out) >= cap:
+                raise CapExceeded(f"more than {cap} perfect matchings")
+            out.append(frozenset(chosen))
+            return
+        v = order[i]
+        for w in neighbors[v]:
+            if w in matched:
+                continue
+            matched.add(v)
+            matched.add(w)
+            chosen.append(edge_key(v, w))
+            rec(i + 1)
+            chosen.pop()
+            matched.discard(v)
+            matched.discard(w)
+
+    rec(0)
+    return out
 
 
 def enumerated_elementary_analysis(g) -> ElementaryReport:

@@ -7,6 +7,8 @@ import pytest
 from rescube.cli import main
 from rescube.plane_graph import graph_from_json, graph_to_json
 
+from conftest import zigzag
+
 BRANCHED = "0 0\n1 -1\n2 -1\n2 0\n1 -2\n"
 PYRENE = "0 0\n1 0\n0 1\n-1 1\n"
 HEXAGON = "0 0\n"
@@ -141,13 +143,13 @@ def enumerations(monkeypatch):
     from rescube import plane_graph
 
     calls = []
-    enumerate_edge_sets = plane_graph.enumerate_matching_edge_sets
+    enumerate_columns = plane_graph.enumerate_matching_columns
 
     def spy(g, cap=plane_graph.DEFAULT_MATCHING_CAP):
         calls.append((g.edges, cap))
-        return enumerate_edge_sets(g, cap)
+        return enumerate_columns(g, cap)
 
-    monkeypatch.setattr(plane_graph, "enumerate_matching_edge_sets", spy)
+    monkeypatch.setattr(plane_graph, "enumerate_matching_columns", spy)
     return calls
 
 
@@ -203,6 +205,41 @@ def test_check_and_rfd_enumerate_nothing(tmp_path, capsys, enumerations, command
     code, _, _ = run(capsys, command, str(p))
     assert code in (0, 2)
     assert enumerations == []
+
+
+@pytest.fixture()
+def derived_reads(monkeypatch):
+    """The names of the derived forms read: the family's edge sets and
+    R(G)'s adjacency."""
+    from rescube.matchings import MatchingFamily
+    from rescube.resonance import ResonanceGraph
+
+    reads = []
+    for cls, name in ((MatchingFamily, "matchings"), (ResonanceGraph, "adjacency")):
+        build = vars(cls)[name].func
+
+        def spy(self, name=name, build=build):
+            reads.append(name)
+            return build(self)
+
+        monkeypatch.setattr(cls, name, property(spy))
+    return reads
+
+
+@pytest.mark.parametrize("scheme", ["daisy", "fdl"])
+def test_label_builds_no_edge_set_and_no_adjacency(tmp_path, capsys, derived_reads, scheme):
+    p = tmp_path / "zigzag9.json"
+    p.write_text(graph_to_json(zigzag(9)))
+    dot = tmp_path / "r.dot"
+    code, out, _ = run(capsys, "label", str(p), "--scheme", scheme, "--emit-dot", str(dot))
+    assert code == 0
+    # R(G) is the Fibonacci cube of dimension 9: 89 vertices, 235 edges
+    assert len(json.loads(out)["labels"]) == 89 and dot.read_text().count(" -- ") == 235
+    assert derived_reads == []
+    # the step checks of --verify do read both
+    code, _, _ = run(capsys, "label", str(p), "--scheme", scheme, "--verify")
+    assert code == 0
+    assert set(derived_reads) == {"matchings", "adjacency"}
 
 
 @pytest.mark.parametrize("shape", [BRANCHED, PYRENE], ids=["branched", "pyrene"])

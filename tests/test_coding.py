@@ -248,7 +248,7 @@ def test_color_swap_enumerates_nothing(branched5, monkeypatch):
     def refuse(g, cap=plane_graph.DEFAULT_MATCHING_CAP):
         raise AssertionError("color_swap_effect enumerated perfect matchings")
 
-    monkeypatch.setattr(plane_graph, "enumerate_matching_edge_sets", refuse)
+    monkeypatch.setattr(plane_graph, "enumerate_matching_columns", refuse)
     assert color_swap_effect(branched5, family, rfd).ok
 
 

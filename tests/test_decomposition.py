@@ -419,13 +419,13 @@ def test_report_steps_equal_standalone_steps(shape, monkeypatch):
         return
     rfd = auto_rfd(g)
     enumerated = Counter()
-    enumerate_edge_sets = plane_graph.enumerate_matching_edge_sets
+    enumerate_columns = plane_graph.enumerate_matching_columns
 
     def spy(graph, cap=plane_graph.DEFAULT_MATCHING_CAP):
         enumerated[graph.edges] += 1
-        return enumerate_edge_sets(graph, cap)
+        return enumerate_columns(graph, cap)
 
-    monkeypatch.setattr(plane_graph, "enumerate_matching_edge_sets", spy)
+    monkeypatch.setattr(plane_graph, "enumerate_matching_columns", spy)
     report = theorem_report(g, rfd)
     monkeypatch.undo()
     # the whole graph once, for the report's family, which the last step

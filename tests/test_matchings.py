@@ -35,6 +35,7 @@ from rescube.matchings import (
 from rescube.plane_graph import (
     edge_key,
     elementary_analysis,
+    enumerate_matching_columns,
     facial_handle_decomposition,
     handles,
 )
@@ -49,6 +50,7 @@ from cube_oracles import (
     has_alternating_cycle,
     matching_subset,
 )
+from test_plane_graph import edge_subsets
 from test_resonance import matchable_edge_subsets, small_corpus
 
 
@@ -134,6 +136,86 @@ def test_json_export(naphthalene):
     data = matchings_to_json(family)
     assert [row["id"] for row in data] == [0, 1, 2]
     assert all(len(row["edges"]) == 5 for row in data)
+
+
+# ---------------------------------------------------------------------------
+# column enumeration against the edge-set oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_columns(sets) -> dict:
+    """The edge sets transposed: edge -> bitset of the ids that hold it."""
+    columns = {}
+    for mid, edges in enumerate(sets):
+        for e in edges:
+            columns[e] = columns.get(e, 0) | 1 << mid
+    return columns
+
+
+def assert_family_matches_oracle(g):
+    """The columns and the family derived from them equal the edge-set
+    oracle's matchings, id for id; no matching means NoPerfectMatching."""
+    sets = oracle.enumerate_matching_edge_sets(g)
+    assert enumerate_matching_columns(g) == (len(sets), oracle_columns(sets))
+    if not sets:
+        with pytest.raises(NoPerfectMatching):
+            enumerate_matchings(g)
+        return
+    family = enumerate_matchings(g)
+    assert len(family) == len(sets) and family.full == (1 << len(sets)) - 1
+    assert family.columns == oracle_columns(sets)
+    assert [m.edges for m in family] == sets
+    assert [m.id for m in family] == list(family.ids)
+    assert all(family.by_edges(edges).id == mid for mid, edges in enumerate(sets))
+
+
+def test_columns_enumeration_matches_oracle_on_corpus():
+    for shape in catacondensed_polyhexes(7):
+        assert_family_matches_oracle(build_benzenoid(shape))
+
+
+def test_columns_enumeration_matches_oracle_on_fixtures(
+    pyrene, nested_rings, two_hexagons, hexagon_with_pendant_path
+):
+    from rescube.plane_graph import build_plane_graph
+
+    odd_path = build_plane_graph([(0, 0, 0), (1, 1, 0), (2, 2, 0)], [(0, 1), (1, 2)])
+    star = build_plane_graph(
+        [(0, 0, 0), (1, 1, 0), (2, -1, 0), (3, 0, 1)], [(0, 1), (0, 2), (0, 3)]
+    )
+    graphs = [zigzag(h) for h in range(1, 13)]
+    graphs += [pyrene, nested_rings, two_hexagons, hexagon_with_pendant_path, odd_path, star]
+    graphs.append(build_plane_graph([], []))  # one matching, with no edge
+    for g in graphs:
+        assert_family_matches_oracle(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_columns_enumeration_matches_oracle_on_edge_subsets(pyrene, nested_rings, data):
+    # disconnected, odd-order and matching-free subgraphs among them
+    g = data.draw(edge_subsets(small_corpus() + (pyrene, nested_rings)))
+    assert_family_matches_oracle(g)
+
+
+def test_cap_boundary():
+    g = zigzag(9)
+    assert len(enumerate_matchings(g, cap=89)) == 89
+    with pytest.raises(CapExceeded):
+        enumerate_matchings(g, cap=88)
+    with pytest.raises(ValueError):
+        enumerate_matchings(g, cap=0)
+    assert enumerate_matching_columns(g, cap=89)[0] == 89
+    with pytest.raises(CapExceeded):
+        enumerate_matching_columns(g, cap=88)
+
+
+def test_family_derives_edge_sets_on_first_use(branched5):
+    family = enumerate_matchings(branched5)
+    assert "matchings" not in vars(family) and "index" not in vars(family)
+    assert len(family) == 14 and family.ids == range(14)
+    assert "matchings" not in vars(family)
+    assert family[3] is family.matchings[3]
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +549,10 @@ def test_columns_match_oracles_on_edge_subsets(pyrene, nested_rings, data):
 def test_handle_column_requires_odd_and_both_ends(branched5):
     # two edge sets that are no perfect matchings: the first holds one end
     # edge of the path 0-1-2-3, the second both
-    family = MatchingFamily(
-        branched5,
-        [PerfectMatching(0, frozenset({(0, 1)})), PerfectMatching(1, frozenset({(0, 1), (2, 3)}))],
-    )
+    family = MatchingFamily(branched5, {(0, 1): 0b11, (2, 3): 0b10}, 2)
+    assert list(family) == [
+        PerfectMatching(0, frozenset({(0, 1)})), PerfectMatching(1, frozenset({(0, 1), (2, 3)}))
+    ]
     with pytest.raises(ValueError):
         handle_column(family, (0, 1, 2))
     with pytest.raises(InternalInvariantBroken):

@@ -400,7 +400,7 @@ def test_verdicts_enumerate_nothing(
     def refuse(g, cap=plane_graph.DEFAULT_MATCHING_CAP):
         raise AssertionError("perfect matchings enumerated")
 
-    monkeypatch.setattr(plane_graph, "enumerate_matching_edge_sets", refuse)
+    monkeypatch.setattr(plane_graph, "enumerate_matching_columns", refuse)
     assert is_peripherally_two_colorable(branched5).ok
     assert auto_rfd(branched5).n == 5
     for g in (pyrene, two_hexagons, hexagon_with_pendant_path, nested_rings):

@@ -122,9 +122,22 @@ def test_unpaired_face_breaks_an_invariant(hexagon):
     # a family that lacks one of the hexagon's two matchings leaves its face
     # with a proper resonant matching and no improper one
     family = enumerate_matchings(hexagon)
-    half = MatchingFamily(hexagon, family.matchings[:1])
+    half = MatchingFamily(
+        hexagon, {e: col & 1 for e, col in family.columns.items() if col & 1}, 1
+    )
+    assert half.matchings == family.matchings[:1]
     with pytest.raises(InternalInvariantBroken):
         build_resonance(hexagon, half)
+
+
+def test_adjacency_built_on_first_use(branched5):
+    r = build_resonance(branched5, enumerate_matchings(branched5))
+    assert "adjacency" not in vars(r)
+    assert list(r.adjacency) == list(r.vertices)
+    for v, neighbours in r.adjacency.items():
+        assert list(neighbours) == sorted(neighbours)
+        assert all(r.adjacency[w][v] == f for w, f in neighbours.items())
+    assert sum(map(len, r.adjacency.values())) == 2 * len(r.edges)
 
 
 def test_by_edges_misses_raise_key_error(branched5):
