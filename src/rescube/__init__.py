@@ -46,10 +46,8 @@ from .decomposition import (
 from .matchings import (
     MatchingFamily,
     PerfectMatching,
-    alternation_kind,
     enumerate_matchings,
     extremal_matchings,
-    is_resonant,
 )
 from .plane_graph import (
     Face,

@@ -199,7 +199,10 @@ def cmd_label(args) -> int:
         r = build_resonance(g, family)
         face_names = {fid: f"s{pos}" for pos, fid in enumerate(rfd.faces, start=1)}
     else:
-        # weakly elementary graphs label componentwise, concatenated
+        # weakly elementary graphs label componentwise, concatenated, each
+        # component by its own automatic decomposition
+        if args.rfd not in (None, "auto"):
+            raise ValueError("--rfd applies to elementary graphs; this one is not")
         labels, family, width = _component_labelling(g, args.scheme, cap)
         r = build_resonance(g, family)
         rfd = None
@@ -279,7 +282,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("auto", "json", "benzenoid"), default="auto")
         if rfd_flag:
             p.add_argument("--rfd", default="auto",
-                           help="'auto' or a comma-separated finite face order")
+                           help="'auto' or a comma-separated finite face order "
+                                "(an order applies to elementary graphs only)")
         if cap_flag:
             p.add_argument("--cap", type=int, default=None,
                            help="bound on the perfect-matching enumeration: more "

@@ -13,7 +13,9 @@ construction.
 The face conditions of the decomposition theorem (the two sides of a face's
 edge class, the handle-set equalities, and the step checks' ear and inner
 sides) are read from the matching family's per-edge columns: each is a set
-of matchings held as one bitset over matching ids.
+of matchings held as one bitset over matching ids.  The step checks map
+one prefix's matchings to the next by comparing packed columns, so no
+check builds a matching as an edge set.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .matchings import (
     enumerate_matchings,
     extremal_matchings,
     handle_column,
+    pack,
     resonance_columns,
 )
 from .plane_graph import (
@@ -510,7 +513,31 @@ def verify_reducible_split(
 def _check_step(
     g: PlaneGraph, rfd: RfdSequence, i: int, prev: _Prefix, cur: _Prefix, strict: bool
 ) -> StepReport:
-    """The clauses of step i, from the records of prefixes i - 1 and i."""
+    """The clauses of step i, from the records of prefixes i - 1 and i.
+
+    The restriction to G_(i-1), its inverse the lift, and the twist along
+    the face's cycle C are compared as packed columns (:func:`pack`), so no
+    matching is built or looked up as an edge set.  Matching k of G_(i-1)
+    is the k-th matching of G_i that avoids the ear's end edges (the minus
+    side), and the k-th twin is the k-th matching that holds them (the plus
+    side).  Both families must come from :func:`enumerate_matchings`, whose
+    ids order matchings by the mate of the smallest vertex where two differ;
+    the two orders follow from that:
+
+    - restriction keeps rank: a minus matching avoids the ear's end edges,
+      so it holds the ear's even edges, whose interior vertices have degree
+      2.  Two minus matchings then agree on the ear and first differ at a
+      vertex of G_(i-1), whose mates lie in G_(i-1), and
+      :func:`edge_subgraph` keeps vertex ids;
+    - twins keep order: lifted matchings under which C alternates hold the
+      same half of C (the ear's even edges), so argument (c) of
+      :func:`~rescube.resonance.build_resonance` applies to their twists.
+
+    The twins are derived from C, not from the resonant columns that built
+    R(G_i), so the prediction of ``expansion-equality`` stays independent
+    of that pairing; a lifted matching under which C does not alternate
+    makes it false.
+    """
     clauses = {}
     details = {}
 
@@ -519,8 +546,9 @@ def _check_step(
         if strict and not value:
             raise TheoremViolated(clause, f"step {i} {detail}")
 
-    sub_prev, rfd_i, rfd_prev = prev.graph, cur.rfd, prev.rfd
+    rfd_i, rfd_prev = cur.rfd, prev.rfd
     fam_i, fam_prev = cur.family, prev.family
+    col_i, col_prev = fam_i.columns, fam_prev.columns
     res_i, res_prev = cur.resonance, prev.resonance
     labels_i = cur.daisy.labels
 
@@ -531,20 +559,13 @@ def _check_step(
     if inner is None:
         return StepReport(i, clauses, details)
 
-    # restriction map: avoid-side matchings of sub_i <-> matchings of sub_prev
-    ear_contain = handle_column(fam_i, ear)
-    minus = bit_ids(fam_i.full & ~ear_contain)
-    plus = bit_ids(ear_contain)
-    restrict = {}
-    ok = len(minus) == len(fam_prev)
-    if ok:
-        for mid in minus:
-            try:
-                restrict[mid] = fam_prev.index[fam_i[mid].edges & sub_prev.edges]
-            except KeyError:
-                ok = False
-                break
-        ok = ok and len(set(restrict.values())) == len(fam_prev)
+    # restriction: the k-th avoid-side matching of G_i is matching k of G_(i-1)
+    plus_bits = handle_column(fam_i, ear)
+    minus_bits = fam_i.full & ~plus_bits
+    minus, plus = bit_ids(minus_bits), bit_ids(plus_bits)
+    ok = len(minus) == len(fam_prev) and all(
+        pack(col_i.get(e, 0), minus_bits) == col_prev.get(e, 0) for e in prev.graph.edges
+    )
     details["minus_size"] = len(minus)
     details["plus_size"] = len(plus)
     check("restriction-bijection", ok)
@@ -553,11 +574,9 @@ def _check_step(
 
     pos_i = {fid: p for p, fid in enumerate(rfd_i.faces, start=1)}
     pos_prev = {fid: p for p, fid in enumerate(rfd_prev.faces, start=1)}
-    minus_ids = set(minus)
+    rank = {mid: k for k, mid in enumerate(minus)}  # restriction keeps order
     mapped = {
-        (min(restrict[u], restrict[v]), max(restrict[u], restrict[v]), pos_i[f])
-        for u, v, f in res_i.edges
-        if u in minus_ids and v in minus_ids
+        (rank[u], rank[v], pos_i[f]) for u, v, f in res_i.edges if u in rank and v in rank
     }
     prev_edges = {(u, v, pos_prev[f]) for u, v, f in res_prev.edges}
     check("restriction-isomorphism", mapped == prev_edges)
@@ -570,14 +589,15 @@ def _check_step(
         labels_i[mid] & new for mid in plus
     )
     # position i is the last, so deleting it clears the bit
-    labels_prev = {restrict[mid]: labels_i[mid] & ~new for mid in minus}
+    labels_prev = {k: labels_i[mid] & ~new for k, mid in enumerate(minus)}
     ok = ok and len(set(labels_prev.values())) == len(labels_prev)
     if i >= 3:
         ok = ok and labels_prev == prev.daisy.labels
     check("label-deletion", ok)
 
     # the inner-path side inside the previous resonance graph
-    inner_set = frozenset(bit_ids(handle_column(fam_prev, inner)))
+    inner_ids = bit_ids(handle_column(fam_prev, inner))
+    inner_set = frozenset(inner_ids)
     details["inner_size"] = len(inner_set)
     # R(G_(i-1)) is a partial cube, so its daisy labels are certified once
     # and distance is read from them.  Should the certificate fail, the
@@ -604,42 +624,34 @@ def _check_step(
     check("inner-zero-at-attachment", inner_set == zero_att,
           f"attachment position {att}")
 
-    # expansion: extend previous matchings into sub_i and compare
-    ear_edges_seq = [edge_key(a, b) for a, b in zip(ear, ear[1:])]
-    even_ear = frozenset(ear_edges_seq[1::2])
-    cycle_edges = face_edges
-
-    expected_vertices = set()
-    expected_edges = set()
-    lift = {}
-    for m_prev in fam_prev:
-        lid = fam_i.index[m_prev.edges | even_ear]
-        lift[m_prev.id] = lid
-        expected_vertices.add(lid)
-    for u, v, f in res_prev.edges:
-        a, b = sorted((lift[u], lift[v]))
-        expected_edges.add((a, b, pos_i[rfd_i.faces[pos_prev[f] - 1]]))
-    # each twin by its definition, the twist looked up by edge set: the
-    # prediction stays independent of the column pairing that built res_i
-    partner = {}
-    for mid in sorted(inner_set):
-        base = fam_i[lift[mid]]
-        twin = fam_i.index[base.edges ^ cycle_edges]
-        partner[mid] = twin
-        expected_vertices.add(twin)
-        a, b = sorted((lift[mid], twin))
-        expected_edges.add((a, b, pos_i[rfd_i.faces[i - 1]]))
-    for u in sorted(inner_set):
-        for v, f in res_prev.adjacency[u].items():
-            if v in inner_set and u < v:
-                a, b = sorted((partner[u], partner[v]))
-                expected_edges.add((a, b, pos_i[rfd_i.faces[pos_prev[f] - 1]]))
-
-    actual_edges = {(u, v, pos_i[f]) for u, v, f in res_i.edges}
-    check(
-        "expansion-equality",
-        expected_vertices == set(res_i.vertices) and expected_edges == actual_edges,
+    # expansion: the lift of matching k is minus[k], and the j-th twin, the
+    # j-th lifted inner matching twisted along C, must be plus[j]: equal
+    # columns on every edge, complemented on C.  minus and plus cover G_i's
+    # matchings, so the twins are plus exactly when the vertices match.
+    # minus[k] holds an edge of G_(i-1) exactly when matching k does, and
+    # the inner path ends where the ear does, so the lifted inner side is
+    # G_i's inner side
+    inner_i = handle_column(fam_i, inner)
+    on_cycle = (1 << len(inner_ids)) - 1
+    twins = len(plus) == len(inner_ids) and all(
+        pack(col_i.get(e, 0), plus_bits)
+        == pack(col_i.get(e, 0), inner_i) ^ (on_cycle if e in face_edges else 0)
+        for e in cur.graph.edges
     )
+    expected_edges = set()
+    if twins:
+        twin = dict(zip(inner_ids, plus))
+        for u, v, f in res_prev.edges:
+            pos = pos_i[rfd_i.faces[pos_prev[f] - 1]]
+            expected_edges.add((minus[u], minus[v], pos))
+            if u in twin and v in twin:  # twins keep order
+                expected_edges.add((twin[u], twin[v], pos))
+        face_pos = pos_i[rfd_i.faces[i - 1]]
+        for k in inner_ids:
+            a, b = sorted((minus[k], twin[k]))
+            expected_edges.add((a, b, face_pos))
+    actual_edges = {(u, v, pos_i[f]) for u, v, f in res_i.edges}
+    check("expansion-equality", twins and expected_edges == actual_edges)
 
     # the expansion along (all vertices, inner side) is peripheral by
     # construction, and a non-empty convex side is connected and isometric
@@ -647,8 +659,7 @@ def _check_step(
           "the inner side is empty" if not inner_set else "")
 
     zero_both = frozenset(mid for mid in labels_i if not labels_i[mid] & (att_bit | new))
-    inner_lifted = frozenset(bit_ids(handle_column(fam_i, inner)))
-    check("zero-positions", zero_both == inner_lifted)
+    check("zero-positions", zero_both == frozenset(bit_ids(inner_i)))
 
     return StepReport(i, clauses, details)
 

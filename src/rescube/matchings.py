@@ -3,15 +3,16 @@
 A matching family enumerates every perfect matching of a plane graph in a
 deterministic order, so matching ids are stable across runs.  On top of it
 live the facial predicates: resonance of a face, proper/improper
-alternation of walks, and the two-state end-edge predicate of odd handles.
+alternation of its boundary, and the two-state end-edge predicate of odd
+handles.
 
-Each predicate has two reads.  The per-matching one (:func:`is_resonant`,
-:func:`alternation_kind`, :func:`end_edge_state`) answers for a single
-matching.  The column read answers for the whole family at once: the family
-is enumerated as one int per edge whose bit k is set when matching k holds
-the edge, and a face or handle condition becomes a few big-int operations
-on those columns (:func:`handle_column`,
-:func:`resonance_columns`), giving a set of matchings as a bitset over ids.
+Every predicate is read for the whole family at once: the family is
+enumerated as one int per edge whose bit k is set when matching k holds the
+edge, and a face or handle condition becomes a few big-int operations on
+those columns (:func:`handle_column`, :func:`resonance_columns`), giving a
+set of matchings as a bitset over ids.  :func:`pack` compares such sets
+across two families.  The single-matching versions of the predicates,
+read on one matching's edge set, are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -23,13 +24,6 @@ from itertools import compress
 from . import plane_graph as pg
 from .errors import InternalInvariantBroken, NoPerfectMatching, NotFound
 from .plane_graph import DEFAULT_MATCHING_CAP, PlaneGraph, edge_key
-
-CONTAINS_END_EDGES = "contains_end_edges"
-AVOIDS_END_EDGES = "avoids_end_edges"
-
-PROPER = "proper"
-IMPROPER = "improper"
-NOT_ALTERNATING = "not_alternating"
 
 
 @dataclass(frozen=True)
@@ -123,63 +117,12 @@ def enumerate_matchings(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -> Match
 
 
 # ---------------------------------------------------------------------------
-# facial predicates
-# ---------------------------------------------------------------------------
-
-
-def is_resonant(g: PlaneGraph, matching: PerfectMatching, face_id: int) -> bool:
-    """True when the facial cycle alternates in and out of the matching."""
-    face = g.faces[face_id]
-    darts = face.darts
-    states = [edge_key(*d) in matching.edges for d in darts]
-    return all(states[i] != states[(i + 1) % len(states)] for i in range(len(states)))
-
-
-def alternation_kind(g: PlaneGraph, matching: PerfectMatching, walk) -> str:
-    """Classify a walk on a facial cycle or the periphery.
-
-    ``walk`` is a vertex sequence oriented along the clockwise orientation of
-    its host cycle; a closed walk repeats its first vertex at the end.
-    Returns 'proper' when every matched edge runs white to black, 'improper'
-    when every matched edge runs black to white, and 'not_alternating' when
-    the edges do not alternate or the walk carries no matched edge at all.
-    """
-    walk = tuple(walk)
-    closed = len(walk) > 1 and walk[0] == walk[-1]
-    darts = list(zip(walk, walk[1:]))
-    states = [edge_key(*d) in matching.edges for d in darts]
-    n = len(states)
-    pairs = range(n) if closed else range(n - 1)
-    if any(states[i] == states[(i + 1) % n] for i in pairs):
-        return NOT_ALTERNATING
-    matched_darts = [d for d, s in zip(darts, states) if s]
-    if not matched_darts:
-        return NOT_ALTERNATING
-    kinds = {g.color(u) for u, _ in matched_darts}
-    if len(kinds) != 1:
-        raise InternalInvariantBroken("matched edges of one walk run both ways")
-    return PROPER if kinds == {pg.WHITE} else IMPROPER
-
-
-def end_edge_state(matching: PerfectMatching, path) -> str:
-    """The two-state predicate of an odd path whose interior is matched within it."""
-    if (len(path) - 1) % 2 == 0:
-        raise ValueError("end-edge state is only defined for odd-length paths")
-    first = edge_key(path[0], path[1]) in matching.edges
-    last = edge_key(path[-2], path[-1]) in matching.edges
-    if first != last:
-        raise InternalInvariantBroken(
-            "an odd path contains exactly one of its end edges"
-        )
-    return CONTAINS_END_EDGES if first else AVOIDS_END_EDGES
-
-
-# ---------------------------------------------------------------------------
 # column reads over a whole family
 # ---------------------------------------------------------------------------
 
 
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _bit_row(bits: int, width: int) -> bytes:
@@ -193,10 +136,20 @@ def bit_ids(bits: int) -> list:
     return list(compress(range(len(row)), row))
 
 
+def pack(bits: int, keep: int) -> int:
+    """The bits of ``bits`` at the positions set in ``keep``, packed: bit j
+    of the result is the bit of ``bits`` at the j-th smallest position set
+    in ``keep``.  On a column it keeps the matchings in ``keep``, renumbered
+    by rank."""
+    width = keep.bit_length()
+    kept = bytes(compress(_bit_row(bits, width), _bit_row(keep, width)))
+    return int(kept[::-1].translate(_CHARS) or b"0", 2)
+
+
 def handle_column(family: MatchingFamily, path) -> int:
     """The matchings that contain the end edges of an odd path whose interior
-    is matched within it, as a bitset: :func:`end_edge_state` over the
-    family.  Raises ValueError on an even path, and
+    is matched within it, as a bitset (the others avoid both end edges).
+    Raises ValueError on an even path, and
     :class:`InternalInvariantBroken` when some matching holds exactly one of
     the two end edges."""
     if (len(path) - 1) % 2 == 0:
@@ -212,9 +165,8 @@ def handle_column(family: MatchingFamily, path) -> int:
 
 def resonance_columns(g: PlaneGraph, family: MatchingFamily, face_id: int) -> tuple:
     """The matchings under which a finite face is proper resonant, and those
-    under which it is improper resonant, as two bitsets: :func:`alternation_kind`
-    on the closed facial walk over the family, whose union is
-    :func:`is_resonant`.
+    under which it is improper resonant, as two bitsets whose union is the
+    matchings under which the face is resonant.
 
     The walk alternates exactly when every dart of one alternate half is
     matched: consecutive darts share a vertex, so a perfect matching then
@@ -296,10 +248,3 @@ def extremal_matchings(g: PlaneGraph, family: MatchingFamily) -> ExtremalMatchin
         lattice_bottom=bottoms.bit_length() - 1,
         lattice_top=tops.bit_length() - 1,
     )
-
-
-def matchings_to_json(family: MatchingFamily) -> list:
-    """JSON-ready export: list of {id, edges} in id order."""
-    return [
-        {"id": m.id, "edges": [list(e) for e in sorted(m.edges)]} for m in family
-    ]

@@ -68,7 +68,16 @@ class ResonanceGraph:
         return MetricGraph(self.vertices, [(u, v) for u, v, _ in self.edges])
 
     def edges_with_label(self, face_id) -> tuple:
-        return tuple((u, v) for u, v, f in self.edges if f == face_id)
+        return self._classes.get(face_id, ())
+
+    @cached_property
+    def _classes(self) -> dict:
+        """Face -> the (u, v) of its edges, in edge order: one pass for all
+        faces."""
+        classes = {}
+        for u, v, fid in self.edges:
+            classes.setdefault(fid, []).append((u, v))
+        return {fid: tuple(edges) for fid, edges in classes.items()}
 
 
 def build_resonance(g: PlaneGraph, family: MatchingFamily) -> ResonanceGraph:

@@ -37,9 +37,15 @@ reference for the face conditions of ``rescube.decomposition``.  It also
 finds cut vertices by deleting each vertex in turn: the reference for the
 facial-walk test of ``rescube.plane_graph.handles``.
 
-The per-matching section reads every face condition one matching at a
-time through the single-matching predicates: the reference for the
-per-edge column reads of ``rescube.matchings`` and ``rescube.coding``.
+The per-matching section holds the single-matching predicates (resonance
+of a face, alternation of a walk, the end-edge state of an odd handle) and
+reads every face condition one matching at a time through them: the
+reference for the per-edge column reads of ``rescube.matchings`` and
+``rescube.coding``.
+
+The last section checks a decomposition step with the restriction, lift and
+twist maps looked up matching by matching as edge sets: the reference for
+the packed-column step check of ``rescube.decomposition``.
 """
 
 from dataclasses import dataclass
@@ -53,16 +59,12 @@ from rescube.cube_kit import (
     ThetaClasses,
     operator_o,
 )
-from rescube.errors import CapExceeded, NoPerfectMatching, RescubeError
-from rescube.matchings import (
-    AVOIDS_END_EDGES,
-    CONTAINS_END_EDGES,
-    IMPROPER,
-    NOT_ALTERNATING,
-    PROPER,
-    alternation_kind,
-    end_edge_state,
-    is_resonant,
+from rescube.decomposition import _assemble_path
+from rescube.errors import (
+    CapExceeded,
+    InternalInvariantBroken,
+    NoPerfectMatching,
+    RescubeError,
 )
 from rescube.plane_graph import (
     BLACK,
@@ -76,6 +78,13 @@ from rescube.plane_graph import (
 
 SWEEP_IDIM_CAP = 20
 MAX_FACES_FOR_CYCLES = 16
+
+CONTAINS_END_EDGES = "contains_end_edges"
+AVOIDS_END_EDGES = "avoids_end_edges"
+
+PROPER = "proper"
+IMPROPER = "improper"
+NOT_ALTERNATING = "not_alternating"
 
 
 class NotAnExpansion(RescubeError):
@@ -786,6 +795,53 @@ def has_cut_vertex(g) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def is_resonant(g, matching, face_id: int) -> bool:
+    """True when the facial cycle alternates in and out of the matching."""
+    face = g.faces[face_id]
+    darts = face.darts
+    states = [edge_key(*d) in matching.edges for d in darts]
+    return all(states[i] != states[(i + 1) % len(states)] for i in range(len(states)))
+
+
+def alternation_kind(g, matching, walk) -> str:
+    """Classify a walk on a facial cycle or the periphery.
+
+    ``walk`` is a vertex sequence oriented along the clockwise orientation of
+    its host cycle; a closed walk repeats its first vertex at the end.
+    Returns 'proper' when every matched edge runs white to black, 'improper'
+    when every matched edge runs black to white, and 'not_alternating' when
+    the edges do not alternate or the walk carries no matched edge at all.
+    """
+    walk = tuple(walk)
+    closed = len(walk) > 1 and walk[0] == walk[-1]
+    darts = list(zip(walk, walk[1:]))
+    states = [edge_key(*d) in matching.edges for d in darts]
+    n = len(states)
+    pairs = range(n) if closed else range(n - 1)
+    if any(states[i] == states[(i + 1) % n] for i in pairs):
+        return NOT_ALTERNATING
+    matched_darts = [d for d, s in zip(darts, states) if s]
+    if not matched_darts:
+        return NOT_ALTERNATING
+    kinds = {g.color(u) for u, _ in matched_darts}
+    if len(kinds) != 1:
+        raise InternalInvariantBroken("matched edges of one walk run both ways")
+    return PROPER if kinds == {WHITE} else IMPROPER
+
+
+def end_edge_state(matching, path) -> str:
+    """The two-state predicate of an odd path whose interior is matched within it."""
+    if (len(path) - 1) % 2 == 0:
+        raise ValueError("end-edge state is only defined for odd-length paths")
+    first = edge_key(path[0], path[1]) in matching.edges
+    last = edge_key(path[-2], path[-1]) in matching.edges
+    if first != last:
+        raise InternalInvariantBroken(
+            "an odd path contains exactly one of its end edges"
+        )
+    return CONTAINS_END_EDGES if first else AVOIDS_END_EDGES
+
+
 def bitset(family, predicate) -> int:
     """The ids of the matchings on which ``predicate`` holds, as a bitset,
     read one matching at a time in id order."""
@@ -845,3 +901,111 @@ def fdl_bits(g, family, face_id) -> tuple:
         bitset(family, lambda m: tails(m) <= {WHITE}),
         bitset(family, lambda m: {WHITE, BLACK} <= tails(m)),
     )
+
+
+# ---------------------------------------------------------------------------
+# decomposition steps by edge sets
+# ---------------------------------------------------------------------------
+
+
+def step_clauses(g, rfd, i, prev, cur) -> dict:
+    """The clauses of decomposition step i by definition, from the records of
+    prefixes i - 1 and i (``prev`` and ``cur``: graph, translated
+    decomposition, family, resonance graph, daisy labelling).
+
+    The ear and inner sides are read by :func:`end_edge_state` one matching
+    at a time; the restriction, the lift and the twist along the face's
+    cycle are looked up by edge set in the families; convexity is read from
+    the distance table.  The reference for the packed-column step check of
+    ``rescube.decomposition``.  A map that finds no matching makes its
+    clause false, as the packed check does."""
+    fam_i, fam_prev = cur.family, prev.family
+    res_i, res_prev = cur.resonance, prev.resonance
+    labels_i = cur.daisy.labels
+    clauses = {}
+
+    ear = _assemble_path(rfd.subgraph_edges[i - 1] - rfd.subgraph_edges[i - 2])
+    ear_edges = [edge_key(a, b) for a, b in zip(ear, ear[1:])]
+    cycle = g.faces[rfd.faces[i - 1]].edges
+    inner = _assemble_path(cycle - set(ear_edges))
+    clauses["inner-path"] = inner is not None
+    if inner is None:
+        return clauses
+
+    def side(family, path, state):
+        return [m.id for m in family if end_edge_state(m, path) == state]
+
+    minus = side(fam_i, ear, AVOIDS_END_EDGES)
+    plus = side(fam_i, ear, CONTAINS_END_EDGES)
+    restrict = {}
+    for mid in minus:
+        image = fam_prev.index.get(fam_i[mid].edges & prev.graph.edges)
+        if image is not None:
+            restrict[mid] = image
+    clauses["restriction-bijection"] = ok = (
+        len(minus) == len(fam_prev) == len(restrict) == len(set(restrict.values()))
+    )
+    if not ok:
+        return clauses
+
+    pos_i = {fid: p for p, fid in enumerate(cur.rfd.faces, start=1)}
+    pos_prev = {fid: p for p, fid in enumerate(prev.rfd.faces, start=1)}
+
+    def edge(a, b, pos):
+        return (min(a, b), max(a, b), pos)
+
+    clauses["restriction-isomorphism"] = {
+        edge(restrict[u], restrict[v], pos_i[f])
+        for u, v, f in res_i.edges
+        if u in restrict and v in restrict
+    } == {(u, v, pos_prev[f]) for u, v, f in res_prev.edges}
+
+    new = 1 << (i - 1)
+    labels_prev = {restrict[mid]: labels_i[mid] & ~new for mid in minus}
+    clauses["label-deletion"] = (
+        not any(labels_i[mid] & new for mid in minus)
+        and all(labels_i[mid] & new for mid in plus)
+        and len(set(labels_prev.values())) == len(labels_prev)
+        and (i < 3 or labels_prev == prev.daisy.labels)
+    )
+
+    inner_set = frozenset(side(fam_prev, inner, CONTAINS_END_EDGES))
+    convex = is_convex_subset(res_prev.metric(), inner_set)
+    o_closed = operator_o(labels_prev, inner_set) == inner_set
+    clauses["inner-convex"] = convex
+    clauses["inner-le-subgraph"] = o_closed
+    att_bit = 1 << (rfd.attachment[i] - 1)
+    clauses["inner-zero-at-attachment"] = inner_set == {
+        k for k, label in labels_prev.items() if not label & att_bit
+    }
+
+    # the lift adds the ear's even edges; the twin twists the lift along
+    # the face's cycle
+    even_ear = frozenset(ear_edges[1::2])
+    lift = {m.id: fam_i.index.get(m.edges | even_ear) for m in fam_prev}
+    twin = {
+        k: fam_i.index.get(fam_i[lift[k]].edges ^ cycle)
+        for k in inner_set
+        if lift[k] is not None
+    }
+    found = set(lift.values()) | set(twin.values())
+    expected_edges = set()
+    if None not in found:
+        for u, v, f in res_prev.edges:
+            pos = pos_i[cur.rfd.faces[pos_prev[f] - 1]]
+            expected_edges.add(edge(lift[u], lift[v], pos))
+            if u in inner_set and v in inner_set:
+                expected_edges.add(edge(twin[u], twin[v], pos))
+        for k in inner_set:
+            expected_edges.add(edge(lift[k], twin[k], pos_i[cur.rfd.faces[i - 1]]))
+    clauses["expansion-equality"] = (
+        None not in found
+        and found == set(res_i.vertices)
+        and expected_edges == {(u, v, pos_i[f]) for u, v, f in res_i.edges}
+    )
+
+    clauses["expansion-flags"] = bool(inner_set) and convex and o_closed
+    clauses["zero-positions"] = {
+        mid for mid, label in labels_i.items() if not label & (att_bit | new)
+    } == set(side(fam_i, inner, CONTAINS_END_EDGES))
+    return clauses

@@ -236,10 +236,11 @@ def test_label_builds_no_edge_set_and_no_adjacency(tmp_path, capsys, derived_rea
     # R(G) is the Fibonacci cube of dimension 9: 89 vertices, 235 edges
     assert len(json.loads(out)["labels"]) == 89 and dot.read_text().count(" -- ") == 235
     assert derived_reads == []
-    # the step checks of --verify do read both
+    # the face-class checks of --verify read the adjacency; the step checks
+    # compare columns and build no edge set
     code, _, _ = run(capsys, "label", str(p), "--scheme", scheme, "--verify")
     assert code == 0
-    assert set(derived_reads) == {"matchings", "adjacency"}
+    assert set(derived_reads) == {"adjacency"}
 
 
 @pytest.mark.parametrize("shape", [BRANCHED, PYRENE], ids=["branched", "pyrene"])
@@ -412,6 +413,23 @@ def test_hexagon_label_single_bit(tmp_path, capsys):
     assert sorted(json.loads(out)["labels"].values()) == ["0", "1"]
 
 
+@pytest.mark.parametrize("scheme", ["daisy", "fdl"])
+def test_label_rejects_an_order_on_a_weakly_elementary_graph(tmp_path, capsys, scheme):
+    # the components are labelled by their own decompositions, so a face
+    # order is refused, as `rfd` refuses it, not ignored
+    p = tmp_path / "hexagon_naphthalene.benz"
+    p.write_text("0 0\n3 0\n4 0\n")
+    argv = ["label", str(p), "--scheme", scheme]
+    code, out, err = run(capsys, *argv, "--rfd", "99,98")
+    assert code == 1
+    assert out == ""
+    assert "--rfd applies to elementary graphs" in err
+    code, _, _ = run(capsys, "rfd", str(p), "--rfd", "99,98")
+    assert code == 1
+    code, out, _ = run(capsys, *argv, "--rfd", "auto")
+    assert code == 0 and len(json.loads(out)["labels"]) == 6
+
+
 def test_bad_rfd_order_exit_one(branched_file, capsys):
     code, _, err = run(
         capsys, "label", branched_file, "--scheme", "daisy", "--rfd", "1,2,bogus"
@@ -457,6 +475,23 @@ def test_label_weakly_elementary_with_bridge(tmp_path, capsys):
     code, out, _ = run(capsys, "label", str(p), "--scheme", "daisy")
     assert code == 0
     assert sorted(json.loads(out)["labels"].values()) == ["0", "1"]
+
+
+@pytest.mark.parametrize("scheme", ["daisy", "fdl"])
+def test_label_rejects_an_order_on_a_weakly_elementary_graph(tmp_path, capsys, scheme):
+    # the components are labelled by their own decompositions, so a face
+    # order is refused, as `rfd` refuses it, not ignored
+    p = tmp_path / "hexagon_naphthalene.benz"
+    p.write_text("0 0\n3 0\n4 0\n")
+    argv = ["label", str(p), "--scheme", scheme]
+    code, out, err = run(capsys, *argv, "--rfd", "99,98")
+    assert code == 1
+    assert out == ""
+    assert "--rfd applies to elementary graphs" in err
+    code, _, _ = run(capsys, "rfd", str(p), "--rfd", "99,98")
+    assert code == 1
+    code, out, _ = run(capsys, *argv, "--rfd", "auto")
+    assert code == 0 and len(json.loads(out)["labels"]) == 6
 
 
 # the exact labels of the parent implementation; a sorted label set alone

@@ -196,7 +196,7 @@ def test_fdl_not_downward_closed_here(branched5, branched5_faces):
 
 
 def test_fdl_even_cycle(hexagon):
-    from rescube.matchings import PROPER, alternation_kind
+    from cube_oracles import PROPER, alternation_kind
 
     family = enumerate_matchings(hexagon)
     labelling = fdl_labelling(hexagon, family, auto_rfd(hexagon))

@@ -1,6 +1,7 @@
 """Reducible faces, decompositions, and the split/expansion instance checks."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,17 +28,13 @@ from rescube.decomposition import (
     theorem_report,
     verify_reducible_split,
 )
-from rescube.matchings import (
-    AVOIDS_END_EDGES,
-    CONTAINS_END_EDGES,
-    end_edge_state,
-    enumerate_matchings,
-)
+from rescube.matchings import MatchingFamily, enumerate_matchings
 from rescube.plane_graph import elementary_analysis, from_rotation_system
-from rescube.resonance import build_resonance
+from rescube.resonance import ResonanceGraph, build_resonance
 
 import cube_oracles as oracle
 from conftest import zigzag
+from cube_oracles import AVOIDS_END_EDGES, CONTAINS_END_EDGES, end_edge_state
 from test_resonance import matchable_edge_subsets, small_corpus
 
 
@@ -290,6 +287,101 @@ def test_step_bounds(branched5, branched5_faces):
         verify_reducible_split(branched5, r, rfd, 1)
     with pytest.raises(ValueError):
         verify_reducible_split(branched5, r, rfd, 6)
+
+
+def _step_records(g, rfd):
+    """(i, prev, cur) for every step of the decomposition, on the prefix
+    records the report hands from step to step."""
+    r = resonance_of(g)
+    records = [decomposition._prefix(g, r, rfd, k) for k in range(1, rfd.n + 1)]
+    return [(i, records[i - 2], records[i - 1]) for i in range(2, rfd.n + 1)]
+
+
+def _clauses(g, rfd, i, prev, cur):
+    return decomposition._check_step(g, rfd, i, prev, cur, strict=False).clauses
+
+
+def test_step_clauses_equal_the_edge_set_oracle():
+    """The packed-column maps decide every clause as the edge-set lookups
+    do, on every peripherally 2-colorable shape of up to six rings and on
+    zigzag chains of up to nine."""
+    shapes = [build_benzenoid(cells) for cells in catacondensed_polyhexes(6)]
+    shapes += [zigzag(h) for h in range(2, 10)]
+    shapes = [
+        g
+        for g in shapes
+        if not g.is_cycle_graph() and plane_graph.is_peripherally_two_colorable(g).ok
+    ]
+    assert len(shapes) == 20 + 8
+    for g in shapes:
+        rfd = auto_rfd(g)
+        for i, prev, cur in _step_records(g, rfd):
+            clauses = _clauses(g, rfd, i, prev, cur)
+            assert clauses == oracle.step_clauses(g, rfd, i, prev, cur)
+            assert all(clauses.values())
+
+
+def test_forged_column_breaks_the_restriction(branched5, branched5_faces):
+    # every matching of G_i flips one edge of G_(i-1): no avoid-side
+    # matching restricts to a matching of G_(i-1) any more
+    rfd = rfd_from_face_order(branched5, branched5_faces)
+    for i, prev, cur in _step_records(branched5, rfd):
+        family = cur.family
+        e = min(prev.graph.edges)
+        columns = {**family.columns, e: family.columns.get(e, 0) ^ family.full}
+        forged = replace(cur, family=MatchingFamily(cur.graph, columns, len(family)))
+        clauses = _clauses(branched5, rfd, i, prev, forged)
+        assert clauses == {"inner-path": True, "restriction-bijection": False}
+        assert clauses == oracle.step_clauses(branched5, rfd, i, prev, forged)
+
+
+def test_dropped_resonance_edge_breaks_the_expansion(branched5, branched5_faces):
+    # R(G_i) loses one edge of the step's face class: the restriction still
+    # holds, the expansion no longer reproduces R(G_i)
+    rfd = rfd_from_face_order(branched5, branched5_faces)
+    for i, prev, cur in _step_records(branched5, rfd):
+        res = cur.resonance
+        face = cur.rfd.faces[i - 1]
+        dropped = next(k for k, (_, _, f) in enumerate(res.edges) if f == face)
+        edges = res.edges[:dropped] + res.edges[dropped + 1 :]
+        forged = replace(cur, resonance=ResonanceGraph(cur.graph, cur.family, edges))
+        clauses = _clauses(branched5, rfd, i, prev, forged)
+        assert [c for c, ok in clauses.items() if not ok] == ["expansion-equality"]
+        assert clauses == oracle.step_clauses(branched5, rfd, i, prev, forged)
+
+
+def test_forged_twin_breaks_the_expansion(branched5, branched5_faces):
+    # one matching that holds the ear's end edges (its new daisy bit is 1)
+    # flips an edge off the face's cycle: the restriction still holds, but
+    # that matching is no longer the twist of a lifted inner matching
+    rfd = rfd_from_face_order(branched5, branched5_faces)
+    for i, prev, cur in _step_records(branched5, rfd):
+        family = cur.family
+        mid = next(m for m, label in cur.daisy.labels.items() if label >> (i - 1) & 1)
+        e = min(prev.graph.edges - branched5.faces[rfd.faces[i - 1]].edges)
+        columns = {**family.columns, e: family.columns.get(e, 0) ^ (1 << mid)}
+        forged = replace(cur, family=MatchingFamily(cur.graph, columns, len(family)))
+        clauses = _clauses(branched5, rfd, i, prev, forged)
+        assert [c for c, ok in clauses.items() if not ok] == ["expansion-equality"]
+        assert clauses == oracle.step_clauses(branched5, rfd, i, prev, forged)
+
+
+@pytest.mark.parametrize("shape", ["branched5", "zigzag9"])
+def test_report_builds_no_edge_set(request, monkeypatch, shape):
+    """Every check of the report reads the family's columns: no matching
+    is built, or looked up, as an edge set."""
+    g = request.getfixturevalue(shape) if shape == "branched5" else zigzag(9)
+    reads = []
+    for name in ("matchings", "index"):
+        build = vars(MatchingFamily)[name].func
+
+        def spy(self, name=name, build=build):
+            reads.append(name)
+            return build(self)
+
+        monkeypatch.setattr(MatchingFamily, name, property(spy))
+    assert theorem_report(g)["ok"]
+    assert reads == []
 
 
 # ---------------------------------------------------------------------------

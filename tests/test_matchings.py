@@ -15,21 +15,13 @@ from rescube.errors import (
     UnsupportedInput,
 )
 from rescube.matchings import (
-    AVOIDS_END_EDGES,
-    CONTAINS_END_EDGES,
-    IMPROPER,
-    NOT_ALTERNATING,
-    PROPER,
     MatchingFamily,
     PerfectMatching,
-    alternation_kind,
     bit_ids,
-    end_edge_state,
     enumerate_matchings,
     extremal_matchings,
     handle_column,
-    is_resonant,
-    matchings_to_json,
+    pack,
     resonance_columns,
 )
 from rescube.plane_graph import (
@@ -45,9 +37,17 @@ from rescube.coding import _daisy_columns, _fdl_columns, daisy_labelling, fdl_la
 from conftest import zigzag
 import cube_oracles as oracle
 from cube_oracles import (
+    AVOIDS_END_EDGES,
+    CONTAINS_END_EDGES,
+    IMPROPER,
+    NOT_ALTERNATING,
+    PROPER,
     all_cycles,
+    alternation_kind,
     cycle_scan_extremes,
+    end_edge_state,
     has_alternating_cycle,
+    is_resonant,
     matching_subset,
 )
 from test_plane_graph import edge_subsets
@@ -129,13 +129,6 @@ def test_no_perfect_matching():
     g = build_plane_graph([(0, 0, 0), (1, 1, 0), (2, 2, 0)], [(0, 1), (1, 2)])
     with pytest.raises(NoPerfectMatching):
         enumerate_matchings(g)
-
-
-def test_json_export(naphthalene):
-    family = enumerate_matchings(naphthalene)
-    data = matchings_to_json(family)
-    assert [row["id"] for row in data] == [0, 1, 2]
-    assert all(len(row["edges"]) == 5 for row in data)
 
 
 # ---------------------------------------------------------------------------
@@ -566,3 +559,24 @@ def test_columns_transpose_the_family(branched5):
     for e in branched5.edges:
         assert bit_ids(family.columns.get(e, 0)) == [m.id for m in family if e in m.edges]
     assert bit_ids(0) == [] and bit_ids(0b1011) == [0, 1, 3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1 << 200), st.integers(0, 1 << 200))
+def test_pack_keeps_the_bits_at_the_kept_positions(bits, keep):
+    # bit j of the result is the bit of `bits` at the j-th kept position;
+    # widths on either side of one another, and an empty keep
+    kept = [(bits >> p) & 1 for p in bit_ids(keep)]
+    assert pack(bits, keep) == sum(b << j for j, b in enumerate(kept))
+
+
+def test_pack_restricts_a_column_to_a_subfamily(branched5):
+    family = enumerate_matchings(branched5)
+    keep = 0b10110010011010
+    ids = bit_ids(keep)
+    for e, col in family.columns.items():
+        assert bit_ids(pack(col, keep)) == [
+            j for j, mid in enumerate(ids) if e in family[mid].edges
+        ]
+    assert pack(family.full, keep) == (1 << len(ids)) - 1
+    assert pack(0b1011, 0) == 0 and pack(0, 0b111) == 0

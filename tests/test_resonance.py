@@ -140,6 +140,18 @@ def test_adjacency_built_on_first_use(branched5):
     assert sum(map(len, r.adjacency.values())) == 2 * len(r.edges)
 
 
+def test_edge_classes_grouped_once(branched5):
+    r = resonance_of(branched5)
+    assert "_classes" not in vars(r)
+    for face in branched5.faces:
+        assert r.edges_with_label(face.id) == tuple(
+            (u, v) for u, v, f in r.edges if f == face.id
+        )
+    infinite = next(f.id for f in branched5.faces if f.is_infinite)
+    assert r.edges_with_label(infinite) == ()
+    assert sum(map(len, r._classes.values())) == len(r.edges)
+
+
 def test_by_edges_misses_raise_key_error(branched5):
     family = enumerate_matchings(branched5)
     m = family[0]
