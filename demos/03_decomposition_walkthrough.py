@@ -35,9 +35,10 @@ print("face order:", rfd.faces)
 print("attachment map:", rfd.attachment)
 print("subgraph edge counts:", [len(e) for e in rfd.subgraph_edges])
 
-# Splitting along each face: the class is a perfect matching between the
-# two sides, the avoid side is strictly larger, the contain side is
-# peripheral.
+# Splitting along each face: the face's edges are one Theta class of the
+# resonance graph, whose two sides are the avoid side and the contain side;
+# the class is a perfect matching between them, the avoid side is strictly
+# larger, the contain side is peripheral.
 print("\nface splits (avoid side / contain side / class size):")
 for face in g.finite_faces:
     split, clauses = split_by_face(g, r, face.id)
@@ -45,10 +46,11 @@ for face in g.finite_faces:
           f" / {len(split.class_edges)}   all clauses pass: {all(clauses.values())}")
 
 # Step checks: each step restricts to the previous subgraph, finds the
-# convex o-closed inner side at the attachment position, and expands.
+# convex o-closed inner side at the attachment position, and expands.  Every
+# clause comes back in the report, true or false.
 print("\nexpansion steps:")
 for i in range(2, rfd.n + 1):
-    report = verify_reducible_split(g, r, rfd, i, strict=False)
+    report = verify_reducible_split(g, r, rfd, i)
     d = report.details
     print(f"  step {i}: {d['minus_size']} + {d['plus_size']} vertices,"
           f" copies {d['inner_size']};  ok: {report.ok}")

@@ -273,6 +273,14 @@ def theta_classes(mg: MetricGraph) -> ThetaClasses:
     return found.theta
 
 
+def class_sides(mg: MetricGraph) -> dict:
+    """Each Theta class of a partial cube -> its side: the vertices whose
+    label has the class's bit, as a bitset over vertex positions (bit k for
+    ``mg.vertices[k]``).  Raises :class:`NotAPartialCube` as
+    :func:`theta_classes` does."""
+    return dict(zip(theta_classes(mg).classes, mg._theta.sides))
+
+
 # ---------------------------------------------------------------------------
 # partial cubes
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ construction.
 The face conditions of the decomposition theorem (the two sides of a face's
 edge class, the handle-set equalities, and the step checks' ear and inner
 sides) are read from the matching family's per-edge columns: each is a set
-of matchings held as one bitset over matching ids.  The step checks map
-one prefix's matchings to the next by comparing packed columns, so no
-check builds a matching as an edge set.
+of matchings held as one bitset over matching ids.  A face's two sides are
+compared with the sides of the Theta class its edges form in the resonance
+graph, so no check floods the resonance graph.  The step checks map one
+prefix's matchings to the next by comparing packed columns, so no check
+builds a matching as an edge set.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from . import cube_kit as ck
 from . import coding
 from .errors import (
     NoPerfectMatching,
-    NotAPartialCube,
     NotReducibleAtStep,
     PeelingStuck,
     TheoremViolated,
@@ -51,7 +52,7 @@ from .plane_graph import (
     facial_handle_decomposition,
     is_peripherally_two_colorable,
 )
-from .resonance import ResonanceGraph, build_resonance, connectivity_report
+from .resonance import ResonanceGraph, build_resonance
 
 
 @dataclass(frozen=True)
@@ -358,52 +359,51 @@ def _face_sides(read: _FaceRead) -> tuple:
 
 
 def split_by_face(
-    g: PlaneGraph,
-    r: ResonanceGraph,
-    face_id: int,
-    strict: bool = True,
-    *,
-    read: _FaceRead = None,
+    g: PlaneGraph, r: ResonanceGraph, face_id: int, *, read: _FaceRead = None
 ):
     """Check the face-class split of the resonance graph.
 
     Removing the edges labelled by the face must leave exactly the
     avoid-all-end-edges side and the contain-all-and-resonant side, with the
     class a perfect matching between their boundary sets and the plus side
-    peripheral.  Returns a (FaceSplit, clauses) pair; with ``strict`` the
-    first failing clause raises :class:`TheoremViolated`.  ``read`` is the
-    face's record when :func:`theorem_report` shares it with the handle-set
-    equalities.
+    peripheral.  Returns a (FaceSplit, clauses) pair; the split is None when
+    a clause before ``class-matching`` fails or is undecided.  ``read`` is
+    the face's record when :func:`theorem_report` shares it with the
+    handle-set equalities.
+
+    The two components come from R(G)'s certified partial-cube embedding,
+    not from a flood.  Let the face's edges be exactly Theta class i, and S
+    the matchings whose label has bit i (:attr:`ResonanceGraph.theta_sides`).
+    Every edge flips one bit of the certified labels, and only the class's
+    edges flip bit i, so no other edge joins S to its complement.  Two
+    vertices on one side are joined by a shortest path, which flips only the
+    bits where its ends differ, never bit i, so it avoids the class.  Hence
+    R(G) minus the class has exactly the two components S and its
+    complement.  When R(G) is not a partial cube, or the face's edges form
+    no Theta class, ``two-components`` is None (undecided) and the check
+    stops there.
     """
     if read is None:
         read = _FaceRead(g, r.family, face_id)
     clauses = {}
 
-    def fail(clause, detail=""):
-        clauses[clause] = False
-        if strict:
-            raise TheoremViolated(clause, f"face {face_id} {detail}")
-
     class_edges = r.edges_with_label(face_id)
     clauses["class-nonempty"] = bool(class_edges)
     if not class_edges:
-        fail("class-nonempty")
         return None, clauses
 
-    comps = ck.components(
-        r.vertices, lambda v: (w for w, f in r.adjacency[v].items() if f != face_id)
-    )
-    clauses["two-components"] = len(comps) == 2
-    if len(comps) != 2:
-        fail("two-components", f"got {len(comps)} components")
+    side = r.theta_sides.get(face_id)
+    clauses["two-components"] = None if side is None else True
+    if side is None:
+        return None, clauses
+
+    clauses["side-sets"] = {read.avoid, read.contain & read.resonant} == {
+        side, r.family.full ^ side
+    }
+    if not clauses["side-sets"]:
         return None, clauses
 
     minus_expected, plus_expected = _face_sides(read)
-    if {minus_expected, plus_expected} != set(comps):
-        fail("side-sets", "components differ from the matching subsets")
-        return None, clauses
-    clauses["side-sets"] = True
-
     u_minus = frozenset(
         v for e in class_edges for v in e if v in minus_expected
     )
@@ -413,14 +413,8 @@ def split_by_face(
     clauses["class-matching"] = is_matching and len(u_minus) == len(u_plus) == len(
         class_edges
     )
-    if not clauses["class-matching"]:
-        fail("class-matching")
     clauses["plus-peripheral"] = u_plus == plus_expected
-    if not clauses["plus-peripheral"]:
-        fail("plus-peripheral")
     clauses["strictly-smaller-plus"] = len(plus_expected) < len(minus_expected)
-    if not clauses["strictly-smaller-plus"]:
-        fail("strictly-smaller-plus")
 
     split = FaceSplit(
         face=face_id,
@@ -484,7 +478,7 @@ def _check_step_index(rfd: RfdSequence, i: int):
 
 
 def verify_reducible_split(
-    g: PlaneGraph, r: ResonanceGraph, rfd: RfdSequence, i: int, strict: bool = True
+    g: PlaneGraph, r: ResonanceGraph, rfd: RfdSequence, i: int
 ) -> StepReport:
     """Instance check of one decomposition step (i >= 2).
 
@@ -494,7 +488,9 @@ def verify_reducible_split(
     o-closed subgraph of the previous resonance graph sitting at zero bits
     of the attachment position, and that expanding along that subgraph
     reproduces the current resonance graph with the new bit appended.
-    ``r`` is the resonance graph of ``g``.
+    ``r`` is the resonance graph of ``g``.  Every clause is returned; only a
+    decomposition without a complete attachment map raises
+    :class:`TheoremViolated`.
 
     No distance table is built: the previous daisy labels are certified
     isometric once, and convexity is read from them (no step from a member
@@ -505,13 +501,11 @@ def verify_reducible_split(
     convex and o-closed.
     """
     _check_step_index(rfd, i)
-    return _check_step(
-        g, rfd, i, _prefix(g, r, rfd, i - 1), _prefix(g, r, rfd, i), strict
-    )
+    return _check_step(g, rfd, i, _prefix(g, r, rfd, i - 1), _prefix(g, r, rfd, i))
 
 
 def _check_step(
-    g: PlaneGraph, rfd: RfdSequence, i: int, prev: _Prefix, cur: _Prefix, strict: bool
+    g: PlaneGraph, rfd: RfdSequence, i: int, prev: _Prefix, cur: _Prefix
 ) -> StepReport:
     """The clauses of step i, from the records of prefixes i - 1 and i.
 
@@ -541,11 +535,6 @@ def _check_step(
     clauses = {}
     details = {}
 
-    def check(clause, value, detail=""):
-        clauses[clause] = bool(value)
-        if strict and not value:
-            raise TheoremViolated(clause, f"step {i} {detail}")
-
     rfd_i, rfd_prev = cur.rfd, prev.rfd
     fam_i, fam_prev = cur.family, prev.family
     col_i, col_prev = fam_i.columns, fam_prev.columns
@@ -555,7 +544,7 @@ def _check_step(
     ear = _assemble_path(rfd.subgraph_edges[i - 1] - rfd.subgraph_edges[i - 2])
     face_edges = g.faces[rfd.faces[i - 1]].edges
     inner = _assemble_path(face_edges - {edge_key(a, b) for a, b in zip(ear, ear[1:])})
-    check("inner-path", inner is not None, "inner boundary is not one path")
+    clauses["inner-path"] = inner is not None
     if inner is None:
         return StepReport(i, clauses, details)
 
@@ -568,7 +557,7 @@ def _check_step(
     )
     details["minus_size"] = len(minus)
     details["plus_size"] = len(plus)
-    check("restriction-bijection", ok)
+    clauses["restriction-bijection"] = ok
     if not ok:
         return StepReport(i, clauses, details)
 
@@ -579,7 +568,7 @@ def _check_step(
         (rank[u], rank[v], pos_i[f]) for u, v, f in res_i.edges if u in rank and v in rank
     }
     prev_edges = {(u, v, pos_prev[f]) for u, v, f in res_prev.edges}
-    check("restriction-isomorphism", mapped == prev_edges)
+    clauses["restriction-isomorphism"] = mapped == prev_edges
 
     # deleting the new bit from the avoid side labels the previous resonance
     # graph; when that subgraph is not an even cycle the handle rule must
@@ -593,7 +582,7 @@ def _check_step(
     ok = ok and len(set(labels_prev.values())) == len(labels_prev)
     if i >= 3:
         ok = ok and labels_prev == prev.daisy.labels
-    check("label-deletion", ok)
+    clauses["label-deletion"] = ok
 
     # the inner-path side inside the previous resonance graph
     inner_ids = bit_ids(handle_column(fam_prev, inner))
@@ -616,13 +605,12 @@ def _check_step(
         o_closed = ck.is_downward_closed({labels_prev[mid] for mid in inner_set})
     else:
         o_closed = ck.operator_o(labels_prev, inner_set) == inner_set
-    check("inner-convex", convex)
-    check("inner-le-subgraph", o_closed)
+    clauses["inner-convex"] = convex
+    clauses["inner-le-subgraph"] = o_closed
     att = rfd.attachment[i]
     att_bit = 1 << (att - 1)
     zero_att = frozenset(mid for mid in labels_prev if not labels_prev[mid] & att_bit)
-    check("inner-zero-at-attachment", inner_set == zero_att,
-          f"attachment position {att}")
+    clauses["inner-zero-at-attachment"] = inner_set == zero_att
 
     # expansion: the lift of matching k is minus[k], and the j-th twin, the
     # j-th lifted inner matching twisted along C, must be plus[j]: equal
@@ -651,15 +639,14 @@ def _check_step(
             a, b = sorted((minus[k], twin[k]))
             expected_edges.add((a, b, face_pos))
     actual_edges = {(u, v, pos_i[f]) for u, v, f in res_i.edges}
-    check("expansion-equality", twins and expected_edges == actual_edges)
+    clauses["expansion-equality"] = twins and expected_edges == actual_edges
 
     # the expansion along (all vertices, inner side) is peripheral by
     # construction, and a non-empty convex side is connected and isometric
-    check("expansion-flags", bool(inner_set) and convex and o_closed,
-          "the inner side is empty" if not inner_set else "")
+    clauses["expansion-flags"] = bool(inner_set) and convex and o_closed
 
     zero_both = frozenset(mid for mid in labels_i if not labels_i[mid] & (att_bit | new))
-    check("zero-positions", zero_both == frozenset(bit_ids(inner_i)))
+    clauses["zero-positions"] = zero_both == frozenset(bit_ids(inner_i))
 
     return StepReport(i, clauses, details)
 
@@ -716,7 +703,7 @@ def theorem_report(
 
     reads = {face.id: _FaceRead(g, family, face.id) for face in g.finite_faces}
     for fid, read in reads.items():
-        _, clauses = split_by_face(g, r, fid, strict=False, read=read)
+        _, clauses = split_by_face(g, r, fid, read=read)
         report["faces"][str(fid)] = clauses
 
     cur = None
@@ -724,7 +711,7 @@ def theorem_report(
         _check_step_index(rfd, i)
         prev = cur if cur is not None else _prefix(g, r, rfd, 1, cap)
         cur = _prefix(g, r, rfd, i, cap)
-        step = _check_step(g, rfd, i, prev, cur, strict=False)
+        step = _check_step(g, rfd, i, prev, cur)
         report["steps"][str(i)] = dict(step.clauses)
 
     # the last step's record is the whole graph's
@@ -757,20 +744,13 @@ def theorem_report(
         subsets_ok = subsets_ok and _subset_equalities_hold(read)
     report["subsets"]["handle-set-equalities"] = subsets_ok
 
-    label_classes = {
-        frozenset(tuple(sorted(e)) for e in r.edges_with_label(face.id))
-        for face in g.finite_faces
-    }
-    try:
-        theta_sets = {
-            frozenset(tuple(sorted(e)) for e in cls)
-            for cls in ck.theta_classes(metric).classes
-        }
-    except NotAPartialCube:
-        theta_sets = None  # R(G) has no Theta classes for the faces to match
-    report["metric"]["face_classes_are_theta_classes"] = label_classes == theta_sets
+    # face classes are disjoint, so the faces whose edges form a Theta class
+    # cover every class exactly when there are as many of them as classes
+    report["metric"]["face_classes_are_theta_classes"] = (
+        len(r.theta_sides) == len(g.finite_faces) == ck.is_partial_cube(metric).idim
+    )
     report["metric"]["median"] = ck.is_median(metric)
-    report["metric"]["connected"] = connectivity_report(r) == 1
+    report["metric"]["connected"] = metric.is_connected
 
     report["ok"] = (
         all(all(c.values()) for c in report["faces"].values())

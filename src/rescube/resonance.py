@@ -12,8 +12,8 @@ import json
 from functools import cached_property
 from itertools import product
 
-from .cube_kit import MetricGraph, components
-from .errors import InternalInvariantBroken
+from .cube_kit import MetricGraph, class_sides, components
+from .errors import InternalInvariantBroken, NotAPartialCube
 from .matchings import MatchingFamily, bit_ids, resonance_columns
 from .plane_graph import PlaneGraph
 
@@ -21,24 +21,14 @@ from .plane_graph import PlaneGraph
 class ResonanceGraph:
     """Face-labelled resonance graph bound to a graph and its matching family.
 
-    ``edges`` is the graph's one stored form; ``adjacency`` (vertex ->
-    neighbour -> face, both in id order) is built from it on first use."""
+    ``edges`` is the graph's one stored form; the one adjacency is the
+    metric graph's (:meth:`metric`)."""
 
     def __init__(self, graph: PlaneGraph, family: MatchingFamily, edges):
         self.graph = graph
         self.family = family
         self.vertices = tuple(family.ids)
         self.edges = tuple(sorted(edges))  # (id, id, face_id) with id < id
-
-    @cached_property
-    def adjacency(self) -> dict:
-        # the edges are sorted with u < v, so every vertex meets its smaller
-        # neighbours before its larger ones, each side in id order
-        adj = {v: {} for v in self.vertices}
-        for u, v, fid in self.edges:
-            adj[u][v] = fid
-            adj[v][u] = fid
-        return adj
 
     def __len__(self):
         return len(self.vertices)
@@ -78,6 +68,19 @@ class ResonanceGraph:
         for u, v, fid in self.edges:
             classes.setdefault(fid, []).append((u, v))
         return {fid: tuple(edges) for fid, edges in classes.items()}
+
+    @cached_property
+    def theta_sides(self) -> dict:
+        """Face -> the side of the Theta class of R(G) that its edges form,
+        as a bitset over matching ids (the metric graph's vertex positions),
+        for every face whose edges form one: one map per R(G).  Empty when
+        R(G) is not a partial cube."""
+        try:
+            sides = class_sides(self.metric())
+        except NotAPartialCube:
+            return {}
+        faces = {frozenset(edges): fid for fid, edges in self._classes.items()}
+        return {faces[cls]: side for cls, side in sides.items() if cls in faces}
 
 
 def build_resonance(g: PlaneGraph, family: MatchingFamily) -> ResonanceGraph:
@@ -121,9 +124,10 @@ def build_resonance(g: PlaneGraph, family: MatchingFamily) -> ResonanceGraph:
 
 
 def connectivity_report(r) -> int:
-    """Number of connected components (works for composed graphs too, whose
-    adjacency is keyed by vertex index)."""
-    return len(components(r.adjacency, r.adjacency.__getitem__))
+    """Number of connected components of the metric graph (works for
+    composed graphs too, whose vertices are indices)."""
+    metric = r.metric()
+    return len(components(metric.vertices, metric.adjacency.__getitem__))
 
 
 class ComposedResonance:
@@ -149,11 +153,6 @@ class ComposedResonance:
                     a, b = sorted((index[combo], index[other]))
                     edges.append((a, b, (pos, fid)))
         self.edges = tuple(sorted(set(edges)))
-        adj = {i: {} for i in range(len(self.vertices))}
-        for a, b, lab in self.edges:
-            adj[a][b] = lab
-            adj[b][a] = lab
-        self.adjacency = adj
 
     def __len__(self):
         return len(self.vertices)

@@ -33,7 +33,11 @@ single-matching analysis of ``rescube.plane_graph.elementary_analysis``.
 
 The handle section selects matching subsets by a small grammar of handle
 predicates and checks the paper's set equalities between them: the
-reference for the face conditions of ``rescube.decomposition``.  It also
+reference for the face conditions of ``rescube.decomposition``.  It splits
+the resonance graph by a face with the components of what the face's edges
+leave found by union-find: the reference for the split that
+``rescube.decomposition.split_by_face`` reads from the Theta-class sides
+of the partial-cube embedding.  It also
 finds cut vertices by deleting each vertex in turn: the reference for the
 facial-walk test of ``rescube.plane_graph.handles``.
 
@@ -773,6 +777,37 @@ def subset_equalities_hold(g, family, face_id) -> bool:
     if not (all_eavoid | all_econt) == frozenset(family.ids):
         return False
     return not (all_eavoid & all_econt)
+
+
+def face_split_by_flood(g, r, face_id) -> dict:
+    """The clauses of the split of the resonance graph ``r`` by one face, by
+    definition: the components of ``r`` without the face's edges, found by
+    union-find, must be the matchings whose exterior handles all avoid
+    their end edges and the resonant ones whose exterior handles all
+    contain them, read one matching at a time.  Stops at the first failing
+    clause of the first three, as ``split_by_face`` does."""
+    class_edges = [(u, v) for u, v, f in r.edges if f == face_id]
+    clauses = {"class-nonempty": bool(class_edges)}
+    if not class_edges:
+        return clauses
+    others = [(u, v) for u, v, f in r.edges if f != face_id]
+    rest = components(MetricGraph(r.vertices, others))
+    clauses["two-components"] = len(rest) == 2
+    if len(rest) != 2:
+        return clauses
+    minus = matching_subset(g, r.family, face_id, "all-exterior-avoid")
+    plus = matching_subset(g, r.family, face_id, "all-exterior-contain-resonant")
+    clauses["side-sets"] = {minus, plus} == set(rest)
+    if not clauses["side-sets"]:
+        return clauses
+    ends = [v for e in class_edges for v in e]
+    u_minus, u_plus = minus.intersection(ends), plus.intersection(ends)
+    clauses["class-matching"] = len(ends) == len(set(ends)) and (
+        len(u_minus) == len(u_plus) == len(class_edges)
+    )
+    clauses["plus-peripheral"] = u_plus == plus
+    clauses["strictly-smaller-plus"] = len(plus) < len(minus)
+    return clauses
 
 
 def has_cut_vertex(g) -> bool:

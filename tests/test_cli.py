@@ -210,24 +210,25 @@ def test_check_and_rfd_enumerate_nothing(tmp_path, capsys, enumerations, command
 @pytest.fixture()
 def derived_reads(monkeypatch):
     """The names of the derived forms read: the family's edge sets and
-    R(G)'s adjacency."""
+    their index."""
     from rescube.matchings import MatchingFamily
-    from rescube.resonance import ResonanceGraph
 
     reads = []
-    for cls, name in ((MatchingFamily, "matchings"), (ResonanceGraph, "adjacency")):
-        build = vars(cls)[name].func
+    for name in ("matchings", "index"):
+        build = vars(MatchingFamily)[name].func
 
         def spy(self, name=name, build=build):
             reads.append(name)
             return build(self)
 
-        monkeypatch.setattr(cls, name, property(spy))
+        monkeypatch.setattr(MatchingFamily, name, property(spy))
     return reads
 
 
 @pytest.mark.parametrize("scheme", ["daisy", "fdl"])
 def test_label_builds_no_edge_set_and_no_adjacency(tmp_path, capsys, derived_reads, scheme):
+    from rescube.resonance import ResonanceGraph
+
     p = tmp_path / "zigzag9.json"
     p.write_text(graph_to_json(zigzag(9)))
     dot = tmp_path / "r.dot"
@@ -236,11 +237,12 @@ def test_label_builds_no_edge_set_and_no_adjacency(tmp_path, capsys, derived_rea
     # R(G) is the Fibonacci cube of dimension 9: 89 vertices, 235 edges
     assert len(json.loads(out)["labels"]) == 89 and dot.read_text().count(" -- ") == 235
     assert derived_reads == []
-    # the face-class checks of --verify read the adjacency; the step checks
-    # compare columns and build no edge set
+    # the face splits of --verify read the Theta-class sides and the step
+    # checks compare columns; the one adjacency of R(G) is the metric graph's
     code, _, _ = run(capsys, "label", str(p), "--scheme", scheme, "--verify")
     assert code == 0
-    assert set(derived_reads) == {"adjacency"}
+    assert derived_reads == []
+    assert not hasattr(ResonanceGraph, "adjacency")
 
 
 @pytest.mark.parametrize("shape", [BRANCHED, PYRENE], ids=["branched", "pyrene"])

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from rescube.cube_kit import (
     MetricGraph,
+    class_sides,
     is_daisy_cube,
     is_downward_closed,
     is_isometric_labelling,
@@ -107,6 +108,8 @@ def test_theta_not_transitive_on_k23():
 def test_theta_classes_raise_off_partial_cubes(graph, reason):
     with pytest.raises(NotAPartialCube, match=reason):
         theta_classes(graph)
+    with pytest.raises(NotAPartialCube, match=reason):
+        class_sides(graph)
     assert is_partial_cube(graph).reason == reason
 
 
@@ -244,6 +247,20 @@ def test_split_class_p3():
     assert {len(split.w_x), len(split.w_y)} == {1, 2}
     leaf_side = split.w_x if len(split.w_x) == 1 else split.w_y
     assert leaf_side in (split.u_x, split.u_y)
+
+
+@pytest.mark.parametrize("graph", [path(3), cycle(6), hypercube(3)], ids=["P3", "C6", "Q3"])
+def test_class_sides_hold_the_class_bit(graph):
+    """Each class's side is the bitset of the vertices whose partial-cube
+    label has the class's bit, one of the two halves the class splits."""
+    sides = class_sides(graph)
+    labels = is_partial_cube(graph).labelling
+    assert list(sides) == list(theta_classes(graph).classes)
+    for i, (cls, side) in enumerate(sides.items()):
+        members = {v for k, v in enumerate(graph.vertices) if side >> k & 1}
+        assert members == {v for v in graph.vertices if labels[v] >> i & 1}
+        split = split_class(graph, cls)
+        assert members in (split.w_x, split.w_y)
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ def test_steps_pass_and_sizes(branched5, branched5_faces):
     rfd = rfd_from_face_order(branched5, branched5_faces)
     sizes = {}
     for i in range(2, 6):
-        report = verify_reducible_split(branched5, r, rfd, i, strict=False)
+        report = verify_reducible_split(branched5, r, rfd, i)
         assert report.ok, report.clauses
         sizes[i] = (
             report.details["minus_size"] + report.details["plus_size"],
@@ -259,7 +259,7 @@ def test_steps_pass_and_sizes(branched5, branched5_faces):
 def test_step_two_is_path_growth(naphthalene):
     r = resonance_of(naphthalene)
     rfd = auto_rfd(naphthalene)
-    report = verify_reducible_split(naphthalene, r, rfd, 2, strict=False)
+    report = verify_reducible_split(naphthalene, r, rfd, 2)
     assert report.ok
     assert report.details == {"minus_size": 2, "plus_size": 1, "inner_size": 1}
 
@@ -269,7 +269,7 @@ def test_steps_pass_alternative_order(branched5, branched5_faces):
     rfd = rfd_from_face_order(branched5, (f4, f3, f2, f1, f5))
     r = resonance_of(branched5)
     for i in range(2, 6):
-        assert verify_reducible_split(branched5, r, rfd, i, strict=False).ok
+        assert verify_reducible_split(branched5, r, rfd, i).ok
 
 
 def test_step_requires_attachment(pyrene):
@@ -298,7 +298,7 @@ def _step_records(g, rfd):
 
 
 def _clauses(g, rfd, i, prev, cur):
-    return decomposition._check_step(g, rfd, i, prev, cur, strict=False).clauses
+    return decomposition._check_step(g, rfd, i, prev, cur).clauses
 
 
 def test_step_clauses_equal_the_edge_set_oracle():
@@ -435,7 +435,45 @@ def test_report_on_a_metric_that_is_not_a_partial_cube(branched5, monkeypatch, f
         "connected": True,
     }
     assert report["labelling"]["daisy_accepted_by_search"] is False
+    # no certified embedding: every face's split stays undecided
+    assert all(c["two-components"] is None for c in report["faces"].values())
     assert report["ok"] is False
+
+
+@pytest.mark.parametrize("face", range(5))
+def test_report_on_a_resonance_graph_missing_a_class_edge(branched5, face):
+    """R(G) forged to lose one edge of a face's class: every split clause
+    the report decides equals the flood oracle's, and the report fails."""
+    r = resonance_of(branched5)
+    fid = branched5.finite_faces[face].id
+    dropped = next(k for k, (_, _, f) in enumerate(r.edges) if f == fid)
+    edges = r.edges[:dropped] + r.edges[dropped + 1 :]
+    forged = ResonanceGraph(branched5, r.family, edges)
+    for other in branched5.finite_faces:
+        assert_split_matches_flood(branched5, forged, other.id)
+    report = theorem_report(branched5, resonance=forged)
+    # the face is undecided (None) or fails a clause
+    assert not all(report["faces"][str(fid)].values())
+    assert report["ok"] is False
+
+
+@pytest.mark.parametrize("shape", ["branched5", "zigzag9"])
+def test_report_floods_the_resonance_graph_once(request, monkeypatch, shape):
+    """The face splits read R(G)'s Theta-class sides: the only flood over
+    R(G)'s vertices is the metric graph's own, not one per face."""
+    g = request.getfixturevalue(shape) if shape == "branched5" else zigzag(9)
+    r = resonance_of(g)
+    floods = []
+    flood = ck.flood
+
+    def spy(vertices, neighbors):
+        vertices = tuple(vertices)
+        floods.append(vertices)
+        return flood(vertices, neighbors)
+
+    monkeypatch.setattr(ck, "flood", spy)
+    assert theorem_report(g, resonance=r)["ok"]
+    assert floods.count(r.vertices) <= 1
 
 
 def test_theorem_report_rejects_non_p2c(pyrene):
@@ -528,7 +566,7 @@ def test_report_steps_equal_standalone_steps(shape, monkeypatch):
 
     r = resonance_of(g)
     standalone = {
-        str(i): verify_reducible_split(g, r, rfd, i, strict=False).clauses
+        str(i): verify_reducible_split(g, r, rfd, i).clauses
         for i in range(2, rfd.n + 1)
     }
     assert report["steps"] == standalone
@@ -591,12 +629,29 @@ def outcome(fn):
         return type(exc)
 
 
+def assert_split_matches_flood(g, r, fid):
+    """The split's clauses equal the flood oracle's wherever the split
+    decides them; an undecided ``two-components`` ends the clauses."""
+    clauses = outcome(lambda: split_by_face(g, r, fid)[1])
+    flooded = outcome(lambda: oracle.face_split_by_flood(g, r, fid))
+    if isinstance(clauses, dict) and None in clauses.values():
+        assert clauses == {"class-nonempty": True, "two-components": None}
+        assert not isinstance(flooded, dict) or flooded["class-nonempty"]
+    else:
+        assert clauses == flooded
+    return clauses
+
+
 def assert_face_conditions_match_oracle(g):
-    """The handle-set equalities and the split sides of every face, read per
-    matching, equal the oracle's set equalities and subsets: the same bool
-    or sets, or the same error."""
+    """The handle-set equalities, the split sides and the split clauses of
+    every face equal the oracle's set equalities, subsets and flood split:
+    the same bool or sets, or the same error.  On peripherally 2-colorable
+    inputs that are not even cycles every split clause is decided."""
     family = enumerate_matchings(g)
     r = build_resonance(g, family)
+    decided = (
+        not g.is_cycle_graph() and plane_graph.is_peripherally_two_colorable(g).ok
+    )
     for face in g.finite_faces:
         fid = face.id
         assert outcome(lambda: _subset_equalities_hold(_FaceRead(g, family, fid))) == outcome(
@@ -609,9 +664,12 @@ def assert_face_conditions_match_oracle(g):
                 oracle.matching_subset(g, family, fid, "all-exterior-contain-resonant"),
             )
         )
-        split = outcome(lambda: split_by_face(g, r, fid, strict=False)[0])
+        split = outcome(lambda: split_by_face(g, r, fid)[0])
         if isinstance(split, FaceSplit):
             assert (split.minus_side, split.plus_side) == sides
+        clauses = assert_split_matches_flood(g, r, fid)
+        if decided:
+            assert None not in clauses.values()
 
 
 def test_face_conditions_match_oracle_on_corpus():

@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rescube.cube_kit import is_median
+from rescube.cube_kit import MetricGraph, is_median
 from rescube.errors import InternalInvariantBroken
 from rescube.matchings import (
     MatchingFamily,
@@ -130,16 +130,6 @@ def test_unpaired_face_breaks_an_invariant(hexagon):
         build_resonance(hexagon, half)
 
 
-def test_adjacency_built_on_first_use(branched5):
-    r = build_resonance(branched5, enumerate_matchings(branched5))
-    assert "adjacency" not in vars(r)
-    assert list(r.adjacency) == list(r.vertices)
-    for v, neighbours in r.adjacency.items():
-        assert list(neighbours) == sorted(neighbours)
-        assert all(r.adjacency[w][v] == f for w, f in neighbours.items())
-    assert sum(map(len, r.adjacency.values())) == 2 * len(r.edges)
-
-
 def test_edge_classes_grouped_once(branched5):
     r = resonance_of(branched5)
     assert "_classes" not in vars(r)
@@ -150,6 +140,22 @@ def test_edge_classes_grouped_once(branched5):
     infinite = next(f.id for f in branched5.faces if f.is_infinite)
     assert r.edges_with_label(infinite) == ()
     assert sum(map(len, r._classes.values())) == len(r.edges)
+
+
+def test_theta_sides_are_the_sides_of_each_face_class(branched5, nested_rings):
+    """Every face's class is a Theta class of R(G), mapped once per R(G) to
+    the side that, with its complement, makes up R(G) without the class."""
+    from cube_oracles import components
+
+    r = resonance_of(branched5)
+    assert "theta_sides" not in vars(r)
+    assert set(r.theta_sides) == {f.id for f in branched5.finite_faces}
+    for fid, side in r.theta_sides.items():
+        rest = MetricGraph(r.vertices, [(u, v) for u, v, f in r.edges if f != fid])
+        halves = {sum(1 << v for v in part) for part in components(rest)}
+        assert halves == {side, r.family.full ^ side}
+    # a disconnected R(G) is no partial cube: no face has a side
+    assert resonance_of(nested_rings).theta_sides == {}
 
 
 def test_by_edges_misses_raise_key_error(branched5):
@@ -207,7 +213,7 @@ def test_connectivity(branched5, nested_rings, two_hexagons):
 
 
 def test_connectivity_of_composed_graphs(two_hexagons, nested_rings):
-    # composed graphs key their adjacency by vertex index, not by id tuple
+    # composed graphs number their vertices by index, not by id tuple
     assert connectivity_report(cartesian_compose(component_parts(two_hexagons))) == 1
     nested = resonance_of(nested_rings)
     assert connectivity_report(cartesian_compose([nested, nested])) == 4
