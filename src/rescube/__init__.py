@@ -34,7 +34,6 @@ from .cube_kit import (
     theta_classes,
 )
 from .decomposition import (
-    FaceSplit,
     RfdSequence,
     auto_rfd,
     find_reducible_faces,
@@ -45,7 +44,6 @@ from .decomposition import (
 )
 from .matchings import (
     MatchingFamily,
-    PerfectMatching,
     enumerate_matchings,
     extremal_matchings,
 )

@@ -24,7 +24,6 @@ from .errors import CapExceeded, NoPerfectMatching, RescubeError
 from .matchings import enumerate_matchings
 from .plane_graph import (
     DEFAULT_MATCHING_CAP,
-    edge_subgraph,
     elementary_analysis,
     graph_from_json,
     graph_to_json,
@@ -155,58 +154,33 @@ def cmd_rfd(args) -> int:
     return EXIT_OK
 
 
-def _component_labelling(g, scheme, cap):
-    """Concatenated per-component labels keyed by whole-graph matching ids,
-    the family, and the total number of positions."""
-    analysis = elementary_analysis(g)
-    if not analysis.is_weakly_elementary:
-        raise RescubeError("graph is not weakly elementary; no composed labelling")
-    family = enumerate_matchings(g, cap=cap)
-    fn = coding.daisy_labelling if scheme == "daisy" else coding.fdl_labelling
-    parts = []
-    for comp in analysis.elementary_components:
-        sub = edge_subgraph(g, [e for e in analysis.allowed_edges if set(e) <= comp])
-        if sub.finite_faces:  # a single edge has no positions
-            sub_family = enumerate_matchings(sub, cap=cap)
-            parts.append((sub, sub_family, fn(sub, sub_family, auto_rfd(sub))))
-    width = sum(lab.length for _, _, lab in parts)
-    labels = {}
-    for m in family:
-        label = shift = 0
-        for sub, sub_family, lab in parts:
-            mid = sub_family.by_edges(m.edges & sub.edges).id
-            label |= lab.labels[mid] << shift
-            shift += lab.length
-        labels[m.id] = label
-    return labels, family, width
-
-
 def cmd_label(args) -> int:
     g = _read_graph(args)
     cap = _matching_cap(args)
     fn = coding.daisy_labelling if args.scheme == "daisy" else coding.fdl_labelling
 
-    if elementary_analysis(g).is_elementary:
-        verdict = is_peripherally_two_colorable(g)
+    elementary = elementary_analysis(g).is_elementary
+    if not elementary and args.rfd not in (None, "auto"):
+        raise ValueError("--rfd applies to elementary graphs; this one is not")
+    # weakly elementary graphs label componentwise, concatenated, each
+    # component by its own automatic decomposition
+    parts = (g,) if elementary else coding.elementary_parts(g)
+    for part in parts:
+        verdict = is_peripherally_two_colorable(part)
         if not verdict.ok:
             _emit(_dump({"error": "not peripherally 2-colorable",
                          "verdict": _verdict_obj(verdict)}), args.output)
             return EXIT_FALSE
-        family = enumerate_matchings(g, cap=cap)
+    family = enumerate_matchings(g, cap=cap)
+    if elementary:
         rfd = _resolve_rfd(g, args.rfd)
         labelling = fn(g, family, rfd)
         labels, width = labelling.labels, labelling.length
-        r = build_resonance(g, family)
         face_names = {fid: f"s{pos}" for pos, fid in enumerate(rfd.faces, start=1)}
     else:
-        # weakly elementary graphs label componentwise, concatenated, each
-        # component by its own automatic decomposition
-        if args.rfd not in (None, "auto"):
-            raise ValueError("--rfd applies to elementary graphs; this one is not")
-        labels, family, width = _component_labelling(g, args.scheme, cap)
-        r = build_resonance(g, family)
-        rfd = None
-        face_names = None
+        labels, width = coding.composed_labels(family, parts, args.scheme)
+        rfd = face_names = None
+    r = build_resonance(g, family)
 
     text = {mid: coding.bit_string(label, width) for mid, label in labels.items()}
     obj = {"scheme": args.scheme, "labels": {str(k): v for k, v in sorted(text.items())}}

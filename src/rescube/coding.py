@@ -19,6 +19,10 @@ family's per-edge matching columns: each position is one bitset over
 matching ids, built from the exterior handles' end-edge columns, and the
 labels are the transpose of those bitsets.  :func:`bit_string` is the one
 place a label becomes text.
+
+A weakly elementary graph is labelled by its elementary components, each
+read on the graph's own columns restricted to the component's edges, and
+the labels of all components are concatenated (:func:`composed_labels`).
 """
 
 from __future__ import annotations
@@ -121,30 +125,47 @@ def daisy_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
     and against injectivity; a mismatch raises :class:`LabelSetMismatch`.
     """
     order = tuple(rfd.faces)
-    n = len(order)
-    if n == 1:
-        if not g.is_cycle_graph():
-            raise UnsupportedInput("a single finite face should mean an even cycle")
-        # the matchings that hold every edge of the reference: only itself
-        reference = family.full
-        for e in _even_cycle_reference_matching(g):
-            reference &= family.columns.get(e, 0)
-        labels = _labels_from_columns(family, [family.full & ~reference])
-        return Labelling(DAISY, labels, order)
+    labels = _labels_from_columns(family, _daisy_ones(g, family, rfd))
+    if len(order) > 1:  # an even cycle's two labels are 0 and 1
+        _certify_daisy(labels, (rfd,))
+    return Labelling(DAISY, labels, order)
 
-    labels = _labels_from_columns(family, _daisy_columns(g, family, order))
+
+def _daisy_ones(g: PlaneGraph, family: MatchingFamily, rfd) -> list:
+    """The daisy columns of a decomposition: per face in its order, the
+    matchings whose bit is 1.  An even cycle's one bit is 1 off its
+    reference matching."""
+    if len(rfd.faces) > 1:
+        return _daisy_columns(g, family, rfd.faces)
+    if not g.is_cycle_graph():
+        raise UnsupportedInput("a single finite face should mean an even cycle")
+    # the matchings that hold every edge of the reference: only itself
+    reference = family.full
+    for e in _even_cycle_reference_matching(g):
+        reference &= family.columns.get(e, 0)
+    return [family.full & ~reference]
+
+
+def _certify_daisy(labels: dict, rfds) -> None:
+    """Check daisy labels: injective, and their set is the product of the
+    decompositions' daisy label sets, each shifted past the positions of
+    those before it.  Raises :class:`LabelSetMismatch` otherwise, and
+    :class:`BadAttachment` when a decomposition lacks its attachment map."""
     if len(set(labels.values())) != len(labels):
         raise LabelSetMismatch("daisy labels are not injective")
-    if rfd.attachment is None:
-        raise BadAttachment("decomposition lacks a complete attachment map")
-    expected = daisy_label_set(rfd.attachment, n)
-    if frozenset(labels.values()) != expected:
+    expected, n = {0}, 0
+    for rfd in rfds:
+        if rfd.attachment is None:
+            raise BadAttachment("decomposition lacks a complete attachment map")
+        part = daisy_label_set(rfd.attachment, len(rfd.faces))
+        expected = {x | y << n for x in expected for y in part}
+        n += len(rfd.faces)
+    if set(labels.values()) != expected:
         found, wanted = (
             sorted(bit_string(x, n) for x in side)
             for side in (labels.values(), expected)
         )
         raise LabelSetMismatch(f"daisy label set {found} != expected {wanted}")
-    return Labelling(DAISY, labels, order)
 
 
 def _daisy_columns(g: PlaneGraph, family: MatchingFamily, order) -> list:
@@ -201,16 +222,20 @@ def fdl_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
     disagree in orientation are recorded in ``mixed_orientation`` rather
     than normalized away; the list stays empty on peripherally 2-colorable
     inputs."""
-    order = tuple(rfd.faces)
-    n = len(order)
-    if n == 1:
-        if not g.is_cycle_graph():
-            raise UnsupportedInput("a single finite face should mean an even cycle")
-        proper, _ = resonance_columns(g, family, g.finite_faces[0].id)
-        return Labelling(FDL, _labels_from_columns(family, [proper]), order)
+    ones, mixed = _fdl_ones(g, family, rfd)
+    return Labelling(FDL, _labels_from_columns(family, ones), tuple(rfd.faces), mixed)
 
-    ones, mixed = _fdl_columns(g, family, order)
-    return Labelling(FDL, _labels_from_columns(family, ones), order, mixed)
+
+def _fdl_ones(g: PlaneGraph, family: MatchingFamily, rfd) -> tuple:
+    """The lattice columns of a decomposition and its mixed orientations, as
+    :func:`_fdl_columns` reads them.  An even cycle's one bit is 1 where its
+    face is proper resonant."""
+    if len(rfd.faces) > 1:
+        return _fdl_columns(g, family, rfd.faces)
+    if not g.is_cycle_graph():
+        raise UnsupportedInput("a single finite face should mean an even cycle")
+    proper, _ = resonance_columns(g, family, g.finite_faces[0].id)
+    return [proper], ()
 
 
 @dataclass(frozen=True)
@@ -290,6 +315,55 @@ def compose_labellings(parts) -> ComposedLabelling:
             p.labels[mid] << shift for p, mid, shift in zip(parts, combo, shifts)
         )
     return ComposedLabelling(schemes.pop(), labels, parts)
+
+
+def elementary_parts(g: PlaneGraph) -> tuple:
+    """The elementary components of a weakly elementary graph that have
+    finite faces, each embedded on its allowed edges with the graph's vertex
+    ids, in the order of the elementary analysis.  Raises
+    :class:`UnsupportedInput` on a graph that is not weakly elementary."""
+    analysis = pg.elementary_analysis(g)
+    if not analysis.is_weakly_elementary:
+        raise UnsupportedInput("graph is not weakly elementary; no composed labelling")
+    subs = (
+        pg.edge_subgraph(g, [e for e in analysis.allowed_edges if set(e) <= comp])
+        for comp in analysis.elementary_components
+    )
+    return tuple(sub for sub in subs if sub.finite_faces)  # an edge has no positions
+
+
+def composed_labels(family: MatchingFamily, parts, scheme: str) -> tuple:
+    """Labels of a weakly elementary graph's matchings, keyed by its
+    matching ids, and their width: the labels of the parts
+    (:func:`elementary_parts`), each by its own automatic decomposition,
+    concatenated in part order.
+
+    Every part reads its columns on the graph's own family restricted to
+    its edges: a forbidden edge lies in no matching, so the restricted
+    columns describe each matching's restriction to the part.  The columns
+    of all parts are transposed once.  Daisy labels are certified on the
+    whole family: on a weakly elementary graph, whose matchings are the
+    product of its parts' matchings, being injective with the product of
+    the parts' label sets is the parts' own certification."""
+    from .decomposition import auto_rfd  # decomposition imports this module
+
+    columns, rfds = [], []
+    for sub in parts:
+        rfd = auto_rfd(sub)
+        restricted = MatchingFamily(
+            sub,
+            {e: family.columns[e] for e in sub.edges if e in family.columns},
+            family.size,
+        )
+        if scheme == DAISY:
+            columns += _daisy_ones(sub, restricted, rfd)
+        else:
+            columns += _fdl_ones(sub, restricted, rfd)[0]
+        rfds.append(rfd)
+    labels = _labels_from_columns(family, columns)
+    if scheme == DAISY:
+        _certify_daisy(labels, rfds)
+    return labels, len(columns)
 
 
 def labelling_is_proper(metric, labels) -> bool:

@@ -86,18 +86,6 @@ class RfdSequence:
         )
 
 
-@dataclass(frozen=True)
-class FaceSplit:
-    """The two sides of a resonance graph across one face's edge class."""
-
-    face: int
-    class_edges: tuple
-    minus_side: frozenset
-    plus_side: frozenset
-    u_minus: frozenset
-    u_plus: frozenset
-
-
 def _assemble_path(edges):
     """Order an edge set into a simple path's vertex sequence, or None."""
     if not edges:
@@ -350,14 +338,6 @@ class _FaceRead:
         return proper | improper
 
 
-def _face_sides(read: _FaceRead) -> tuple:
-    """The matchings whose exterior handles all avoid their end edges, and
-    the resonant ones whose exterior handles all contain them."""
-    minus = frozenset(bit_ids(read.avoid))
-    plus = frozenset(bit_ids(read.contain & read.resonant))
-    return minus, plus
-
-
 def split_by_face(
     g: PlaneGraph, r: ResonanceGraph, face_id: int, *, read: _FaceRead = None
 ):
@@ -366,10 +346,11 @@ def split_by_face(
     Removing the edges labelled by the face must leave exactly the
     avoid-all-end-edges side and the contain-all-and-resonant side, with the
     class a perfect matching between their boundary sets and the plus side
-    peripheral.  Returns a (FaceSplit, clauses) pair; the split is None when
-    a clause before ``class-matching`` fails or is undecided.  ``read`` is
-    the face's record when :func:`theorem_report` shares it with the
-    handle-set equalities.
+    peripheral.  Returns the clauses; they stop at the first clause before
+    ``class-matching`` that fails or is undecided.  ``read`` is the face's
+    record when :func:`theorem_report` shares it with the handle-set
+    equalities.  Every clause compares bitsets over matching ids: the sides,
+    and the ends of the class's edges.
 
     The two components come from R(G)'s certified partial-cube embedding,
     not from a flood.  Let the face's edges be exactly Theta class i, and S
@@ -390,41 +371,30 @@ def split_by_face(
     class_edges = r.edges_with_label(face_id)
     clauses["class-nonempty"] = bool(class_edges)
     if not class_edges:
-        return None, clauses
+        return clauses
 
     side = r.theta_sides.get(face_id)
     clauses["two-components"] = None if side is None else True
     if side is None:
-        return None, clauses
+        return clauses
 
-    clauses["side-sets"] = {read.avoid, read.contain & read.resonant} == {
-        side, r.family.full ^ side
-    }
+    minus, plus = read.avoid, read.contain & read.resonant
+    clauses["side-sets"] = {minus, plus} == {side, r.family.full ^ side}
     if not clauses["side-sets"]:
-        return None, clauses
+        return clauses
 
-    minus_expected, plus_expected = _face_sides(read)
-    u_minus = frozenset(
-        v for e in class_edges for v in e if v in minus_expected
+    # the sides partition the matchings, so size ends on each side are
+    # 2 * size distinct ends: no two class edges share one
+    ends = 0
+    for u, v in class_edges:
+        ends |= 1 << u | 1 << v
+    size = len(class_edges)
+    clauses["class-matching"] = (
+        (ends & minus).bit_count() == (ends & plus).bit_count() == size
     )
-    u_plus = frozenset(v for e in class_edges for v in e if v in plus_expected)
-    tails = [v for e in class_edges for v in e]
-    is_matching = len(tails) == len(set(tails))
-    clauses["class-matching"] = is_matching and len(u_minus) == len(u_plus) == len(
-        class_edges
-    )
-    clauses["plus-peripheral"] = u_plus == plus_expected
-    clauses["strictly-smaller-plus"] = len(plus_expected) < len(minus_expected)
-
-    split = FaceSplit(
-        face=face_id,
-        class_edges=tuple(sorted((min(e[:2]), max(e[:2])) for e in class_edges)),
-        minus_side=minus_expected,
-        plus_side=plus_expected,
-        u_minus=u_minus,
-        u_plus=u_plus,
-    )
-    return split, clauses
+    clauses["plus-peripheral"] = (ends & plus) == plus
+    clauses["strictly-smaller-plus"] = plus.bit_count() < minus.bit_count()
+    return clauses
 
 
 @dataclass(frozen=True)
@@ -703,8 +673,7 @@ def theorem_report(
 
     reads = {face.id: _FaceRead(g, family, face.id) for face in g.finite_faces}
     for fid, read in reads.items():
-        _, clauses = split_by_face(g, r, fid, read=read)
-        report["faces"][str(fid)] = clauses
+        report["faces"][str(fid)] = split_by_face(g, r, fid, read=read)
 
     cur = None
     for i in range(2, rfd.n + 1):

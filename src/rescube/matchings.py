@@ -11,8 +11,9 @@ enumerated as one int per edge whose bit k is set when matching k holds the
 edge, and a face or handle condition becomes a few big-int operations on
 those columns (:func:`handle_column`, :func:`resonance_columns`), giving a
 set of matchings as a bitset over ids.  :func:`pack` compares such sets
-across two families.  The single-matching versions of the predicates,
-read on one matching's edge set, are the tests' oracles.
+across two families.  No matching is ever held as an edge set: a matching
+is one bit of every column.  The edge-set view of a family and the
+single-matching versions of the predicates are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -26,15 +27,6 @@ from .errors import InternalInvariantBroken, NoPerfectMatching, NotFound
 from .plane_graph import DEFAULT_MATCHING_CAP, PlaneGraph, edge_key
 
 
-@dataclass(frozen=True)
-class PerfectMatching:
-    id: int
-    edges: frozenset
-
-    def __contains__(self, e):
-        return edge_key(*e) in self.edges
-
-
 class MatchingFamily:
     """All perfect matchings of one graph, indexed in enumeration order.
 
@@ -43,9 +35,9 @@ class MatchingFamily:
     matching holds are absent), and ``size`` is the number of matchings.
     The enumeration writes them directly: its search tree finishes one
     subtree before the next, so the matchings below the choice of an edge
-    are one id interval, OR-ed into that edge's column.  The matchings as
-    edge sets (``matchings``, iteration, indexing, :meth:`by_edges`) are
-    derived from the columns on first use.
+    are one id interval, OR-ed into that edge's column.  The columns are
+    the family's only form: a matching is its id, and a set of matchings a
+    bitset over ids.
 
     The ids follow the order of :func:`plane_graph.enumerate_matching_columns`:
     of two matchings, the one that gives the smaller mate to the smallest
@@ -62,45 +54,14 @@ class MatchingFamily:
     def __len__(self):
         return self.size
 
-    def __iter__(self):
-        return iter(self.matchings)
-
-    def __getitem__(self, mid) -> PerfectMatching:
-        return self.matchings[mid]
-
     @property
     def ids(self):
         return range(self.size)
 
     @cached_property
-    def matchings(self) -> tuple:
-        """The matchings as edge sets, in id order: the columns transposed."""
-        edges = list(self.columns)
-        if edges:
-            rows = zip(*(_bit_row(c, self.size) for c in self.columns.values()))
-        else:  # the empty graph's one matching holds no edge
-            rows = [()] * self.size
-        return tuple(
-            PerfectMatching(mid, frozenset(compress(edges, row)))
-            for mid, row in enumerate(rows)
-        )
-
-    @cached_property
-    def index(self) -> dict:
-        """Edge set -> matching id."""
-        return {m.edges: m.id for m in self.matchings}
-
-    @cached_property
     def full(self) -> int:
         """The bitset of every matching id."""
         return (1 << self.size) - 1
-
-    def by_edges(self, edges) -> PerfectMatching:
-        """The matching with exactly these edges; raises KeyError if none."""
-        mid = self.index.get(frozenset(edge_key(*e) for e in edges))
-        if mid is None:
-            raise KeyError("no matching with that edge set")
-        return self.matchings[mid]
 
 
 def enumerate_matchings(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -> MatchingFamily:

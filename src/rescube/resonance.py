@@ -34,7 +34,8 @@ class ResonanceGraph:
         return len(self.vertices)
 
     def vertex_key(self, mid) -> frozenset:
-        return self.family[mid].edges
+        """The edges of matching ``mid``, read off the family's columns."""
+        return frozenset(e for e, col in self.family.columns.items() if col >> mid & 1)
 
     def face_key(self, face_id) -> frozenset:
         return self.graph.faces[face_id].edges

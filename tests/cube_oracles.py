@@ -27,7 +27,12 @@ alternating cycles: the reference for the resonant-face rule of
 
 The elementarity section enumerates the perfect matchings as edge sets,
 one frozenset per matching: the reference for the column enumeration of
-``rescube.plane_graph.enumerate_matching_columns``.  It decides
+``rescube.plane_graph.enumerate_matching_columns``.  It also holds the
+edge-set view of a family (:func:`matchings`, :func:`index`), the columns
+transposed, which every oracle below reads one matching at a time, and the
+composed labels of a weakly elementary graph by a second enumeration per
+elementary component: the reference for
+``rescube.coding.composed_labels``.  It decides
 elementarity from every perfect matching: the reference for the
 single-matching analysis of ``rescube.plane_graph.elementary_analysis``.
 
@@ -56,6 +61,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from weakref import WeakKeyDictionary
 
+from rescube.coding import daisy_labelling, fdl_labelling
 from rescube.cube_kit import (
     DaisyVerdict,
     MetricGraph,
@@ -63,13 +69,14 @@ from rescube.cube_kit import (
     ThetaClasses,
     operator_o,
 )
-from rescube.decomposition import _assemble_path
+from rescube.decomposition import _assemble_path, auto_rfd
 from rescube.errors import (
     CapExceeded,
     InternalInvariantBroken,
     NoPerfectMatching,
     RescubeError,
 )
+from rescube.matchings import enumerate_matchings
 from rescube.plane_graph import (
     BLACK,
     DEFAULT_MATCHING_CAP,
@@ -77,6 +84,7 @@ from rescube.plane_graph import (
     ElementaryReport,
     edge_key,
     edge_subgraph,
+    elementary_analysis,
     facial_handle_decomposition,
 )
 
@@ -622,7 +630,7 @@ def cycle_scan_extremes(g, family) -> tuple:
     proper alternating cycle, and of those with no improper one."""
     cycles = all_cycles(g)
     bottoms, tops = [], []
-    for m in family:
+    for m in matchings(family):
         kinds = {alternation_kind(g, m, walk) for walk in cycles}
         if PROPER not in kinds:
             bottoms.append(m.id)
@@ -632,8 +640,64 @@ def cycle_scan_extremes(g, family) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# elementarity by enumeration
+# elementarity by enumeration; the edge-set view of a family
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Matching:
+    """One perfect matching of a family as its edge set."""
+
+    id: int
+    edges: frozenset
+
+
+_VIEWS = WeakKeyDictionary()
+
+
+def matchings(family) -> tuple:
+    """The family's matchings as edge sets, in id order: its columns
+    transposed, built once per family."""
+    view = _VIEWS.get(family)
+    if view is None:
+        held = [set() for _ in family.ids]
+        for e, col in family.columns.items():
+            for mid, bit in enumerate(reversed(bin(col)[2:])):
+                if bit == "1":
+                    held[mid].add(e)
+        view = _VIEWS[family] = tuple(
+            Matching(mid, frozenset(edges)) for mid, edges in enumerate(held)
+        )
+    return view
+
+
+def index(family) -> dict:
+    """Edge set -> matching id."""
+    return {m.edges: m.id for m in matchings(family)}
+
+
+def composed_labels(g, scheme: str) -> tuple:
+    """The labels of a weakly elementary graph's matchings, keyed by its
+    matching ids, and their width, by definition: every elementary
+    component with finite faces is enumerated on its own and labelled by
+    its own automatic decomposition, and each matching of the graph takes
+    the concatenated labels of its restrictions, looked up by edge set."""
+    analysis = elementary_analysis(g)
+    fn = daisy_labelling if scheme == "daisy" else fdl_labelling
+    parts = []
+    for comp in analysis.elementary_components:
+        sub = edge_subgraph(g, [e for e in analysis.allowed_edges if set(e) <= comp])
+        if sub.finite_faces:
+            sub_family = enumerate_matchings(sub)
+            parts.append((sub, index(sub_family), fn(sub, sub_family, auto_rfd(sub))))
+    labels = {}
+    for m in matchings(enumerate_matchings(g)):
+        label = shift = 0
+        for sub, ids, lab in parts:
+            label |= lab.labels[ids[m.edges & sub.edges]] << shift
+            shift += lab.length
+        labels[m.id] = label
+    return labels, sum(lab.length for _, _, lab in parts)
 
 
 def enumerate_matching_edge_sets(g, cap: int = DEFAULT_MATCHING_CAP) -> list:
@@ -679,10 +743,10 @@ def enumerate_matching_edge_sets(g, cap: int = DEFAULT_MATCHING_CAP) -> list:
 def enumerated_elementary_analysis(g) -> ElementaryReport:
     """The elementary analysis by definition: an edge is allowed when some
     perfect matching holds it, read off the union of all of them."""
-    matchings = enumerate_matching_edge_sets(g)
-    if not matchings:
+    sets = enumerate_matching_edge_sets(g)
+    if not sets:
         raise NoPerfectMatching("graph has no perfect matching")
-    allowed = frozenset().union(*matchings)
+    allowed = frozenset().union(*sets)
     forbidden = g.edges - allowed
     sub = edge_subgraph(g, allowed) if forbidden else g
     return ElementaryReport(
@@ -744,7 +808,7 @@ def matching_subset(g, family, face_id, selector, handle_index=None) -> frozense
         pool = (pool[handle_index - 1],)
     return frozenset(
         m.id
-        for m in family
+        for m in matchings(family)
         if not any(end_edge_state(m, h.path) != want for h in pool)
         and (not resonant or is_resonant(g, m, face_id))
     )
@@ -880,7 +944,7 @@ def end_edge_state(matching, path) -> str:
 def bitset(family, predicate) -> int:
     """The ids of the matchings on which ``predicate`` holds, as a bitset,
     read one matching at a time in id order."""
-    return sum(1 << m.id for m in family if predicate(m))
+    return sum(1 << m.id for m in matchings(family) if predicate(m))
 
 
 def face_scan_extremes(g, family) -> tuple:
@@ -889,7 +953,7 @@ def face_scan_extremes(g, family) -> tuple:
     :func:`alternation_kind` on every closed facial walk of every matching."""
     walks = [f.boundary + (f.boundary[0],) for f in g.finite_faces]
     fully, bottoms, tops = [], [], []
-    for m in family:
+    for m in matchings(family):
         kinds = {alternation_kind(g, m, walk) for walk in walks}
         if NOT_ALTERNATING not in kinds:
             fully.append(m.id)
@@ -968,13 +1032,13 @@ def step_clauses(g, rfd, i, prev, cur) -> dict:
         return clauses
 
     def side(family, path, state):
-        return [m.id for m in family if end_edge_state(m, path) == state]
+        return [m.id for m in matchings(family) if end_edge_state(m, path) == state]
 
     minus = side(fam_i, ear, AVOIDS_END_EDGES)
     plus = side(fam_i, ear, CONTAINS_END_EDGES)
     restrict = {}
     for mid in minus:
-        image = fam_prev.index.get(fam_i[mid].edges & prev.graph.edges)
+        image = index(fam_prev).get(matchings(fam_i)[mid].edges & prev.graph.edges)
         if image is not None:
             restrict[mid] = image
     clauses["restriction-bijection"] = ok = (
@@ -1017,9 +1081,10 @@ def step_clauses(g, rfd, i, prev, cur) -> dict:
     # the lift adds the ear's even edges; the twin twists the lift along
     # the face's cycle
     even_ear = frozenset(ear_edges[1::2])
-    lift = {m.id: fam_i.index.get(m.edges | even_ear) for m in fam_prev}
+    ids_i = index(fam_i)
+    lift = {m.id: ids_i.get(m.edges | even_ear) for m in matchings(fam_prev)}
     twin = {
-        k: fam_i.index.get(fam_i[lift[k]].edges ^ cycle)
+        k: ids_i.get(matchings(fam_i)[lift[k]].edges ^ cycle)
         for k in inner_set
         if lift[k] is not None
     }

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from rescube.cli import main
-from rescube.plane_graph import graph_from_json, graph_to_json
+from rescube.plane_graph import DEFAULT_MATCHING_CAP, graph_from_json, graph_to_json
 
 from conftest import zigzag
 
@@ -183,18 +183,38 @@ def test_whole_graph_enumerated_once_per_use(
     assert [edges for edges, _ in enumerations].count(branched5.edges) == whole_graph
 
 
-def test_component_labelling_enumerates_each_part_once(
-    tmp_path, capsys, enumerations, hexagon_with_pendant_path
+@pytest.mark.parametrize("scheme", ["daisy", "fdl"])
+@pytest.mark.parametrize("name", ["hexagon_plus_naphthalene", "hexagon_with_pendant_path"])
+def test_composed_label_enumerates_the_graph_once(
+    request, tmp_path, capsys, enumerations, name, scheme
 ):
-    p = tmp_path / "pendant.json"
-    p.write_text(graph_to_json(hexagon_with_pendant_path))
-    code, _, _ = run(capsys, "label", str(p), "--scheme", "daisy")
+    # every component reads its labels on the whole graph's columns, so no
+    # component is enumerated on its own
+    g = request.getfixturevalue(name)
+    p = tmp_path / "composed.json"
+    p.write_text(graph_to_json(g))
+    code, _, _ = run(capsys, "label", str(p), "--scheme", scheme, "--verify")
     assert code == 0
-    # the whole graph, then the hexagon; the pendant edge has no positions,
-    # so it is not enumerated
-    assert len(enumerations) == 2
-    assert enumerations[0][0] == hexagon_with_pendant_path.edges
-    assert len({edges for edges, _ in enumerations}) == 2
+    assert enumerations == [(g.edges, DEFAULT_MATCHING_CAP)]
+
+
+@pytest.mark.parametrize("scheme", ["daisy", "fdl"])
+def test_composed_label_refuses_a_component_not_peripherally_two_colorable(
+    tmp_path, capsys, scheme
+):
+    # pyrene and a disjoint hexagon: weakly elementary, and the pyrene
+    # component gets the verdict that pyrene alone gets
+    alone = tmp_path / "pyrene.benz"
+    alone.write_text(PYRENE)
+    code, expected, _ = run(capsys, "label", str(alone), "--scheme", scheme)
+    assert code == 2
+    p = tmp_path / "pyrene_hexagon.benz"
+    p.write_text(PYRENE + "6 0\n")
+    code, out, err = run(capsys, "label", str(p), "--scheme", scheme)
+    assert (code, err) == (2, "")
+    assert out == expected
+    assert json.loads(out)["error"] == "not peripherally 2-colorable"
+    assert json.loads(out)["verdict"]["ok"] is False
 
 
 @pytest.mark.parametrize("command", ["check", "rfd"])
@@ -209,19 +229,22 @@ def test_check_and_rfd_enumerate_nothing(tmp_path, capsys, enumerations, command
 
 @pytest.fixture()
 def derived_reads(monkeypatch):
-    """The names of the derived forms read: the family's edge sets and
-    their index."""
+    """The matchings whose edges are read off the columns
+    (:meth:`ResonanceGraph.vertex_key`, the one place that does); the family
+    itself has no edge-set view."""
     from rescube.matchings import MatchingFamily
+    from rescube.resonance import ResonanceGraph
 
+    removed = ("matchings", "index", "by_edges", "__iter__", "__getitem__")
+    assert not any(hasattr(MatchingFamily, name) for name in removed)
     reads = []
-    for name in ("matchings", "index"):
-        build = vars(MatchingFamily)[name].func
+    key = ResonanceGraph.vertex_key
 
-        def spy(self, name=name, build=build):
-            reads.append(name)
-            return build(self)
+    def spy(self, mid):
+        reads.append(mid)
+        return key(self, mid)
 
-        monkeypatch.setattr(MatchingFamily, name, property(spy))
+    monkeypatch.setattr(ResonanceGraph, "vertex_key", spy)
     return reads
 
 
@@ -413,23 +436,6 @@ def test_hexagon_label_single_bit(tmp_path, capsys):
     code, out, _ = run(capsys, "label", str(p), "--scheme", "daisy")
     assert code == 0
     assert sorted(json.loads(out)["labels"].values()) == ["0", "1"]
-
-
-@pytest.mark.parametrize("scheme", ["daisy", "fdl"])
-def test_label_rejects_an_order_on_a_weakly_elementary_graph(tmp_path, capsys, scheme):
-    # the components are labelled by their own decompositions, so a face
-    # order is refused, as `rfd` refuses it, not ignored
-    p = tmp_path / "hexagon_naphthalene.benz"
-    p.write_text("0 0\n3 0\n4 0\n")
-    argv = ["label", str(p), "--scheme", scheme]
-    code, out, err = run(capsys, *argv, "--rfd", "99,98")
-    assert code == 1
-    assert out == ""
-    assert "--rfd applies to elementary graphs" in err
-    code, _, _ = run(capsys, "rfd", str(p), "--rfd", "99,98")
-    assert code == 1
-    code, out, _ = run(capsys, *argv, "--rfd", "auto")
-    assert code == 0 and len(json.loads(out)["labels"]) == 6
 
 
 def test_bad_rfd_order_exit_one(branched_file, capsys):

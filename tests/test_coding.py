@@ -1,14 +1,17 @@
 """The daisy and lattice codings, their anchors, and composition."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rescube.coding import (
+    _certify_daisy,
     color_swap_effect,
     codings_differ,
     compose_labellings,
+    composed_labels,
     daisy_label_set,
     daisy_labelling,
+    elementary_parts,
     fdl_labelling,
     labelling_is_proper,
 )
@@ -19,12 +22,14 @@ from rescube.cube_kit import (
     operator_o,
 )
 from rescube.decomposition import auto_rfd, rfd_from_face_order
-from rescube.errors import BadAttachment
+from rescube.errors import BadAttachment, LabelSetMismatch, RescubeError
 from rescube.matchings import enumerate_matchings, extremal_matchings
 from rescube.plane_graph import edge_subgraph, elementary_analysis, swap_colors
 from rescube.resonance import build_resonance, cartesian_compose
 
+import cube_oracles as oracle
 from cube_oracles import bits, label_leq, matching_subset, text
+from test_resonance import matchable_edge_subsets, small_corpus
 
 BRANCHED_LABEL_SET = {
     bits(s)
@@ -202,7 +207,7 @@ def test_fdl_even_cycle(hexagon):
     labelling = fdl_labelling(hexagon, family, auto_rfd(hexagon))
     walk = hexagon.finite_faces[0].boundary
     closed = walk + (walk[0],)
-    for m in family:
+    for m in oracle.matchings(family):
         want = bits("1") if alternation_kind(hexagon, m, closed) == PROPER else bits("0")
         assert labelling.labels[m.id] == want
 
@@ -242,7 +247,7 @@ def test_color_swap_enumerates_nothing(branched5, monkeypatch):
     from rescube import plane_graph
 
     family = enumerate_matchings(branched5)
-    assert enumerate_matchings(swap_colors(branched5)).matchings == family.matchings
+    assert enumerate_matchings(swap_colors(branched5)).columns == family.columns
     rfd = auto_rfd(branched5)
 
     def refuse(g, cap=plane_graph.DEFAULT_MATCHING_CAP):
@@ -322,6 +327,49 @@ def test_compose_rejects_mixed_schemes(hexagon):
     fdl = fdl_labelling(hexagon, family, rfd)
     with pytest.raises(ValueError):
         compose_labellings([daisy, fdl])
+
+
+def composed(g, scheme):
+    """The library's composed labels and width of a weakly elementary graph."""
+    return composed_labels(enumerate_matchings(g), elementary_parts(g), scheme)
+
+
+@pytest.mark.parametrize("scheme", ["daisy", "fdl"])
+@pytest.mark.parametrize(
+    "name",
+    ["hexagon_plus_naphthalene", "branched5_plus_hexagon",
+     "hexagon_with_pendant_path", "two_hexagons"],
+)
+def test_composed_labels_match_oracle(request, name, scheme):
+    g = request.getfixturevalue(name)
+    assert composed(g, scheme) == oracle.composed_labels(g, scheme)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), scheme=st.sampled_from(["daisy", "fdl"]))
+def test_composed_labels_match_oracle_on_edge_subsets(pyrene, nested_rings, data, scheme):
+    """Equal wherever the per-component oracle labels the graph; where it
+    raises (a component that is not peripherally 2-colorable), so does the
+    library, though it may raise elsewhere first."""
+    g = data.draw(matchable_edge_subsets(small_corpus() + (pyrene, nested_rings)))
+    assume(elementary_analysis(g).is_weakly_elementary)
+    try:
+        expected = oracle.composed_labels(g, scheme)
+    except RescubeError:
+        with pytest.raises(RescubeError):
+            composed(g, scheme)
+        return
+    assert composed(g, scheme) == expected
+
+
+def test_composed_daisy_labels_are_certified(hexagon):
+    # two hexagons: the product of {0, 1} with itself, shifted by one place
+    rfds = (auto_rfd(hexagon),) * 2
+    _certify_daisy(dict(enumerate(map(bits, ("00", "10", "01", "11")))), rfds)
+    with pytest.raises(LabelSetMismatch, match="not injective"):
+        _certify_daisy(dict(enumerate(map(bits, ("00", "10", "10", "11")))), rfds)
+    with pytest.raises(LabelSetMismatch, match="expected"):
+        _certify_daisy(dict(enumerate(map(bits, ("00", "10", "01")))), rfds)
 
 
 def test_single_position_requires_even_cycle(naphthalene):

@@ -16,9 +16,7 @@ from rescube.errors import (
     TheoremViolated,
 )
 from rescube.decomposition import (
-    FaceSplit,
     _FaceRead,
-    _face_sides,
     _in_state,
     _subset_equalities_hold,
     auto_rfd,
@@ -28,7 +26,7 @@ from rescube.decomposition import (
     theorem_report,
     verify_reducible_split,
 )
-from rescube.matchings import MatchingFamily, enumerate_matchings
+from rescube.matchings import MatchingFamily, bit_ids, enumerate_matchings
 from rescube.plane_graph import elementary_analysis, from_rotation_system
 from rescube.resonance import ResonanceGraph, build_resonance
 
@@ -202,14 +200,25 @@ def test_split_sizes(branched5, branched5_faces):
         branched5_faces[3]: (9, 5),
         branched5_faces[4]: (8, 6),
     }
-    for fid, (minus, plus) in expected.items():
-        split, clauses = split_by_face(branched5, r, fid)
-        assert all(clauses.values())
-        assert (len(split.minus_side), len(split.plus_side)) == (minus, plus)
-        assert len(split.class_edges) == plus
-        assert len(split.u_minus) == len(split.u_plus) == plus
-        assert split.u_plus == split.plus_side  # the plus side is peripheral
-        assert len(split.minus_side) > len(split.plus_side)
+    for fid, sizes in expected.items():
+        assert all(split_by_face(branched5, r, fid).values())
+        assert split_sizes(r, fid) == sizes
+
+
+def split_sizes(r, fid):
+    """The sizes of the two sides of R(G) across a face's class, larger
+    first, read from the Theta-class sides; checks that the class is a
+    perfect matching between them whose ends take in the smaller side, as
+    a peripheral side is."""
+    side = r.theta_sides[fid]
+    plus, minus = sorted((side, r.family.full ^ side), key=int.bit_count)
+    class_edges = r.edges_with_label(fid)
+    ends = {v for e in class_edges for v in e}
+    assert len(ends) == 2 * len(class_edges)
+    assert {v for v in ends if plus >> v & 1} == set(bit_ids(plus))
+    assert {v for v in ends if minus >> v & 1} == ends - set(bit_ids(plus))
+    assert len(class_edges) == plus.bit_count() < minus.bit_count()
+    return minus.bit_count(), plus.bit_count()
 
 
 def test_split_matches_theta_class(branched5, branched5_faces):
@@ -231,9 +240,8 @@ def test_split_matches_theta_class(branched5, branched5_faces):
 def test_split_naphthalene(naphthalene):
     r = resonance_of(naphthalene)
     for f in naphthalene.finite_faces:
-        split, clauses = split_by_face(naphthalene, r, f.id)
-        assert all(clauses.values())
-        assert (len(split.minus_side), len(split.plus_side)) == (2, 1)
+        assert all(split_by_face(naphthalene, r, f.id).values())
+        assert split_sizes(r, f.id) == (2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +376,21 @@ def test_forged_twin_breaks_the_expansion(branched5, branched5_faces):
 
 @pytest.mark.parametrize("shape", ["branched5", "zigzag9"])
 def test_report_builds_no_edge_set(request, monkeypatch, shape):
-    """Every check of the report reads the family's columns: no matching
-    is built, or looked up, as an edge set."""
+    """Every check of the report reads the family's columns: the family has
+    no edge-set view, and no matching's edges are read off its columns
+    (:meth:`ResonanceGraph.vertex_key`, the one place that does)."""
     g = request.getfixturevalue(shape) if shape == "branched5" else zigzag(9)
+    assert not any(
+        hasattr(MatchingFamily, name) for name in ("matchings", "index", "by_edges")
+    )
     reads = []
-    for name in ("matchings", "index"):
-        build = vars(MatchingFamily)[name].func
+    key = ResonanceGraph.vertex_key
 
-        def spy(self, name=name, build=build):
-            reads.append(name)
-            return build(self)
+    def spy(self, mid):
+        reads.append(mid)
+        return key(self, mid)
 
-        monkeypatch.setattr(MatchingFamily, name, property(spy))
+    monkeypatch.setattr(ResonanceGraph, "vertex_key", spy)
     assert theorem_report(g)["ok"]
     assert reads == []
 
@@ -632,7 +643,7 @@ def outcome(fn):
 def assert_split_matches_flood(g, r, fid):
     """The split's clauses equal the flood oracle's wherever the split
     decides them; an undecided ``two-components`` ends the clauses."""
-    clauses = outcome(lambda: split_by_face(g, r, fid)[1])
+    clauses = outcome(lambda: split_by_face(g, r, fid))
     flooded = outcome(lambda: oracle.face_split_by_flood(g, r, fid))
     if isinstance(clauses, dict) and None in clauses.values():
         assert clauses == {"class-nonempty": True, "two-components": None}
@@ -640,6 +651,12 @@ def assert_split_matches_flood(g, r, fid):
     else:
         assert clauses == flooded
     return clauses
+
+
+def sides(read):
+    """The split's two sides as bitsets: every exterior handle avoiding its
+    end edges, and every one containing them with the face resonant."""
+    return read.avoid, read.contain & read.resonant
 
 
 def assert_face_conditions_match_oracle(g):
@@ -657,16 +674,12 @@ def assert_face_conditions_match_oracle(g):
         assert outcome(lambda: _subset_equalities_hold(_FaceRead(g, family, fid))) == outcome(
             lambda: oracle.subset_equalities_hold(g, family, fid)
         )
-        sides = outcome(lambda: _face_sides(_FaceRead(g, family, fid)))
-        assert sides == outcome(
-            lambda: (
-                oracle.matching_subset(g, family, fid, "all-exterior-avoid"),
-                oracle.matching_subset(g, family, fid, "all-exterior-contain-resonant"),
+        assert outcome(lambda: sides(_FaceRead(g, family, fid))) == outcome(
+            lambda: tuple(
+                sum(1 << mid for mid in oracle.matching_subset(g, family, fid, selector))
+                for selector in ("all-exterior-avoid", "all-exterior-contain-resonant")
             )
         )
-        split = outcome(lambda: split_by_face(g, r, fid)[0])
-        if isinstance(split, FaceSplit):
-            assert (split.minus_side, split.plus_side) == sides
         clauses = assert_split_matches_flood(g, r, fid)
         if decided:
             assert None not in clauses.values()
@@ -689,7 +702,7 @@ def test_face_conditions_match_oracle_on_fixtures(
     )]
     family = enumerate_matchings(even_interior)
     read = _FaceRead(even_interior, family, middle)
-    assert _face_sides(read) == (frozenset(family.ids), frozenset())
+    assert sides(read) == (family.full, 0)
     with pytest.raises(ValueError):
         _subset_equalities_hold(read)
     for g in (branched5, pyrene, triphenylene, anthracene, nested_rings,
