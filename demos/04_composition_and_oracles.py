@@ -2,26 +2,31 @@
 Composition over components, and the metric oracles saying no
 =============================================================
 
-Resonance graphs multiply over elementary components, concatenating the
-codings.  The metric recognizers (partial cube, median, daisy cube)
-also reject the right graphs: a pericondensed system loses the daisy
-structure, and a graph that is not weakly elementary loses connectivity.
+A weakly elementary graph is labelled component by component: each
+elementary component reads its labels off the whole graph's matching
+columns, and the labels are concatenated, keyed by the graph's own
+matching ids.  Its resonance graph is the Cartesian product of the
+components' resonance graphs.  The metric recognizers (partial cube,
+median, daisy cube) also reject the right graphs: a pericondensed system
+loses the daisy structure, and a graph that is not weakly elementary
+loses connectivity.
 """
 
+from math import prod
+
 from rescube import (
+    bit_string,
     build_benzenoid,
     build_plane_graph,
     build_resonance,
-    cartesian_compose,
-    connectivity_report,
-    edge_subgraph,
     elementary_analysis,
     enumerate_matchings,
     is_daisy_cube,
     is_median,
     is_partial_cube,
-    same_labelled_resonance,
 )
+from rescube.coding import composed_labels, elementary_parts
+from rescube.cube_kit import components
 
 # Two hexagons drawn far apart: one plane graph, two elementary components.
 hexagon = build_benzenoid([(0, 0)])
@@ -35,16 +40,20 @@ analysis = elementary_analysis(two)
 print("elementary components:", len(analysis.elementary_components))
 print("weakly elementary:", analysis.is_weakly_elementary)
 
-parts = []
-for comp in analysis.elementary_components:
-    sub = edge_subgraph(two, [e for e in analysis.allowed_edges if set(e) <= comp])
-    parts.append(build_resonance(sub, enumerate_matchings(sub)))
+# one enumeration of the whole graph; every part reads its labels off it
+family = enumerate_matchings(two)
+parts = elementary_parts(two)
+labels, width = composed_labels(family, parts, "daisy")
+print("daisy labels by matching id:",
+      {mid: bit_string(label, width) for mid, label in labels.items()})
 
-direct = build_resonance(two, enumerate_matchings(two))
-product = cartesian_compose(parts)
-print("direct == product of parts:", same_labelled_resonance(direct, product))
+r = build_resonance(two, family)
+part_sizes = [len(enumerate_matchings(sub)) for sub in parts]
+print("R(G) has", len(r), "vertices, the product of the parts' sizes",
+      part_sizes, "=", prod(part_sizes))
 print("the product of two single edges is a four-cycle:",
-      len(product), "vertices,", len(product.edges), "edges")
+      len(r), "vertices,", len(r.edges), "edges")
+print("daisy cube of dimension", is_daisy_cube(r.metric()).idim)
 
 # Pyrene has interior branch vertices; its resonance graph is still a
 # median partial cube but no orientation of the classes is downward closed.
@@ -70,5 +79,6 @@ nested = build_plane_graph(ring_vertices, ring_edges)
 analysis = elementary_analysis(nested)
 print("\nnested rings weakly elementary:", analysis.is_weakly_elementary)
 print("forbidden edges:", sorted(analysis.forbidden_edges))
-r = build_resonance(nested, enumerate_matchings(nested))
-print("resonance graph components:", connectivity_report(r))
+metric = build_resonance(nested, enumerate_matchings(nested)).metric()
+print("resonance graph components:",
+      len(components(metric.vertices, metric.adjacency.__getitem__)))

@@ -12,11 +12,9 @@ from .benzenoid import (
 )
 from .coding import (
     ColorSwapReport,
-    ComposedLabelling,
     Labelling,
     bit_string,
     color_swap_effect,
-    compose_labellings,
     daisy_label_set,
     daisy_labelling,
     fdl_labelling,
@@ -66,11 +64,8 @@ from .plane_graph import (
 from .resonance import (
     ResonanceGraph,
     build_resonance,
-    cartesian_compose,
-    connectivity_report,
     resonance_to_dot,
     resonance_to_json,
-    same_labelled_resonance,
 )
 
 __version__ = "0.1.0"

@@ -21,14 +21,14 @@ labels are the transpose of those bitsets.  :func:`bit_string` is the one
 place a label becomes text.
 
 A weakly elementary graph is labelled by its elementary components, each
-read on the graph's own columns restricted to the component's edges, and
-the labels of all components are concatenated (:func:`composed_labels`).
+read on the graph's own columns at the component's edges, and the labels
+of all components are concatenated, keyed by the graph's matching ids
+(:func:`composed_labels`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, product
 
 from . import plane_graph as pg
 from .cube_kit import _transpose, is_downward_closed, is_isometric_labelling
@@ -251,19 +251,17 @@ class ColorSwapReport:
 def color_swap_effect(g: PlaneGraph, family: MatchingFamily, rfd) -> ColorSwapReport:
     """Check that swapping the color classes complements the lattice coding
     and fixes the daisy coding; raises :class:`PropertyViolated` otherwise."""
+    # swapping colours changes no edge set, so the family serves both sides
     swapped = swap_colors(g)
-    # swapping colours changes no edge set, so the columns and ids carry over
-    swapped_family = MatchingFamily(swapped, family.columns, len(family))
-
     fdl_here = fdl_labelling(g, family, rfd)
-    fdl_there = fdl_labelling(swapped, swapped_family, rfd)
+    fdl_there = fdl_labelling(swapped, family, rfd)
     ones = (1 << fdl_here.length) - 1
     fdl_ok = all(
         fdl_there.labels[mid] == fdl_here.labels[mid] ^ ones for mid in fdl_here.labels
     )
 
     daisy_here = daisy_labelling(g, family, rfd)
-    daisy_there = daisy_labelling(swapped, swapped_family, rfd)
+    daisy_there = daisy_labelling(swapped, family, rfd)
     daisy_ok = daisy_here.labels == daisy_there.labels
 
     report = ColorSwapReport(fdl_complemented=fdl_ok, daisy_fixed=daisy_ok)
@@ -277,44 +275,6 @@ def color_swap_effect(g: PlaneGraph, family: MatchingFamily, rfd) -> ColorSwapRe
 # ---------------------------------------------------------------------------
 # composition over elementary components
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComposedLabelling:
-    """Concatenated labels over tuples of part matching ids."""
-
-    scheme: str
-    labels: dict  # tuple of part matching ids -> label
-    parts: tuple  # the part Labelling objects
-
-    @property
-    def length(self) -> int:
-        return sum(p.length for p in self.parts)
-
-    def label_set(self) -> frozenset:
-        return frozenset(self.labels.values())
-
-
-def compose_labellings(parts) -> ComposedLabelling:
-    """Concatenate part labellings over the Cartesian product of matchings;
-    each part's positions follow those of the parts before it.
-
-    Vertex tuples enumerate part matching ids in the same order that
-    :func:`rescube.resonance.cartesian_compose` uses, so the composed labels
-    land directly on the composed resonance graph."""
-    parts = tuple(parts)
-    if not parts:
-        raise ValueError("no labellings to compose")
-    schemes = {p.scheme for p in parts}
-    if len(schemes) != 1:
-        raise ValueError(f"mixed schemes {sorted(schemes)}")
-    shifts = (0, *accumulate(p.length for p in parts[:-1]))
-    labels = {}
-    for combo in product(*(sorted(p.labels) for p in parts)):
-        labels[combo] = sum(
-            p.labels[mid] << shift for p, mid, shift in zip(parts, combo, shifts)
-        )
-    return ComposedLabelling(schemes.pop(), labels, parts)
 
 
 def elementary_parts(g: PlaneGraph) -> tuple:
@@ -338,27 +298,23 @@ def composed_labels(family: MatchingFamily, parts, scheme: str) -> tuple:
     (:func:`elementary_parts`), each by its own automatic decomposition,
     concatenated in part order.
 
-    Every part reads its columns on the graph's own family restricted to
-    its edges: a forbidden edge lies in no matching, so the restricted
-    columns describe each matching's restriction to the part.  The columns
-    of all parts are transposed once.  Daisy labels are certified on the
-    whole family: on a weakly elementary graph, whose matchings are the
-    product of its parts' matchings, being injective with the product of
-    the parts' label sets is the parts' own certification."""
+    Every part reads its columns on the graph's own family: each read looks
+    up only the part's edges, whose columns describe every matching's
+    restriction to the part, so the parts' labels come out keyed by the
+    graph's matching ids.  The columns of all parts are transposed once.
+    Daisy labels are certified on the whole family: on a weakly elementary
+    graph, whose matchings are the product of its parts' matchings, being
+    injective with the product of the parts' label sets is the parts' own
+    certification."""
     from .decomposition import auto_rfd  # decomposition imports this module
 
     columns, rfds = [], []
     for sub in parts:
         rfd = auto_rfd(sub)
-        restricted = MatchingFamily(
-            sub,
-            {e: family.columns[e] for e in sub.edges if e in family.columns},
-            family.size,
-        )
         if scheme == DAISY:
-            columns += _daisy_ones(sub, restricted, rfd)
+            columns += _daisy_ones(sub, family, rfd)
         else:
-            columns += _fdl_ones(sub, restricted, rfd)[0]
+            columns += _fdl_ones(sub, family, rfd)[0]
         rfds.append(rfd)
     labels = _labels_from_columns(family, columns)
     if scheme == DAISY:

@@ -46,8 +46,7 @@ class MatchingFamily:
     relies on that order.
     """
 
-    def __init__(self, graph: PlaneGraph, columns: dict, size: int):
-        self.graph = graph
+    def __init__(self, columns: dict, size: int):
         self.columns = columns
         self.size = size
 
@@ -74,7 +73,7 @@ def enumerate_matchings(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -> Match
     size, columns = pg.enumerate_matching_columns(g, cap)
     if not size:
         raise NoPerfectMatching("graph has no perfect matching")
-    return MatchingFamily(g, columns, size)
+    return MatchingFamily(columns, size)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def _as_rational(value):
         return Fraction(str(value))
     if isinstance(value, str):
         return Fraction(value)
-    raise TypeError(f"cannot interpret coordinate {value!r} as a rational")
+    raise ValueError(f"cannot interpret coordinate {value!r} as a rational")
 
 
 @dataclass(frozen=True)
@@ -391,29 +391,33 @@ def build_plane_graph(vertices, edges) -> PlaneGraph:
 
     ``vertices`` is a sequence of ``(id, x, y)``; coordinates may be ints,
     Fractions, floats or decimal strings and must be pairwise distinct.  The
-    straight-line drawing is trusted to be non-crossing.
+    ids must be hashable and comparable with each other, since edges are
+    keyed by ordered pairs.  The straight-line drawing is trusted to be
+    non-crossing.  Raises ValueError on a malformed vertex or edge.
     """
-    coords = {}
-    for vid, x, y in vertices:
-        if vid in coords:
-            raise ValueError(f"duplicate vertex id {vid}")
-        coords[vid] = (_as_rational(x), _as_rational(y))
-    if len(set(coords.values())) != len(coords):
-        raise ValueError("duplicate coordinates")
-
-    eset = set()
-    adjacency = {v: set() for v in coords}
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"loop at vertex {u}")
-        if u not in coords or v not in coords:
-            raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
-        e = edge_key(u, v)
-        if e in eset:
-            raise ValueError(f"duplicate edge {e}")
-        eset.add(e)
-        adjacency[u].add(v)
-        adjacency[v].add(u)
+    coords, eset = {}, set()
+    try:
+        for vid, x, y in vertices:
+            if vid in coords:
+                raise ValueError(f"duplicate vertex id {vid}")
+            coords[vid] = (_as_rational(x), _as_rational(y))
+        sorted(coords)  # edge keys order the ids
+        if len(set(coords.values())) != len(coords):
+            raise ValueError("duplicate coordinates")
+        adjacency = {v: set() for v in coords}
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"loop at vertex {u}")
+            if u not in coords or v not in coords:
+                raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
+            e = edge_key(u, v)
+            if e in eset:
+                raise ValueError(f"duplicate edge {e}")
+            eset.add(e)
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    except TypeError as exc:
+        raise ValueError(f"malformed vertex or edge: {exc}") from None
 
     def largest_area(walks, side):
         # per component the unique walk of maximal signed area is the infinite face
@@ -518,9 +522,17 @@ def graph_to_json(g: PlaneGraph) -> str:
 
 
 def graph_from_json(text: str) -> PlaneGraph:
+    """The graph of :func:`graph_to_json`'s format.  Raises ValueError (or
+    its subclass ``json.JSONDecodeError``) when the text is not of that
+    shape, and KeyError when a vertex lacks a field."""
     obj = json.loads(text)
-    vertices = [(v["id"], v["x"], v["y"]) for v in obj["vertices"]]
-    edges = [tuple(e) for e in obj["edges"]]
+    try:
+        vertices = [(v["id"], v["x"], v["y"]) for v in obj["vertices"]]
+        edges = [tuple(e) for e in obj["edges"]]
+    except TypeError as exc:
+        raise ValueError(
+            f"expected a list of vertices with id, x and y, and a list of edges: {exc}"
+        ) from None
     return build_plane_graph(vertices, edges)
 
 

@@ -1,4 +1,4 @@
-"""Resonance graphs with face-labelled edges, and their Cartesian composition.
+"""Resonance graphs with face-labelled edges.
 
 The resonance graph of a plane bipartite graph has the perfect matchings as
 vertices; two matchings are adjacent exactly when their symmetric difference
@@ -10,44 +10,26 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import product
 
-from .cube_kit import MetricGraph, class_sides, components
+from .cube_kit import MetricGraph, class_sides
 from .errors import InternalInvariantBroken, NotAPartialCube
 from .matchings import MatchingFamily, bit_ids, resonance_columns
 from .plane_graph import PlaneGraph
 
 
 class ResonanceGraph:
-    """Face-labelled resonance graph bound to a graph and its matching family.
+    """Face-labelled resonance graph over a matching family.
 
     ``edges`` is the graph's one stored form; the one adjacency is the
     metric graph's (:meth:`metric`)."""
 
-    def __init__(self, graph: PlaneGraph, family: MatchingFamily, edges):
-        self.graph = graph
+    def __init__(self, family: MatchingFamily, edges):
         self.family = family
         self.vertices = tuple(family.ids)
         self.edges = tuple(sorted(edges))  # (id, id, face_id) with id < id
 
     def __len__(self):
         return len(self.vertices)
-
-    def vertex_key(self, mid) -> frozenset:
-        """The edges of matching ``mid``, read off the family's columns."""
-        return frozenset(e for e, col in self.family.columns.items() if col >> mid & 1)
-
-    def face_key(self, face_id) -> frozenset:
-        return self.graph.faces[face_id].edges
-
-    def labelled_edge_keys(self) -> frozenset:
-        return frozenset(
-            (frozenset((self.vertex_key(u), self.vertex_key(v))), self.face_key(f))
-            for u, v, f in self.edges
-        )
-
-    def vertex_keys(self) -> frozenset:
-        return frozenset(self.vertex_key(v) for v in self.vertices)
 
     def metric(self) -> MetricGraph:
         """R(G) as a metric graph, built once, so that its embedding and its
@@ -121,80 +103,7 @@ def build_resonance(g: PlaneGraph, family: MatchingFamily) -> ResonanceGraph:
             (min(a, b), max(a, b), face.id)
             for a, b in zip(bit_ids(proper), bit_ids(improper))
         )
-    return ResonanceGraph(g, family, edges)
-
-
-def connectivity_report(r) -> int:
-    """Number of connected components of the metric graph (works for
-    composed graphs too, whose vertices are indices)."""
-    metric = r.metric()
-    return len(components(metric.vertices, metric.adjacency.__getitem__))
-
-
-class ComposedResonance:
-    """Cartesian product of part resonance graphs.
-
-    Vertices are tuples of part matching ids; an edge joins tuples differing
-    in exactly one coordinate by a part edge and carries ``(part_index,
-    face_id)`` as its label.  Key-based accessors match ResonanceGraph so
-    the two can be compared structurally.
-    """
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-        self.vertices = tuple(product(*(p.vertices for p in self.parts)))
-        index = {v: i for i, v in enumerate(self.vertices)}
-        edges = []
-        for pos, part in enumerate(self.parts):
-            for u, v, fid in part.edges:
-                for combo in self.vertices:
-                    if combo[pos] != u:
-                        continue
-                    other = combo[:pos] + (v,) + combo[pos + 1 :]
-                    a, b = sorted((index[combo], index[other]))
-                    edges.append((a, b, (pos, fid)))
-        self.edges = tuple(sorted(set(edges)))
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def vertex_key(self, idx) -> frozenset:
-        combo = self.vertices[idx]
-        out = frozenset()
-        for part, mid in zip(self.parts, combo):
-            out |= part.vertex_key(mid)
-        return out
-
-    def face_key(self, label) -> frozenset:
-        pos, fid = label
-        return self.parts[pos].face_key(fid)
-
-    def labelled_edge_keys(self) -> frozenset:
-        return frozenset(
-            (frozenset((self.vertex_key(a), self.vertex_key(b))), self.face_key(lab))
-            for a, b, lab in self.edges
-        )
-
-    def vertex_keys(self) -> frozenset:
-        return frozenset(self.vertex_key(i) for i in range(len(self.vertices)))
-
-    def metric(self) -> MetricGraph:
-        edges = [(a, b) for a, b, _ in self.edges]
-        return MetricGraph(range(len(self.vertices)), edges)
-
-
-def cartesian_compose(parts) -> ComposedResonance:
-    """Cartesian composition of resonance graphs of elementary components."""
-    return ComposedResonance(parts)
-
-
-def same_labelled_resonance(r1, r2) -> bool:
-    """Structural equality: same matchings (as edge sets) and the same
-    face-labelled adjacencies (faces compared as boundary edge sets)."""
-    return (
-        r1.vertex_keys() == r2.vertex_keys()
-        and r1.labelled_edge_keys() == r2.labelled_edge_keys()
-    )
+    return ResonanceGraph(family, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,22 @@ def zigzag(h):
     return build_benzenoid(cells)
 
 
+@pytest.fixture()
+def families(monkeypatch):
+    """The size of every MatchingFamily constructed, in order."""
+    from rescube.matchings import MatchingFamily
+
+    built = []
+    init = MatchingFamily.__init__
+
+    def spy(self, *args):
+        built.append(args[-1])
+        init(self, *args)
+
+    monkeypatch.setattr(MatchingFamily, "__init__", spy)
+    return built
+
+
 @pytest.fixture(scope="session")
 def hexagon():
     return build_benzenoid([(0, 0)])

@@ -32,7 +32,11 @@ edge-set view of a family (:func:`matchings`, :func:`index`), the columns
 transposed, which every oracle below reads one matching at a time, and the
 composed labels of a weakly elementary graph by a second enumeration per
 elementary component: the reference for
-``rescube.coding.composed_labels``.  It decides
+``rescube.coding.composed_labels``.  It keys a resonance graph by content
+(matchings as edge sets, faces as boundary edge sets) and builds the
+Cartesian product of the components' resonance graphs the same way: the
+reference for ``rescube.resonance.build_resonance`` on a weakly elementary
+graph, whose resonance graph is that product.  It decides
 elementarity from every perfect matching: the reference for the
 single-matching analysis of ``rescube.plane_graph.elementary_analysis``.
 
@@ -58,7 +62,7 @@ the packed-column step check of ``rescube.decomposition``.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from weakref import WeakKeyDictionary
 
 from rescube.coding import daisy_labelling, fdl_labelling
@@ -698,6 +702,54 @@ def composed_labels(g, scheme: str) -> tuple:
             shift += lab.length
         labels[m.id] = label
     return labels, sum(lab.length for _, _, lab in parts)
+
+
+@dataclass(frozen=True)
+class KeyedResonance:
+    """A resonance graph keyed by content: each matching as its edge set,
+    and each edge as its two matchings with the boundary edges of its face."""
+
+    vertices: frozenset
+    edges: frozenset
+
+
+def keyed_resonance(g, r) -> KeyedResonance:
+    """R(G) built by the library, keyed by content through :func:`matchings`."""
+    ms = matchings(r.family)
+    return KeyedResonance(
+        frozenset(m.edges for m in ms),
+        frozenset(
+            (frozenset((ms[u].edges, ms[v].edges)), g.faces[f].edges)
+            for u, v, f in r.edges
+        ),
+    )
+
+
+def product_resonance(parts) -> tuple:
+    """The Cartesian product of the parts' resonance graphs, each part a
+    (graph, resonance graph) pair: a vertex takes one matching of every
+    part, and an edge changes one part's matching along an edge of that
+    part's resonance graph, labelled by that part's face.
+
+    Returns the product keyed by content, each vertex the union of its
+    parts' matchings (on edge-disjoint parts, the matching of their union
+    graph), and the product as a metric graph on the tuples of part ids."""
+    views = [matchings(r.family) for _, r in parts]
+    combos = list(product(*(r.vertices for _, r in parts)))
+
+    def key(combo):
+        return frozenset().union(*(view[mid].edges for view, mid in zip(views, combo)))
+
+    pairs, labelled = [], set()
+    for pos, (g, r) in enumerate(parts):
+        for u, v, f in r.edges:
+            for combo in combos:
+                if combo[pos] == u:
+                    other = combo[:pos] + (v,) + combo[pos + 1 :]
+                    pairs.append((combo, other))
+                    labelled.add((frozenset((key(combo), key(other))), g.faces[f].edges))
+    keyed = KeyedResonance(frozenset(map(key, combos)), frozenset(labelled))
+    return keyed, MetricGraph(combos, pairs)
 
 
 def enumerate_matching_edge_sets(g, cap: int = DEFAULT_MATCHING_CAP) -> list:

@@ -11,26 +11,18 @@ import pytest
 from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
 from rescube.coding import (
     color_swap_effect,
-    compose_labellings,
+    composed_labels,
     daisy_label_set,
     daisy_labelling,
+    elementary_parts,
     fdl_labelling,
     labelling_is_proper,
 )
 from rescube.cube_kit import MetricGraph, is_daisy_cube, is_median
 from rescube.decomposition import rfd_from_face_order, theorem_report
 from rescube.matchings import enumerate_matchings, extremal_matchings
-from rescube.plane_graph import (
-    edge_subgraph,
-    elementary_analysis,
-    is_peripherally_two_colorable,
-)
-from rescube.resonance import (
-    build_resonance,
-    cartesian_compose,
-    connectivity_report,
-    same_labelled_resonance,
-)
+from rescube.plane_graph import elementary_analysis, is_peripherally_two_colorable
+from rescube.resonance import build_resonance
 
 import cube_oracles as oracle
 from conftest import BRANCHED_CELLS
@@ -155,25 +147,15 @@ def test_criterion_5_two_coding_contrast(branched5, branched5_faces):
 def test_criterion_6_composition(two_hexagons, branched5_plus_hexagon):
     with criterion(6, "composition over elementary components"):
         for g, expected_idim in ((two_hexagons, 2), (branched5_plus_hexagon, 6)):
-            analysis = elementary_analysis(g)
-            parts = []
-            labellings = []
-            for comp in analysis.elementary_components:
-                sub = edge_subgraph(
-                    g, [e for e in analysis.allowed_edges if set(e) <= comp]
-                )
-                family = enumerate_matchings(sub)
-                parts.append(build_resonance(sub, family))
-                from rescube.decomposition import auto_rfd
-
-                labellings.append(daisy_labelling(sub, family, auto_rfd(sub)))
-            direct = build_resonance(g, enumerate_matchings(g))
-            composed = cartesian_compose(parts)
-            assert same_labelled_resonance(direct, composed)
-            labelling = compose_labellings(labellings)
-            index = {combo: i for i, combo in enumerate(composed.vertices)}
-            labels = {index[c]: labelling.labels[c] for c in composed.vertices}
-            metric = composed.metric()
+            parts = elementary_parts(g)
+            family = enumerate_matchings(g)
+            direct = build_resonance(g, family)
+            product, _ = oracle.product_resonance(
+                [(sub, build_resonance(sub, enumerate_matchings(sub))) for sub in parts]
+            )
+            assert oracle.keyed_resonance(g, direct) == product
+            labels, _ = composed_labels(family, parts, "daisy")
+            metric = direct.metric()
             assert labelling_is_proper(metric, labels)
             verdict = is_daisy_cube(metric)
             assert verdict.ok and verdict.idim == expected_idim
@@ -183,12 +165,12 @@ def test_criterion_7_median_and_connectivity(corpus, nested_rings):
     with criterion(7, "median and connectivity properties"):
         for shape, g in corpus:
             r = build_resonance(g, enumerate_matchings(g))
-            assert connectivity_report(r) == 1, shape
+            assert len(oracle.components(r.metric())) == 1, shape
             assert is_median(r.metric()), shape
         analysis = elementary_analysis(nested_rings)
         assert not analysis.is_weakly_elementary
         r = build_resonance(nested_rings, enumerate_matchings(nested_rings))
-        assert connectivity_report(r) == 2
+        assert len(oracle.components(r.metric())) == 2
 
 
 def test_branched_fixture_is_in_corpus(corpus):

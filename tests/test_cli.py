@@ -186,16 +186,17 @@ def test_whole_graph_enumerated_once_per_use(
 @pytest.mark.parametrize("scheme", ["daisy", "fdl"])
 @pytest.mark.parametrize("name", ["hexagon_plus_naphthalene", "hexagon_with_pendant_path"])
 def test_composed_label_enumerates_the_graph_once(
-    request, tmp_path, capsys, enumerations, name, scheme
+    request, tmp_path, capsys, enumerations, families, name, scheme
 ):
-    # every component reads its labels on the whole graph's columns, so no
-    # component is enumerated on its own
+    # every component reads its labels on the whole graph's family, so no
+    # component is enumerated on its own and no second family is built
     g = request.getfixturevalue(name)
     p = tmp_path / "composed.json"
     p.write_text(graph_to_json(g))
-    code, _, _ = run(capsys, "label", str(p), "--scheme", scheme, "--verify")
+    code, out, _ = run(capsys, "label", str(p), "--scheme", scheme, "--verify")
     assert code == 0
     assert enumerations == [(g.edges, DEFAULT_MATCHING_CAP)]
+    assert families == [len(json.loads(out)["labels"])]
 
 
 @pytest.mark.parametrize("scheme", ["daisy", "fdl"])
@@ -227,31 +228,16 @@ def test_check_and_rfd_enumerate_nothing(tmp_path, capsys, enumerations, command
     assert enumerations == []
 
 
-@pytest.fixture()
-def derived_reads(monkeypatch):
-    """The matchings whose edges are read off the columns
-    (:meth:`ResonanceGraph.vertex_key`, the one place that does); the family
-    itself has no edge-set view."""
+@pytest.mark.parametrize("scheme", ["daisy", "fdl"])
+def test_label_builds_no_edge_set_and_no_adjacency(tmp_path, capsys, scheme):
     from rescube.matchings import MatchingFamily
     from rescube.resonance import ResonanceGraph
 
+    # no matching's edges can be read in the library: the family has no
+    # edge-set view, and R(G) no per-matching key (the tests' oracles have)
     removed = ("matchings", "index", "by_edges", "__iter__", "__getitem__")
     assert not any(hasattr(MatchingFamily, name) for name in removed)
-    reads = []
-    key = ResonanceGraph.vertex_key
-
-    def spy(self, mid):
-        reads.append(mid)
-        return key(self, mid)
-
-    monkeypatch.setattr(ResonanceGraph, "vertex_key", spy)
-    return reads
-
-
-@pytest.mark.parametrize("scheme", ["daisy", "fdl"])
-def test_label_builds_no_edge_set_and_no_adjacency(tmp_path, capsys, derived_reads, scheme):
-    from rescube.resonance import ResonanceGraph
-
+    assert not hasattr(ResonanceGraph, "vertex_key")
     p = tmp_path / "zigzag9.json"
     p.write_text(graph_to_json(zigzag(9)))
     dot = tmp_path / "r.dot"
@@ -259,13 +245,35 @@ def test_label_builds_no_edge_set_and_no_adjacency(tmp_path, capsys, derived_rea
     assert code == 0
     # R(G) is the Fibonacci cube of dimension 9: 89 vertices, 235 edges
     assert len(json.loads(out)["labels"]) == 89 and dot.read_text().count(" -- ") == 235
-    assert derived_reads == []
     # the face splits of --verify read the Theta-class sides and the step
     # checks compare columns; the one adjacency of R(G) is the metric graph's
     code, _, _ = run(capsys, "label", str(p), "--scheme", scheme, "--verify")
     assert code == 0
-    assert derived_reads == []
     assert not hasattr(ResonanceGraph, "adjacency")
+
+
+MALFORMED_JSON = {
+    "vertices-not-a-list": '{"vertices": 5, "edges": []}',
+    "coordinate-a-list": (
+        '{"vertices": [{"id": 0, "x": [1], "y": 0}, {"id": 1, "x": 1, "y": 0}],'
+        ' "edges": [[0, 1]]}'
+    ),
+    "ids-not-comparable": (
+        '{"vertices": [{"id": "a", "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],'
+        ' "edges": [["a", 1]]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("command", [["check"], ["label", "--scheme", "daisy"], ["verify"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("name", sorted(MALFORMED_JSON))
+def test_malformed_graph_json_is_bad_input(tmp_path, capsys, command, name):
+    p = tmp_path / "g.json"
+    p.write_text(MALFORMED_JSON[name])
+    code, out, err = run(capsys, command[0], str(p), *command[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("rescube: bad input: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("shape", [BRANCHED, PYRENE], ids=["branched", "pyrene"])

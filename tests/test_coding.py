@@ -7,7 +7,6 @@ from rescube.coding import (
     _certify_daisy,
     color_swap_effect,
     codings_differ,
-    compose_labellings,
     composed_labels,
     daisy_label_set,
     daisy_labelling,
@@ -24,8 +23,8 @@ from rescube.cube_kit import (
 from rescube.decomposition import auto_rfd, rfd_from_face_order
 from rescube.errors import BadAttachment, LabelSetMismatch, RescubeError
 from rescube.matchings import enumerate_matchings, extremal_matchings
-from rescube.plane_graph import edge_subgraph, elementary_analysis, swap_colors
-from rescube.resonance import build_resonance, cartesian_compose
+from rescube.plane_graph import elementary_analysis, swap_colors
+from rescube.resonance import build_resonance
 
 import cube_oracles as oracle
 from cube_oracles import bits, label_leq, matching_subset, text
@@ -241,9 +240,10 @@ def test_color_swap_even_cycle(hexagon):
     assert all(fdl_b[m] == fdl_a[m] ^ bits("1") for m in fdl_a)  # complemented
 
 
-def test_color_swap_enumerates_nothing(branched5, monkeypatch):
+def test_color_swap_enumerates_nothing(branched5, monkeypatch, families):
     # swapping colours changes no edge set, so the caller's family serves
-    # both sides, with the same ids the swapped graph would enumerate
+    # both sides, with the same ids the swapped graph would enumerate, and
+    # no second family is built
     from rescube import plane_graph
 
     family = enumerate_matchings(branched5)
@@ -254,7 +254,9 @@ def test_color_swap_enumerates_nothing(branched5, monkeypatch):
         raise AssertionError("color_swap_effect enumerated perfect matchings")
 
     monkeypatch.setattr(plane_graph, "enumerate_matching_columns", refuse)
+    del families[:]
     assert color_swap_effect(branched5, family, rfd).ok
+    assert families == []
 
 
 def test_extremal_swap_under_color_swap(branched5, branched5_faces):
@@ -272,61 +274,40 @@ def test_extremal_swap_under_color_swap(branched5, branched5_faces):
 # ---------------------------------------------------------------------------
 
 
-def _parts(g, scheme):
-    analysis = elementary_analysis(g)
-    labellings = []
-    resonances = []
-    for comp in analysis.elementary_components:
-        sub = edge_subgraph(g, [e for e in analysis.allowed_edges if set(e) <= comp])
-        family = enumerate_matchings(sub)
-        rfd = auto_rfd(sub)
-        fn = daisy_labelling if scheme == "daisy" else fdl_labelling
-        labellings.append(fn(sub, family, rfd))
-        resonances.append(build_resonance(sub, family))
-    return labellings, resonances
+def composed_on_product(g, scheme):
+    """The library's composed labels of G on R(G), after checking that R(G)
+    is the product of its components' resonance graphs."""
+    family, parts = enumerate_matchings(g), elementary_parts(g)
+    r = build_resonance(g, family)
+    product, _ = oracle.product_resonance(
+        [(sub, build_resonance(sub, enumerate_matchings(sub))) for sub in parts]
+    )
+    assert oracle.keyed_resonance(g, r) == product
+    labels, width = composed_labels(family, parts, scheme)
+    return r.metric(), labels, width
 
 
 def test_compose_two_hexagons(two_hexagons):
-    labellings, resonances = _parts(two_hexagons, "daisy")
-    composed = compose_labellings(labellings)
-    assert composed.label_set() == {bits("00"), bits("01"), bits("10"), bits("11")}
-    product = cartesian_compose(resonances)
-    index = {combo: i for i, combo in enumerate(product.vertices)}
-    labels = {index[c]: composed.labels[c] for c in product.vertices}
-    assert labelling_is_proper(product.metric(), labels)
+    metric, labels, _ = composed_on_product(two_hexagons, "daisy")
+    assert set(labels.values()) == {bits("00"), bits("01"), bits("10"), bits("11")}
+    assert labelling_is_proper(metric, labels)
 
 
 def test_compose_branched_with_hexagon(branched5_plus_hexagon):
-    labellings, resonances = _parts(branched5_plus_hexagon, "daisy")
-    composed = compose_labellings(labellings)
-    assert composed.length == 6
-    product = cartesian_compose(resonances)
-    index = {combo: i for i, combo in enumerate(product.vertices)}
-    labels = {index[c]: composed.labels[c] for c in product.vertices}
-    metric = product.metric()
+    metric, labels, width = composed_on_product(branched5_plus_hexagon, "daisy")
+    assert width == 6
     assert labelling_is_proper(metric, labels)
     verdict = is_daisy_cube(metric)
     assert verdict.ok and verdict.idim == 6
 
 
-def test_compose_single_part(branched5, branched5_faces):
+def test_compose_single_part(branched5):
     family = enumerate_matchings(branched5)
-    rfd = rfd_from_face_order(branched5, branched5_faces)
-    labelling = daisy_labelling(branched5, family, rfd)
-    composed = compose_labellings([labelling])
-    assert composed.label_set() == labelling.label_set()
-    assert all(
-        composed.labels[(mid,)] == labelling.labels[mid] for mid in labelling.labels
-    )
-
-
-def test_compose_rejects_mixed_schemes(hexagon):
-    family = enumerate_matchings(hexagon)
-    rfd = auto_rfd(hexagon)
-    daisy = daisy_labelling(hexagon, family, rfd)
-    fdl = fdl_labelling(hexagon, family, rfd)
-    with pytest.raises(ValueError):
-        compose_labellings([daisy, fdl])
+    (part,) = elementary_parts(branched5)
+    labelling = daisy_labelling(branched5, family, auto_rfd(branched5))
+    labels, width = composed_labels(family, [part], "daisy")
+    assert width == labelling.length == 5
+    assert labels == labelling.labels
 
 
 def composed(g, scheme):

@@ -538,7 +538,7 @@ def test_columns_match_oracles_on_edge_subsets(pyrene, nested_rings, data):
 def test_handle_column_requires_odd_and_both_ends(branched5):
     # two edge sets that are no perfect matchings: the first holds one end
     # edge of the path 0-1-2-3, the second both
-    family = MatchingFamily(branched5, {(0, 1): 0b11, (2, 3): 0b10}, 2)
+    family = MatchingFamily({(0, 1): 0b11, (2, 3): 0b10}, 2)
     assert oracle.matchings(family) == (
         oracle.Matching(0, frozenset({(0, 1)})),
         oracle.Matching(1, frozenset({(0, 1), (2, 3)})),

@@ -1,10 +1,11 @@
-"""Resonance graph construction, labels, connectivity, and composition."""
+"""Resonance graph construction, labels, connectivity, and the product
+structure over elementary components."""
 
 from collections import Counter
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rescube.cube_kit import MetricGraph, is_median
 from rescube.errors import InternalInvariantBroken
@@ -17,12 +18,10 @@ from rescube.matchings import (
 from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
 from rescube.plane_graph import edge_subgraph, elementary_analysis
 from rescube.resonance import (
+    ResonanceGraph,
     build_resonance,
-    cartesian_compose,
-    connectivity_report,
     resonance_to_dot,
     resonance_to_json,
-    same_labelled_resonance,
 )
 
 import cube_oracles as oracle
@@ -48,13 +47,13 @@ def pairwise_resonance_edges(g, family) -> tuple:
 
 
 def assert_face_pairing_matches_oracle(g):
-    """The pairing gives the definitional edges, and each vertex's key is
-    its matching as the edge-set enumeration lists it."""
+    """The pairing gives the definitional edges, and each vertex's matching
+    is the one the edge-set enumeration lists under its id."""
     family = enumerate_matchings(g)
     r = build_resonance(g, family)
     assert r.edges == pairwise_resonance_edges(g, family)
     sets = oracle.enumerate_matching_edge_sets(g)
-    assert [r.vertex_key(mid) for mid in r.vertices] == sets
+    assert [oracle.matchings(r.family)[mid].edges for mid in r.vertices] == sets
 
 
 def assert_enumeration_order(g):
@@ -127,9 +126,7 @@ def test_unpaired_face_breaks_an_invariant(hexagon):
     # a family that lacks one of the hexagon's two matchings leaves its face
     # with a proper resonant matching and no improper one
     family = enumerate_matchings(hexagon)
-    half = MatchingFamily(
-        hexagon, {e: col & 1 for e, col in family.columns.items() if col & 1}, 1
-    )
+    half = MatchingFamily({e: col & 1 for e, col in family.columns.items() if col & 1}, 1)
     assert oracle.matchings(half) == oracle.matchings(family)[:1]
     with pytest.raises(InternalInvariantBroken):
         build_resonance(hexagon, half)
@@ -164,13 +161,18 @@ def test_theta_sides_are_the_sides_of_each_face_class(branched5, nested_rings):
 
 
 def component_parts(g):
-    """Resonance graphs of the elementary components, in min-vertex order."""
+    """The elementary components with their resonance graphs, as (graph,
+    resonance graph) pairs in min-vertex order."""
     analysis = elementary_analysis(g)
     parts = []
     for comp in analysis.elementary_components:
         sub = edge_subgraph(g, [e for e in analysis.allowed_edges if set(e) <= comp])
-        parts.append(resonance_of(sub))
+        parts.append((sub, resonance_of(sub)))
     return parts
+
+
+def component_count(metric) -> int:
+    return len(oracle.components(metric))
 
 
 def test_cycle_gives_one_edge_graph(hexagon):
@@ -191,8 +193,9 @@ def test_branched_counts_and_labels(branched5, branched5_faces):
 
 def test_edge_condition_is_single_facial_cycle(branched5):
     r = resonance_of(branched5)
+    ms = oracle.matchings(r.family)
     for u, v, fid in r.edges:
-        assert r.vertex_key(u) ^ r.vertex_key(v) == branched5.faces[fid].edges
+        assert ms[u].edges ^ ms[v].edges == branched5.faces[fid].edges
 
 
 def test_three_ring_prefix():
@@ -203,16 +206,19 @@ def test_three_ring_prefix():
 
 
 def test_connectivity(branched5, nested_rings, two_hexagons):
-    assert connectivity_report(resonance_of(branched5)) == 1
-    assert connectivity_report(resonance_of(nested_rings)) == 2
-    assert connectivity_report(resonance_of(two_hexagons)) == 1
+    assert component_count(resonance_of(branched5).metric()) == 1
+    assert component_count(resonance_of(nested_rings).metric()) == 2
+    assert component_count(resonance_of(two_hexagons).metric()) == 1
 
 
-def test_connectivity_of_composed_graphs(two_hexagons, nested_rings):
-    # composed graphs number their vertices by index, not by id tuple
-    assert connectivity_report(cartesian_compose(component_parts(two_hexagons))) == 1
-    nested = resonance_of(nested_rings)
-    assert connectivity_report(cartesian_compose([nested, nested])) == 4
+def test_connectivity_of_product_graphs(two_hexagons, nested_rings):
+    # the product metric's vertices are tuples of part ids, so one part
+    # may appear twice
+    _, metric = oracle.product_resonance(component_parts(two_hexagons))
+    assert component_count(metric) == 1
+    nested = (nested_rings, resonance_of(nested_rings))
+    _, metric = oracle.product_resonance([nested, nested])
+    assert component_count(metric) == 4
 
 
 def test_resonance_bipartite_and_median(branched5):
@@ -221,43 +227,62 @@ def test_resonance_bipartite_and_median(branched5):
     assert is_median(metric)
 
 
-def test_compose_two_hexagons(two_hexagons):
-    direct = resonance_of(two_hexagons)
-    composed = cartesian_compose(component_parts(two_hexagons))
-    assert len(composed) == 4
-    assert len(composed.edges) == 4  # a four-cycle
-    assert same_labelled_resonance(direct, composed)
+def assert_product_of_parts(g):
+    """R(G) keyed by content is the product of its components' resonance
+    graphs; returns the product's metric graph."""
+    product, metric = oracle.product_resonance(component_parts(g))
+    assert oracle.keyed_resonance(g, resonance_of(g)) == product
+    return product, metric
 
 
-def test_compose_hexagon_with_naphthalene(hexagon_plus_naphthalene):
-    direct = resonance_of(hexagon_plus_naphthalene)
+def test_product_of_two_hexagons(two_hexagons):
+    product, metric = assert_product_of_parts(two_hexagons)
+    assert len(product.vertices) == 4
+    assert len(product.edges) == len(metric.edges) == 4  # a four-cycle
+
+
+def test_product_of_hexagon_with_naphthalene(hexagon_plus_naphthalene):
     parts = component_parts(hexagon_plus_naphthalene)
-    composed = cartesian_compose(parts)
+    product, _ = assert_product_of_parts(hexagon_plus_naphthalene)
     # one factor is a single edge, the other a three-vertex path: a 3x2 grid
-    assert sorted(len(p) for p in parts) == [2, 3]
-    assert len(composed) == 6
-    assert len(composed.edges) == 7
-    assert same_labelled_resonance(direct, composed)
+    assert sorted(len(r) for _, r in parts) == [2, 3]
+    assert len(product.vertices) == 6
+    assert len(product.edges) == 7
 
 
-def test_compose_branched_with_hexagon(branched5_plus_hexagon):
-    direct = resonance_of(branched5_plus_hexagon)
-    composed = cartesian_compose(component_parts(branched5_plus_hexagon))
-    assert len(composed) == 28
-    assert len(composed.edges) == 2 * 23 + 14
-    assert same_labelled_resonance(direct, composed)
+def test_product_of_branched_with_hexagon(branched5_plus_hexagon):
+    product, _ = assert_product_of_parts(branched5_plus_hexagon)
+    assert len(product.vertices) == 28
+    assert len(product.edges) == 2 * 23 + 14
 
 
-def test_compose_single_part_is_identity(branched5):
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_product_of_parts_on_edge_subsets(pyrene, nested_rings, data):
+    g = data.draw(matchable_edge_subsets(small_corpus() + (pyrene, nested_rings)))
+    assume(elementary_analysis(g).is_weakly_elementary)
+    assert_product_of_parts(g)
+
+
+def test_product_of_single_part_is_identity(branched5):
     r = resonance_of(branched5)
-    composed = cartesian_compose([r])
-    assert same_labelled_resonance(r, composed)
+    product, _ = oracle.product_resonance([(branched5, r)])
+    assert oracle.keyed_resonance(branched5, r) == product
 
 
 def test_pendant_graph_resonance(hexagon_with_pendant_path):
     r = resonance_of(hexagon_with_pendant_path)
     assert len(r) == 2
-    assert connectivity_report(r) == 1  # weakly elementary despite the bridge
+    assert component_count(r.metric()) == 1  # weakly elementary despite the bridge
+
+
+def test_resonance_graph_holds_no_graph_and_no_edge_set_view(branched5):
+    """R(G) is its edge list over the family's ids: neither it nor the
+    family holds the plane graph, and neither reads a matching's edges."""
+    r = resonance_of(branched5)
+    assert not hasattr(r, "graph") and not hasattr(r.family, "graph")
+    removed = ("vertex_key", "face_key", "labelled_edge_keys", "vertex_keys")
+    assert not any(hasattr(ResonanceGraph, name) for name in removed)
 
 
 def test_exports_deterministic(branched5):
