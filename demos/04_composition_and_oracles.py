@@ -43,9 +43,10 @@ print("weakly elementary:", analysis.is_weakly_elementary)
 # one enumeration of the whole graph; every part reads its labels off it
 family = enumerate_matchings(two)
 parts = elementary_parts(two)
-labels, width = composed_labels(family, parts, "daisy")
+composed = composed_labels(two, family, parts, "daisy")
 print("daisy labels by matching id:",
-      {mid: bit_string(label, width) for mid, label in labels.items()})
+      {mid: bit_string(label, composed.length) for mid, label in composed.labels.items()})
+print("positions by face id:", composed.face_order)
 
 r = build_resonance(two, family)
 part_sizes = [len(enumerate_matchings(sub)) for sub in parts]

@@ -175,11 +175,10 @@ def cmd_label(args) -> int:
     if elementary:
         rfd = _resolve_rfd(g, args.rfd)
         labelling = fn(g, family, rfd)
-        labels, width = labelling.labels, labelling.length
-        face_names = {fid: f"s{pos}" for pos, fid in enumerate(rfd.faces, start=1)}
     else:
-        labels, width = coding.composed_labels(family, parts, args.scheme)
-        rfd = face_names = None
+        labelling = coding.composed_labels(g, family, parts, args.scheme)
+    labels, width = labelling.labels, labelling.length
+    face_names = {fid: f"s{pos}" for pos, fid in enumerate(labelling.face_order, start=1)}
     r = build_resonance(g, family)
 
     text = {mid: coding.bit_string(label, width) for mid, label in labels.items()}
@@ -194,7 +193,7 @@ def cmd_label(args) -> int:
                 else None
             ),
         }
-        if rfd is not None and not g.is_cycle_graph():
+        if elementary and not g.is_cycle_graph():
             obj["verification"]["theorem_report"] = theorem_report(
                 g, rfd, cap, resonance=r
             )

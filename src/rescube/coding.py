@@ -292,11 +292,14 @@ def elementary_parts(g: PlaneGraph) -> tuple:
     return tuple(sub for sub in subs if sub.finite_faces)  # an edge has no positions
 
 
-def composed_labels(family: MatchingFamily, parts, scheme: str) -> tuple:
-    """Labels of a weakly elementary graph's matchings, keyed by its
-    matching ids, and their width: the labels of the parts
-    (:func:`elementary_parts`), each by its own automatic decomposition,
-    concatenated in part order.
+def composed_labels(g: PlaneGraph, family: MatchingFamily, parts, scheme: str) -> Labelling:
+    """The labelling of a weakly elementary graph's matchings, keyed by its
+    matching ids: the labels of the parts (:func:`elementary_parts`), each
+    by its own automatic decomposition, concatenated in part order.  Its
+    face order names the parts' faces by their ids in ``g``, so position p
+    is the face whose resonance edges flip bit p - 1 (None for a part's face
+    that is not a face of ``g``).  Raises ValueError for a scheme other
+    than ``"daisy"`` and ``"fdl"``.
 
     Every part reads its columns on the graph's own family: each read looks
     up only the part's edges, whose columns describe every matching's
@@ -308,7 +311,9 @@ def composed_labels(family: MatchingFamily, parts, scheme: str) -> tuple:
     certification."""
     from .decomposition import auto_rfd  # decomposition imports this module
 
-    columns, rfds = [], []
+    if scheme not in (DAISY, FDL):
+        raise ValueError(f"unknown scheme {scheme!r}; expected {DAISY!r} or {FDL!r}")
+    columns, rfds, order = [], [], []
     for sub in parts:
         rfd = auto_rfd(sub)
         if scheme == DAISY:
@@ -316,10 +321,11 @@ def composed_labels(family: MatchingFamily, parts, scheme: str) -> tuple:
         else:
             columns += _fdl_ones(sub, family, rfd)[0]
         rfds.append(rfd)
+        order += (g.face_by_edge_set.get(sub.faces[fid].edges) for fid in rfd.faces)
     labels = _labels_from_columns(family, columns)
     if scheme == DAISY:
         _certify_daisy(labels, rfds)
-    return labels, len(columns)
+    return Labelling(scheme, labels, tuple(order))
 
 
 def labelling_is_proper(metric, labels) -> bool:

@@ -57,17 +57,16 @@ from .resonance import ResonanceGraph, build_resonance
 
 @dataclass(frozen=True)
 class RfdSequence:
-    """A reducible face decomposition: face order, edge sets of the growing
-    subgraphs, and the attachment map (1-based positions) when every step
-    attaches to exactly one earlier face.
+    """A reducible face decomposition: face order, the growing subgraphs,
+    and the attachment map (1-based positions) when every step attaches to
+    exactly one earlier face.
 
     ``graphs`` holds the growing subgraphs themselves, embedded once when
-    the decomposition is validated (the last is the graph itself), so that
-    the checks on each prefix re-embed none of them.  They take no part in
-    equality or in the repr."""
+    the decomposition is found or checked (the last is the graph itself),
+    so that the checks on each prefix re-embed none of them.  They take no
+    part in equality or in the repr."""
 
     faces: tuple
-    subgraph_edges: tuple
     attachment: dict = None
     notes: tuple = field(default_factory=tuple)
     graphs: tuple = field(compare=False, repr=False, kw_only=True)
@@ -76,14 +75,16 @@ class RfdSequence:
     def n(self) -> int:
         return len(self.faces)
 
+    @property
+    def subgraph_edges(self) -> tuple:
+        """The edge sets of the growing subgraphs."""
+        return tuple(sub.edges for sub in self.graphs)
+
     def prefix(self, i: int) -> "RfdSequence":
         att = None
         if self.attachment is not None:
             att = {k: v for k, v in self.attachment.items() if k <= i}
-        return RfdSequence(
-            self.faces[:i], self.subgraph_edges[:i], att, self.notes,
-            graphs=self.graphs[:i],
-        )
+        return RfdSequence(self.faces[:i], att, self.notes, graphs=self.graphs[:i])
 
 
 def _assemble_path(edges):
@@ -115,15 +116,6 @@ def _assemble_path(edges):
     return tuple(path)
 
 
-def _shared_periphery_path(g: PlaneGraph, face_id: int):
-    """The common periphery of a finite face and the graph, if it is one path."""
-    face = g.faces[face_id]
-    shared = face.edges & g.periphery_edges
-    if not shared or shared == face.edges:
-        return None
-    return _assemble_path(shared)
-
-
 def _is_plane_elementary(g: PlaneGraph) -> bool:
     if not g.is_connected:
         return False
@@ -133,18 +125,30 @@ def _is_plane_elementary(g: PlaneGraph) -> bool:
         return False
 
 
-def _reduction(g: PlaneGraph, face_id: int):
-    """``g`` without the face's shared periphery path (its edges and internal
-    vertices, with their edges) when that path is odd and what is left is
-    plane elementary bipartite; otherwise None."""
-    path = _shared_periphery_path(g, face_id)
-    if path is None or (len(path) - 1) % 2 == 0:
+def _rest(g: PlaneGraph, face_id: int):
+    """The edges of ``g`` left when the face's shared periphery path, its
+    internal vertices and their edges are removed, if that path is odd;
+    otherwise None.  The one rule of a decomposition step: read forward,
+    the face attaches to the rest by an odd ear."""
+    face = g.faces[face_id]
+    shared = face.edges & g.periphery_edges  # a face all on the periphery has no ear
+    path = _assemble_path(shared) if shared != face.edges else None
+    if path is None or len(path) % 2:  # a path of an even number of edges
         return None
     internal = set(path[1:-1])
     path_edges = {edge_key(a, b) for a, b in zip(path, path[1:])}
-    reduced = edge_subgraph(
-        g, [e for e in g.edges if e not in path_edges and not (set(e) & internal)]
+    return frozenset(
+        e for e in g.edges if e not in path_edges and not (set(e) & internal)
     )
+
+
+def _reduction(g: PlaneGraph, face_id: int):
+    """``g`` embedded on the face's :func:`_rest`, when that is plane
+    elementary bipartite; otherwise None."""
+    rest = _rest(g, face_id)
+    if rest is None:
+        return None
+    reduced = edge_subgraph(g, rest)
     if len(reduced.vertices) >= 2 and _is_plane_elementary(reduced):
         return reduced
     return None
@@ -156,139 +160,87 @@ def find_reducible_faces(g: PlaneGraph) -> frozenset:
     return frozenset(f.id for f in g.finite_faces if _reduction(g, f.id) is not None)
 
 
+def _sequence(g: PlaneGraph, order: tuple, graphs: tuple) -> RfdSequence:
+    """The decomposition of ``g`` with this face order and these prefix
+    subgraphs; its attachment map names, for every step, the one earlier
+    face whose edges the step's face shares, and is None when some step
+    shares edges with several."""
+    attachment = {}
+    for idx in range(1, len(order)):
+        edges = g.faces[order[idx]].edges
+        sharers = [j + 1 for j in range(idx) if g.faces[order[j]].edges & edges]
+        if len(sharers) != 1:
+            attachment = None
+            break
+        attachment[idx + 1] = sharers[0]
+    note = f"first face {order[0]} accepted because its boundary is a cycle"
+    return RfdSequence(order, attachment, (note,), graphs=graphs)
+
+
 def rfd_from_face_order(g: PlaneGraph, order) -> RfdSequence:
     """Validate a full face order as a reducible face decomposition.
 
-    The first face only needs to bound a cycle; each later face must attach
-    by a single odd ear on the periphery of the previous subgraph, and each
-    previous subgraph must be elementary.  Raises
-    :class:`NotReducibleAtStep` at the first failing step.
+    The first face only needs to bound a cycle.  Step i grows the union of
+    the faces so far by face i; it holds when the face is a face of the
+    grown subgraph, its :func:`_rest` there is the previous subgraph, and
+    the previous subgraph is plane elementary.  Raises
+    :class:`NotReducibleAtStep` at the first failing step.  Every prefix but
+    the whole graph is embedded once.
     """
-    return _validated_rfd(g, tuple(order), ())
-
-
-def _validated_rfd(g: PlaneGraph, order: tuple, built: tuple) -> RfdSequence:
-    """:func:`rfd_from_face_order`, reusing ``built``: subgraphs of ``g``
-    already embedded, such as the reductions :func:`auto_rfd` peeled.  A
-    prefix whose edge set is the graph's is ``g`` itself; any other prefix
-    is taken from ``built`` when a graph there has its edge set, and
-    embedded otherwise."""
-    known = {sub.edges: sub for sub in built}
-    known[g.edges] = g
-
-    def embedded(edges):
-        sub = known.get(edges)
-        return sub if sub is not None else edge_subgraph(g, edges)
-
+    order = tuple(order)
     finite_ids = sorted(f.id for f in g.finite_faces)
     if sorted(order) != finite_ids:
         raise ValueError(f"order must list all finite faces {finite_ids}")
 
-    notes = (
-        f"first face {order[0]} accepted because its boundary is a cycle",
-    )
+    def embedded(edges):
+        return g if edges == g.edges else edge_subgraph(g, edges)
+
     first = g.faces[order[0]]
     if len(set(first.boundary)) != len(first.boundary):
         raise NotReducibleAtStep(1, "first face boundary is not a cycle")
-
-    current_edges = set(first.edges)
-    current_vertices = set(first.boundary)
-    subgraphs = [frozenset(current_edges)]
-    previous = embedded(subgraphs[0])
-    graphs = [previous]
-    attachments = {}
-    complete = True
-
-    for idx in range(1, len(order)):
-        step = idx + 1
-        face = g.faces[order[idx]]
-        ear_edges = face.edges - current_edges
-        if not ear_edges:
-            raise NotReducibleAtStep(step, "face adds no new edges")
-        ear = _assemble_path(ear_edges)
-        if ear is None:
-            raise NotReducibleAtStep(step, "new edges do not form a path")
-        if (len(ear) - 1) % 2 == 0:
-            raise NotReducibleAtStep(step, "ear has even length")
-        if ear[0] not in current_vertices or ear[-1] not in current_vertices:
-            raise NotReducibleAtStep(step, "ear endpoints are not attached")
-        if set(ear[1:-1]) & current_vertices:
-            raise NotReducibleAtStep(step, "ear interior touches the subgraph")
-
+    graphs = [embedded(first.edges)]
+    for step in range(2, len(order) + 1):
+        previous = graphs[-1]
+        face = g.faces[order[step - 1]]
+        grown = embedded(previous.edges | face.edges)
+        fid = grown.face_by_edge_set.get(face.edges)
+        if fid is None or _rest(grown, fid) != previous.edges:
+            raise NotReducibleAtStep(step, "face is not an odd ear on the periphery")
         if not _is_plane_elementary(previous):
             raise NotReducibleAtStep(step, "previous subgraph is not elementary")
-        old_part = face.edges & current_edges
-        if not old_part <= previous.periphery_edges:
-            raise NotReducibleAtStep(step, "face does not sit on the periphery")
-
-        current_edges |= ear_edges
-        current_vertices |= set(ear)
-        subgraphs.append(frozenset(current_edges))
-
-        grown = embedded(subgraphs[-1])
-        for f in grown.finite_faces:
-            if f.edges not in g.face_by_edge_set:
-                raise NotReducibleAtStep(step, "step creates a face not in the graph")
-        previous = grown
         graphs.append(grown)
-
-        sharers = [
-            j + 1
-            for j in range(idx)
-            if g.faces[order[j]].edges & face.edges
-        ]
-        if len(sharers) == 1:
-            attachments[step] = sharers[0]
-        else:
-            complete = False
-
-    if current_edges != g.edges:
+    if graphs[-1] is not g:
         raise NotReducibleAtStep(len(order), "edges remain outside all faces")
-    return RfdSequence(
-        faces=order,
-        subgraph_edges=tuple(subgraphs),
-        attachment=attachments if complete else None,
-        notes=notes,
-        graphs=tuple(graphs),
-    )
+    return _sequence(g, order, tuple(graphs))
 
 
 def auto_rfd(g: PlaneGraph) -> RfdSequence:
     """Greedy decomposition: repeatedly peel the reducible face with the
-    smallest id, then validate the reversed order.  The validation takes
-    its prefixes from the reductions the peel built, so no subgraph is
-    embedded twice."""
+    smallest id.  The peel read backwards is the decomposition, and its
+    reductions are the prefix subgraphs."""
     if len(g.vertices) <= 2:
         raise UnsupportedInput("need more than two vertices")
     if g.is_cycle_graph():
         face = g.finite_faces[0]
         return RfdSequence(
-            faces=(face.id,),
-            subgraph_edges=(g.edges,),
-            attachment={},
-            notes=("even cycle: single-face decomposition",),
-            graphs=(g,),
+            (face.id,), {}, ("even cycle: single-face decomposition",), graphs=(g,)
         )
 
-    current = g
+    graphs = [g]
     peeled = []
-    reductions = []
-    while not current.is_cycle_graph():
+    while not graphs[-1].is_cycle_graph():
+        current = graphs[-1]
         own = {g.face_by_edge_set[f.edges]: f.id for f in current.finite_faces}
         for fid in sorted(own):
             reduced = _reduction(current, own[fid])
             if reduced is not None:
                 break
         else:
-            raise PeelingStuck(
-                "no reducible face; the graph is not plane elementary"
-            )
+            raise PeelingStuck("no reducible face; the graph is not plane elementary")
         peeled.append(fid)
-        reductions.append(reduced)
-        current = reduced
-    base = g.face_by_edge_set[current.finite_faces[0].edges]
-    order = (base,) + tuple(reversed(peeled))
-    return _validated_rfd(g, order, tuple(reductions))
+        graphs.append(reduced)
+    base = g.face_by_edge_set[graphs[-1].finite_faces[0].edges]
+    return _sequence(g, (base, *reversed(peeled)), tuple(reversed(graphs)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +360,6 @@ class StepReport:
         return all(self.clauses.values())
 
 
-def _translate_rfd(rfd: RfdSequence, g: PlaneGraph, sub: PlaneGraph) -> RfdSequence:
-    faces = tuple(sub.face_by_edge_set[g.faces[fid].edges] for fid in rfd.faces)
-    return replace(rfd, faces=faces)
-
-
 @dataclass(frozen=True)
 class _Prefix:
     """One RFD prefix G_k, analysed once: its subgraph, the decomposition
@@ -434,7 +381,8 @@ def _prefix(g, r, rfd, k, cap=DEFAULT_MATCHING_CAP) -> _Prefix:
     if k == rfd.n:
         return _Prefix(g, rfd, r.family, r, coding.daisy_labelling(g, r.family, rfd))
     sub = rfd.graphs[k - 1]
-    sub_rfd = _translate_rfd(rfd.prefix(k), g, sub)
+    faces = tuple(sub.face_by_edge_set[g.faces[fid].edges] for fid in rfd.faces[:k])
+    sub_rfd = replace(rfd.prefix(k), faces=faces)
     family = enumerate_matchings(sub, cap)
     res = build_resonance(sub, family)
     return _Prefix(sub, sub_rfd, family, res, coding.daisy_labelling(sub, family, sub_rfd))
@@ -505,13 +453,12 @@ def _check_step(
     clauses = {}
     details = {}
 
-    rfd_i, rfd_prev = cur.rfd, prev.rfd
     fam_i, fam_prev = cur.family, prev.family
     col_i, col_prev = fam_i.columns, fam_prev.columns
     res_i, res_prev = cur.resonance, prev.resonance
     labels_i = cur.daisy.labels
 
-    ear = _assemble_path(rfd.subgraph_edges[i - 1] - rfd.subgraph_edges[i - 2])
+    ear = _assemble_path(cur.graph.edges - prev.graph.edges)
     face_edges = g.faces[rfd.faces[i - 1]].edges
     inner = _assemble_path(face_edges - {edge_key(a, b) for a, b in zip(ear, ear[1:])})
     clauses["inner-path"] = inner is not None
@@ -531,8 +478,8 @@ def _check_step(
     if not ok:
         return StepReport(i, clauses, details)
 
-    pos_i = {fid: p for p, fid in enumerate(rfd_i.faces, start=1)}
-    pos_prev = {fid: p for p, fid in enumerate(rfd_prev.faces, start=1)}
+    pos_i = {fid: p for p, fid in enumerate(cur.rfd.faces, start=1)}
+    pos_prev = {fid: p for p, fid in enumerate(prev.rfd.faces, start=1)}
     rank = {mid: k for k, mid in enumerate(minus)}  # restriction keeps order
     mapped = {
         (rank[u], rank[v], pos_i[f]) for u, v, f in res_i.edges if u in rank and v in rank
@@ -600,14 +547,13 @@ def _check_step(
     if twins:
         twin = dict(zip(inner_ids, plus))
         for u, v, f in res_prev.edges:
-            pos = pos_i[rfd_i.faces[pos_prev[f] - 1]]
+            pos = pos_prev[f]  # both records order the same faces
             expected_edges.add((minus[u], minus[v], pos))
             if u in twin and v in twin:  # twins keep order
                 expected_edges.add((twin[u], twin[v], pos))
-        face_pos = pos_i[rfd_i.faces[i - 1]]
         for k in inner_ids:
             a, b = sorted((minus[k], twin[k]))
-            expected_edges.add((a, b, face_pos))
+            expected_edges.add((a, b, i))
     actual_edges = {(u, v, pos_i[f]) for u, v, f in res_i.edges}
     clauses["expansion-equality"] = twins and expected_edges == actual_edges
 

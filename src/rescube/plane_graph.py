@@ -524,10 +524,16 @@ def graph_to_json(g: PlaneGraph) -> str:
 def graph_from_json(text: str) -> PlaneGraph:
     """The graph of :func:`graph_to_json`'s format.  Raises ValueError (or
     its subclass ``json.JSONDecodeError``) when the text is not of that
-    shape, and KeyError when a vertex lacks a field."""
+    shape, naming a vertex that lacks a field by its index and the fields
+    it lacks, and KeyError when the object lacks ``vertices`` or ``edges``."""
     obj = json.loads(text)
     try:
-        vertices = [(v["id"], v["x"], v["y"]) for v in obj["vertices"]]
+        vertices = []
+        for i, v in enumerate(obj["vertices"]):
+            missing = [k for k in ("id", "x", "y") if k not in v]
+            if missing:
+                raise ValueError(f"vertex at index {i} lacks {', '.join(map(repr, missing))}")
+            vertices.append((v["id"], v["x"], v["y"]))
         edges = [tuple(e) for e in obj["edges"]]
     except TypeError as exc:
         raise ValueError(

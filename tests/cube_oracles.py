@@ -56,9 +56,14 @@ reads every face condition one matching at a time through them: the
 reference for the per-edge column reads of ``rescube.matchings`` and
 ``rescube.coding``.
 
-The last section checks a decomposition step with the restriction, lift and
-twist maps looked up matching by matching as edge sets: the reference for
-the packed-column step check of ``rescube.decomposition``.
+The step section checks a decomposition step with the restriction, lift
+and twist maps looked up matching by matching as edge sets: the reference
+for the packed-column step check of ``rescube.decomposition``.
+
+The last section validates a face order as a decomposition ear by ear,
+each new face's edges checked as an odd path attached at its ends: the
+reference for the one reducible-step rule that
+``rescube.decomposition.rfd_from_face_order`` and ``auto_rfd`` share.
 """
 
 from dataclasses import dataclass
@@ -73,11 +78,17 @@ from rescube.cube_kit import (
     ThetaClasses,
     operator_o,
 )
-from rescube.decomposition import _assemble_path, auto_rfd
+from rescube.decomposition import (
+    RfdSequence,
+    _assemble_path,
+    _is_plane_elementary,
+    auto_rfd,
+)
 from rescube.errors import (
     CapExceeded,
     InternalInvariantBroken,
     NoPerfectMatching,
+    NotReducibleAtStep,
     RescubeError,
 )
 from rescube.matchings import enumerate_matchings
@@ -1161,3 +1172,93 @@ def step_clauses(g, rfd, i, prev, cur) -> dict:
         mid for mid, label in labels_i.items() if not label & (att_bit | new)
     } == set(side(fam_i, inner, CONTAINS_END_EDGES))
     return clauses
+
+
+# ---------------------------------------------------------------------------
+# decompositions by ears
+# ---------------------------------------------------------------------------
+
+
+def rfd_by_ears(g, order) -> RfdSequence:
+    """Validate a full face order as a reducible face decomposition, ear by
+    ear.
+
+    The first face only needs to bound a cycle; each later face must attach
+    by a single odd ear on the periphery of the previous subgraph, each
+    previous subgraph must be elementary, and every face of a grown
+    subgraph must be a face of ``g``.  Raises :class:`NotReducibleAtStep`
+    at the first failing step, and ValueError when the order does not list
+    every finite face once."""
+    order = tuple(order)
+
+    def embedded(edges):
+        return g if edges == g.edges else edge_subgraph(g, edges)
+
+    finite_ids = sorted(f.id for f in g.finite_faces)
+    if sorted(order) != finite_ids:
+        raise ValueError(f"order must list all finite faces {finite_ids}")
+
+    notes = (
+        f"first face {order[0]} accepted because its boundary is a cycle",
+    )
+    first = g.faces[order[0]]
+    if len(set(first.boundary)) != len(first.boundary):
+        raise NotReducibleAtStep(1, "first face boundary is not a cycle")
+
+    current_edges = set(first.edges)
+    current_vertices = set(first.boundary)
+    previous = embedded(frozenset(current_edges))
+    graphs = [previous]
+    attachments = {}
+    complete = True
+
+    for idx in range(1, len(order)):
+        step = idx + 1
+        face = g.faces[order[idx]]
+        ear_edges = face.edges - current_edges
+        if not ear_edges:
+            raise NotReducibleAtStep(step, "face adds no new edges")
+        ear = _assemble_path(ear_edges)
+        if ear is None:
+            raise NotReducibleAtStep(step, "new edges do not form a path")
+        if (len(ear) - 1) % 2 == 0:
+            raise NotReducibleAtStep(step, "ear has even length")
+        if ear[0] not in current_vertices or ear[-1] not in current_vertices:
+            raise NotReducibleAtStep(step, "ear endpoints are not attached")
+        if set(ear[1:-1]) & current_vertices:
+            raise NotReducibleAtStep(step, "ear interior touches the subgraph")
+
+        if not _is_plane_elementary(previous):
+            raise NotReducibleAtStep(step, "previous subgraph is not elementary")
+        old_part = face.edges & current_edges
+        if not old_part <= previous.periphery_edges:
+            raise NotReducibleAtStep(step, "face does not sit on the periphery")
+
+        current_edges |= ear_edges
+        current_vertices |= set(ear)
+
+        grown = embedded(frozenset(current_edges))
+        for f in grown.finite_faces:
+            if f.edges not in g.face_by_edge_set:
+                raise NotReducibleAtStep(step, "step creates a face not in the graph")
+        previous = grown
+        graphs.append(grown)
+
+        sharers = [
+            j + 1
+            for j in range(idx)
+            if g.faces[order[j]].edges & face.edges
+        ]
+        if len(sharers) == 1:
+            attachments[step] = sharers[0]
+        else:
+            complete = False
+
+    if current_edges != g.edges:
+        raise NotReducibleAtStep(len(order), "edges remain outside all faces")
+    return RfdSequence(
+        faces=order,
+        attachment=attachments if complete else None,
+        notes=notes,
+        graphs=tuple(graphs),
+    )

@@ -154,7 +154,7 @@ def test_criterion_6_composition(two_hexagons, branched5_plus_hexagon):
                 [(sub, build_resonance(sub, enumerate_matchings(sub))) for sub in parts]
             )
             assert oracle.keyed_resonance(g, direct) == product
-            labels, _ = composed_labels(family, parts, "daisy")
+            labels = composed_labels(g, family, parts, "daisy").labels
             metric = direct.metric()
             assert labelling_is_proper(metric, labels)
             verdict = is_daisy_cube(metric)

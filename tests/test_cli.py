@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -262,6 +263,7 @@ MALFORMED_JSON = {
         '{"vertices": [{"id": "a", "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],'
         ' "edges": [["a", 1]]}'
     ),
+    "vertex-without-x": '{"vertices": [{"id": 0, "y": 0}], "edges": []}',
 }
 
 
@@ -274,6 +276,16 @@ def test_malformed_graph_json_is_bad_input(tmp_path, capsys, command, name):
     code, out, err = run(capsys, command[0], str(p), *command[1:])
     assert (code, out) == (1, "")
     assert err.startswith("rescube: bad input: ") and "Traceback" not in err
+
+
+def test_missing_vertex_field_names_vertex_and_field(tmp_path, capsys):
+    p = tmp_path / "g.json"
+    p.write_text('{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "y": 0}], "edges": []}')
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, out) == (1, "")
+    assert err == "rescube: bad input: vertex at index 1 lacks 'x'\n"
+    with pytest.raises(ValueError, match="index 0 lacks 'id', 'y'"):
+        graph_from_json('{"vertices": [{"x": 0}], "edges": []}')
 
 
 @pytest.mark.parametrize("shape", [BRANCHED, PYRENE], ids=["branched", "pyrene"])
@@ -508,6 +520,27 @@ def test_label_rejects_an_order_on_a_weakly_elementary_graph(tmp_path, capsys, s
     assert code == 1
     code, out, _ = run(capsys, *argv, "--rfd", "auto")
     assert code == 0 and len(json.loads(out)["labels"]) == 6
+
+
+@pytest.mark.parametrize("scheme", ["daisy", "fdl"])
+@pytest.mark.parametrize(
+    "name", ["two_hexagons", "branched5_plus_hexagon", "hexagon_plus_naphthalene"]
+)
+def test_composed_dot_names_faces_by_position(name, scheme, request, tmp_path, capsys):
+    """Every DOT edge on face s<p> joins two labels that differ in bit p - 1
+    only, on the composed path as on the elementary one."""
+    p = tmp_path / "composed.json"
+    p.write_text(graph_to_json(request.getfixturevalue(name)))
+    dot = tmp_path / "labelled.dot"
+    code, out, _ = run(capsys, "label", str(p), "--scheme", scheme, "--emit-dot", str(dot))
+    assert code == 0
+    labels = json.loads(out)["labels"]
+    edges = [line for line in dot.read_text().splitlines() if " -- " in line]
+    assert edges
+    for line in edges:
+        u, v, pos = re.fullmatch(r'  M(\d+) -- M(\d+) \[face="s(\d+)"\];', line).groups()
+        flips = [i for i, (a, b) in enumerate(zip(labels[u], labels[v])) if a != b]
+        assert flips == [int(pos) - 1], line
 
 
 # the exact labels of the parent implementation; a sorted label set alone

@@ -283,8 +283,8 @@ def composed_on_product(g, scheme):
         [(sub, build_resonance(sub, enumerate_matchings(sub))) for sub in parts]
     )
     assert oracle.keyed_resonance(g, r) == product
-    labels, width = composed_labels(family, parts, scheme)
-    return r.metric(), labels, width
+    labelling = composed_labels(g, family, parts, scheme)
+    return r.metric(), labelling.labels, labelling.length
 
 
 def test_compose_two_hexagons(two_hexagons):
@@ -305,14 +305,20 @@ def test_compose_single_part(branched5):
     family = enumerate_matchings(branched5)
     (part,) = elementary_parts(branched5)
     labelling = daisy_labelling(branched5, family, auto_rfd(branched5))
-    labels, width = composed_labels(family, [part], "daisy")
-    assert width == labelling.length == 5
-    assert labels == labelling.labels
+    assert composed_labels(branched5, family, [part], "daisy") == labelling
+
+
+@pytest.mark.parametrize("scheme", ["Daisy", "lattice", ""])
+def test_composed_labels_reject_an_unknown_scheme(naphthalene, scheme):
+    family = enumerate_matchings(naphthalene)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        composed_labels(naphthalene, family, elementary_parts(naphthalene), scheme)
 
 
 def composed(g, scheme):
     """The library's composed labels and width of a weakly elementary graph."""
-    return composed_labels(enumerate_matchings(g), elementary_parts(g), scheme)
+    labelling = composed_labels(g, enumerate_matchings(g), elementary_parts(g), scheme)
+    return labelling.labels, labelling.length
 
 
 @pytest.mark.parametrize("scheme", ["daisy", "fdl"])

@@ -2,12 +2,18 @@
 
 from collections import Counter
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rescube import cube_kit as ck, decomposition, plane_graph
-from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
+from rescube.benzenoid import (
+    AXIAL_NEIGHBORS,
+    build_benzenoid,
+    canonical_polyhex,
+    catacondensed_polyhexes,
+)
 from rescube.errors import (
     NotAPartialCube,
     NotReducibleAtStep,
@@ -27,7 +33,11 @@ from rescube.decomposition import (
     verify_reducible_split,
 )
 from rescube.matchings import MatchingFamily, bit_ids, enumerate_matchings
-from rescube.plane_graph import elementary_analysis, from_rotation_system
+from rescube.plane_graph import (
+    build_plane_graph,
+    elementary_analysis,
+    from_rotation_system,
+)
 from rescube.resonance import ResonanceGraph, build_resonance
 
 import cube_oracles as oracle
@@ -116,21 +126,132 @@ def test_auto_rfd_stuck_on_non_elementary(hexagon_with_pendant_path):
         auto_rfd(hexagon_with_pendant_path)
 
 
-@pytest.mark.parametrize("h, calls", [(9, 8), (14, 13)])
-def test_auto_rfd_reduces_each_face_once(h, calls, monkeypatch):
-    """Every peel keeps the reduction that chose its face, and the order
-    validation takes its prefixes from those reductions: one subgraph per
-    face tried, h - 1 peels whose first candidate reduces."""
+@pytest.fixture
+def embedded(monkeypatch):
+    """The edge sets of every subgraph the decomposition module embeds."""
     built = []
     subgraph = decomposition.edge_subgraph
 
     def spy(g, keep):
-        built.append(g)
+        keep = frozenset(keep)
+        built.append(keep)
         return subgraph(g, keep)
 
     monkeypatch.setattr(decomposition, "edge_subgraph", spy)
+    return built
+
+
+@pytest.mark.parametrize("h, calls", [(9, 8), (14, 13)])
+def test_auto_rfd_reduces_each_face_once(h, calls, embedded):
+    """Every peel keeps the reduction that chose its face, and the
+    decomposition carries those reductions as its prefixes: one subgraph
+    per face tried, h - 1 peels whose first candidate reduces."""
     assert auto_rfd(zigzag(h)).n == h
-    assert len(built) == calls
+    assert len(embedded) == calls
+
+
+@pytest.mark.parametrize("h", [1, 2, 5, 9])
+def test_rfd_from_face_order_embeds_each_prefix_once(h, embedded):
+    """A face order of n faces embeds its n - 1 proper prefixes, each once;
+    the last prefix is the graph itself."""
+    g = zigzag(h)
+    order = auto_rfd(g).faces
+    embedded.clear()
+    rfd = rfd_from_face_order(g, order)
+    assert embedded == list(rfd.subgraph_edges[:-1])
+    assert len(embedded) == h - 1 and rfd.graphs[-1] is g
+
+
+# ---------------------------------------------------------------------------
+# one step rule: the forward check, the ear-by-ear oracle and the peel agree
+# ---------------------------------------------------------------------------
+
+
+def _free_animals(max_cells, offsets, canonical):
+    """Every free lattice animal of 1..max_cells cells, canonical and sorted."""
+    current = {canonical([(0, 0)])}
+    out = sorted(current)
+    for _ in range(1, max_cells):
+        current = {
+            canonical(set(shape) | {(q + dq, r + dr)})
+            for shape in current
+            for q, r in shape
+            for dq, dr in offsets
+            if (q + dq, r + dr) not in shape
+        }
+        out.extend(sorted(current))
+    return out
+
+
+def _canonical_polyomino(cells):
+    """Canonical form under the 8 square-lattice symmetries plus translation."""
+    shapes = []
+    for mirrored in (False, True):
+        shape = [(y, x) if mirrored else (x, y) for x, y in cells]
+        for _ in range(4):
+            shape = [(-y, x) for x, y in shape]
+            mx, my = min(x for x, _ in shape), min(y for _, y in shape)
+            shapes.append(tuple(sorted((x - mx, y - my) for x, y in shape)))
+    return min(shapes)
+
+
+def _polyomino(cells):
+    """The plane graph of unit squares at the given cells."""
+    corners = sorted({(x + dx, y + dy) for x, y in cells for dx in (0, 1) for dy in (0, 1)})
+    vid = {p: i for i, p in enumerate(corners)}
+    edges = set()
+    for x, y in cells:
+        ring = [(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)]
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            edges.add(tuple(sorted((vid[a], vid[b]))))
+    return build_plane_graph([(i, *p) for p, i in vid.items()], sorted(edges))
+
+
+STEP_RULE_CORPUS = (
+    # every polyhex of up to 5 rings: catacondensed, pyrene-type and ones
+    # with an odd number of vertices
+    [(f"hex{cells}", lambda cells=cells: build_benzenoid(cells))
+     for cells in _free_animals(5, AXIAL_NEIGHBORS, canonical_polyhex)]
+    + [(f"square{cells}", lambda cells=cells: _polyomino(cells))
+       for cells in _free_animals(5, ((1, 0), (0, 1), (-1, 0), (0, -1)), _canonical_polyomino)]
+)
+
+
+def _outcome(fn, g, order):
+    """The decomposition with its prefix edge sets, or the error's type and step."""
+    try:
+        rfd = fn(g, order)
+    except (RescubeError, ValueError) as err:
+        return type(err), getattr(err, "step", None)
+    return rfd, rfd.subgraph_edges
+
+
+def _assert_one_step_rule(g):
+    for order in permutations(f.id for f in g.finite_faces):
+        assert _outcome(rfd_from_face_order, g, order) == _outcome(
+            oracle.rfd_by_ears, g, order
+        ), order
+    try:
+        rfd = auto_rfd(g)
+    except RescubeError:
+        return
+    if rfd.n > 1:  # an even cycle's decomposition carries its own note
+        assert _outcome(rfd_from_face_order, g, rfd.faces) == (rfd, rfd.subgraph_edges)
+
+
+@pytest.mark.parametrize("name, build", STEP_RULE_CORPUS, ids=[n for n, _ in STEP_RULE_CORPUS])
+def test_face_orders_agree_with_ears(name, build):
+    """On every face order, the forward check accepts the decomposition the
+    ear-by-ear oracle accepts, or fails at the same step; the peel's order
+    passes the forward check with the same prefixes."""
+    _assert_one_step_rule(build())
+
+
+@pytest.mark.parametrize(
+    "name", ["even_interior", "nested_rings", "hexagon_with_pendant_path", "two_hexagons"]
+)
+def test_face_orders_agree_with_ears_on_fixtures(name, request):
+    _assert_one_step_rule(request.getfixturevalue(name))
 
 
 @pytest.mark.parametrize("shape", catacondensed_polyhexes(5), ids=str)
@@ -506,7 +627,12 @@ def test_longer_kinked_chains_soak():
 
 
 def test_idim_equals_finite_face_count():
-    from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
+    from rescube.benzenoid import (
+    AXIAL_NEIGHBORS,
+    build_benzenoid,
+    canonical_polyhex,
+    catacondensed_polyhexes,
+)
     from rescube.cube_kit import is_partial_cube, theta_classes
     from rescube.plane_graph import is_peripherally_two_colorable
 
