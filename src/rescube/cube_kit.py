@@ -74,7 +74,7 @@ def components(vertices, neighbors) -> tuple:
 
 class MetricGraph:
     """An undirected graph; its partial-cube embedding is built on first
-    use, and each label set given to it is certified once."""
+    use."""
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
@@ -89,7 +89,6 @@ class MetricGraph:
             eset.add(_edge_key(u, v))
         self.adjacency = {v: frozenset(ws) for v, ws in adj.items()}
         self.edges = frozenset(eset)
-        self._certified = {}  # labels in vertex order -> certificate verdict
 
     @cached_property
     def _flood(self) -> dict:
@@ -372,21 +371,8 @@ def operator_o(labels: dict, subset) -> frozenset:
 
 def is_isometric_labelling(mg: MetricGraph, labels: dict) -> bool:
     """Whether Hamming distance on the labels equals graph distance for all
-    pairs, by the label certificate (no distance table); each label set is
-    certified once per graph."""
-    key = tuple(labels[v] for v in mg.vertices)
-    if key not in mg._certified:
-        mg._certified[key] = _isometric(mg, labels)
-    return mg._certified[key]
-
-
-def isometric_bits(mg: MetricGraph, labels: dict):
-    """Labels that embed the graph isometrically: the given ones when they
-    pass the certificate, else the partial-cube labels, or None when the
-    graph is not a partial cube."""
-    if is_isometric_labelling(mg, labels):
-        return labels
-    return is_partial_cube(mg).labelling
+    pairs, by the label certificate (no distance table)."""
+    return _isometric(mg, labels)
 
 
 @dataclass(frozen=True)
@@ -437,17 +423,18 @@ def is_daisy_cube(mg: MetricGraph) -> DaisyVerdict:
 # ---------------------------------------------------------------------------
 
 
-def is_convex_subset(mg: MetricGraph, subset, bits: dict) -> bool:
+def is_convex_subset(edges, subset, bits: dict) -> bool:
     """Whether every shortest path between members stays inside the subset.
 
-    ``bits`` must be an isometric labelling of the graph (certified, or the
-    partial-cube labels).  A neighbour w of u is a step on a shortest path
-    from u to v exactly when (L(w) ^ L(u)) & (L(u) ^ L(v)) != 0, and every
-    shortest path is a chain of such steps, so the subset is convex when no
-    step from a member towards another member leaves it.  The bits on which
-    u differs from some member are the bits that vary across the subset, so
-    it is convex exactly when no edge from a member to a non-member flips a
-    varying bit.  O(|S| deg) word operations."""
+    ``edges`` are the graph's edges, as pairs or as a resonance graph's
+    (u, v, face) triples; ``bits`` must be an isometric labelling of the
+    graph.  A neighbour w of u is a step on a shortest path from u to v
+    exactly when (L(w) ^ L(u)) & (L(u) ^ L(v)) != 0, and every shortest path
+    is a chain of such steps, so the subset is convex when no step from a
+    member towards another member leaves it.  The bits on which u differs
+    from some member are the bits that vary across the subset, so it is
+    convex exactly when no edge from a member to a non-member flips a
+    varying bit.  O(|E|) word operations."""
     members = set(subset)
     ones, common = 0, -1
     for v in members:
@@ -455,8 +442,7 @@ def is_convex_subset(mg: MetricGraph, subset, bits: dict) -> bool:
         common &= bits[v]
     varying = ones & ~common
     return not any(
-        (bits[w] ^ bits[u]) & varying
-        for u in members
-        for w in mg.adjacency[u]
-        if w not in members
+        (bits[u] ^ bits[v]) & varying
+        for u, v, *_ in edges
+        if (u in members) != (v in members)
     )

@@ -17,7 +17,8 @@ of matchings held as one bitset over matching ids.  A face's two sides are
 compared with the sides of the Theta class its edges form in the resonance
 graph, so no check floods the resonance graph.  The step checks map one
 prefix's matchings to the next by comparing packed columns, so no check
-builds a matching as an edge set.
+builds a matching as an edge set.  R(G) is certified along the
+decomposition, step by step, and not again as a whole graph.
 """
 
 from __future__ import annotations
@@ -364,8 +365,8 @@ class StepReport:
 class _Prefix:
     """One RFD prefix G_k, analysed once: its subgraph, the decomposition
     translated to its face ids, its matchings, resonance graph and daisy
-    labelling.  Step k checks G_k against G_(k-1), so the step loop of
-    :func:`theorem_report` hands each record on to the next step."""
+    labelling.  Step k checks G_k against G_(k-1), so :func:`_chain` hands
+    each record on to the next step."""
 
     graph: PlaneGraph
     rfd: RfdSequence
@@ -388,13 +389,6 @@ def _prefix(g, r, rfd, k, cap=DEFAULT_MATCHING_CAP) -> _Prefix:
     return _Prefix(sub, sub_rfd, family, res, coding.daisy_labelling(sub, family, sub_rfd))
 
 
-def _check_step_index(rfd: RfdSequence, i: int):
-    if i < 2 or i > rfd.n:
-        raise ValueError(f"step must be in 2..{rfd.n}")
-    if rfd.attachment is None:
-        raise TheoremViolated("attachment-unique", "no complete attachment map")
-
-
 def verify_reducible_split(
     g: PlaneGraph, r: ResonanceGraph, rfd: RfdSequence, i: int
 ) -> StepReport:
@@ -408,24 +402,41 @@ def verify_reducible_split(
     reproduces the current resonance graph with the new bit appended.
     ``r`` is the resonance graph of ``g``.  Every clause is returned; only a
     decomposition without a complete attachment map raises
-    :class:`TheoremViolated`.
-
-    No distance table is built: the previous daisy labels are certified
-    isometric once, and convexity is read from them (no step from a member
-    towards another member leaves the set).  ``expansion-flags`` is derived,
-    not built: the expansion along (all vertices, inner side) is peripheral
-    by construction, and a non-empty convex side is connected and
-    isometric, so the flags hold exactly when the inner side is non-empty,
-    convex and o-closed.
+    :class:`TheoremViolated`.  Steps 2..i run first, as in
+    :func:`theorem_report` (see :func:`_chain`).
     """
-    _check_step_index(rfd, i)
-    return _check_step(g, rfd, i, _prefix(g, r, rfd, i - 1), _prefix(g, r, rfd, i))
+    return _chain(g, r, rfd, i)[0][-1]
+
+
+def _chain(g, r, rfd, last, cap=DEFAULT_MATCHING_CAP):
+    """Steps 2..``last`` checked in order: their reports, the record of
+    prefix ``last``, and True when every step holds, else None.
+
+    The steps certify R(G_last) by induction.  R(G_1) is K2, labelled 0 and
+    1.  A step that holds grows R(G_(i-1)) by a peripheral expansion along
+    a non-empty convex inner side; the lifts keep the labels of G_(i-1) and
+    each twin has its lift's label with bit i set.  Such an expansion keeps
+    the extended labels isometric (Chepoi, Cybernetics 24, 1988), and the
+    graphs grown from K1 by convex expansions are the median graphs
+    (Mulder, Discrete Math. 24, 1978).  So step i may read convexity from
+    the daisy labels of G_(i-1) while steps 2..i-1 hold."""
+    if last < 2 or last > rfd.n:
+        raise ValueError(f"step must be in 2..{rfd.n}")
+    if rfd.attachment is None:
+        raise TheoremViolated("attachment-unique", "no complete attachment map")
+    cur, steps, holds = _prefix(g, r, rfd, 1, cap), [], True
+    for i in range(2, last + 1):
+        prev, cur = cur, _prefix(g, r, rfd, i, cap)
+        steps.append(_check_step(g, rfd, i, prev, cur, holds))
+        holds = holds and steps[-1].ok or None
+    return steps, cur, holds
 
 
 def _check_step(
-    g: PlaneGraph, rfd: RfdSequence, i: int, prev: _Prefix, cur: _Prefix
+    g: PlaneGraph, rfd: RfdSequence, i: int, prev: _Prefix, cur: _Prefix, chain
 ) -> StepReport:
-    """The clauses of step i, from the records of prefixes i - 1 and i.
+    """The clauses of step i, from the records of prefixes i - 1 and i;
+    ``chain`` is True when every clause of steps 2..i-1 holds, else None.
 
     The restriction to G_(i-1), its inverse the lift, and the twist along
     the face's cycle C are compared as packed columns (:func:`pack`), so no
@@ -448,7 +459,17 @@ def _check_step(
     The twins are derived from C, not from the resonant columns that built
     R(G_i), so the prediction of ``expansion-equality`` stays independent
     of that pairing; a lifted matching under which C does not alternate
-    makes it false.
+    makes it false, and so does a twin whose daisy label is not its lift's
+    with bit i set.
+
+    No distance table and no label certificate is built.  With ``chain``
+    the daisy labels of G_(i-1) are isometric (:func:`_chain`), so
+    ``inner-convex`` is read from them: no step from a member towards
+    another member leaves the set.  ``expansion-flags`` is derived: the
+    expansion along (all vertices, inner side) is peripheral by
+    construction, and a non-empty convex side is connected and isometric,
+    so the flags hold exactly when the inner side is non-empty, convex and
+    o-closed.  Without ``chain`` both clauses are None (undecided).
     """
     clauses = {}
     details = {}
@@ -505,15 +526,7 @@ def _check_step(
     inner_ids = bit_ids(handle_column(fam_prev, inner))
     inner_set = frozenset(inner_ids)
     details["inner_size"] = len(inner_set)
-    # R(G_(i-1)) is a partial cube, so its daisy labels are certified once
-    # and distance is read from them.  Should the certificate fail, the
-    # partial-cube labels stand in; a graph with neither (no validated
-    # decomposition reaches that) counts as not convex
-    metric_prev = res_prev.metric()
-    bits_prev = ck.isometric_bits(metric_prev, labels_prev)
-    convex = bits_prev is not None and ck.is_convex_subset(
-        metric_prev, inner_set, bits_prev
-    )
+    convex = chain and ck.is_convex_subset(res_prev.edges, inner_set, prev.daisy.labels)
     # once label-deletion holds, the previous labels are the previous daisy
     # labels, a down-set (daisy_labelling checks them against the iterated
     # construction); inside a down-set the inner side is o-closed exactly
@@ -543,9 +556,11 @@ def _check_step(
         == pack(col_i.get(e, 0), inner_i) ^ (on_cycle if e in face_edges else 0)
         for e in cur.graph.edges
     )
+    twin = dict(zip(inner_ids, plus)) if twins else {}
+    # each twin's label is its lift's with the new bit set
+    twins = twins and all(labels_i[t] == labels_i[minus[k]] | new for k, t in twin.items())
     expected_edges = set()
     if twins:
-        twin = dict(zip(inner_ids, plus))
         for u, v, f in res_prev.edges:
             pos = pos_prev[f]  # both records order the same faces
             expected_edges.add((minus[u], minus[v], pos))
@@ -557,9 +572,7 @@ def _check_step(
     actual_edges = {(u, v, pos_i[f]) for u, v, f in res_i.edges}
     clauses["expansion-equality"] = twins and expected_edges == actual_edges
 
-    # the expansion along (all vertices, inner side) is peripheral by
-    # construction, and a non-empty convex side is connected and isometric
-    clauses["expansion-flags"] = bool(inner_set) and convex and o_closed
+    clauses["expansion-flags"] = chain and bool(inner_set) and convex and o_closed
 
     zero_both = frozenset(mid for mid in labels_i if not labels_i[mid] & (att_bit | new))
     clauses["zero-positions"] = zero_both == frozenset(bit_ids(inner_i))
@@ -587,7 +600,12 @@ def theorem_report(
     matchings of the graph and of each decomposition prefix; more of them
     raise :class:`CapExceeded`.  ``resonance`` is R(G) when the caller has
     built it already; the report then reuses it and its matching family
-    instead of enumerating the graph again."""
+    instead of enumerating the graph again.
+
+    R(G) is certified once, by the step chain (:func:`_chain`): ``median``
+    is its verdict, ``daisy_proper`` adds that the daisy labels are a
+    down-set, and ``fdl_isometric`` that the lattice labels are the daisy
+    labels XOR one mask.  All three are None once a step fails."""
     verdict = is_peripherally_two_colorable(g)
     report = {
         "peripherally_two_colorable": verdict.ok,
@@ -621,38 +639,33 @@ def theorem_report(
     for fid, read in reads.items():
         report["faces"][str(fid)] = split_by_face(g, r, fid, read=read)
 
-    cur = None
-    for i in range(2, rfd.n + 1):
-        _check_step_index(rfd, i)
-        prev = cur if cur is not None else _prefix(g, r, rfd, 1, cap)
-        cur = _prefix(g, r, rfd, i, cap)
-        step = _check_step(g, rfd, i, prev, cur)
-        report["steps"][str(i)] = dict(step.clauses)
+    steps, last, chain = _chain(g, r, rfd, rfd.n, cap)
+    report["steps"] = {str(step.step): dict(step.clauses) for step in steps}
 
-    # the last step's record is the whole graph's
-    daisy = cur.daisy if cur is not None else coding.daisy_labelling(g, family, rfd)
+    daisy = last.daisy  # the last step's record is the whole graph's
     fdl = coding.fdl_labelling(g, family, rfd)
     metric = r.metric()
     extremal = extremal_matchings(g, family)
     bottom, top = extremal.lattice_bottom, extremal.lattice_top
     lab = report["labelling"]
-    lab["daisy_proper"] = coding.labelling_is_proper(metric, daisy.labels)
+    lab["daisy_proper"] = chain and ck.is_downward_closed(daisy.labels.values())
     lab["daisy_accepted_by_search"] = ck.is_daisy_cube(metric).ok
-    lab["fdl_isometric"] = ck.is_isometric_labelling(metric, fdl.labels)
+    masks = {f ^ daisy.labels[mid] for mid, f in fdl.labels.items()}
+    lab["fdl_isometric"] = chain and len(masks) == 1  # XOR keeps Hamming distance
     lab["fdl_bottom_zero"] = fdl.labels[bottom] == 0
     lab["fdl_top_ones"] = fdl.labels[top] == (1 << rfd.n) - 1
     lab["fdl_no_mixed_orientation"] = not fdl.mixed_orientation
+    flip = {fid: 1 << p for p, fid in enumerate(rfd.faces)}  # the bit of each face
     lab["edges_flip_their_face_bit"] = all(
-        _edges_flip_their_face_bit(r, rfd, labels)
+        labels[u] ^ labels[v] == flip[f]
         for labels in (daisy.labels, fdl.labels)
+        for u, v, f in r.edges
     )
     lab["fully_resonant_is_daisy_zero"] = (
         extremal.fully_resonant is not None
         and daisy.labels[extremal.fully_resonant] == 0
     )
-    lab["codings_differ"] = (
-        coding.codings_differ(daisy, fdl) if rfd.n >= 2 else None
-    )
+    lab["codings_differ"] = coding.codings_differ(daisy, fdl)
 
     subsets_ok = True
     for read in reads.values():
@@ -664,7 +677,7 @@ def theorem_report(
     report["metric"]["face_classes_are_theta_classes"] = (
         len(r.theta_sides) == len(g.finite_faces) == ck.is_partial_cube(metric).idim
     )
-    report["metric"]["median"] = ck.is_median(metric)
+    report["metric"]["median"] = chain
     report["metric"]["connected"] = metric.is_connected
 
     report["ok"] = (
@@ -675,13 +688,6 @@ def theorem_report(
         and all(report["metric"].values())
     )
     return report
-
-
-def _edges_flip_their_face_bit(r: ResonanceGraph, rfd: RfdSequence, labels) -> bool:
-    """Every resonance edge joins two labels that differ exactly at its
-    face's position."""
-    flip = {fid: 1 << p for p, fid in enumerate(rfd.faces)}
-    return all(labels[u] ^ labels[v] == flip[f] for u, v, f in r.edges)
 
 
 def _subset_equalities_hold(read: _FaceRead) -> bool:

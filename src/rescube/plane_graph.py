@@ -524,9 +524,14 @@ def graph_to_json(g: PlaneGraph) -> str:
 def graph_from_json(text: str) -> PlaneGraph:
     """The graph of :func:`graph_to_json`'s format.  Raises ValueError (or
     its subclass ``json.JSONDecodeError``) when the text is not of that
-    shape, naming a vertex that lacks a field by its index and the fields
-    it lacks, and KeyError when the object lacks ``vertices`` or ``edges``."""
+    shape, naming a missing top-level field, or a vertex that lacks a field
+    by its index and the fields it lacks."""
     obj = json.loads(text)
+    missing = [k for k in ("vertices", "edges") if not isinstance(obj, dict) or k not in obj]
+    if missing:
+        shape = '{"vertices": [{"id", "x", "y"}, ...], "edges": [[u, v], ...]}'
+        names = ", ".join(map(repr, missing))
+        raise ValueError(f"graph lacks {names}: expected an object {shape}")
     try:
         vertices = []
         for i, v in enumerate(obj["vertices"]):

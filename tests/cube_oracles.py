@@ -1164,6 +1164,7 @@ def step_clauses(g, rfd, i, prev, cur) -> dict:
     clauses["expansion-equality"] = (
         None not in found
         and found == set(res_i.vertices)
+        and all(labels_i[twin[k]] == labels_i[lift[k]] | new for k in inner_set)
         and expected_edges == {(u, v, pos_i[f]) for u, v, f in res_i.edges}
     )
 

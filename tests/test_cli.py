@@ -264,6 +264,7 @@ MALFORMED_JSON = {
         ' "edges": [["a", 1]]}'
     ),
     "vertex-without-x": '{"vertices": [{"id": 0, "y": 0}], "edges": []}',
+    "no-vertices": '{"edges": []}',
 }
 
 
@@ -286,6 +287,21 @@ def test_missing_vertex_field_names_vertex_and_field(tmp_path, capsys):
     assert err == "rescube: bad input: vertex at index 1 lacks 'x'\n"
     with pytest.raises(ValueError, match="index 0 lacks 'id', 'y'"):
         graph_from_json('{"vertices": [{"x": 0}], "edges": []}')
+
+
+def test_missing_top_level_field_names_field_and_shape(tmp_path, capsys):
+    p = tmp_path / "g.json"
+    p.write_text('{"edges": []}')
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, out) == (1, "")
+    assert err == (
+        "rescube: bad input: graph lacks 'vertices': expected an object "
+        '{"vertices": [{"id", "x", "y"}, ...], "edges": [[u, v], ...]}\n'
+    )
+    with pytest.raises(ValueError, match="lacks 'vertices', 'edges': expected an object"):
+        graph_from_json("[]")
+    with pytest.raises(ValueError, match="lacks 'edges'"):
+        graph_from_json('{"vertices": []}')
 
 
 @pytest.mark.parametrize("shape", [BRANCHED, PYRENE], ids=["branched", "pyrene"])
@@ -351,8 +367,9 @@ def test_label_daisy_with_verify(branched_file, capsys):
 
 @pytest.mark.parametrize("scheme", ["daisy", "fdl"])
 def test_label_verify_certifies_each_label_set_once(branched_file, capsys, monkeypatch, scheme):
-    # label's own check and the report share one certificate per label set:
-    # the daisy labels, the fdl labels and the partial-cube labels of R(G)
+    # label's own check certifies its label set, the partial-cube embedding
+    # of R(G) its own labels, each once; the report certifies none, since
+    # its step chain certifies R(G)
     from rescube import cube_kit
 
     certified = []
@@ -366,7 +383,7 @@ def test_label_verify_certifies_each_label_set_once(branched_file, capsys, monke
     monkeypatch.setattr(cube_kit, "_isometric", spy)
     code, _, _ = run(capsys, "label", branched_file, "--scheme", scheme, "--verify")
     assert code == 0
-    assert len(certified) == len(set(certified)) == 3
+    assert len(certified) == len(set(certified)) == 2
 
 
 def test_label_explicit_rfd_order(branched_file, capsys):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cube_oracles as oracle
-from rescube import cube_kit as ck
+from rescube import cube_kit as ck, decomposition
 from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
 from rescube.decomposition import theorem_report
 from rescube.errors import NotAPartialCube
@@ -278,7 +278,7 @@ def oracle_expansion_flags(mg, labels, subset):
 
 def derived_expansion_flags(mg, labels, subset):
     subset = frozenset(subset)
-    convex = ck.is_convex_subset(mg, subset, labels)
+    convex = ck.is_convex_subset(mg.edges, subset, labels)
     return bool(subset) and convex and ck.operator_o(labels, subset) == subset
 
 
@@ -290,7 +290,7 @@ def test_label_convexity_matches_oracle_on_partial_cubes(case, data):
     assume(pc.ok)
     for _ in range(3):
         subset = data.draw(st.sets(st.sampled_from(mg.vertices)))
-        assert ck.is_convex_subset(mg, subset, pc.labelling) == oracle.is_convex_subset(
+        assert ck.is_convex_subset(mg.edges, subset, pc.labelling) == oracle.is_convex_subset(
             mg, subset
         )
         assert derived_expansion_flags(
@@ -314,46 +314,59 @@ def _step_subsets(mg, bits, inner):
 
 
 def _report_steps(shape, monkeypatch):
-    """Per decomposition step of the report on the shape: its clauses, the
-    previous resonance graph, the previous labels, the bits certified from
-    them, and the inner side; none when the shape has no decomposition."""
+    """Per decomposition step i of the report on the shape: its clauses, the
+    previous resonance graph, the previous labels as the step reads them
+    (G_i's daisy labels without bit i, by rank), the labels its convexity
+    was read from, and the inner side; none when the shape has no
+    decomposition."""
     g = build_benzenoid(shape)
     if g.is_cycle_graph() or not is_peripherally_two_colorable(g).ok:
         return []
-    certified, convex_calls = [], []
-    isometric_bits, is_convex_subset = ck.isometric_bits, ck.is_convex_subset
+    records, convex_calls = [], []
+    prefix, is_convex_subset = decomposition._prefix, ck.is_convex_subset
 
-    def bits_spy(mg, labels):
-        bits = isometric_bits(mg, labels)
-        certified.append((mg, labels, bits))
-        return bits
+    def prefix_spy(*args):
+        records.append(prefix(*args))
+        return records[-1]
 
-    def convex_spy(mg, subset, bits):
-        convex_calls.append(frozenset(subset))
-        return is_convex_subset(mg, subset, bits)
+    def convex_spy(edges, subset, bits):
+        convex_calls.append((frozenset(subset), bits))
+        return is_convex_subset(edges, subset, bits)
 
-    monkeypatch.setattr(ck, "isometric_bits", bits_spy)
+    monkeypatch.setattr(decomposition, "_prefix", prefix_spy)
     monkeypatch.setattr(ck, "is_convex_subset", convex_spy)
     report = theorem_report(g)
     monkeypatch.undo()
 
     steps = [report["steps"][k] for k in sorted(report["steps"], key=int)]
-    assert len(steps) == len(certified) == len(convex_calls) >= 1
-    return [(clauses, *cert, inner) for clauses, cert, inner in zip(steps, certified, convex_calls)]
+    assert len(steps) == len(records) - 1 == len(convex_calls) >= 1
+    out = []
+    for i, (clauses, (inner, bits)) in enumerate(zip(steps, convex_calls), start=2):
+        prev, cur = records[i - 2], records[i - 1]
+        lifts = sorted(mid for mid, label in cur.daisy.labels.items() if not label >> (i - 1) & 1)
+        labels = {k: cur.daisy.labels[mid] for k, mid in enumerate(lifts)}
+        out.append((clauses, prev.resonance.metric(), labels, bits, inner))
+    return out
 
 
 @pytest.mark.parametrize("shape", catacondensed_polyhexes(6), ids=str)
 def test_step_convexity_matches_oracle(shape, monkeypatch):
-    """At every step the certificate holds on the previous daisy labels, and
-    the report's inner-convex and expansion-flags clauses equal the table
-    convexity and the graph expansion's flags."""
+    """At every step convexity is read from the previous daisy labels, which
+    are isometric, and the report's inner-convex and expansion-flags clauses
+    equal the table convexity and the graph expansion's flags."""
     for clauses, mg, labels, bits, inner in _report_steps(shape, monkeypatch):
-        assert bits == {v: labels[v] for v in mg.vertices}
+        # from step 3 on the previous daisy labels are the step's previous
+        # labels; R(G_1) is K2, whose two labellings 0 and 1 may swap
+        assert bits == {v: labels[v] for v in mg.vertices} or (
+            sorted(bits.values()) == sorted(labels.values()) == [0, 1]
+        )
+        assert oracle.is_isometric_labelling(mg, bits)
         assert oracle.is_isometric_labelling(mg, labels)
         assert clauses["inner-convex"] == oracle.is_convex_subset(mg, inner)
         assert clauses["expansion-flags"] == oracle_expansion_flags(mg, labels, inner)
         for subset in _step_subsets(mg, bits, inner):
-            assert ck.is_convex_subset(mg, subset, bits) == oracle.is_convex_subset(mg, subset)
+            convex = ck.is_convex_subset(mg.edges, subset, bits)
+            assert convex == oracle.is_convex_subset(mg, subset)
             assert derived_expansion_flags(
                 mg, labels, subset
             ) == oracle_expansion_flags(mg, labels, subset)

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rescube import cube_kit as ck, decomposition, plane_graph
+from rescube import coding, cube_kit as ck, decomposition, plane_graph
 from rescube.benzenoid import (
     AXIAL_NEIGHBORS,
     build_benzenoid,
@@ -427,7 +427,8 @@ def _step_records(g, rfd):
 
 
 def _clauses(g, rfd, i, prev, cur):
-    return decomposition._check_step(g, rfd, i, prev, cur).clauses
+    """Step i's clauses, with every earlier step holding."""
+    return decomposition._check_step(g, rfd, i, prev, cur, True).clauses
 
 
 def test_step_clauses_equal_the_edge_set_oracle():
@@ -495,6 +496,127 @@ def test_forged_twin_breaks_the_expansion(branched5, branched5_faces):
         assert clauses == oracle.step_clauses(branched5, rfd, i, prev, forged)
 
 
+def _forge_twin_label(record, i):
+    """The prefix record with one twin's daisy label flipped at position 1:
+    it keeps bit i, but is no longer its lift's label with bit i set."""
+    labels = dict(record.daisy.labels)
+    mid = max(m for m, label in labels.items() if label >> (i - 1) & 1)
+    labels[mid] ^= 1
+    return replace(record, daisy=replace(record.daisy, labels=labels))
+
+
+def test_forged_twin_label_breaks_the_expansion(branched5, branched5_faces):
+    # one matching that holds the ear's end edges keeps its new daisy bit
+    # but differs elsewhere from its lift's label: the twins' labels no
+    # longer extend the previous labels by bit i
+    rfd = rfd_from_face_order(branched5, branched5_faces)
+    for i, prev, cur in _step_records(branched5, rfd):
+        forged = _forge_twin_label(cur, i)
+        clauses = _clauses(branched5, rfd, i, prev, forged)
+        assert [c for c, ok in clauses.items() if not ok] == ["expansion-equality"]
+        assert clauses == oracle.step_clauses(branched5, rfd, i, prev, forged)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_report_stops_the_chain_at_a_forged_twin_label(branched5, branched5_faces, monkeypatch, k):
+    """Prefix k's record forged with one wrong twin label: step k fails its
+    expansion-equality, and nothing certifies the labels after it, so every
+    later step's inner-convex and expansion-flags and the three clauses
+    derived from the chain are None (undecided), and the report fails."""
+    rfd = rfd_from_face_order(branched5, branched5_faces)
+    prefix = decomposition._prefix
+
+    def forged_prefix(*args):
+        record = prefix(*args)
+        return _forge_twin_label(record, k) if args[3] == k else record
+
+    monkeypatch.setattr(decomposition, "_prefix", forged_prefix)
+    report = theorem_report(branched5, rfd)
+    steps = report["steps"]
+    assert all(all(steps[str(i)].values()) for i in range(2, k))
+    assert steps[str(k)]["inner-convex"] is True
+    assert steps[str(k)]["expansion-equality"] is False
+    for i in range(k + 1, rfd.n + 1):
+        assert steps[str(i)]["inner-convex"] is None
+        assert steps[str(i)]["expansion-flags"] is None
+    assert report["metric"]["median"] is None
+    assert report["labelling"]["daisy_proper"] is None
+    assert report["labelling"]["fdl_isometric"] is None
+    assert report["ok"] is False
+
+
+def test_chain_clauses_equal_the_whole_graph_tools():
+    """On every peripherally 2-colorable shape of up to seven rings and on
+    zigzag chains of 2..12 rings, the clauses the step chain derives equal
+    the whole-graph median test and label certificates on R(G)."""
+    graphs = [build_benzenoid(cells) for cells in catacondensed_polyhexes(7)]
+    graphs += [zigzag(h) for h in range(2, 13)]
+    graphs = [
+        g
+        for g in graphs
+        if not g.is_cycle_graph() and plane_graph.is_peripherally_two_colorable(g).ok
+    ]
+    assert len(graphs) == 43 + 11
+    for g in graphs:
+        r, rfd = resonance_of(g), auto_rfd(g)
+        report = theorem_report(g, rfd, resonance=r)
+        metric = r.metric()
+        daisy = coding.daisy_labelling(g, r.family, rfd).labels
+        fdl = coding.fdl_labelling(g, r.family, rfd).labels
+        assert report["metric"]["median"] == ck.is_median(metric)
+        assert report["labelling"]["daisy_proper"] == coding.labelling_is_proper(metric, daisy)
+        assert report["labelling"]["fdl_isometric"] == ck.is_isometric_labelling(metric, fdl)
+
+
+def test_report_rejects_lattice_labels_off_the_daisy_mask(branched5, monkeypatch):
+    """Lattice labels of two matchings swapped: they are no longer the daisy
+    labels XOR one mask, and fdl_isometric reads false, as the whole-graph
+    certificate does, while every step still holds."""
+    fdl_labelling = coding.fdl_labelling
+
+    def swapped(*args):
+        fdl = fdl_labelling(*args)
+        return replace(fdl, labels={**fdl.labels, 0: fdl.labels[1], 1: fdl.labels[0]})
+
+    monkeypatch.setattr(coding, "fdl_labelling", swapped)
+    r = resonance_of(branched5)
+    report = theorem_report(branched5, resonance=r)
+    assert all(all(clauses.values()) for clauses in report["steps"].values())
+    assert report["labelling"]["fdl_isometric"] is False
+    forged = swapped(branched5, r.family, auto_rfd(branched5)).labels
+    assert ck.is_isometric_labelling(r.metric(), forged) is False
+    assert report["ok"] is False
+
+
+@pytest.mark.parametrize("shape", ["branched5", "zigzag9"])
+def test_passing_report_runs_no_whole_graph_certificate(request, monkeypatch, shape):
+    """The step chain certifies R(G): a passing report runs no median test
+    and no label certificate but the partial-cube embedding's own, and it
+    builds one metric graph, R(G)'s, and none per prefix."""
+    g = request.getfixturevalue(shape) if shape == "branched5" else zigzag(9)
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    for module, name in [
+        (ck, "is_median"),
+        (ck, "is_isometric_labelling"),
+        (coding, "is_isometric_labelling"),
+        (ck, "_isometric"),
+    ]:
+        count(module, name)
+    count(ck.MetricGraph, "__init__")
+    assert theorem_report(g)["ok"]
+    assert calls == Counter({"__init__": 1, "_isometric": 1})
+
+
 @pytest.mark.parametrize("shape", ["branched5", "zigzag9"])
 def test_report_builds_no_edge_set(request, shape):
     """Every check of the report reads the family's columns: neither the
@@ -541,7 +663,9 @@ def test_rotation_system_report_matches(branched5, branched5_faces):
 def test_report_on_a_metric_that_is_not_a_partial_cube(branched5, monkeypatch, forged):
     """A resonance graph whose metric is forged to be no partial cube (an
     odd cycle with a pendant vertex, or the bipartite K2,12): the report
-    returns, with no Theta classes for the faces to match and no median."""
+    returns, with no Theta classes for the faces to match.  Its median
+    clause is the step chain's verdict on R(G)'s own edges, which the
+    forgery leaves alone; the forged metric is no median graph."""
     r = resonance_of(branched5)
     n = len(r)
     if forged == "odd cycle":
@@ -551,11 +675,12 @@ def test_report_on_a_metric_that_is_not_a_partial_cube(branched5, monkeypatch, f
     metric = ck.MetricGraph(r.vertices, edges)
     with pytest.raises(NotAPartialCube):
         ck.theta_classes(metric)
+    assert ck.is_median(metric) is False
     monkeypatch.setattr(r, "metric", lambda: metric)
     report = theorem_report(branched5, resonance=r)
     assert report["metric"] == {
         "face_classes_are_theta_classes": False,
-        "median": False,
+        "median": True,
         "connected": True,
     }
     assert report["labelling"]["daisy_accepted_by_search"] is False
@@ -578,6 +703,11 @@ def test_report_on_a_resonance_graph_missing_a_class_edge(branched5, face):
     report = theorem_report(branched5, resonance=forged)
     # the face is undecided (None) or fails a clause
     assert not all(report["faces"][str(fid)].values())
+    # the last step, on R(G), fails, so nothing derived from the chain holds
+    assert not all(report["steps"]["5"].values())
+    assert report["metric"]["median"] is None
+    assert report["labelling"]["daisy_proper"] is None
+    assert report["labelling"]["fdl_isometric"] is None
     assert report["ok"] is False
 
 
