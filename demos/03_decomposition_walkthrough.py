@@ -51,10 +51,9 @@ for face in g.finite_faces:
 # convex o-closed inner side at the attachment position, and expands.  Every
 # clause comes back in the report, true or false.
 print("\nexpansion steps:")
-for i in range(2, rfd.n + 1):
-    report = verify_reducible_split(g, r, rfd, i)
+for report in verify_reducible_split(g, r, rfd):
     d = report.details
-    print(f"  step {i}: {d['minus_size']} + {d['plus_size']} vertices,"
+    print(f"  step {report.step}: {d['minus_size']} + {d['plus_size']} vertices,"
           f" copies {d['inner_size']};  ok: {report.ok}")
 
 # And the whole suite at once.

@@ -34,7 +34,7 @@ from . import plane_graph as pg
 from .cube_kit import _transpose, is_downward_closed, is_isometric_labelling
 from .errors import BadAttachment, LabelSetMismatch, PropertyViolated, UnsupportedInput
 from .matchings import MatchingFamily, bit_ids, handle_column, resonance_columns
-from .plane_graph import PlaneGraph, edge_key, facial_handle_decomposition, swap_colors
+from .plane_graph import PlaneGraph, facial_handle_decomposition, swap_colors
 
 DAISY = "daisy"
 FDL = "fdl"
@@ -86,18 +86,6 @@ class Labelling:
         return frozenset(self.labels.values())
 
 
-def _even_cycle_reference_matching(g: PlaneGraph) -> frozenset:
-    """The matching of an even cycle that is improper under the anchor coloring.
-
-    Anchored to the canonical coloring (smallest vertex white) rather than
-    the graph's current one, so the pick survives color swaps."""
-    anchor = pg.canonical_coloring(g)
-    face = g.finite_faces[0]
-    # the darts with black tails alternate around the cycle; as a matching
-    # they run black to white clockwise, i.e. improperly
-    return frozenset(edge_key(*d) for d in face.darts if anchor[d[0]] == pg.BLACK)
-
-
 def _exterior_handles(g: PlaneGraph, order) -> dict:
     """Exterior handles of every face in the order.
 
@@ -133,17 +121,15 @@ def daisy_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
 
 def _daisy_ones(g: PlaneGraph, family: MatchingFamily, rfd) -> list:
     """The daisy columns of a decomposition: per face in its order, the
-    matchings whose bit is 1.  An even cycle's one bit is 1 off its
-    reference matching."""
+    matchings whose bit is 1.  An even cycle's one bit is 1 where its face
+    is proper resonant under the anchor coloring (smallest vertex white),
+    so a color swap fixes it."""
     if len(rfd.faces) > 1:
         return _daisy_columns(g, family, rfd.faces)
     if not g.is_cycle_graph():
         raise UnsupportedInput("a single finite face should mean an even cycle")
-    # the matchings that hold every edge of the reference: only itself
-    reference = family.full
-    for e in _even_cycle_reference_matching(g):
-        reference &= family.columns.get(e, 0)
-    return [family.full & ~reference]
+    proper, improper = resonance_columns(g, family, g.finite_faces[0].id)
+    return [proper if g.coloring == pg.canonical_coloring(g) else improper]
 
 
 def _certify_daisy(labels: dict, rfds) -> None:

@@ -389,30 +389,29 @@ def _prefix(g, r, rfd, k, cap=DEFAULT_MATCHING_CAP) -> _Prefix:
     return _Prefix(sub, sub_rfd, family, res, coding.daisy_labelling(sub, family, sub_rfd))
 
 
-def verify_reducible_split(
-    g: PlaneGraph, r: ResonanceGraph, rfd: RfdSequence, i: int
-) -> StepReport:
-    """Instance check of one decomposition step (i >= 2).
+def verify_reducible_split(g: PlaneGraph, r: ResonanceGraph, rfd: RfdSequence) -> tuple:
+    """Instance checks of the decomposition steps 2..n, one report each, in
+    order; ``()`` for a single face.
 
-    Verifies that the avoid-side of step i's face is the previous resonance
-    graph under restriction (with the face's bit deleted from the daisy
-    labels), that the contain-the-inner-path matchings induce a convex
-    o-closed subgraph of the previous resonance graph sitting at zero bits
-    of the attachment position, and that expanding along that subgraph
-    reproduces the current resonance graph with the new bit appended.
-    ``r`` is the resonance graph of ``g``.  Every clause is returned; only a
-    decomposition without a complete attachment map raises
-    :class:`TheoremViolated`.  Steps 2..i run first, as in
+    Step i verifies that the avoid-side of its face is the previous
+    resonance graph under restriction (with the face's bit deleted from the
+    daisy labels), that the contain-the-inner-path matchings induce a
+    convex o-closed subgraph of the previous resonance graph sitting at
+    zero bits of the attachment position, and that expanding along that
+    subgraph reproduces the current resonance graph with the new bit
+    appended.  ``r`` is the resonance graph of ``g``.  Every clause is
+    returned; only a decomposition without a complete attachment map raises
+    :class:`TheoremViolated`.  The steps run in one pass, as in
     :func:`theorem_report` (see :func:`_chain`).
     """
-    return _chain(g, r, rfd, i)[0][-1]
+    return _chain(g, r, rfd)[0]
 
 
-def _chain(g, r, rfd, last, cap=DEFAULT_MATCHING_CAP):
-    """Steps 2..``last`` checked in order: their reports, the record of
-    prefix ``last``, and True when every step holds, else None.
+def _chain(g, r, rfd, cap=DEFAULT_MATCHING_CAP):
+    """Steps 2..n checked in order: their reports, the record of the whole
+    graph (prefix n), and True when every step holds, else None.
 
-    The steps certify R(G_last) by induction.  R(G_1) is K2, labelled 0 and
+    The steps certify R(G) by induction.  R(G_1) is K2, labelled 0 and
     1.  A step that holds grows R(G_(i-1)) by a peripheral expansion along
     a non-empty convex inner side; the lifts keep the labels of G_(i-1) and
     each twin has its lift's label with bit i set.  Such an expansion keeps
@@ -420,16 +419,14 @@ def _chain(g, r, rfd, last, cap=DEFAULT_MATCHING_CAP):
     graphs grown from K1 by convex expansions are the median graphs
     (Mulder, Discrete Math. 24, 1978).  So step i may read convexity from
     the daisy labels of G_(i-1) while steps 2..i-1 hold."""
-    if last < 2 or last > rfd.n:
-        raise ValueError(f"step must be in 2..{rfd.n}")
     if rfd.attachment is None:
         raise TheoremViolated("attachment-unique", "no complete attachment map")
     cur, steps, holds = _prefix(g, r, rfd, 1, cap), [], True
-    for i in range(2, last + 1):
+    for i in range(2, rfd.n + 1):
         prev, cur = cur, _prefix(g, r, rfd, i, cap)
         steps.append(_check_step(g, rfd, i, prev, cur, holds))
         holds = holds and steps[-1].ok or None
-    return steps, cur, holds
+    return tuple(steps), cur, holds
 
 
 def _check_step(
@@ -639,7 +636,7 @@ def theorem_report(
     for fid, read in reads.items():
         report["faces"][str(fid)] = split_by_face(g, r, fid, read=read)
 
-    steps, last, chain = _chain(g, r, rfd, rfd.n, cap)
+    steps, last, chain = _chain(g, r, rfd, cap)
     report["steps"] = {str(step.step): dict(step.clauses) for step in steps}
 
     daisy = last.daisy  # the last step's record is the whole graph's

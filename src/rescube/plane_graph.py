@@ -213,12 +213,6 @@ class PlaneGraph:
         return {f.edges: f.id for f in self.finite_faces}
 
     @cached_property
-    def handle_by_edge(self) -> dict:
-        """undirected edge -> the handle holding it; raises as :func:`handles`
-        does, on every access, since a failed computation is not cached."""
-        return {e: h for h in handles(self) for e in h.edges}
-
-    @cached_property
     def _elementary(self) -> ElementaryReport:
         """:func:`elementary_analysis` of this graph, computed on first use;
         a raised :class:`NoPerfectMatching` is not cached."""
@@ -226,7 +220,17 @@ class PlaneGraph:
 
     @cached_property
     def _facial_handles(self) -> dict:
-        """face id -> its facial handle decomposition, filled on first use."""
+        """face id -> its facial handle decomposition, filled on first use.
+
+        Creating it checks that the graph has handles: it raises
+        :class:`NoHandles` when no vertex has degree >= 3, and
+        :class:`UnsupportedInput` when a facial walk passes a vertex twice,
+        which happens exactly at a cut vertex.  A raise is not cached, so it
+        recurs on every access."""
+        if all(len(ns) < 3 for ns in self.rotation.values()):
+            raise NoHandles("every vertex has degree 2")
+        if any(len(set(f.boundary)) != len(f.boundary) for f in self.faces):
+            raise UnsupportedInput("handles are only defined for 2-connected components")
         return {}
 
     # -- coloring ----------------------------------------------------------
@@ -552,97 +556,69 @@ def graph_from_json(text: str) -> PlaneGraph:
 # ---------------------------------------------------------------------------
 
 
-def _branch_vertices(g: PlaneGraph) -> list:
-    return [v for v in g.vertices if g.degree(v) >= 3]
+def _handle_runs(g: PlaneGraph, face: Face) -> list:
+    """The handles on one facial walk: its runs between consecutive vertices
+    of degree >= 3, each oriented along the walk, from the first such vertex
+    of the boundary; none when the walk has no such vertex.  A run's inner
+    vertices have degree 2, so both its sides are the same two faces and
+    either all or none of its edges are peripheral."""
+    b = face.boundary
+    branch = [i for i, v in enumerate(b) if g.degree(v) >= 3]
+    if not branch:
+        return []
+    walk = b[branch[0]:] + b[:branch[0] + 1]  # closed, from the first branch vertex
+    ends = [i - branch[0] for i in branch] + [len(b)]
+    runs = []
+    for i, j in zip(ends, ends[1:]):
+        path = walk[i:j + 1]
+        peripheral = {edge_key(a, c) in g.periphery_edges for a, c in zip(path, path[1:])}
+        if len(peripheral) > 1:
+            raise InternalInvariantBroken("handle mixes peripheral and interior edges")
+        runs.append(Handle(path, "exterior" if peripheral.pop() else "interior"))
+    return runs
 
 
 def handles(g: PlaneGraph) -> frozenset:
-    """All handles of ``g``, classified exterior/interior.
+    """All handles of ``g``, classified exterior/interior: the runs of the
+    finite facial walks between vertices of degree >= 3.
 
     Single-edge handles between two branch vertices count.  Components that
     are bare cycles contribute nothing; a graph with no branch vertex at all
-    raises :class:`NoHandles`.
+    raises :class:`NoHandles`, and one with a cut vertex
+    :class:`UnsupportedInput`.  In a 2-connected component every edge lies
+    on a finite face, so every handle is such a run.
     """
-    branch = _branch_vertices(g)
-    if not branch:
-        raise NoHandles("every vertex has degree 2")
-    # a vertex is a cut vertex exactly when some facial walk passes it twice
-    if any(len(set(f.boundary)) != len(f.boundary) for f in g.faces):
-        raise UnsupportedInput(
-            "handles are only defined for 2-connected components"
-        )
-    out = set()
-    for b in branch:
-        for n in g.rotation[b]:
-            path = [b, n]
-            while g.degree(path[-1]) == 2:
-                prev, cur = path[-2], path[-1]
-                nxt = [w for w in g.rotation[cur] if w != prev][0]
-                path.append(nxt)
-            first = edge_key(path[0], path[1])
-            exterior = first in g.periphery_edges
-            for a, c in zip(path, path[1:]):
-                if (edge_key(a, c) in g.periphery_edges) != exterior:
-                    raise InternalInvariantBroken(
-                        "handle mixes peripheral and interior edges"
-                    )
-            out.add(Handle(tuple(path), "exterior" if exterior else "interior"))
-    return frozenset(out)
+    g._facial_handles  # the graph-wide check: raises when g has no handles
+    return frozenset(h for f in g.finite_faces for h in _handle_runs(g, f))
 
 
 def facial_handle_decomposition(g: PlaneGraph, face_id: int) -> FacialHandleDecomposition:
     """Split a finite facial cycle into alternating interior/exterior handles.
 
-    Handles are listed clockwise starting with an interior handle; every
-    handle path is oriented along the clockwise facial walk and consecutive
-    handles meet in exactly one vertex.  Each face is decomposed once per
-    graph; a face that raises raises on every call.
+    The handles are the runs of the clockwise facial walk between vertices
+    of degree >= 3.  They are listed clockwise starting with the interior
+    handle whose first vertex is smallest; every handle path is oriented
+    along the walk and consecutive handles meet in exactly one vertex.
+    Each face is decomposed once per graph; a face that raises raises on
+    every call.
     """
-    memo = g._facial_handles
-    if face_id in memo:
-        return memo[face_id]
     face = g.faces[face_id]
     if face.is_infinite:
         raise ValueError("facial handle decomposition needs a finite face")
-    edge_to_handle = g.handle_by_edge
-    walk = face.darts
-    missing = [d for d in walk if edge_key(*d) not in edge_to_handle]
-    if missing:
+    memo = g._facial_handles
+    if face_id in memo:
+        return memo[face_id]
+    runs = _handle_runs(g, face)
+    if not runs:
         raise NoHandles(f"face {face_id} lies on a cycle component")
-
-    runs = []  # (handle, [darts...])
-    for d in walk:
-        h = edge_to_handle[edge_key(*d)]
-        if runs and runs[-1][0] == h:
-            runs[-1][1].append(d)
-        else:
-            runs.append((h, [d]))
-    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
-        h, darts = runs.pop()
-        runs[0] = (h, darts + runs[0][1])
-
     if len(runs) % 2 != 0:
         raise NotAlternating(f"odd number of handle runs on face {face_id}")
-    for (h, darts) in runs:
-        if frozenset(edge_key(*d) for d in darts) != h.edges:
-            raise InternalInvariantBroken(
-                f"handle not fully contained in facial cycle of face {face_id}"
-            )
-    for (h1, _), (h2, _) in zip(runs, runs[1:] + runs[:1]):
+    for h1, h2 in zip(runs, runs[1:] + runs[:1]):
         if h1.kind == h2.kind:
-            raise NotAlternating(
-                f"consecutive {h1.kind} handles on face {face_id}"
-            )
-
-    starts = [i for i, (h, _) in enumerate(runs) if h.kind == "interior"]
-    first = min(starts, key=lambda i: runs[i][1][0][0])
-    runs = runs[first:] + runs[:first]
-
-    oriented = []
-    for h, darts in runs:
-        path = tuple([darts[0][0]] + [d[1] for d in darts])
-        oriented.append(Handle(path, h.kind))
-    memo[face_id] = FacialHandleDecomposition(face_id, tuple(oriented))
+            raise NotAlternating(f"consecutive {h1.kind} handles on face {face_id}")
+    starts = [i for i, h in enumerate(runs) if h.kind == "interior"]
+    first = min(starts, key=lambda i: runs[i].path[0])
+    memo[face_id] = FacialHandleDecomposition(face_id, tuple(runs[first:] + runs[:first]))
     return memo[face_id]
 
 

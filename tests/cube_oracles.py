@@ -46,15 +46,18 @@ reference for the face conditions of ``rescube.decomposition``.  It splits
 the resonance graph by a face with the components of what the face's edges
 leave found by union-find: the reference for the split that
 ``rescube.decomposition.split_by_face`` reads from the Theta-class sides
-of the partial-cube embedding.  It also
-finds cut vertices by deleting each vertex in turn: the reference for the
-facial-walk test of ``rescube.plane_graph.handles``.
+of the partial-cube embedding.  It walks every handle from every vertex of
+degree >= 3: the reference for the facial-walk runs of
+``rescube.plane_graph.handles`` and ``facial_handle_decomposition``.  It
+also finds cut vertices by deleting each vertex in turn: the reference for
+the facial-walk test of ``rescube.plane_graph.handles``.
 
 The per-matching section holds the single-matching predicates (resonance
 of a face, alternation of a walk, the end-edge state of an odd handle) and
 reads every face condition one matching at a time through them: the
 reference for the per-edge column reads of ``rescube.matchings`` and
-``rescube.coding``.
+``rescube.coding``, and, by a reference matching, for the even cycle's
+daisy bit.
 
 The step section checks a decomposition step with the restriction, lift
 and twist maps looked up matching by matching as edge sets: the reference
@@ -87,9 +90,11 @@ from rescube.decomposition import (
 from rescube.errors import (
     CapExceeded,
     InternalInvariantBroken,
+    NoHandles,
     NoPerfectMatching,
     NotReducibleAtStep,
     RescubeError,
+    UnsupportedInput,
 )
 from rescube.matchings import enumerate_matchings
 from rescube.plane_graph import (
@@ -97,6 +102,8 @@ from rescube.plane_graph import (
     DEFAULT_MATCHING_CAP,
     WHITE,
     ElementaryReport,
+    Handle,
+    canonical_coloring,
     edge_key,
     edge_subgraph,
     elementary_analysis,
@@ -824,7 +831,7 @@ def enumerated_elementary_analysis(g) -> ElementaryReport:
 
 
 # ---------------------------------------------------------------------------
-# handles: matching subsets, set equalities, cut vertices
+# handles: matching subsets, set equalities, the branch walk, cut vertices
 # ---------------------------------------------------------------------------
 
 SELECTORS = (
@@ -935,6 +942,34 @@ def face_split_by_flood(g, r, face_id) -> dict:
     clauses["plus-peripheral"] = u_plus == plus
     clauses["strictly-smaller-plus"] = len(plus) < len(minus)
     return clauses
+
+
+def branch_walk_handles(g) -> frozenset:
+    """All handles of ``g``, walked from every vertex of degree >= 3 along
+    each of its edges to the next such vertex, each classified by whether
+    its edges are peripheral.  A graph without such a vertex raises
+    :class:`NoHandles`, one with a cut vertex :class:`UnsupportedInput`:
+    the reference for the facial-walk runs of
+    ``rescube.plane_graph.handles``."""
+    branch = [v for v in g.vertices if g.degree(v) >= 3]
+    if not branch:
+        raise NoHandles("every vertex has degree 2")
+    if has_cut_vertex(g):
+        raise UnsupportedInput("handles are only defined for 2-connected components")
+    out = set()
+    for b in branch:
+        for n in g.rotation[b]:
+            path = [b, n]
+            while g.degree(path[-1]) == 2:
+                prev, cur = path[-2], path[-1]
+                path.append(next(w for w in g.rotation[cur] if w != prev))
+            peripheral = {
+                edge_key(a, c) in g.periphery_edges for a, c in zip(path, path[1:])
+            }
+            if len(peripheral) > 1:
+                raise InternalInvariantBroken("handle mixes peripheral and interior edges")
+            out.add(Handle(tuple(path), "exterior" if peripheral.pop() else "interior"))
+    return frozenset(out)
 
 
 def has_cut_vertex(g) -> bool:
@@ -1048,6 +1083,15 @@ def daisy_bits(g, family, face_id) -> int:
         family,
         lambda m: {end_edge_state(m, h.path) for h in exterior} != {AVOIDS_END_EDGES},
     )
+
+
+def even_cycle_daisy_bits(g, family) -> int:
+    """The matchings whose daisy bit on the even cycle ``g`` is 1: all but
+    the reference matching, the cycle's darts whose tails are black under
+    the anchor coloring (improper clockwise), which survives color swaps."""
+    anchor = canonical_coloring(g)
+    reference = {edge_key(*d) for d in g.finite_faces[0].darts if anchor[d[0]] == BLACK}
+    return bitset(family, lambda m: not reference <= m.edges)
 
 
 def fdl_bits(g, family, face_id) -> tuple:

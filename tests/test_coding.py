@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
+
 from rescube.coding import (
     _certify_daisy,
     color_swap_effect,
@@ -148,6 +150,46 @@ def test_daisy_on_even_cycle(hexagon):
     family = enumerate_matchings(hexagon)
     labelling = daisy_labelling(hexagon, family, auto_rfd(hexagon))
     assert sorted(labelling.labels.values()) == [bits("0"), bits("1")]
+
+
+def even_cycle(n):
+    """The n-cycle 0, 1, .., n - 1, embedded by its rotation system."""
+    from rescube.plane_graph import from_rotation_system
+
+    rotation = {i: ((i + 1) % n, (i - 1) % n) for i in range(n)}
+    return from_rotation_system(rotation, infinite_darts=[(1, 0)])
+
+
+@pytest.mark.parametrize("n", range(4, 13, 2))
+def test_even_cycle_daisy_bit_matches_reference_matching(n):
+    """The bit read from the face's resonance columns under the anchor
+    coloring is 1 off the reference matching, in both colorings."""
+    g = even_cycle(n)
+    family = enumerate_matchings(g)
+    for h in (g, swap_colors(g)):
+        labels = daisy_labelling(h, family, auto_rfd(h)).labels
+        ones = oracle.even_cycle_daisy_bits(h, family)
+        assert labels == {mid: ones >> mid & 1 for mid in family.ids}
+
+
+def test_prefix_one_daisy_bit_matches_reference_matching():
+    """G_1 of every decomposition is an even cycle; its daisy record is the
+    reference-matching rule's under either coloring of the whole graph."""
+    from rescube import decomposition
+    from rescube.plane_graph import is_peripherally_two_colorable
+
+    checked = 0
+    for shape in catacondensed_polyhexes(6):
+        g = build_benzenoid(shape)
+        if g.is_cycle_graph() or not is_peripherally_two_colorable(g).ok:
+            continue
+        for h in (g, swap_colors(g)):
+            r = build_resonance(h, enumerate_matchings(h))
+            first = decomposition._prefix(h, r, auto_rfd(h), 1)
+            ones = oracle.even_cycle_daisy_bits(first.graph, first.family)
+            assert first.daisy.labels == {mid: ones >> mid & 1 for mid in first.family.ids}
+            checked += 1
+    assert checked == 40
 
 
 def test_theta_sides_match_bits(branched5, branched5_faces):

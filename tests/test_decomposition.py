@@ -374,10 +374,11 @@ def test_steps_pass_and_sizes(branched5, branched5_faces):
     r = resonance_of(branched5)
     rfd = rfd_from_face_order(branched5, branched5_faces)
     sizes = {}
-    for i in range(2, 6):
-        report = verify_reducible_split(branched5, r, rfd, i)
+    reports = verify_reducible_split(branched5, r, rfd)
+    assert [report.step for report in reports] == [2, 3, 4, 5]
+    for report in reports:
         assert report.ok, report.clauses
-        sizes[i] = (
+        sizes[report.step] = (
             report.details["minus_size"] + report.details["plus_size"],
             report.details["inner_size"],
         )
@@ -388,8 +389,8 @@ def test_steps_pass_and_sizes(branched5, branched5_faces):
 def test_step_two_is_path_growth(naphthalene):
     r = resonance_of(naphthalene)
     rfd = auto_rfd(naphthalene)
-    report = verify_reducible_split(naphthalene, r, rfd, 2)
-    assert report.ok
+    (report,) = verify_reducible_split(naphthalene, r, rfd)
+    assert report.step == 2 and report.ok
     assert report.details == {"minus_size": 2, "plus_size": 1, "inner_size": 1}
 
 
@@ -397,25 +398,20 @@ def test_steps_pass_alternative_order(branched5, branched5_faces):
     f1, f2, f3, f4, f5 = branched5_faces
     rfd = rfd_from_face_order(branched5, (f4, f3, f2, f1, f5))
     r = resonance_of(branched5)
-    for i in range(2, 6):
-        assert verify_reducible_split(branched5, r, rfd, i).ok
+    reports = verify_reducible_split(branched5, r, rfd)
+    assert len(reports) == 4 and all(report.ok for report in reports)
 
 
 def test_step_requires_attachment(pyrene):
     rfd = auto_rfd(pyrene)
     r = resonance_of(pyrene)
     with pytest.raises(TheoremViolated) as err:
-        verify_reducible_split(pyrene, r, rfd, 2)
+        verify_reducible_split(pyrene, r, rfd)
     assert err.value.clause == "attachment-unique"
 
 
-def test_step_bounds(branched5, branched5_faces):
-    r = resonance_of(branched5)
-    rfd = rfd_from_face_order(branched5, branched5_faces)
-    with pytest.raises(ValueError):
-        verify_reducible_split(branched5, r, rfd, 1)
-    with pytest.raises(ValueError):
-        verify_reducible_split(branched5, r, rfd, 6)
+def test_single_face_has_no_steps(hexagon):
+    assert verify_reducible_split(hexagon, resonance_of(hexagon), auto_rfd(hexagon)) == ()
 
 
 def _step_records(g, rfd):
@@ -825,10 +821,30 @@ def test_report_steps_equal_standalone_steps(shape, monkeypatch):
 
     r = resonance_of(g)
     standalone = {
-        str(i): verify_reducible_split(g, r, rfd, i).clauses
-        for i in range(2, rfd.n + 1)
+        str(step.step): step.clauses for step in verify_reducible_split(g, r, rfd)
     }
     assert report["steps"] == standalone
+
+
+def test_step_reports_come_from_one_chain_pass(monkeypatch):
+    """Every step report comes from one pass along the prefixes, so a
+    caller that reads them all enumerates no more prefixes than a report."""
+    g = zigzag(12)
+    rfd = auto_rfd(g)
+    r = resonance_of(g)
+    calls = []
+    enumerate_columns = plane_graph.enumerate_matching_columns
+
+    def spy(graph, cap=plane_graph.DEFAULT_MATCHING_CAP):
+        calls.append(graph.edges)
+        return enumerate_columns(graph, cap)
+
+    monkeypatch.setattr(plane_graph, "enumerate_matching_columns", spy)
+    steps = verify_reducible_split(g, r, rfd)
+    by_steps = len(calls)
+    theorem_report(g, rfd, resonance=r)
+    assert [step.step for step in steps] == list(range(2, 13))
+    assert by_steps == len(calls) - by_steps == 11  # prefixes 1..11; G_12 is g
 
 
 @pytest.fixture

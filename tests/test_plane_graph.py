@@ -13,11 +13,13 @@ from rescube.errors import (
     NotAlternating,
     NotBipartite,
     NoPerfectMatching,
+    RescubeError,
     UnsupportedInput,
 )
 from rescube.plane_graph import (
     build_plane_graph,
     canonical_coloring,
+    edge_key,
     edge_subgraph,
     elementary_analysis,
     facial_handle_decomposition,
@@ -30,7 +32,12 @@ from rescube.plane_graph import (
     _walk_area2,
 )
 
-from cube_oracles import all_cycles, enumerated_elementary_analysis, has_cut_vertex
+from cube_oracles import (
+    all_cycles,
+    branch_walk_handles,
+    enumerated_elementary_analysis,
+    has_cut_vertex,
+)
 from test_resonance import matchable_edge_subsets, small_corpus
 
 
@@ -185,26 +192,58 @@ def test_handles_reject_cut_vertices(hexagon_with_pendant_path):
         handles(hexagon_with_pendant_path)
 
 
-def handles_outcome(g):
+def outcome(fn):
+    """``fn()``, or the type of the rescube error it raises."""
     try:
-        handles(g)
-    except (NoHandles, UnsupportedInput) as exc:
+        return fn()
+    except RescubeError as exc:
         return type(exc)
+
+
+def walk_order_outcome(face, pool):
+    """What the decomposition of ``face`` must give, read off the branch-walk
+    handles ``pool`` by the run of handles the facial walk passes through:
+    the error type, or None when the runs alternate."""
+    by_edge = {e: h for h in pool for e in h.edges}
+    held = [by_edge.get(edge_key(*d)) for d in face.darts]
+    if None in held:
+        return NoHandles
+    runs = [h for k, h in enumerate(held) if h != held[k - 1]] or held[:1]
+    if len(runs) % 2 or any(a.kind == b.kind for a, b in zip(runs, runs[1:] + runs[:1])):
+        return NotAlternating
     return None
 
 
-def assert_cut_vertices_match_oracle(g):
-    """``handles`` finds cut vertices from repeated vertices on facial walks;
-    the oracle deletes each vertex in turn."""
-    if not any(g.degree(v) >= 3 for v in g.vertices):
-        expected = NoHandles
-    else:
-        expected = UnsupportedInput if has_cut_vertex(g) else None
-    assert handles_outcome(g) == expected
+def assert_handles_match_branch_walk(g):
+    """``handles`` equals the branch walk's set, or raises the same error
+    type; every face's decomposition holds branch-walk handles, oriented
+    and listed along its clockwise walk from the interior handle whose
+    first vertex is smallest, each meeting the next end to start."""
+    pool = outcome(lambda: branch_walk_handles(g))
+    assert outcome(lambda: handles(g)) == pool
+    for face in g.finite_faces:
+        dec = outcome(lambda: facial_handle_decomposition(g, face.id))
+        if not isinstance(pool, frozenset):
+            assert dec == pool
+            continue
+        expected = walk_order_outcome(face, pool)
+        if expected is not None:
+            assert dec == expected
+            continue
+        seq = dec.sequence
+        assert set(seq) <= pool
+        assert [h.kind for h in seq] == ["interior", "exterior"] * dec.m
+        assert seq[0].path[0] == min(h.path[0] for h in dec.interior)
+        for a, b in zip(seq, seq[1:] + seq[:1]):
+            assert a.path[-1] == b.path[0]
+        darts = [d for h in seq for d in zip(h.path, h.path[1:])]
+        k = face.darts.index(darts[0])
+        assert darts == list(face.darts[k:] + face.darts[:k])
 
 
 def test_cut_vertices_match_oracle_on_fixtures(
-    branched5, pyrene, nested_rings, two_hexagons, hexagon_with_pendant_path
+    branched5, pyrene, nested_rings, two_hexagons, hexagon_with_pendant_path, hexagon,
+    even_interior,
 ):
     # two squares sharing one vertex: the infinite walk passes it twice
     bowtie = build_plane_graph(
@@ -214,8 +253,8 @@ def test_cut_vertices_match_oracle_on_fixtures(
     assert has_cut_vertex(bowtie) and has_cut_vertex(hexagon_with_pendant_path)
     assert not has_cut_vertex(branched5) and not has_cut_vertex(two_hexagons)
     for g in (branched5, pyrene, nested_rings, two_hexagons, hexagon_with_pendant_path,
-              bowtie):
-        assert_cut_vertices_match_oracle(g)
+              bowtie, hexagon, even_interior):
+        assert_handles_match_branch_walk(g)
 
 
 @settings(max_examples=300, deadline=None)
@@ -225,35 +264,64 @@ def test_cut_vertices_match_oracle_on_edge_subsets(pyrene, nested_rings, data):
     paths, blocks joined at a vertex, or several components."""
     g = data.draw(st.sampled_from(small_corpus() + (pyrene, nested_rings)))
     drop = data.draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=3))
-    assert_cut_vertices_match_oracle(edge_subgraph(g, g.edges - drop))
+    assert_handles_match_branch_walk(edge_subgraph(g, g.edges - drop))
 
 
-def test_handles_computed_once_per_graph(monkeypatch, hexagon, hexagon_with_pendant_path):
+@pytest.mark.parametrize("shape", catacondensed_polyhexes(7), ids=str)
+def test_handles_match_branch_walk_on_corpus(shape):
+    assert_handles_match_branch_walk(build_benzenoid(shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_handles_match_branch_walk_on_edge_subsets(pyrene, nested_rings, even_interior, data):
+    graphs = small_corpus() + (pyrene, nested_rings, even_interior)
+    assert_handles_match_branch_walk(data.draw(matchable_edge_subsets(graphs)))
+
+
+def test_each_face_walked_once_per_graph(
+    monkeypatch, pyrene, hexagon, hexagon_with_pendant_path
+):
+    """The facial decompositions and both codings read every face's
+    handles off its own walk, once per graph, and never call ``handles``;
+    a failure is not cached, so it is raised again on every call."""
     from rescube import coding, plane_graph
     from rescube.decomposition import auto_rfd
     from rescube.matchings import enumerate_matchings
 
-    calls = []
-    compute = plane_graph.handles
+    def refuse(g):
+        raise AssertionError("handles called")
 
-    def spy(g):
-        calls.append(g)
-        return compute(g)
+    walks = []
+    runs = plane_graph._handle_runs
 
-    monkeypatch.setattr(plane_graph, "handles", spy)
+    def spy(g, face):
+        walks.append((g, face.id))
+        return runs(g, face)
+
+    monkeypatch.setattr(plane_graph, "handles", refuse)
+    monkeypatch.setattr(plane_graph, "_handle_runs", spy)
     g = build_benzenoid([(0, 0), (1, 0), (1, 1)])
     family, rfd = enumerate_matchings(g), auto_rfd(g)
     for face in g.finite_faces:
         facial_handle_decomposition(g, face.id)
     coding.daisy_labelling(g, family, rfd)
     coding.fdl_labelling(g, family, rfd)
-    assert calls.count(g) == 1
-    # a failure is not cached: it is raised again on every call
+    assert sorted(walks) == sorted((g, face.id) for face in g.finite_faces)
+    # a face that does not alternate is walked again on every call
+    walks.clear()
+    for _ in range(2):
+        with pytest.raises(NotAlternating):
+            facial_handle_decomposition(pyrene, pyrene.finite_faces[0].id)
+    assert walks == [(pyrene, pyrene.finite_faces[0].id)] * 2
+    # the graph-wide check raises before any face is walked, on every call
+    walks.clear()
     for bad, error in ((hexagon, NoHandles), (hexagon_with_pendant_path, UnsupportedInput)):
         for _ in range(2):
             with pytest.raises(error):
                 facial_handle_decomposition(bad, bad.finite_faces[0].id)
-        assert calls.count(bad) == 2
+            assert "_facial_handles" not in vars(bad)
+    assert walks == []
 
 
 def test_facial_decomposition_shapes(branched5, branched5_faces):
