@@ -40,10 +40,13 @@ print("subgraph edge counts:", [len(e) for e in rfd.subgraph_edges])
 # the class is a perfect matching between them, the avoid side is strictly
 # larger, the contain side is peripheral.  Being peripheral, the contain
 # side has one vertex per class edge, and the avoid side holds the rest.
+# R(G) holds each class as two bitsets of matchings, the proper and the
+# improper resonant ones, the k-th of one joined to the k-th of the other.
 print("\nface splits (avoid side / contain side / class size):")
 for face in g.finite_faces:
     clauses = split_by_face(g, r, face.id)
-    size = len(r.edges_with_label(face.id))
+    proper, _ = r.pairs[face.id]
+    size = proper.bit_count()
     print(f"  face {face.id}: {len(family) - size:2d} / {size} / {size}"
           f"   all clauses pass: {all(clauses.values())}")
 

@@ -179,7 +179,7 @@ def cmd_label(args) -> int:
         labelling = coding.composed_labels(g, family, parts, args.scheme)
     labels, width = labelling.labels, labelling.length
     face_names = {fid: f"s{pos}" for pos, fid in enumerate(labelling.face_order, start=1)}
-    r = build_resonance(g, family)
+    r = build_resonance(g, family) if args.emit_dot or args.verify else None
 
     text = {mid: coding.bit_string(label, width) for mid, label in labels.items()}
     obj = {"scheme": args.scheme, "labels": {str(k): v for k, v in sorted(text.items())}}

@@ -426,15 +426,14 @@ def is_daisy_cube(mg: MetricGraph) -> DaisyVerdict:
 def is_convex_subset(edges, subset, bits: dict) -> bool:
     """Whether every shortest path between members stays inside the subset.
 
-    ``edges`` are the graph's edges, as pairs or as a resonance graph's
-    (u, v, face) triples; ``bits`` must be an isometric labelling of the
-    graph.  A neighbour w of u is a step on a shortest path from u to v
-    exactly when (L(w) ^ L(u)) & (L(u) ^ L(v)) != 0, and every shortest path
-    is a chain of such steps, so the subset is convex when no step from a
-    member towards another member leaves it.  The bits on which u differs
-    from some member are the bits that vary across the subset, so it is
-    convex exactly when no edge from a member to a non-member flips a
-    varying bit.  O(|E|) word operations."""
+    ``edges`` yields the graph's edges as (u, v) pairs, in any order; ``bits``
+    must be an isometric labelling of the graph.  A neighbour w of u is a
+    step on a shortest path from u to v exactly when (L(w) ^ L(u)) &
+    (L(u) ^ L(v)) != 0, and every shortest path is a chain of such steps, so
+    the subset is convex when no step from a member towards another member
+    leaves it.  The bits on which u differs from some member are the bits
+    that vary across the subset, so it is convex exactly when no edge from
+    a member to a non-member flips a varying bit.  O(|E|) word operations."""
     members = set(subset)
     ones, common = 0, -1
     for v in members:
@@ -443,6 +442,6 @@ def is_convex_subset(edges, subset, bits: dict) -> bool:
     varying = ones & ~common
     return not any(
         (bits[u] ^ bits[v]) & varying
-        for u, v, *_ in edges
+        for u, v in edges
         if (u in members) != (v in members)
     )

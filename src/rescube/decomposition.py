@@ -16,9 +16,9 @@ sides) are read from the matching family's per-edge columns: each is a set
 of matchings held as one bitset over matching ids.  A face's two sides are
 compared with the sides of the Theta class its edges form in the resonance
 graph, so no check floods the resonance graph.  The step checks map one
-prefix's matchings to the next by comparing packed columns, so no check
-builds a matching as an edge set.  R(G) is certified along the
-decomposition, step by step, and not again as a whole graph.
+prefix's matchings and face pairs to the next by packing, so no check
+builds a matching as an edge set or lists an edge.  R(G) is certified
+along the decomposition, step by step, and not again as a whole graph.
 """
 
 from __future__ import annotations
@@ -303,7 +303,7 @@ def split_by_face(
     ``class-matching`` that fails or is undecided.  ``read`` is the face's
     record when :func:`theorem_report` shares it with the handle-set
     equalities.  Every clause compares bitsets over matching ids: the sides,
-    and the ends of the class's edges.
+    and the ends of the class's edges (:attr:`ResonanceGraph.pairs`).
 
     The two components come from R(G)'s certified partial-cube embedding,
     not from a flood.  Let the face's edges be exactly Theta class i, and S
@@ -321,9 +321,9 @@ def split_by_face(
         read = _FaceRead(g, r.family, face_id)
     clauses = {}
 
-    class_edges = r.edges_with_label(face_id)
-    clauses["class-nonempty"] = bool(class_edges)
-    if not class_edges:
+    proper, improper = r.pairs.get(face_id, (0, 0))
+    clauses["class-nonempty"] = bool(proper)
+    if not proper:
         return clauses
 
     side = r.theta_sides.get(face_id)
@@ -338,10 +338,7 @@ def split_by_face(
 
     # the sides partition the matchings, so size ends on each side are
     # 2 * size distinct ends: no two class edges share one
-    ends = 0
-    for u, v in class_edges:
-        ends |= 1 << u | 1 << v
-    size = len(class_edges)
+    ends, size = proper | improper, proper.bit_count()
     clauses["class-matching"] = (
         (ends & minus).bit_count() == (ends & plus).bit_count() == size
     )
@@ -393,16 +390,14 @@ def verify_reducible_split(g: PlaneGraph, r: ResonanceGraph, rfd: RfdSequence) -
     """Instance checks of the decomposition steps 2..n, one report each, in
     order; ``()`` for a single face.
 
-    Step i verifies that the avoid-side of its face is the previous
-    resonance graph under restriction (with the face's bit deleted from the
-    daisy labels), that the contain-the-inner-path matchings induce a
-    convex o-closed subgraph of the previous resonance graph sitting at
-    zero bits of the attachment position, and that expanding along that
-    subgraph reproduces the current resonance graph with the new bit
-    appended.  ``r`` is the resonance graph of ``g``.  Every clause is
-    returned; only a decomposition without a complete attachment map raises
-    :class:`TheoremViolated`.  The steps run in one pass, as in
-    :func:`theorem_report` (see :func:`_chain`).
+    Step i verifies that the avoid side of its face restricts to R(G_(i-1))
+    (with the face's bit deleted from the daisy labels), that the inner side
+    is convex and o-closed in it at zero bits of the attachment position,
+    and that expanding along that side gives R(G_i) with the new bit
+    appended (:func:`_check_step`).  ``r`` is the resonance graph of ``g``.
+    Every clause is returned; only a decomposition without a complete
+    attachment map raises :class:`TheoremViolated`.  The steps run in one
+    pass, as in :func:`theorem_report` (see :func:`_chain`).
     """
     return _chain(g, r, rfd)[0]
 
@@ -427,6 +422,16 @@ def _chain(g, r, rfd, cap=DEFAULT_MATCHING_CAP):
         steps.append(_check_step(g, rfd, i, prev, cur, holds))
         holds = holds and steps[-1].ok or None
     return tuple(steps), cur, holds
+
+
+def _inside(pair, side: int) -> tuple:
+    """The edges of a face class (two bitsets, k-th ids joined) inside
+    ``side``, packed onto it, and whether no edge has just one end there."""
+    in_a, in_b = (pack(side, x) for x in pair)  # bit k: edge k's end is in side
+    if in_a != in_b:  # keep the edges with both ends in side
+        keep = in_a & in_b
+        pair = [sum(1 << u for k, u in enumerate(bit_ids(x)) if keep >> k & 1) for x in pair]
+    return tuple(pack(x, side) for x in pair), in_a == in_b
 
 
 def _check_step(
@@ -457,7 +462,11 @@ def _check_step(
     R(G_i), so the prediction of ``expansion-equality`` stays independent
     of that pairing; a lifted matching under which C does not alternate
     makes it false, and so does a twin whose daisy label is not its lift's
-    with bit i set.
+    with bit i set.  It meets R(G_i) position by position on face pairs
+    (:func:`_inside`): earlier, the lifts of R(G_(i-1))'s edges on the
+    minus side, the twins of those inside the inner side on the plus side
+    and no edge between; at i, the k-th lifted inner matching joined to
+    the k-th twin.  Equal pairs, in either order, join the same ids.
 
     No distance table and no label certificate is built.  With ``chain``
     the daisy labels of G_(i-1) are isometric (:func:`_chain`), so
@@ -496,14 +505,13 @@ def _check_step(
     if not ok:
         return StepReport(i, clauses, details)
 
-    pos_i = {fid: p for p, fid in enumerate(cur.rfd.faces, start=1)}
-    pos_prev = {fid: p for p, fid in enumerate(prev.rfd.faces, start=1)}
-    rank = {mid: k for k, mid in enumerate(minus)}  # restriction keeps order
-    mapped = {
-        (rank[u], rank[v], pos_i[f]) for u, v, f in res_i.edges if u in rank and v in rank
-    }
-    prev_edges = {(u, v, pos_prev[f]) for u, v, f in res_prev.edges}
-    clauses["restriction-isomorphism"] = mapped == prev_edges
+    # both records order the same faces; R(G_(i-1)) has no edge at position i
+    pairs = [res_i.pairs[f] for f in cur.rfd.faces]
+    prev_pairs = [res_prev.pairs[f] for f in prev.rfd.faces] + [(0, 0)]
+    on_minus = [_inside(pair, minus_bits) for pair in pairs]
+    clauses["restriction-isomorphism"] = all(
+        sorted(inside) == sorted(pair) for (inside, _), pair in zip(on_minus, prev_pairs)
+    )
 
     # deleting the new bit from the avoid side labels the previous resonance
     # graph; when that subgraph is not an even cycle the handle rule must
@@ -520,10 +528,12 @@ def _check_step(
     clauses["label-deletion"] = ok
 
     # the inner-path side inside the previous resonance graph
-    inner_ids = bit_ids(handle_column(fam_prev, inner))
+    inner_bits = handle_column(fam_prev, inner)
+    inner_ids = bit_ids(inner_bits)
     inner_set = frozenset(inner_ids)
     details["inner_size"] = len(inner_set)
-    convex = chain and ck.is_convex_subset(res_prev.edges, inner_set, prev.daisy.labels)
+    edges_prev = ((u, v) for u, v, _ in res_prev.iter_edges())
+    convex = chain and ck.is_convex_subset(edges_prev, inner_set, prev.daisy.labels)
     # once label-deletion holds, the previous labels are the previous daisy
     # labels, a down-set (daisy_labelling checks them against the iterated
     # construction); inside a down-set the inner side is o-closed exactly
@@ -553,21 +563,20 @@ def _check_step(
         == pack(col_i.get(e, 0), inner_i) ^ (on_cycle if e in face_edges else 0)
         for e in cur.graph.edges
     )
-    twin = dict(zip(inner_ids, plus)) if twins else {}
     # each twin's label is its lift's with the new bit set
-    twins = twins and all(labels_i[t] == labels_i[minus[k]] | new for k, t in twin.items())
-    expected_edges = set()
-    if twins:
-        for u, v, f in res_prev.edges:
-            pos = pos_prev[f]  # both records order the same faces
-            expected_edges.add((minus[u], minus[v], pos))
-            if u in twin and v in twin:  # twins keep order
-                expected_edges.add((twin[u], twin[v], pos))
-        for k in inner_ids:
-            a, b = sorted((minus[k], twin[k]))
-            expected_edges.add((a, b, i))
-    actual_edges = {(u, v, pos_i[f]) for u, v, f in res_i.edges}
-    clauses["expansion-equality"] = twins and expected_edges == actual_edges
+    lifts = (minus[k] for k in inner_ids)
+    twins = twins and all(labels_i[t] == labels_i[m] | new for m, t in zip(lifts, plus))
+    clauses["expansion-equality"] = (
+        twins
+        and clauses["restriction-isomorphism"]
+        and all(
+            whole
+            and sorted(pack(x, plus_bits) for x in pair)
+            == sorted(_inside(pair_prev, inner_bits)[0])
+            for pair, (_, whole), pair_prev in zip(pairs, on_minus, prev_pairs[:-1])
+        )
+        and sorted(pairs[-1]) == sorted((inner_i, plus_bits))
+    )
 
     clauses["expansion-flags"] = chain and bool(inner_set) and convex and o_closed
 
@@ -656,7 +665,7 @@ def theorem_report(
     lab["edges_flip_their_face_bit"] = all(
         labels[u] ^ labels[v] == flip[f]
         for labels in (daisy.labels, fdl.labels)
-        for u, v, f in r.edges
+        for u, v, f in r.iter_edges()
     )
     lab["fully_resonant_is_daisy_zero"] = (
         extremal.fully_resonant is not None

@@ -82,17 +82,12 @@ def enumerate_matchings(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -> Match
 
 
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-_CHARS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _bit_row(bits: int, width: int) -> bytes:
-    """Byte k is bit k of ``bits``, for at least ``width`` bytes."""
-    return format(bits, f"0{width}b").encode().translate(_DIGITS)[::-1]
+_KEPT = bytes.maketrans(b"23", b"01")
 
 
 def bit_ids(bits: int) -> list:
     """The matching ids in a bitset, ascending."""
-    row = _bit_row(bits, 1)
+    row = format(bits, "b").encode().translate(_DIGITS)[::-1]  # byte k: bit k
     return list(compress(range(len(row)), row))
 
 
@@ -100,10 +95,11 @@ def pack(bits: int, keep: int) -> int:
     """The bits of ``bits`` at the positions set in ``keep``, packed: bit j
     of the result is the bit of ``bits`` at the j-th smallest position set
     in ``keep``.  On a column it keeps the matchings in ``keep``, renumbered
-    by rank."""
-    width = keep.bit_length()
-    kept = bytes(compress(_bit_row(bits, width), _bit_row(keep, width)))
-    return int(kept[::-1].translate(_CHARS) or b"0", 2)
+    by rank.  Each position becomes one hex digit, twice its ``keep`` bit
+    plus its ``bits`` bit, so the kept digits are 2 and 3, and one
+    translation drops the others and reads those as 0 and 1."""
+    spread = int(format(keep, "b"), 16) << 1 | int(format(bits, "b"), 16)
+    return int(format(spread, "x").encode().translate(_KEPT, b"01") or b"0", 2)
 
 
 def handle_column(family: MatchingFamily, path) -> int:

@@ -20,16 +20,37 @@ from .plane_graph import PlaneGraph
 class ResonanceGraph:
     """Face-labelled resonance graph over a matching family.
 
-    ``edges`` is the graph's one stored form; the one adjacency is the
-    metric graph's (:meth:`metric`)."""
+    ``pairs``, its one stored form, maps each finite face to the bitsets of
+    the matchings under which it is proper and improper resonant; the
+    face's edges join the k-th proper id to the k-th improper id, so the
+    two must be of one size (else :class:`InternalInvariantBroken`).
+    :attr:`edges` lists the edges for the exports only, and the one
+    adjacency is the metric graph's (:meth:`metric`)."""
 
-    def __init__(self, family: MatchingFamily, edges):
+    def __init__(self, family: MatchingFamily, pairs: dict):
+        for fid, (proper, improper) in pairs.items():
+            if proper.bit_count() != improper.bit_count():
+                raise InternalInvariantBroken(
+                    f"face {fid} has {proper.bit_count()} proper and "
+                    f"{improper.bit_count()} improper resonant matchings"
+                )
         self.family = family
         self.vertices = tuple(family.ids)
-        self.edges = tuple(sorted(edges))  # (id, id, face_id) with id < id
+        self.pairs = pairs  # face_id -> (proper, improper)
 
     def __len__(self):
         return len(self.vertices)
+
+    def iter_edges(self):
+        """Each edge as (proper id, improper id, face_id), face by face."""
+        for fid, (proper, improper) in self.pairs.items():
+            for u, v in zip(bit_ids(proper), bit_ids(improper)):
+                yield u, v, fid
+
+    @cached_property
+    def edges(self) -> tuple:
+        """The sorted (id, id, face_id) triples, id < id, for the exports."""
+        return tuple(sorted((min(u, v), max(u, v), fid) for u, v, fid in self.iter_edges()))
 
     def metric(self) -> MetricGraph:
         """R(G) as a metric graph, built once, so that its embedding and its
@@ -38,19 +59,7 @@ class ResonanceGraph:
 
     @cached_property
     def _metric(self) -> MetricGraph:
-        return MetricGraph(self.vertices, [(u, v) for u, v, _ in self.edges])
-
-    def edges_with_label(self, face_id) -> tuple:
-        return self._classes.get(face_id, ())
-
-    @cached_property
-    def _classes(self) -> dict:
-        """Face -> the (u, v) of its edges, in edge order: one pass for all
-        faces."""
-        classes = {}
-        for u, v, fid in self.edges:
-            classes.setdefault(fid, []).append((u, v))
-        return {fid: tuple(edges) for fid, edges in classes.items()}
+        return MetricGraph(self.vertices, ((u, v) for u, v, _ in self.iter_edges()))
 
     @cached_property
     def theta_sides(self) -> dict:
@@ -62,7 +71,10 @@ class ResonanceGraph:
             sides = class_sides(self.metric())
         except NotAPartialCube:
             return {}
-        faces = {frozenset(edges): fid for fid, edges in self._classes.items()}
+        faces = {}
+        for u, v, fid in self.iter_edges():
+            faces.setdefault(fid, set()).add((min(u, v), max(u, v)))
+        faces = {frozenset(edges): fid for fid, edges in faces.items()}
         return {faces[cls]: side for cls, side in sides.items() if cls in faces}
 
 
@@ -87,23 +99,13 @@ def build_resonance(g: PlaneGraph, family: MatchingFamily) -> ResonanceGraph:
         changes no mate where they differ, and so keeps their order.
 
     Both resonant sets come from the family's columns
-    (:func:`~rescube.matchings.resonance_columns`), so no edge set is built
-    or looked up.  Raises :class:`InternalInvariantBroken` when a face has
-    more proper than improper resonant matchings or fewer.
+    (:func:`~rescube.matchings.resonance_columns`), and R(G) keeps them as
+    they are, so no edge set is built or looked up.  Raises
+    :class:`InternalInvariantBroken` when a face has more proper than
+    improper resonant matchings or fewer.
     """
-    edges = []
-    for face in g.finite_faces:
-        proper, improper = resonance_columns(g, family, face.id)
-        if proper.bit_count() != improper.bit_count():
-            raise InternalInvariantBroken(
-                f"face {face.id} has {proper.bit_count()} proper and "
-                f"{improper.bit_count()} improper resonant matchings"
-            )
-        edges.extend(
-            (min(a, b), max(a, b), face.id)
-            for a, b in zip(bit_ids(proper), bit_ids(improper))
-        )
-    return ResonanceGraph(family, edges)
+    pairs = {face.id: resonance_columns(g, family, face.id) for face in g.finite_faces}
+    return ResonanceGraph(family, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +113,10 @@ def build_resonance(g: PlaneGraph, family: MatchingFamily) -> ResonanceGraph:
 # ---------------------------------------------------------------------------
 
 
-def _face_name(face_id, face_names) -> str:
-    if face_names and face_id in face_names:
-        return face_names[face_id]
-    return f"s{face_id}"
-
-
 def resonance_to_dot(r: ResonanceGraph, labels=None, face_names=None) -> str:
     """Deterministic DOT text; optional label texts (vertex -> string, as
     :func:`rescube.coding.bit_string` makes them) annotate the nodes."""
+    names = face_names or {}
     lines = ["graph resonance {"]
     for v in r.vertices:
         if labels:
@@ -127,7 +124,7 @@ def resonance_to_dot(r: ResonanceGraph, labels=None, face_names=None) -> str:
         else:
             lines.append(f'  M{v} [label="M{v}"];')
     for u, v, fid in r.edges:
-        lines.append(f'  M{u} -- M{v} [face="{_face_name(fid, face_names)}"];')
+        lines.append(f'  M{u} -- M{v} [face="{names.get(fid, f"s{fid}")}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -135,8 +132,6 @@ def resonance_to_dot(r: ResonanceGraph, labels=None, face_names=None) -> str:
 def resonance_to_json(r: ResonanceGraph) -> str:
     obj = {
         "vertices": [{"id": v} for v in r.vertices],
-        "edges": [
-            {"face": _face_name(fid, None), "u": u, "v": v} for u, v, fid in r.edges
-        ],
+        "edges": [{"face": f"s{fid}", "u": u, "v": v} for u, v, fid in r.edges],
     }
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -2,15 +2,18 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+from rescube import cli
 from rescube.cli import main
 from rescube.plane_graph import DEFAULT_MATCHING_CAP, graph_from_json, graph_to_json
 
 from conftest import zigzag
 
 BRANCHED = "0 0\n1 -1\n2 -1\n2 0\n1 -2\n"
+GOLDEN = Path(__file__).parent / "golden"
 PYRENE = "0 0\n1 0\n0 1\n-1 1\n"
 HEXAGON = "0 0\n"
 
@@ -75,6 +78,18 @@ def test_resonance_outputs(branched_file, tmp_path, capsys):
     assert len(obj["vertices"]) == 14
     assert len(obj["edges"]) == 23
     assert out_dot.read_text().startswith("graph resonance {")
+
+
+def test_resonance_golden_exports(branched_file, tmp_path, capsys):
+    """The exact JSON and DOT text of R(G) on the branched fixture, as
+    written before R(G) was held as pairs of bitsets."""
+    out_json, out_dot = tmp_path / "r.json", tmp_path / "r.dot"
+    code, _, _ = run(
+        capsys, "resonance", branched_file, "-o", str(out_json), "--dot", str(out_dot)
+    )
+    assert code == 0
+    assert out_json.read_text() == (GOLDEN / "branched5_resonance.json").read_text()
+    assert out_dot.read_text() == (GOLDEN / "branched5_resonance.dot").read_text()
 
 
 @pytest.mark.parametrize(
@@ -605,3 +620,33 @@ def test_label_golden_labels_and_dot_nodes(
     assert nodes == [
         f'  M{mid} [label="M{mid}\\n{golden[str(mid)]}"];' for mid in range(len(golden))
     ]
+
+
+@pytest.mark.parametrize("scheme", ["daisy", "fdl"])
+def test_label_golden_dot_edges(scheme, branched_file, tmp_path, capsys):
+    dot = tmp_path / "labelled.dot"
+    code, _, _ = run(capsys, "label", branched_file, "--scheme", scheme, "--emit-dot", str(dot))
+    assert code == 0
+    edges = [line for line in dot.read_text().splitlines() if " -- " in line]
+    assert edges == (GOLDEN / "branched5_label_edges.dot").read_text().splitlines()
+
+
+@pytest.mark.parametrize("name, scheme", sorted(GOLDEN_LABELS))
+def test_plain_label_builds_no_resonance_graph(
+    name, scheme, tmp_path, capsys, monkeypatch, hexagon_plus_naphthalene
+):
+    """Without --emit-dot or --verify nothing reads R(G), so label builds
+    none, and writes the bytes it writes with --emit-dot."""
+    p = tmp_path / "input"
+    p.write_text(BRANCHED if name == "branched5" else graph_to_json(hexagon_plus_naphthalene))
+    code, with_dot, _ = run(
+        capsys, "label", str(p), "--scheme", scheme, "--emit-dot", str(tmp_path / "l.dot")
+    )
+    assert code == 0
+    built = []
+    build = cli.build_resonance
+    monkeypatch.setattr(cli, "build_resonance", lambda *args: built.append(args) or build(*args))
+    code, plain, _ = run(capsys, "label", str(p), "--scheme", scheme)
+    assert code == 0 and built == []
+    assert plain == with_dot
+    assert json.loads(plain)["labels"] == GOLDEN_LABELS[name, scheme]

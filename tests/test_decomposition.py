@@ -333,7 +333,7 @@ def split_sizes(r, fid):
     a peripheral side is."""
     side = r.theta_sides[fid]
     plus, minus = sorted((side, r.family.full ^ side), key=int.bit_count)
-    class_edges = r.edges_with_label(fid)
+    class_edges = [(u, v) for u, v, f in r.edges if f == fid]
     ends = {v for e in class_edges for v in e}
     assert len(ends) == 2 * len(class_edges)
     assert {v for v in ends if plus >> v & 1} == set(bit_ids(plus))
@@ -350,7 +350,7 @@ def test_split_matches_theta_class(branched5, branched5_faces):
     metric = r.metric()
     classes = theta_classes(metric)
     for fid in branched5_faces:
-        class_edges = {tuple(sorted(e[:2])) for e in r.edges_with_label(fid)}
+        class_edges = {(u, v) for u, v, f in r.edges if f == fid}
         assert class_edges in [
             {tuple(sorted(e)) for e in cls} for cls in classes.classes
         ]
@@ -461,19 +461,71 @@ def test_forged_column_breaks_the_restriction(branched5, branched5_faces):
         assert clauses == oracle.step_clauses(branched5, rfd, i, prev, forged)
 
 
+def _drop_first_edge(r, fid):
+    """R(G) without the face's first edge, the one that joins its smallest
+    proper and improper ids, and so its smallest edge."""
+    proper, improper = r.pairs[fid]
+    dropped = (proper & proper - 1, improper & improper - 1)
+    forged = ResonanceGraph(r.family, {**r.pairs, fid: dropped})
+    assert set(r.edges) - set(forged.edges) == {
+        next(e for e in r.edges if e[2] == fid)
+    }
+    return forged
+
+
 def test_dropped_resonance_edge_breaks_the_expansion(branched5, branched5_faces):
     # R(G_i) loses one edge of the step's face class: the restriction still
     # holds, the expansion no longer reproduces R(G_i)
     rfd = rfd_from_face_order(branched5, branched5_faces)
     for i, prev, cur in _step_records(branched5, rfd):
-        res = cur.resonance
-        face = cur.rfd.faces[i - 1]
-        dropped = next(k for k, (_, _, f) in enumerate(res.edges) if f == face)
-        edges = res.edges[:dropped] + res.edges[dropped + 1 :]
-        forged = replace(cur, resonance=ResonanceGraph(cur.family, edges))
+        forged = replace(cur, resonance=_drop_first_edge(cur.resonance, cur.rfd.faces[i - 1]))
         clauses = _clauses(branched5, rfd, i, prev, forged)
         assert [c for c, ok in clauses.items() if not ok] == ["expansion-equality"]
         assert clauses == oracle.step_clauses(branched5, rfd, i, prev, forged)
+
+
+def _straddling_forgeries(i, cur):
+    """R(G_i) forged at each earlier position so that one edge joins the
+    avoid side to a matching that holds the ear's end edges, which no edge
+    of the expansion does there.  Yields each forged record with whether
+    the restriction to the avoid side still holds."""
+    minus = sum(1 << m for m, label in cur.daisy.labels.items() if not label >> (i - 1) & 1)
+
+    def forge(face, pair):
+        pairs = {**cur.resonance.pairs, face: pair}
+        return replace(cur, resonance=ResonanceGraph(cur.family, pairs))
+
+    for face in cur.rfd.faces[: i - 1]:
+        proper, improper = cur.resonance.pairs[face]
+        free = cur.family.full & ~(proper | improper)
+        ends, targets = bit_ids(improper & minus), bit_ids(free & ~minus)
+        if ends and targets:  # move an improper end off the avoid side
+            yield forge(face, (proper, improper ^ 1 << ends[0] ^ 1 << targets[0])), False
+        # add an edge with as many smaller proper ids as smaller improper
+        # ids, so that every other edge keeps its ends
+        added = [
+            (proper | 1 << u, improper | 1 << v)
+            for u in bit_ids(free & minus)
+            for v in targets
+            if (proper & (1 << u) - 1).bit_count() == (improper & (1 << v) - 1).bit_count()
+        ]
+        if added:
+            yield forge(face, added[0]), True
+
+
+def test_straddling_resonance_edge_breaks_the_step(branched5, branched5_faces):
+    rfd = rfd_from_face_order(branched5, branched5_faces)
+    seen = Counter()
+    for i, prev, cur in _step_records(branched5, rfd):
+        for forged, restricted in _straddling_forgeries(i, cur):
+            clauses = _clauses(branched5, rfd, i, prev, forged)
+            assert clauses == oracle.step_clauses(branched5, rfd, i, prev, forged)
+            failed = [c for c, ok in clauses.items() if not ok]
+            assert failed == ["restriction-isomorphism"] * (not restricted) + [
+                "expansion-equality"
+            ]
+            seen[restricted] += 1
+    assert seen[True] >= 4 and seen[False] >= 4
 
 
 def test_forged_twin_breaks_the_expansion(branched5, branched5_faces):
@@ -626,6 +678,24 @@ def test_report_builds_no_edge_set(request, shape):
     assert theorem_report(g)["ok"]
 
 
+@pytest.mark.parametrize("shape", ["branched5", "zigzag9"])
+def test_report_lists_no_resonance_edges(request, monkeypatch, shape):
+    """A passing report reads every R(G_k), and R(G) itself, from its pairs
+    of bitsets: none of them lists its edges."""
+    g = request.getfixturevalue(shape) if shape == "branched5" else zigzag(9)
+    r = resonance_of(g)
+    records, prefix = [], decomposition._prefix
+
+    def prefix_spy(*args):
+        records.append(prefix(*args))
+        return records[-1]
+
+    monkeypatch.setattr(decomposition, "_prefix", prefix_spy)
+    assert theorem_report(g, resonance=r)["ok"]
+    assert len(records) == auto_rfd(g).n and records[-1].resonance is r
+    assert all("edges" not in vars(record.resonance) for record in records)
+
+
 # ---------------------------------------------------------------------------
 # whole-graph report
 # ---------------------------------------------------------------------------
@@ -691,9 +761,7 @@ def test_report_on_a_resonance_graph_missing_a_class_edge(branched5, face):
     the report decides equals the flood oracle's, and the report fails."""
     r = resonance_of(branched5)
     fid = branched5.finite_faces[face].id
-    dropped = next(k for k, (_, _, f) in enumerate(r.edges) if f == fid)
-    edges = r.edges[:dropped] + r.edges[dropped + 1 :]
-    forged = ResonanceGraph(r.family, edges)
+    forged = _drop_first_edge(r, fid)
     for other in branched5.finite_faces:
         assert_split_matches_flood(branched5, forged, other.id)
     report = theorem_report(branched5, resonance=forged)

@@ -132,16 +132,24 @@ def test_unpaired_face_breaks_an_invariant(hexagon):
         build_resonance(hexagon, half)
 
 
-def test_edge_classes_grouped_once(branched5):
+def test_pairs_are_the_resonance_columns(branched5):
+    """R(G) holds each finite face's proper and improper resonant matchings
+    as they are, and lists its edges only once they are read."""
     r = resonance_of(branched5)
-    assert "_classes" not in vars(r)
-    for face in branched5.faces:
-        assert r.edges_with_label(face.id) == tuple(
-            (u, v) for u, v, f in r.edges if f == face.id
-        )
-    infinite = next(f.id for f in branched5.faces if f.is_infinite)
-    assert r.edges_with_label(infinite) == ()
-    assert sum(map(len, r._classes.values())) == len(r.edges)
+    assert set(r.pairs) == {face.id for face in branched5.finite_faces}
+    for face in branched5.finite_faces:
+        assert r.pairs[face.id] == resonance_columns(branched5, r.family, face.id)
+    assert "edges" not in vars(r)
+    assert r.edges == pairwise_resonance_edges(branched5, r.family)
+
+
+def test_unequal_pair_breaks_an_invariant(hexagon):
+    # a face class joins the k-th proper to the k-th improper matching, so
+    # its two bitsets must be the same size
+    r = resonance_of(hexagon)
+    fid, (proper, _) = next(iter(r.pairs.items()))
+    with pytest.raises(InternalInvariantBroken):
+        ResonanceGraph(r.family, {fid: (proper, 0)})
 
 
 def test_theta_sides_are_the_sides_of_each_face_class(branched5, nested_rings):
