@@ -12,6 +12,7 @@ and rfd decide elementarity from one matching and never exit 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -241,7 +242,10 @@ def cmd_import_benzenoid(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process.  It names no command
+    function; :func:`main` looks ``cmd_<command>`` up when it dispatches."""
     parser = _Parser(prog="rescube", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -265,17 +269,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="peripherally-2-colorable and elementary verdicts")
     common(p)
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("resonance", help="build the resonance graph (JSON, optional DOT)")
     common(p, cap_flag=True)
     p.add_argument("--dot", default=None,
                    help="also write the graph as DOT to this file ('-': standard output)")
-    p.set_defaults(fn=cmd_resonance)
 
     p = sub.add_parser("rfd", help="reducible face decomposition and attachment map")
     common(p, rfd_flag=True)
-    p.set_defaults(fn=cmd_rfd)
 
     p = sub.add_parser("label", help="binary coding of the perfect matchings")
     common(p, rfd_flag=True, cap_flag=True)
@@ -284,16 +285,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--emit-dot", default=None,
                    help="also write the labelled resonance graph as DOT to this "
                         "file ('-': standard output)")
-    p.set_defaults(fn=cmd_label)
 
     p = sub.add_parser("verify", help="full decomposition-theorem report")
     common(p, rfd_flag=True, cap_flag=True)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("import-benzenoid", help="convert a benzenoid cell list to graph JSON")
     p.add_argument("input")
     output(p)
-    p.set_defaults(fn=cmd_import_benzenoid)
 
     return parser
 
@@ -305,7 +303,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except CapExceeded as exc:
         print(f"rescube: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -1,6 +1,6 @@
 """Finite-graph metric machinery: the component search, the edge relation
 Theta, partial-cube and median recognition, daisy-cube recognition with
-proper labellings, and convexity read from labels.
+proper labellings, and the down-set and o-closure tests on labels.
 
 No distance table is built.  A graph that comes without labels is embedded
 from one pair of breadth-first rows per Theta class: the rows from the ends
@@ -14,13 +14,15 @@ fact.  A label is an ``int`` whose bit i is coordinate i of the hypercube.
 Labels, found so or given, are certified: they are isometric exactly when
 every edge flips one bit and every vertex differs from every other vertex
 at a bit that one of its own edges flips.  On certified labels
-distance is popcount, so convexity, medianness (closure under bitwise
-majority; Bandelt and Chepoi, "Metric graph theory and geometry: a
-survey", 2008) and the daisy search (the per-bit majority as the XOR mask
-that makes the labels a down-set) need no distances.  The definitional
-brute-force versions, the distance table and the Theta classes read from
-its distance differences, and the expansion construction live with the
-tests as oracles.
+distance is popcount, so medianness (closure under bitwise majority;
+Bandelt and Chepoi, "Metric graph theory and geometry: a survey", 2008)
+and the daisy search (the per-bit majority as the XOR mask that makes the
+labels a down-set) need no distances.  The convexity of a decomposition
+step's inner side is read off R(G)'s face pairs in
+``rescube.decomposition``.  The definitional brute-force versions, the
+distance table and the Theta classes read from its distance differences,
+convexity from labels and from intervals, and the expansion construction
+live with the tests as oracles.
 """
 
 from __future__ import annotations
@@ -416,32 +418,3 @@ def is_daisy_cube(mg: MetricGraph) -> DaisyVerdict:
     root = next(b for b in pc.labelling.values() if (b ^ mask) & untied == 0)
     labelling = {v: b ^ root for v, b in pc.labelling.items()}
     return DaisyVerdict(True, labelling, n)
-
-
-# ---------------------------------------------------------------------------
-# convexity
-# ---------------------------------------------------------------------------
-
-
-def is_convex_subset(edges, subset, bits: dict) -> bool:
-    """Whether every shortest path between members stays inside the subset.
-
-    ``edges`` yields the graph's edges as (u, v) pairs, in any order; ``bits``
-    must be an isometric labelling of the graph.  A neighbour w of u is a
-    step on a shortest path from u to v exactly when (L(w) ^ L(u)) &
-    (L(u) ^ L(v)) != 0, and every shortest path is a chain of such steps, so
-    the subset is convex when no step from a member towards another member
-    leaves it.  The bits on which u differs from some member are the bits
-    that vary across the subset, so it is convex exactly when no edge from
-    a member to a non-member flips a varying bit.  O(|E|) word operations."""
-    members = set(subset)
-    ones, common = 0, -1
-    for v in members:
-        ones |= bits[v]
-        common &= bits[v]
-    varying = ones & ~common
-    return not any(
-        (bits[u] ^ bits[v]) & varying
-        for u, v in edges
-        if (u in members) != (v in members)
-    )

@@ -17,8 +17,11 @@ of matchings held as one bitset over matching ids.  A face's two sides are
 compared with the sides of the Theta class its edges form in the resonance
 graph, so no check floods the resonance graph.  The step checks map one
 prefix's matchings and face pairs to the next by packing, so no check
-builds a matching as an edge set or lists an edge.  R(G) is certified
-along the decomposition, step by step, and not again as a whole graph.
+builds a matching as an edge set or lists an edge; the inner side's
+convexity is read off the same face pairs.  R(G) is certified along the
+decomposition, step by step, and not again as a whole graph.  A face order
+is checked ear by ear with no elementary analysis of its prefixes: an even
+cycle with odd ears is elementary (the bipartite ear theorem).
 """
 
 from __future__ import annotations
@@ -118,8 +121,6 @@ def _assemble_path(edges):
 
 
 def _is_plane_elementary(g: PlaneGraph) -> bool:
-    if not g.is_connected:
-        return False
     try:
         return elementary_analysis(g).is_elementary
     except NoPerfectMatching:
@@ -183,8 +184,11 @@ def rfd_from_face_order(g: PlaneGraph, order) -> RfdSequence:
 
     The first face only needs to bound a cycle.  Step i grows the union of
     the faces so far by face i; it holds when the face is a face of the
-    grown subgraph, its :func:`_rest` there is the previous subgraph, and
-    the previous subgraph is plane elementary.  Raises
+    grown subgraph and its :func:`_rest` there is the previous subgraph.
+    Then face i adds an odd ear whose interior vertices are new, so every
+    prefix is an even cycle (the graph is bipartite) with odd ears, which
+    is elementary by the bipartite ear theorem (Lovasz and Plummer,
+    *Matching Theory*, 4.1); no prefix is analysed again.  Raises
     :class:`NotReducibleAtStep` at the first failing step.  Every prefix but
     the whole graph is embedded once.
     """
@@ -207,8 +211,6 @@ def rfd_from_face_order(g: PlaneGraph, order) -> RfdSequence:
         fid = grown.face_by_edge_set.get(face.edges)
         if fid is None or _rest(grown, fid) != previous.edges:
             raise NotReducibleAtStep(step, "face is not an odd ear on the periphery")
-        if not _is_plane_elementary(previous):
-            raise NotReducibleAtStep(step, "previous subgraph is not elementary")
         graphs.append(grown)
     if graphs[-1] is not g:
         raise NotReducibleAtStep(len(order), "edges remain outside all faces")
@@ -434,6 +436,23 @@ def _inside(pair, side: int) -> tuple:
     return tuple(pack(x, side) for x in pair), in_a == in_b
 
 
+def _is_convex(on_side, labels: dict, members) -> bool:
+    """Whether ``members`` is a convex set of a graph whose ``labels`` are
+    isometric and whose edges at position p flip bit p - 1; ``on_side[p -
+    1]`` is the face pair at position p read on the members by
+    :func:`_inside`.  A neighbour w of u is a step on a shortest path from
+    u to v exactly when the bit w flips is one where u and v differ, and
+    every shortest path is a chain of such steps, so the set is convex when
+    no step from a member towards another member leaves it: no position
+    whose bit varies on the set has an edge with just one end inside."""
+    ones, common = 0, -1
+    for k in members:
+        ones |= labels[k]
+        common &= labels[k]
+    varying = ones & ~common
+    return all(whole for p, (_, whole) in enumerate(on_side) if varying >> p & 1)
+
+
 def _check_step(
     g: PlaneGraph, rfd: RfdSequence, i: int, prev: _Prefix, cur: _Prefix, chain
 ) -> StepReport:
@@ -468,14 +487,20 @@ def _check_step(
     and no edge between; at i, the k-th lifted inner matching joined to
     the k-th twin.  Equal pairs, in either order, join the same ids.
 
-    No distance table and no label certificate is built.  With ``chain``
-    the daisy labels of G_(i-1) are isometric (:func:`_chain`), so
-    ``inner-convex`` is read from them: no step from a member towards
-    another member leaves the set.  ``expansion-flags`` is derived: the
-    expansion along (all vertices, inner side) is peripheral by
-    construction, and a non-empty convex side is connected and isometric,
-    so the flags hold exactly when the inner side is non-empty, convex and
-    o-closed.  Without ``chain`` both clauses are None (undecided).
+    No distance table and no label certificate is built, and no edge of
+    R(G_(i-1)) is listed.  With ``chain`` the daisy labels of G_(i-1) are
+    isometric, and each edge of R(G_(i-1)) at position p flips exactly bit
+    p - 1: by induction along :func:`_chain`, the lifted edges join lifts,
+    which keep their labels, the twinned edges join twins, which each set
+    the same new bit on their lift's label, and the new position's edges
+    join a lift to its twin.  So ``inner-convex`` is read off the face
+    pairs read on the inner side (:func:`_is_convex`): no position whose
+    bit varies on the inner side has an edge with just one end there.
+    ``expansion-flags`` is derived: the expansion along (all vertices,
+    inner side) is peripheral by construction, and a non-empty convex side
+    is connected and isometric, so the flags hold exactly when the inner
+    side is non-empty, convex and o-closed.  Without ``chain`` both clauses
+    are None (undecided).
     """
     clauses = {}
     details = {}
@@ -527,13 +552,14 @@ def _check_step(
         ok = ok and labels_prev == prev.daisy.labels
     clauses["label-deletion"] = ok
 
-    # the inner-path side inside the previous resonance graph
+    # the inner-path side inside the previous resonance graph, and the face
+    # pairs of R(G_(i-1)) read on it
     inner_bits = handle_column(fam_prev, inner)
     inner_ids = bit_ids(inner_bits)
     inner_set = frozenset(inner_ids)
+    on_inner = [_inside(pair, inner_bits) for pair in prev_pairs[:-1]]
     details["inner_size"] = len(inner_set)
-    edges_prev = ((u, v) for u, v, _ in res_prev.iter_edges())
-    convex = chain and ck.is_convex_subset(edges_prev, inner_set, prev.daisy.labels)
+    convex = chain and _is_convex(on_inner, prev.daisy.labels, inner_ids)
     # once label-deletion holds, the previous labels are the previous daisy
     # labels, a down-set (daisy_labelling checks them against the iterated
     # construction); inside a down-set the inner side is o-closed exactly
@@ -571,9 +597,8 @@ def _check_step(
         and clauses["restriction-isomorphism"]
         and all(
             whole
-            and sorted(pack(x, plus_bits) for x in pair)
-            == sorted(_inside(pair_prev, inner_bits)[0])
-            for pair, (_, whole), pair_prev in zip(pairs, on_minus, prev_pairs[:-1])
+            and sorted(pack(x, plus_bits) for x in pair) == sorted(inside)
+            for pair, (_, whole), (inside, _) in zip(pairs, on_minus, on_inner)
         )
         and sorted(pairs[-1]) == sorted((inner_i, plus_bits))
     )

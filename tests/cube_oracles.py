@@ -14,10 +14,13 @@ and take and return the library's ``int`` labels: ``bits`` and ``text``
 convert at their boundary, character p - 1 being bit p - 1.  The
 library's flood fill, BFS-pair embedding, bit-vector core and label
 certificate must agree with them; ``test_cube_oracles.py`` checks that
-they do.  The graph expansion, the Theta-class side sets and the median
-split check build graphs and tables that no library path needs; they live
-here too, read the distance table directly, and serve as references for
-the step checks of ``rescube.decomposition``.
+they do.  Convexity read edge by edge from isometric labels sits with
+them: the reference for a decomposition step's inner side, which
+``rescube.decomposition`` reads off the face pairs.  The graph expansion,
+the Theta-class side sets and the median split check build graphs and
+tables that no library path needs; they live here too, read the distance
+table directly, and serve as references for the step checks of
+``rescube.decomposition``.
 
 The cycle-space section enumerates every cycle of a plane graph as a union
 of finite faces (2^F of them, so at most ``MAX_FACES_FOR_CYCLES`` faces per
@@ -418,6 +421,31 @@ def is_convex_subset(mg: MetricGraph, subset) -> bool:
         interval(mg, u, v) <= members
         for u, v in combinations(members, 2)
         if v in dist(mg)[u]
+    )
+
+
+def is_convex_by_labels(edges, subset, bits: dict) -> bool:
+    """Whether every shortest path between members stays inside the subset,
+    read from an isometric labelling ``bits`` of the graph with ``edges``.
+
+    A neighbour w of u is a step on a shortest path from u to v exactly
+    when (L(w) ^ L(u)) & (L(u) ^ L(v)) != 0, and every shortest path is a
+    chain of such steps, so the subset is convex when no step from a member
+    towards another member leaves it.  The bits on which u differs from
+    some member are the bits that vary across the subset, so it is convex
+    exactly when no edge from a member to a non-member flips a varying bit.
+    The reference for the face-pair reading of a step's inner side in
+    ``rescube.decomposition``, which knows each edge's bit from its face."""
+    members = set(subset)
+    ones, common = 0, -1
+    for v in members:
+        ones |= bits[v]
+        common &= bits[v]
+    varying = ones & ~common
+    return not any(
+        (bits[u] ^ bits[v]) & varying
+        for u, v in edges
+        if (u in members) != (v in members)
     )
 
 

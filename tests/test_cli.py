@@ -650,3 +650,24 @@ def test_plain_label_builds_no_resonance_graph(
     assert code == 0 and built == []
     assert plain == with_dot
     assert json.loads(plain)["labels"] == GOLDEN_LABELS[name, scheme]
+
+
+def test_parser_is_built_once_and_dispatch_reads_the_module(
+    branched_file, tmp_path, capsys, monkeypatch
+):
+    """Two calls in one process share one parser and write the same bytes;
+    dispatch looks the command function up by name at call time, so a
+    patched ``cli.cmd_verify`` is the one that runs."""
+    outs = []
+    for name in ("a.json", "b.json"):
+        target = tmp_path / name
+        assert run(capsys, "verify", branched_file, "-o", str(target))[0] == 0
+        outs.append(target.read_bytes())
+    assert outs[0] == outs[1]
+    assert cli._build_parser() is cli._build_parser()
+    calls = []
+    verify = cli.cmd_verify
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args.input) or verify(args))
+    code, out, _ = run(capsys, "verify", branched_file)
+    assert code == 0 and calls == [branched_file]
+    assert out.encode() == outs[0]

@@ -1,5 +1,5 @@
-"""Metric recognizers: Theta, partial cubes, median graphs, daisy cubes,
-the label certificate and label convexity."""
+"""Metric recognizers: Theta, partial cubes, median graphs, daisy cubes and
+the label certificate."""
 
 import pytest
 from hypothesis import given, strategies as st

@@ -8,10 +8,13 @@ catacondensed system of up to six rings, on random small connected
 graphs, which include odd cycles and graphs that are not partial cubes,
 and on induced subgraphs of Q2-Q6 with tied bits, where the daisy root is
 a choice.  The flood fill and the label certificate are also checked on
-random graphs that may be disconnected.  The decomposition steps' label
-convexity and expansion flags are checked against the table convexity and
-the graph expansion, and their lower-cover o-closed test against the
-downward-closure operator, at every step of the six-ring corpus.
+random graphs that may be disconnected.  Convexity read edge by edge from
+isometric labels is checked against the table convexity on random partial
+cubes.  The decomposition steps' face-pair convexity and expansion flags
+are checked against the table convexity and the graph expansion, on the
+inner side and on sets around it that are convex or not, and their
+lower-cover o-closed test against the downward-closure operator, at every
+step of the six-ring corpus.
 """
 
 from itertools import combinations
@@ -24,8 +27,8 @@ from rescube import cube_kit as ck, decomposition
 from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
 from rescube.decomposition import theorem_report
 from rescube.errors import NotAPartialCube
-from rescube.matchings import enumerate_matchings
-from rescube.plane_graph import is_peripherally_two_colorable
+from rescube.matchings import bit_ids, enumerate_matchings, handle_column
+from rescube.plane_graph import edge_key, is_peripherally_two_colorable
 from rescube.resonance import build_resonance
 
 
@@ -276,9 +279,9 @@ def oracle_expansion_flags(mg, labels, subset):
     return result.peripheral and result.convex and result.le
 
 
-def derived_expansion_flags(mg, labels, subset):
+def derived_expansion_flags(labels, subset, convex):
+    """The flags as a step derives them from the subset's convexity."""
     subset = frozenset(subset)
-    convex = ck.is_convex_subset(mg.edges, subset, labels)
     return bool(subset) and convex and ck.operator_o(labels, subset) == subset
 
 
@@ -290,11 +293,10 @@ def test_label_convexity_matches_oracle_on_partial_cubes(case, data):
     assume(pc.ok)
     for _ in range(3):
         subset = data.draw(st.sets(st.sampled_from(mg.vertices)))
-        assert ck.is_convex_subset(mg.edges, subset, pc.labelling) == oracle.is_convex_subset(
-            mg, subset
-        )
+        convex = oracle.is_convex_by_labels(mg.edges, subset, pc.labelling)
+        assert convex == oracle.is_convex_subset(mg, subset)
         assert derived_expansion_flags(
-            mg, pc.labelling, subset
+            pc.labelling, subset, convex
         ) == oracle_expansion_flags(mg, pc.labelling, subset)
 
 
@@ -313,48 +315,63 @@ def _step_subsets(mg, bits, inner):
     yield from (a | b for a, b in combinations(halves[:4], 2))
 
 
+def pair_rule_convex(prev, subset):
+    """The step's face-pair reading of convexity on any set of matchings of
+    G_(i-1): each face pair of R(G_(i-1)) read on the set, then the rule."""
+    side = sum(1 << v for v in subset)
+    on_side = [decomposition._inside(prev.resonance.pairs[f], side) for f in prev.rfd.faces]
+    return decomposition._is_convex(on_side, prev.daisy.labels, subset)
+
+
 def _report_steps(shape, monkeypatch):
     """Per decomposition step i of the report on the shape: its clauses, the
-    previous resonance graph, the previous labels as the step reads them
-    (G_i's daisy labels without bit i, by rank), the labels its convexity
-    was read from, and the inner side; none when the shape has no
+    record of prefix i - 1, the previous resonance graph, the
+    previous labels as the step reads them (G_i's daisy labels without bit
+    i, by rank), the labels its convexity is read from (G_(i-1)'s daisy
+    labels), and the inner side, the matchings of G_(i-1) that hold the end
+    edges of the face's path outside the ear; none when the shape has no
     decomposition."""
     g = build_benzenoid(shape)
     if g.is_cycle_graph() or not is_peripherally_two_colorable(g).ok:
         return []
-    records, convex_calls = [], []
-    prefix, is_convex_subset = decomposition._prefix, ck.is_convex_subset
+    records = []
+    prefix = decomposition._prefix
 
     def prefix_spy(*args):
         records.append(prefix(*args))
         return records[-1]
 
-    def convex_spy(edges, subset, bits):
-        convex_calls.append((frozenset(subset), bits))
-        return is_convex_subset(edges, subset, bits)
-
     monkeypatch.setattr(decomposition, "_prefix", prefix_spy)
-    monkeypatch.setattr(ck, "is_convex_subset", convex_spy)
     report = theorem_report(g)
     monkeypatch.undo()
 
     steps = [report["steps"][k] for k in sorted(report["steps"], key=int)]
-    assert len(steps) == len(records) - 1 == len(convex_calls) >= 1
+    assert len(steps) == len(records) - 1 >= 1
     out = []
-    for i, (clauses, (inner, bits)) in enumerate(zip(steps, convex_calls), start=2):
+    for i, clauses in enumerate(steps, start=2):
         prev, cur = records[i - 2], records[i - 1]
+        ear = decomposition._assemble_path(cur.graph.edges - prev.graph.edges)
+        cycle = cur.graph.faces[cur.rfd.faces[i - 1]].edges
+        ear_edges = {edge_key(a, b) for a, b in zip(ear, ear[1:])}
+        inner = decomposition._assemble_path(cycle - ear_edges)
+        inner_set = frozenset(bit_ids(handle_column(prev.family, inner)))
         lifts = sorted(mid for mid, label in cur.daisy.labels.items() if not label >> (i - 1) & 1)
         labels = {k: cur.daisy.labels[mid] for k, mid in enumerate(lifts)}
-        out.append((clauses, prev.resonance.metric(), labels, bits, inner))
+        mg = prev.resonance.metric()
+        out.append((clauses, prev, mg, labels, prev.daisy.labels, inner_set))
     return out
 
 
 @pytest.mark.parametrize("shape", catacondensed_polyhexes(6), ids=str)
 def test_step_convexity_matches_oracle(shape, monkeypatch):
-    """At every step convexity is read from the previous daisy labels, which
-    are isometric, and the report's inner-convex and expansion-flags clauses
-    equal the table convexity and the graph expansion's flags."""
-    for clauses, mg, labels, bits, inner in _report_steps(shape, monkeypatch):
+    """At every step convexity is read from the previous face pairs and
+    daisy labels, which are isometric, and the report's inner-convex and
+    expansion-flags clauses equal the table convexity and the graph
+    expansion's flags.  The face-pair rule equals the table convexity on
+    every one of the step's sets, some of which are not convex once some
+    R(G_(i-1)) is larger than K2."""
+    verdicts, larger = set(), False
+    for clauses, prev, mg, labels, bits, inner in _report_steps(shape, monkeypatch):
         # from step 3 on the previous daisy labels are the step's previous
         # labels; R(G_1) is K2, whose two labellings 0 and 1 may swap
         assert bits == {v: labels[v] for v in mg.vertices} or (
@@ -362,14 +379,21 @@ def test_step_convexity_matches_oracle(shape, monkeypatch):
         )
         assert oracle.is_isometric_labelling(mg, bits)
         assert oracle.is_isometric_labelling(mg, labels)
+        # every edge of R(G_(i-1)) at position p flips bit p - 1
+        position = {f: p for p, f in enumerate(prev.rfd.faces)}
+        assert all(bits[u] ^ bits[v] == 1 << position[f] for u, v, f in prev.resonance.edges)
         assert clauses["inner-convex"] == oracle.is_convex_subset(mg, inner)
         assert clauses["expansion-flags"] == oracle_expansion_flags(mg, labels, inner)
+        larger = larger or len(mg.vertices) > 2
         for subset in _step_subsets(mg, bits, inner):
-            convex = ck.is_convex_subset(mg.edges, subset, bits)
+            convex = pair_rule_convex(prev, subset)
             assert convex == oracle.is_convex_subset(mg, subset)
+            assert convex == oracle.is_convex_by_labels(mg.edges, subset, bits)
             assert derived_expansion_flags(
-                mg, labels, subset
+                labels, subset, convex
             ) == oracle_expansion_flags(mg, labels, subset)
+            verdicts.add(convex)
+    assert False in verdicts or not larger
 
 
 @pytest.mark.parametrize("shape", catacondensed_polyhexes(6), ids=str)
@@ -385,7 +409,7 @@ def test_step_lower_cover_test_matches_operator_o(shape, monkeypatch):
         return is_downward_closed(label_set)
 
     monkeypatch.setattr(ck, "is_downward_closed", lower_cover_spy)
-    for clauses, mg, labels, bits, inner in _report_steps(shape, monkeypatch):
+    for clauses, _, mg, labels, bits, inner in _report_steps(shape, monkeypatch):
         assert clauses["label-deletion"]
         assert oracle.is_downward_closed(labels.values())
         assert frozenset(labels[v] for v in inner) in tested

@@ -162,6 +162,25 @@ def test_rfd_from_face_order_embeds_each_prefix_once(h, embedded):
     assert len(embedded) == h - 1 and rfd.graphs[-1] is g
 
 
+@pytest.mark.parametrize("shape", ["branched5", "zigzag9"])
+def test_rfd_from_face_order_analyses_no_prefix(shape, request, monkeypatch):
+    """Each accepted step adds an odd ear with new interior vertices to an
+    even cycle with odd ears, which is elementary (the bipartite ear
+    theorem), so checking a face order runs no elementary analysis; the
+    ear-by-ear oracle, which does analyse each prefix, agrees on every face
+    order (test_face_orders_agree_with_ears)."""
+    g = request.getfixturevalue(shape) if shape == "branched5" else zigzag(9)
+    order = auto_rfd(g).faces
+    analysed = []
+    analyse = plane_graph._analyse_elementary
+    monkeypatch.setattr(decomposition, "elementary_analysis", analysed.append)
+    monkeypatch.setattr(
+        plane_graph, "_analyse_elementary", lambda h: analysed.append(h) or analyse(h)
+    )
+    assert rfd_from_face_order(g, order).faces == order
+    assert analysed == []
+
+
 # ---------------------------------------------------------------------------
 # one step rule: the forward check, the ear-by-ear oracle and the peel agree
 # ---------------------------------------------------------------------------
@@ -681,19 +700,27 @@ def test_report_builds_no_edge_set(request, shape):
 @pytest.mark.parametrize("shape", ["branched5", "zigzag9"])
 def test_report_lists_no_resonance_edges(request, monkeypatch, shape):
     """A passing report reads every R(G_k), and R(G) itself, from its pairs
-    of bitsets: none of them lists its edges."""
+    of bitsets: none of them lists its edges, and only R(G) walks them, for
+    its metric graph and the flip check; no step walks R(G_(k-1))'s."""
     g = request.getfixturevalue(shape) if shape == "branched5" else zigzag(9)
     r = resonance_of(g)
     records, prefix = [], decomposition._prefix
+    walked, iter_edges = set(), ResonanceGraph.iter_edges
 
     def prefix_spy(*args):
         records.append(prefix(*args))
         return records[-1]
 
+    def walk_spy(self):
+        walked.add(id(self))
+        return iter_edges(self)
+
     monkeypatch.setattr(decomposition, "_prefix", prefix_spy)
+    monkeypatch.setattr(ResonanceGraph, "iter_edges", walk_spy)
     assert theorem_report(g, resonance=r)["ok"]
     assert len(records) == auto_rfd(g).n and records[-1].resonance is r
     assert all("edges" not in vars(record.resonance) for record in records)
+    assert walked == {id(r)}
 
 
 # ---------------------------------------------------------------------------
