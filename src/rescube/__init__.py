@@ -28,7 +28,6 @@ from .cube_kit import (
     is_daisy_cube,
     is_median,
     is_partial_cube,
-    operator_o,
     theta_classes,
 )
 from .decomposition import (

@@ -17,8 +17,9 @@ complements every lattice-coding label and fixes every daisy label.
 A label is an ``int`` whose bit p - 1 is position p.  Both codings read the
 family's per-edge matching columns: each position is one bitset over
 matching ids, built from the exterior handles' end-edge columns, and the
-labels are the transpose of those bitsets.  :func:`bit_string` is the one
-place a label becomes text.
+labels are the transpose of those bitsets.  A :class:`Labelling` keeps both,
+so a check on a whole position is a few big-int operations on its column.
+:func:`bit_string` is the one place a label becomes text.
 
 A weakly elementary graph is labelled by its elementary components, each
 read on the graph's own columns at the component's edges, and the labels
@@ -68,12 +69,14 @@ def daisy_label_set(attachment: dict, n: int) -> frozenset:
 
 @dataclass(frozen=True)
 class Labelling:
-    """A label per matching id; position p, bit p - 1, is face ``face_order[p - 1]``."""
+    """A label per matching id; position p, bit p - 1, is face ``face_order[p - 1]``,
+    and ``columns[p - 1]`` is its bitset of the matchings whose bit is 1."""
 
     scheme: str
     labels: dict
     face_order: tuple
     mixed_orientation: tuple = field(default_factory=tuple)
+    columns: tuple = field(compare=False, repr=False, kw_only=True)
 
     @property
     def length(self) -> int:
@@ -112,11 +115,10 @@ def daisy_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
     iterated label-set construction on the decomposition's attachment map
     and against injectivity; a mismatch raises :class:`LabelSetMismatch`.
     """
-    order = tuple(rfd.faces)
-    labels = _labels_from_columns(family, _daisy_ones(g, family, rfd))
-    if len(order) > 1:  # an even cycle's two labels are 0 and 1
-        _certify_daisy(labels, (rfd,))
-    return Labelling(DAISY, labels, order)
+    labelling = _labelling(DAISY, family, _daisy_ones(g, family, rfd), rfd.faces)
+    if rfd.n > 1:  # an even cycle's two labels are 0 and 1
+        _certify_daisy(labelling.labels, (rfd,))
+    return labelling
 
 
 def _daisy_ones(g: PlaneGraph, family: MatchingFamily, rfd) -> list:
@@ -166,9 +168,12 @@ def _daisy_columns(g: PlaneGraph, family: MatchingFamily, order) -> list:
     return ones
 
 
-def _labels_from_columns(family: MatchingFamily, columns) -> dict:
-    """Per matching id, the label whose bit i is bit id of ``columns[i]``."""
-    return dict(enumerate(_transpose(columns, len(family))))
+def _labelling(scheme: str, family: MatchingFamily, columns, order, mixed=()) -> Labelling:
+    """The labelling of these columns: matching k's label has bit i set
+    when ``columns[i]`` has bit k."""
+    columns = tuple(columns)
+    labels = dict(enumerate(_transpose(columns, len(family))))
+    return Labelling(scheme, labels, tuple(order), mixed, columns=columns)
 
 
 def _proper_column(g: PlaneGraph, family: MatchingFamily, path) -> int:
@@ -209,7 +214,7 @@ def fdl_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
     than normalized away; the list stays empty on peripherally 2-colorable
     inputs."""
     ones, mixed = _fdl_ones(g, family, rfd)
-    return Labelling(FDL, _labels_from_columns(family, ones), tuple(rfd.faces), mixed)
+    return _labelling(FDL, family, ones, rfd.faces, mixed)
 
 
 def _fdl_ones(g: PlaneGraph, family: MatchingFamily, rfd) -> tuple:
@@ -239,16 +244,10 @@ def color_swap_effect(g: PlaneGraph, family: MatchingFamily, rfd) -> ColorSwapRe
     and fixes the daisy coding; raises :class:`PropertyViolated` otherwise."""
     # swapping colours changes no edge set, so the family serves both sides
     swapped = swap_colors(g)
-    fdl_here = fdl_labelling(g, family, rfd)
-    fdl_there = fdl_labelling(swapped, family, rfd)
-    ones = (1 << fdl_here.length) - 1
-    fdl_ok = all(
-        fdl_there.labels[mid] == fdl_here.labels[mid] ^ ones for mid in fdl_here.labels
-    )
-
-    daisy_here = daisy_labelling(g, family, rfd)
-    daisy_there = daisy_labelling(swapped, family, rfd)
-    daisy_ok = daisy_here.labels == daisy_there.labels
+    here, there = (fdl_labelling(h, family, rfd).columns for h in (g, swapped))
+    fdl_ok = there == tuple(col ^ family.full for col in here)
+    here, there = (daisy_labelling(h, family, rfd).columns for h in (g, swapped))
+    daisy_ok = here == there
 
     report = ColorSwapReport(fdl_complemented=fdl_ok, daisy_fixed=daisy_ok)
     if not report.ok:
@@ -308,10 +307,10 @@ def composed_labels(g: PlaneGraph, family: MatchingFamily, parts, scheme: str) -
             columns += _fdl_ones(sub, family, rfd)[0]
         rfds.append(rfd)
         order += (g.face_by_edge_set.get(sub.faces[fid].edges) for fid in rfd.faces)
-    labels = _labels_from_columns(family, columns)
+    labelling = _labelling(scheme, family, columns, order)
     if scheme == DAISY:
-        _certify_daisy(labels, rfds)
-    return Labelling(scheme, labels, tuple(order))
+        _certify_daisy(labelling.labels, rfds)
+    return labelling
 
 
 def labelling_is_proper(metric, labels) -> bool:
@@ -321,5 +320,6 @@ def labelling_is_proper(metric, labels) -> bool:
 
 def codings_differ(daisy: Labelling, fdl: Labelling) -> bool:
     """Report whether some matching receives different labels (expected as
-    soon as the graph has at least two finite faces)."""
-    return any(daisy.labels[mid] != fdl.labels[mid] for mid in daisy.labels)
+    soon as the graph has at least two finite faces): whether some position's
+    columns differ."""
+    return daisy.columns != fdl.columns

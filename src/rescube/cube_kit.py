@@ -1,6 +1,6 @@
 """Finite-graph metric machinery: the component search, the edge relation
 Theta, partial-cube and median recognition, daisy-cube recognition with
-proper labellings, and the down-set and o-closure tests on labels.
+proper labellings, and the down-set test on labels.
 
 No distance table is built.  A graph that comes without labels is embedded
 from one pair of breadth-first rows per Theta class: the rows from the ends
@@ -19,10 +19,11 @@ Bandelt and Chepoi, "Metric graph theory and geometry: a survey", 2008)
 and the daisy search (the per-bit majority as the XOR mask that makes the
 labels a down-set) need no distances.  The convexity of a decomposition
 step's inner side is read off R(G)'s face pairs in
-``rescube.decomposition``.  The definitional brute-force versions, the
-distance table and the Theta classes read from its distance differences,
-convexity from labels and from intervals, and the expansion construction
-live with the tests as oracles.
+``rescube.decomposition``, its o-closure by the down-set test.  The
+definitional brute-force versions, the distance table and the Theta
+classes read from its distance differences, convexity from labels and from
+intervals, the operator o, and the expansion construction live with the
+tests as oracles.
 """
 
 from __future__ import annotations
@@ -362,13 +363,6 @@ def is_median(mg: MetricGraph) -> bool:
 # ---------------------------------------------------------------------------
 # daisy cubes
 # ---------------------------------------------------------------------------
-
-
-def operator_o(labels: dict, subset) -> frozenset:
-    """Downward closure of a vertex subset inside the labelled vertex set."""
-    chosen = [labels[v] for v in subset]
-    # b lies below c exactly when b & c == b
-    return frozenset(v for v, b in labels.items() if b in map(b.__and__, chosen))
 
 
 def is_isometric_labelling(mg: MetricGraph, labels: dict) -> bool:

@@ -15,13 +15,15 @@ edge class, the handle-set equalities, and the step checks' ear and inner
 sides) are read from the matching family's per-edge columns: each is a set
 of matchings held as one bitset over matching ids.  A face's two sides are
 compared with the sides of the Theta class its edges form in the resonance
-graph, so no check floods the resonance graph.  The step checks map one
-prefix's matchings and face pairs to the next by packing, so no check
-builds a matching as an edge set or lists an edge; the inner side's
-convexity is read off the same face pairs.  R(G) is certified along the
-decomposition, step by step, and not again as a whole graph.  A face order
-is checked ear by ear with no elementary analysis of its prefixes: an even
-cycle with odd ears is elementary (the bipartite ear theorem).
+graph, so no check floods the resonance graph.  A step reads its ear and
+inner path as the two arcs of its face's walk, and maps one prefix's
+matchings, face pairs and daisy columns to the next by packing, so no
+check builds a matching as an edge set or lists an edge, and each label
+clause compares whole positions; the inner side's convexity is read off
+the same face pairs.  R(G) is certified along the decomposition, step by
+step, and not again as a whole graph.  A face order is checked ear by ear
+with no elementary analysis of its prefixes: an even cycle with odd ears
+is elementary (the bipartite ear theorem).
 """
 
 from __future__ import annotations
@@ -91,33 +93,18 @@ class RfdSequence:
         return RfdSequence(self.faces[:i], att, self.notes, graphs=self.graphs[:i])
 
 
-def _assemble_path(edges):
-    """Order an edge set into a simple path's vertex sequence, or None."""
-    if not edges:
+def _arc(face, edges):
+    """The vertex path, along the face's walk, of the one run of walk edges
+    that lie in ``edges``; None when none or all of them do, when they form
+    several runs, or when the run passes a vertex twice."""
+    inside = [edge_key(u, v) in edges for u, v in face.darts]
+    starts = [k for k, held in enumerate(inside) if held and not inside[k - 1]]
+    if len(starts) != 1:  # no run, or the whole walk, or several runs
         return None
-    deg = {}
-    adj = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if any(d > 2 for d in deg.values()):
-        return None
-    ends = sorted(v for v, d in deg.items() if d == 1)
-    if len(ends) != 2:
-        return None
-    path = [ends[0]]
-    prev = None
-    while path[-1] != ends[1]:
-        nxts = [w for w in adj[path[-1]] if w != prev]
-        if len(nxts) != 1:
-            return None
-        prev = path[-1]
-        path.append(nxts[0])
-    if len(path) != len(edges) + 1:
-        return None
-    return tuple(path)
+    k = starts[0]
+    length = (inside[k:] + inside[:k]).index(False)  # the run's edges
+    path = (face.boundary[k:] + face.boundary[:k])[: length + 1]
+    return path if len(set(path)) == len(path) else None
 
 
 def _is_plane_elementary(g: PlaneGraph) -> bool:
@@ -131,17 +118,15 @@ def _rest(g: PlaneGraph, face_id: int):
     """The edges of ``g`` left when the face's shared periphery path, its
     internal vertices and their edges are removed, if that path is odd;
     otherwise None.  The one rule of a decomposition step: read forward,
-    the face attaches to the rest by an odd ear."""
-    face = g.faces[face_id]
-    shared = face.edges & g.periphery_edges  # a face all on the periphery has no ear
-    path = _assemble_path(shared) if shared != face.edges else None
+    the face attaches to the rest by an odd ear.  The path is the one run of
+    peripheral edges on the face's walk (:func:`_arc`), so a face all on the
+    periphery has none."""
+    path = _arc(g.faces[face_id], g.periphery_edges)
     if path is None or len(path) % 2:  # a path of an even number of edges
         return None
     internal = set(path[1:-1])
     path_edges = {edge_key(a, b) for a, b in zip(path, path[1:])}
-    return frozenset(
-        e for e in g.edges if e not in path_edges and not (set(e) & internal)
-    )
+    return frozenset(e for e in g.edges if e not in path_edges and not set(e) & internal)
 
 
 def _reduction(g: PlaneGraph, face_id: int):
@@ -436,21 +421,18 @@ def _inside(pair, side: int) -> tuple:
     return tuple(pack(x, side) for x in pair), in_a == in_b
 
 
-def _is_convex(on_side, labels: dict, members) -> bool:
-    """Whether ``members`` is a convex set of a graph whose ``labels`` are
-    isometric and whose edges at position p flip bit p - 1; ``on_side[p -
-    1]`` is the face pair at position p read on the members by
-    :func:`_inside`.  A neighbour w of u is a step on a shortest path from
-    u to v exactly when the bit w flips is one where u and v differ, and
-    every shortest path is a chain of such steps, so the set is convex when
-    no step from a member towards another member leaves it: no position
-    whose bit varies on the set has an edge with just one end inside."""
-    ones, common = 0, -1
-    for k in members:
-        ones |= labels[k]
-        common &= labels[k]
-    varying = ones & ~common
-    return all(whole for p, (_, whole) in enumerate(on_side) if varying >> p & 1)
+def _is_convex(on_side, columns, members: int) -> bool:
+    """Whether ``members`` (a bitset over ids) is a convex set of a graph
+    whose labels, the transpose of ``columns``, are isometric and whose
+    edges at position p flip bit p - 1; ``on_side[p - 1]`` is the face pair
+    at position p read on the members by :func:`_inside`.  A neighbour w of
+    u is a step on a shortest path from u to v exactly when the bit w flips
+    is one where u and v differ, and every shortest path is a chain of such
+    steps, so the set is convex when no step from a member towards another
+    leaves it: no position whose column holds some but not all members has
+    an edge with just one end inside."""
+    varies = (col & members not in (0, members) for col in columns)
+    return all(whole for (_, whole), vary in zip(on_side, varies) if vary)
 
 
 def _check_step(
@@ -459,14 +441,15 @@ def _check_step(
     """The clauses of step i, from the records of prefixes i - 1 and i;
     ``chain`` is True when every clause of steps 2..i-1 holds, else None.
 
-    The restriction to G_(i-1), its inverse the lift, and the twist along
-    the face's cycle C are compared as packed columns (:func:`pack`), so no
-    matching is built or looked up as an edge set.  Matching k of G_(i-1)
-    is the k-th matching of G_i that avoids the ear's end edges (the minus
-    side), and the k-th twin is the k-th matching that holds them (the plus
-    side).  Both families must come from :func:`enumerate_matchings`, whose
-    ids order matchings by the mate of the smallest vertex where two differ;
-    the two orders follow from that:
+    The ear and the inner path are the arcs of face i's walk outside and
+    inside G_(i-1) (:func:`_arc`).  The restriction to G_(i-1), its inverse
+    the lift, and the twist along the face's cycle C are compared as packed
+    columns (:func:`pack`), so no matching is built or looked up as an edge
+    set.  Matching k of G_(i-1) is the k-th matching of G_i that avoids the
+    ear's end edges (the minus side), and the k-th twin is the k-th
+    matching that holds them (the plus side).  Both families must come from
+    :func:`enumerate_matchings`, whose ids order matchings by the mate of
+    the smallest vertex where two differ; the two orders follow from that:
 
     - restriction keeps rank: a minus matching avoids the ear's end edges,
       so it holds the ear's even edges, whose interior vertices have degree
@@ -476,6 +459,15 @@ def _check_step(
     - twins keep order: lifted matchings under which C alternates hold the
       same half of C (the ear's even edges), so argument (c) of
       :func:`~rescube.resonance.build_resonance` applies to their twists.
+
+    The label clauses compare daisy columns (:attr:`coding.Labelling.columns`)
+    packed the same way: G_i's columns but the last, packed onto the minus
+    side, are the kept labels, G_i's labels there without bit i.
+    ``label-deletion`` holds when the last column is the plus side and the
+    kept columns are G_(i-1)'s; G_1's one column is anchored by its own
+    coloring and may be the complement, so at i = 2 the kept column need
+    only split G_1's two matchings.  The inner side's label clauses read
+    the kept labels, not G_(i-1)'s.
 
     The twins are derived from C, not from the resonant columns that built
     R(G_i), so the prediction of ``expansion-equality`` stays independent
@@ -494,38 +486,39 @@ def _check_step(
     which keep their labels, the twinned edges join twins, which each set
     the same new bit on their lift's label, and the new position's edges
     join a lift to its twin.  So ``inner-convex`` is read off the face
-    pairs read on the inner side (:func:`_is_convex`): no position whose
-    bit varies on the inner side has an edge with just one end there.
+    pairs on the inner side and G_(i-1)'s columns (:func:`_is_convex`).
+    Once ``label-deletion`` holds, the kept labels are G_(i-1)'s daisy
+    labels, a down-set (:func:`coding.daisy_labelling` certifies it), in
+    which the inner side is o-closed exactly when its labels are a down-set.
     ``expansion-flags`` is derived: the expansion along (all vertices,
     inner side) is peripheral by construction, and a non-empty convex side
     is connected and isometric, so the flags hold exactly when the inner
-    side is non-empty, convex and o-closed.  Without ``chain`` both clauses
-    are None (undecided).
+    side is non-empty, convex and o-closed.  Without ``chain``
+    ``inner-convex`` and ``expansion-flags`` are None (undecided), and so
+    is ``inner-le-subgraph`` without ``label-deletion``.
     """
-    clauses = {}
-    details = {}
+    clauses, details = {}, {}
 
     fam_i, fam_prev = cur.family, prev.family
     col_i, col_prev = fam_i.columns, fam_prev.columns
     res_i, res_prev = cur.resonance, prev.resonance
-    labels_i = cur.daisy.labels
+    daisy_i = cur.daisy.columns
 
-    ear = _assemble_path(cur.graph.edges - prev.graph.edges)
-    face_edges = g.faces[rfd.faces[i - 1]].edges
-    inner = _assemble_path(face_edges - {edge_key(a, b) for a, b in zip(ear, ear[1:])})
-    clauses["inner-path"] = inner is not None
-    if inner is None:
+    face = g.faces[rfd.faces[i - 1]]
+    ear = _arc(face, face.edges - prev.graph.edges)
+    inner = _arc(face, prev.graph.edges)
+    clauses["inner-path"] = ear is not None and inner is not None
+    if not clauses["inner-path"]:
         return StepReport(i, clauses, details)
 
     # restriction: the k-th avoid-side matching of G_i is matching k of G_(i-1)
     plus_bits = handle_column(fam_i, ear)
     minus_bits = fam_i.full & ~plus_bits
-    minus, plus = bit_ids(minus_bits), bit_ids(plus_bits)
-    ok = len(minus) == len(fam_prev) and all(
+    details["minus_size"] = minus_bits.bit_count()
+    details["plus_size"] = plus_bits.bit_count()
+    ok = details["minus_size"] == len(fam_prev) and all(
         pack(col_i.get(e, 0), minus_bits) == col_prev.get(e, 0) for e in prev.graph.edges
     )
-    details["minus_size"] = len(minus)
-    details["plus_size"] = len(plus)
     clauses["restriction-bijection"] = ok
     if not ok:
         return StepReport(i, clauses, details)
@@ -538,42 +531,27 @@ def _check_step(
         sorted(inside) == sorted(pair) for (inside, _), pair in zip(on_minus, prev_pairs)
     )
 
-    # deleting the new bit from the avoid side labels the previous resonance
-    # graph; when that subgraph is not an even cycle the handle rule must
-    # reproduce exactly the same labelling
-    new = 1 << (i - 1)  # the bit of position i
-    ok = not any(labels_i[mid] & new for mid in minus) and all(
-        labels_i[mid] & new for mid in plus
-    )
-    # position i is the last, so deleting it clears the bit
-    labels_prev = {k: labels_i[mid] & ~new for k, mid in enumerate(minus)}
-    ok = ok and len(set(labels_prev.values())) == len(labels_prev)
-    if i >= 3:
-        ok = ok and labels_prev == prev.daisy.labels
-    clauses["label-deletion"] = ok
+    # deleting the new bit, the last column, from the avoid side labels the
+    # previous resonance graph as the previous daisy labelling does
+    kept = [pack(col, minus_bits) for col in daisy_i[:-1]]
+    same = kept == list(prev.daisy.columns) if i >= 3 else kept[0] in (1, 2)
+    clauses["label-deletion"] = daisy_i[-1] == plus_bits and same
 
     # the inner-path side inside the previous resonance graph, and the face
     # pairs of R(G_(i-1)) read on it
     inner_bits = handle_column(fam_prev, inner)
-    inner_ids = bit_ids(inner_bits)
-    inner_set = frozenset(inner_ids)
+    size = inner_bits.bit_count()
     on_inner = [_inside(pair, inner_bits) for pair in prev_pairs[:-1]]
-    details["inner_size"] = len(inner_set)
-    convex = chain and _is_convex(on_inner, prev.daisy.labels, inner_ids)
-    # once label-deletion holds, the previous labels are the previous daisy
-    # labels, a down-set (daisy_labelling checks them against the iterated
-    # construction); inside a down-set the inner side is o-closed exactly
-    # when every lower cover of a member is a member
-    if clauses["label-deletion"]:
-        o_closed = ck.is_downward_closed({labels_prev[mid] for mid in inner_set})
-    else:
-        o_closed = ck.operator_o(labels_prev, inner_set) == inner_set
+    details["inner_size"] = size
+    convex = chain and _is_convex(on_inner, prev.daisy.columns, inner_bits)
     clauses["inner-convex"] = convex
+    o_closed = None  # undecided unless the kept labels are G_(i-1)'s
+    if clauses["label-deletion"]:
+        on_side = ck._transpose([pack(col, inner_bits) for col in kept], size)
+        o_closed = ck.is_downward_closed(on_side)
     clauses["inner-le-subgraph"] = o_closed
     att = rfd.attachment[i]
-    att_bit = 1 << (att - 1)
-    zero_att = frozenset(mid for mid in labels_prev if not labels_prev[mid] & att_bit)
-    clauses["inner-zero-at-attachment"] = inner_set == zero_att
+    clauses["inner-zero-at-attachment"] = inner_bits == fam_prev.full & ~kept[att - 1]
 
     # expansion: the lift of matching k is minus[k], and the j-th twin, the
     # j-th lifted inner matching twisted along C, must be plus[j]: equal
@@ -583,15 +561,16 @@ def _check_step(
     # the inner path ends where the ear does, so the lifted inner side is
     # G_i's inner side
     inner_i = handle_column(fam_i, inner)
-    on_cycle = (1 << len(inner_ids)) - 1
-    twins = len(plus) == len(inner_ids) and all(
+    on_cycle = (1 << size) - 1
+    twins = details["plus_size"] == size and all(
         pack(col_i.get(e, 0), plus_bits)
-        == pack(col_i.get(e, 0), inner_i) ^ (on_cycle if e in face_edges else 0)
+        == pack(col_i.get(e, 0), inner_i) ^ (on_cycle if e in face.edges else 0)
         for e in cur.graph.edges
     )
     # each twin's label is its lift's with the new bit set
-    lifts = (minus[k] for k in inner_ids)
-    twins = twins and all(labels_i[t] == labels_i[m] | new for m, t in zip(lifts, plus))
+    twins = twins and not plus_bits & ~daisy_i[-1] and all(
+        pack(col, plus_bits) == pack(col, inner_i) for col in daisy_i[:-1]
+    )
     clauses["expansion-equality"] = (
         twins
         and clauses["restriction-isomorphism"]
@@ -603,10 +582,9 @@ def _check_step(
         and sorted(pairs[-1]) == sorted((inner_i, plus_bits))
     )
 
-    clauses["expansion-flags"] = chain and bool(inner_set) and convex and o_closed
+    clauses["expansion-flags"] = chain and bool(inner_bits) and convex and o_closed
 
-    zero_both = frozenset(mid for mid in labels_i if not labels_i[mid] & (att_bit | new))
-    clauses["zero-positions"] = zero_both == frozenset(bit_ids(inner_i))
+    clauses["zero-positions"] = fam_i.full & ~(daisy_i[att - 1] | daisy_i[-1]) == inner_i
 
     return StepReport(i, clauses, details)
 
@@ -681,8 +659,8 @@ def theorem_report(
     lab = report["labelling"]
     lab["daisy_proper"] = chain and ck.is_downward_closed(daisy.labels.values())
     lab["daisy_accepted_by_search"] = ck.is_daisy_cube(metric).ok
-    masks = {f ^ daisy.labels[mid] for mid, f in fdl.labels.items()}
-    lab["fdl_isometric"] = chain and len(masks) == 1  # XOR keeps Hamming distance
+    masks = [d ^ f for d, f in zip(daisy.columns, fdl.columns)]  # per position
+    lab["fdl_isometric"] = chain and all(m in (0, family.full) for m in masks)  # one XOR mask
     lab["fdl_bottom_zero"] = fdl.labels[bottom] == 0
     lab["fdl_top_ones"] = fdl.labels[top] == (1 << rfd.n) - 1
     lab["fdl_no_mixed_orientation"] = not fdl.mixed_orientation

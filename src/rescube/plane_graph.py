@@ -528,8 +528,8 @@ def graph_to_json(g: PlaneGraph) -> str:
 def graph_from_json(text: str) -> PlaneGraph:
     """The graph of :func:`graph_to_json`'s format.  Raises ValueError (or
     its subclass ``json.JSONDecodeError``) when the text is not of that
-    shape, naming a missing top-level field, or a vertex that lacks a field
-    by its index and the fields it lacks."""
+    shape, naming a missing top-level field, a vertex that lacks a field (by
+    its index, with the fields it lacks), or an edge that is not a pair."""
     obj = json.loads(text)
     missing = [k for k in ("vertices", "edges") if not isinstance(obj, dict) or k not in obj]
     if missing:
@@ -543,6 +543,9 @@ def graph_from_json(text: str) -> PlaneGraph:
             if missing:
                 raise ValueError(f"vertex at index {i} lacks {', '.join(map(repr, missing))}")
             vertices.append((v["id"], v["x"], v["y"]))
+        for i, e in enumerate(obj["edges"]):
+            if not isinstance(e, list) or len(e) != 2:
+                raise ValueError(f"edge at index {i} is not a pair of vertex ids: {e!r}")
         edges = [tuple(e) for e in obj["edges"]]
     except TypeError as exc:
         raise ValueError(

@@ -9,7 +9,7 @@ flag whether Theta is transitive), partial cubes from string labels
 checked pair by pair against the distance table, medianness from the
 intersection of the three intervals of every vertex triple, daisy cubes
 from string orientation flips (every root, or every one of the 2^idim
-masks), and convexity from intervals.  The oracles reason on bit strings
+masks), convexity from intervals, and the downward-closure operator o.  The oracles reason on bit strings
 and take and return the library's ``int`` labels: ``bits`` and ``text``
 convert at their boundary, character p - 1 being bit p - 1.  The
 library's flood fill, BFS-pair embedding, bit-vector core and label
@@ -63,8 +63,12 @@ reference for the per-edge column reads of ``rescube.matchings`` and
 daisy bit.
 
 The step section checks a decomposition step with the restriction, lift
-and twist maps looked up matching by matching as edge sets: the reference
-for the packed-column step check of ``rescube.decomposition``.
+and twist maps looked up matching by matching as edge sets, its ear and
+inner path assembled from edge sets, its labels read matching by matching,
+and o-closure by the downward-closure operator (:func:`operator_o`): the
+reference for the packed-column step check of ``rescube.decomposition``,
+which reads the ear and inner path as arcs of the face's walk, the labels
+as daisy columns, and o-closure as a down-set test.
 
 The last section validates a face order as a decomposition ear by ear,
 each new face's edges checked as an odd path attached at its ends: the
@@ -82,11 +86,9 @@ from rescube.cube_kit import (
     MetricGraph,
     PartialCubeVerdict,
     ThetaClasses,
-    operator_o,
 )
 from rescube.decomposition import (
     RfdSequence,
-    _assemble_path,
     _is_plane_elementary,
     auto_rfd,
 )
@@ -373,6 +375,15 @@ def _is_downward_closed_text(label_set) -> bool:
         for i, c in enumerate(lab)
         if c == "1"
     )
+
+
+def operator_o(labels: dict, subset) -> frozenset:
+    """Downward closure of a vertex subset inside the labelled vertex set:
+    the definition of o-closure, which a decomposition step reads as the
+    down-set test on the subset's labels."""
+    chosen = [labels[v] for v in subset]
+    # b lies below c exactly when b & c == b
+    return frozenset(v for v, b in labels.items() if b in map(b.__and__, chosen))
 
 
 def is_daisy_cube(mg: MetricGraph, method: str) -> DaisyVerdict:
@@ -1140,6 +1151,38 @@ def fdl_bits(g, family, face_id) -> tuple:
 # ---------------------------------------------------------------------------
 # decomposition steps by edge sets
 # ---------------------------------------------------------------------------
+
+
+def _assemble_path(edges):
+    """Order an edge set into a simple path's vertex sequence, from its
+    smaller end, or None: the reference for the walk arcs
+    (``rescube.decomposition._arc``) that read a step's ear and inner path
+    and a face's shared periphery."""
+    if not edges:
+        return None
+    deg = {}
+    adj = {}
+    for u, v in edges:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if any(d > 2 for d in deg.values()):
+        return None
+    ends = sorted(v for v, d in deg.items() if d == 1)
+    if len(ends) != 2:
+        return None
+    path = [ends[0]]
+    prev = None
+    while path[-1] != ends[1]:
+        nxts = [w for w in adj[path[-1]] if w != prev]
+        if len(nxts) != 1:
+            return None
+        prev = path[-1]
+        path.append(nxts[0])
+    if len(path) != len(edges) + 1:
+        return None
+    return tuple(path)
 
 
 def step_clauses(g, rfd, i, prev, cur) -> dict:

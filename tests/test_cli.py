@@ -280,6 +280,10 @@ MALFORMED_JSON = {
     ),
     "vertex-without-x": '{"vertices": [{"id": 0, "y": 0}], "edges": []}',
     "no-vertices": '{"edges": []}',
+    "edge-of-three-ids": (
+        '{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],'
+        ' "edges": [[0, 1, 1]]}'
+    ),
 }
 
 
@@ -302,6 +306,21 @@ def test_missing_vertex_field_names_vertex_and_field(tmp_path, capsys):
     assert err == "rescube: bad input: vertex at index 1 lacks 'x'\n"
     with pytest.raises(ValueError, match="index 0 lacks 'id', 'y'"):
         graph_from_json('{"vertices": [{"x": 0}], "edges": []}')
+
+
+def test_malformed_edge_names_its_index(tmp_path, capsys):
+    p = tmp_path / "g.json"
+    p.write_text(
+        '{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],'
+        ' "edges": [[0, 1], [0, 1, 1]]}'
+    )
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, out) == (1, "")
+    assert err == "rescube: bad input: edge at index 1 is not a pair of vertex ids: [0, 1, 1]\n"
+    with pytest.raises(ValueError, match=r"edge at index 0 is not a pair of vertex ids: \[0\]"):
+        graph_from_json('{"vertices": [{"id": 0, "x": 0, "y": 0}], "edges": [[0]]}')
+    with pytest.raises(ValueError, match="edge at index 2 is not a pair of vertex ids: 7"):
+        graph_from_json('{"vertices": [], "edges": [[0, 1], [1, 2], 7]}')
 
 
 def test_missing_top_level_field_names_field_and_shape(tmp_path, capsys):

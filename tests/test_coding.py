@@ -20,7 +20,6 @@ from rescube.cube_kit import (
     is_daisy_cube,
     is_downward_closed,
     is_isometric_labelling,
-    operator_o,
 )
 from rescube.decomposition import auto_rfd, rfd_from_face_order
 from rescube.errors import BadAttachment, LabelSetMismatch, RescubeError
@@ -143,7 +142,7 @@ def test_daisy_is_proper_and_o_closed(branched5, branched5_faces):
         for mid, lab in labels.items()
         if not any(lab != other and label_leq(lab, other) for other in labels.values())
     ]
-    assert operator_o(labels, maximal) == frozenset(labels)
+    assert oracle.operator_o(labels, maximal) == frozenset(labels)
 
 
 def test_daisy_on_even_cycle(hexagon):

@@ -12,7 +12,6 @@ from rescube.cube_kit import (
     is_isometric_labelling,
     is_median,
     is_partial_cube,
-    operator_o,
     theta_classes,
 )
 from rescube.errors import NotAPartialCube
@@ -180,42 +179,8 @@ def test_daisy_labelling_is_proper():
 
 
 # ---------------------------------------------------------------------------
-# operator o
+# down-sets
 # ---------------------------------------------------------------------------
-
-
-def test_operator_o_examples():
-    labels = {0: bits("00"), 1: bits("10"), 2: bits("01"), 3: bits("11")}
-    assert operator_o(labels, [3]) == frozenset({0, 1, 2, 3})
-    assert operator_o(labels, []) == frozenset()
-    assert operator_o(labels, [1]) == frozenset({0, 1})
-
-
-@st.composite
-def labelled_sets(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
-    count = draw(st.integers(min_value=1, max_value=12))
-    labels = draw(
-        st.lists(
-            st.text(alphabet="01", min_size=n, max_size=n),
-            min_size=count,
-            max_size=count,
-            unique=True,
-        )
-    )
-    mapping = {k: bits(lab) for k, lab in enumerate(labels)}
-    subset = draw(st.lists(st.sampled_from(sorted(mapping)), unique=True))
-    return mapping, frozenset(subset)
-
-
-@given(labelled_sets())
-def test_operator_o_is_a_closure(data):
-    labels, subset = data
-    closed = operator_o(labels, subset)
-    assert subset <= closed  # extensive
-    assert operator_o(labels, closed) == closed  # idempotent
-    bigger = closed | subset
-    assert operator_o(labels, subset) <= operator_o(labels, bigger)  # monotone
 
 
 @given(st.lists(st.text(alphabet="01", min_size=3, max_size=3), unique=True))

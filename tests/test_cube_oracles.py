@@ -14,7 +14,7 @@ cubes.  The decomposition steps' face-pair convexity and expansion flags
 are checked against the table convexity and the graph expansion, on the
 inner side and on sets around it that are convex or not, and their
 lower-cover o-closed test against the downward-closure operator, at every
-step of the six-ring corpus.
+step of the six-ring corpus; that operator is checked to be a closure.
 """
 
 from itertools import combinations
@@ -27,7 +27,7 @@ from rescube import cube_kit as ck, decomposition
 from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
 from rescube.decomposition import theorem_report
 from rescube.errors import NotAPartialCube
-from rescube.matchings import bit_ids, enumerate_matchings, handle_column
+from rescube.matchings import bit_ids, enumerate_matchings, handle_column, pack
 from rescube.plane_graph import edge_key, is_peripherally_two_colorable
 from rescube.resonance import build_resonance
 
@@ -265,6 +265,45 @@ def test_certificate_matches_oracle_on_random_graphs(mg, data):
 
 
 # ---------------------------------------------------------------------------
+# the downward-closure operator o
+# ---------------------------------------------------------------------------
+
+
+def test_operator_o_examples():
+    labels = {k: oracle.bits(text) for k, text in enumerate(("00", "10", "01", "11"))}
+    assert oracle.operator_o(labels, [3]) == frozenset({0, 1, 2, 3})
+    assert oracle.operator_o(labels, []) == frozenset()
+    assert oracle.operator_o(labels, [1]) == frozenset({0, 1})
+
+
+@st.composite
+def labelled_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    count = draw(st.integers(min_value=1, max_value=12))
+    labels = draw(
+        st.lists(
+            st.text(alphabet="01", min_size=n, max_size=n),
+            min_size=count,
+            max_size=count,
+            unique=True,
+        )
+    )
+    mapping = {k: oracle.bits(lab) for k, lab in enumerate(labels)}
+    subset = draw(st.lists(st.sampled_from(sorted(mapping)), unique=True))
+    return mapping, frozenset(subset)
+
+
+@given(labelled_sets())
+def test_operator_o_is_a_closure(data):
+    labels, subset = data
+    closed = oracle.operator_o(labels, subset)
+    assert subset <= closed  # extensive
+    assert oracle.operator_o(labels, closed) == closed  # idempotent
+    bigger = closed | subset
+    assert oracle.operator_o(labels, subset) <= oracle.operator_o(labels, bigger)  # monotone
+
+
+# ---------------------------------------------------------------------------
 # convexity from labels, and the expansion flags derived from it
 # ---------------------------------------------------------------------------
 
@@ -282,7 +321,7 @@ def oracle_expansion_flags(mg, labels, subset):
 def derived_expansion_flags(labels, subset, convex):
     """The flags as a step derives them from the subset's convexity."""
     subset = frozenset(subset)
-    return bool(subset) and convex and ck.operator_o(labels, subset) == subset
+    return bool(subset) and convex and oracle.operator_o(labels, subset) == subset
 
 
 @settings(max_examples=300, deadline=None)
@@ -317,20 +356,22 @@ def _step_subsets(mg, bits, inner):
 
 def pair_rule_convex(prev, subset):
     """The step's face-pair reading of convexity on any set of matchings of
-    G_(i-1): each face pair of R(G_(i-1)) read on the set, then the rule."""
+    G_(i-1): each face pair of R(G_(i-1)) read on the set, then the rule on
+    G_(i-1)'s daisy columns."""
     side = sum(1 << v for v in subset)
     on_side = [decomposition._inside(prev.resonance.pairs[f], side) for f in prev.rfd.faces]
-    return decomposition._is_convex(on_side, prev.daisy.labels, subset)
+    return decomposition._is_convex(on_side, prev.daisy.columns, side)
 
 
 def _report_steps(shape, monkeypatch):
     """Per decomposition step i of the report on the shape: its clauses, the
     record of prefix i - 1, the previous resonance graph, the
-    previous labels as the step reads them (G_i's daisy labels without bit
-    i, by rank), the labels its convexity is read from (G_(i-1)'s daisy
-    labels), and the inner side, the matchings of G_(i-1) that hold the end
-    edges of the face's path outside the ear; none when the shape has no
-    decomposition."""
+    previous labels as the step reads them (G_i's daisy columns but the
+    last, packed onto the matchings whose last bit is clear, transposed),
+    the labels its convexity is read from (G_(i-1)'s daisy columns,
+    transposed), and the inner side, the matchings of G_(i-1) that hold the
+    end edges of the face's path outside the ear; none when the shape has
+    no decomposition."""
     g = build_benzenoid(shape)
     if g.is_cycle_graph() or not is_peripherally_two_colorable(g).ok:
         return []
@@ -350,15 +391,19 @@ def _report_steps(shape, monkeypatch):
     out = []
     for i, clauses in enumerate(steps, start=2):
         prev, cur = records[i - 2], records[i - 1]
-        ear = decomposition._assemble_path(cur.graph.edges - prev.graph.edges)
+        ear = oracle._assemble_path(cur.graph.edges - prev.graph.edges)
         cycle = cur.graph.faces[cur.rfd.faces[i - 1]].edges
         ear_edges = {edge_key(a, b) for a, b in zip(ear, ear[1:])}
-        inner = decomposition._assemble_path(cycle - ear_edges)
+        inner = oracle._assemble_path(cycle - ear_edges)
         inner_set = frozenset(bit_ids(handle_column(prev.family, inner)))
-        lifts = sorted(mid for mid, label in cur.daisy.labels.items() if not label >> (i - 1) & 1)
-        labels = {k: cur.daisy.labels[mid] for k, mid in enumerate(lifts)}
+        *earlier, last = cur.daisy.columns
+        lifts = cur.family.full & ~last
+        kept = [pack(col, lifts) for col in earlier]
+        labels = dict(enumerate(ck._transpose(kept, lifts.bit_count())))
+        bits = dict(enumerate(ck._transpose(list(prev.daisy.columns), len(prev.family))))
+        assert bits == prev.daisy.labels  # a labelling's labels are its columns transposed
         mg = prev.resonance.metric()
-        out.append((clauses, prev, mg, labels, prev.daisy.labels, inner_set))
+        out.append((clauses, prev, mg, labels, bits, inner_set))
     return out
 
 
@@ -413,10 +458,10 @@ def test_step_lower_cover_test_matches_operator_o(shape, monkeypatch):
         assert clauses["label-deletion"]
         assert oracle.is_downward_closed(labels.values())
         assert frozenset(labels[v] for v in inner) in tested
-        assert clauses["inner-le-subgraph"] == (ck.operator_o(labels, inner) == inner)
+        assert clauses["inner-le-subgraph"] == (oracle.operator_o(labels, inner) == inner)
         for subset in _step_subsets(mg, bits, inner):
             lower_closed = ck.is_downward_closed({labels[v] for v in subset})
-            assert lower_closed == (ck.operator_o(labels, subset) == subset)
+            assert lower_closed == (oracle.operator_o(labels, subset) == subset)
 
 
 # ---------------------------------------------------------------------------

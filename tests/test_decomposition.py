@@ -32,7 +32,7 @@ from rescube.decomposition import (
     theorem_report,
     verify_reducible_split,
 )
-from rescube.matchings import MatchingFamily, bit_ids, enumerate_matchings
+from rescube.matchings import MatchingFamily, bit_ids, enumerate_matchings, handle_column
 from rescube.plane_graph import (
     build_plane_graph,
     elementary_analysis,
@@ -68,6 +68,83 @@ def test_reducible_faces_naphthalene(naphthalene):
 
 def test_reducible_faces_cycle_empty(hexagon):
     assert find_reducible_faces(hexagon) == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# walk arcs
+# ---------------------------------------------------------------------------
+
+
+def _nested_square():
+    """A square with a smaller square inside it at one corner: the finite
+    face between them has a walk that passes the corner twice."""
+    return build_plane_graph(
+        [(0, 0, 0), (1, 6, 0), (2, 6, 6), (3, 0, 6), (4, 2, 1), (5, 3, 3), (6, 1, 2)],
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)],
+    )
+
+
+def _hexagon_with_inner_spike(hexagon):
+    """A hexagon with an edge from a corner to its centre: its finite face's
+    walk passes that corner twice and the edge both ways."""
+    corner = min(hexagon.vertices)
+    vertices = [(v, *hexagon.coords[v]) for v in hexagon.vertices]
+    centre = (sum(hexagon.coords[v][0] for v in hexagon.vertices) / 6,
+              sum(hexagon.coords[v][1] for v in hexagon.vertices) / 6)
+    return build_plane_graph(vertices + [(100, *centre)], [*hexagon.edges, (corner, 100)])
+
+
+def _assert_arc_agrees(face, edges):
+    """The walk arc of the face's edges in the set is the path the edge-set
+    oracle assembles from them, in one direction or the other; where the
+    arc is None and the oracle finds a path, that path passes a vertex the
+    walk repeats, so on a facial cycle the two agree exactly."""
+    arc = decomposition._arc(face, edges)
+    assembled = oracle._assemble_path(face.edges & edges)
+    if arc is not None:
+        assert assembled in (arc, arc[::-1])
+    elif assembled is not None:
+        repeated = {v for v in face.boundary if face.boundary.count(v) > 1}
+        assert repeated & set(assembled), (face, sorted(edges))
+
+
+@pytest.fixture(scope="module")
+def arc_fixtures(branched5, pyrene, nested_rings, two_hexagons, hexagon_with_pendant_path,
+                 even_interior, triphenylene, hexagon):
+    """The fixtures, two of whose finite faces have walks that repeat a vertex."""
+    graphs = [branched5, pyrene, nested_rings, two_hexagons, hexagon_with_pendant_path,
+              even_interior, triphenylene, hexagon]
+    graphs += [_nested_square(), _hexagon_with_inner_spike(hexagon)]
+    assert any(
+        len(set(f.boundary)) < len(f.boundary) for g in graphs for f in g.finite_faces
+    )
+    return graphs
+
+
+def test_walk_arcs_match_assembled_paths(arc_fixtures):
+    """On every finite face of the six-ring corpus and the fixtures, the arc
+    of its shared periphery and of its edges inside and outside each
+    prefix of a decomposition is the oracle's assembled path."""
+    graphs = arc_fixtures + [build_benzenoid(cells) for cells in catacondensed_polyhexes(6)]
+    for g in graphs:
+        try:
+            prefixes = [sub.edges for sub in auto_rfd(g).graphs]
+        except RescubeError:
+            prefixes = []
+        for face in g.finite_faces:
+            _assert_arc_agrees(face, g.periphery_edges)
+            for edges in prefixes:
+                _assert_arc_agrees(face, edges)
+                _assert_arc_agrees(face, face.edges - edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_walk_arcs_match_assembled_paths_on_edge_subsets(arc_fixtures, data):
+    g = data.draw(st.sampled_from(arc_fixtures))
+    face = data.draw(st.sampled_from(g.finite_faces))
+    edges = data.draw(st.sets(st.sampled_from(sorted(face.edges))))
+    _assert_arc_agrees(face, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +640,21 @@ def test_forged_twin_breaks_the_expansion(branched5, branched5_faces):
         assert clauses == oracle.step_clauses(branched5, rfd, i, prev, forged)
 
 
+def _forge_label(record, mid, p):
+    """The prefix record with matching mid's daisy bit at position p + 1
+    flipped, in its label and in that position's column."""
+    labels = {**record.daisy.labels, mid: record.daisy.labels[mid] ^ 1 << p}
+    columns = list(record.daisy.columns)
+    columns[p] ^= 1 << mid
+    daisy = replace(record.daisy, labels=labels, columns=tuple(columns))
+    return replace(record, daisy=daisy)
+
+
 def _forge_twin_label(record, i):
     """The prefix record with one twin's daisy label flipped at position 1:
     it keeps bit i, but is no longer its lift's label with bit i set."""
-    labels = dict(record.daisy.labels)
-    mid = max(m for m, label in labels.items() if label >> (i - 1) & 1)
-    labels[mid] ^= 1
-    return replace(record, daisy=replace(record.daisy, labels=labels))
+    mid = max(m for m, label in record.daisy.labels.items() if label >> (i - 1) & 1)
+    return _forge_label(record, mid, 0)
 
 
 def test_forged_twin_label_breaks_the_expansion(branched5, branched5_faces):
@@ -582,6 +667,50 @@ def test_forged_twin_label_breaks_the_expansion(branched5, branched5_faces):
         clauses = _clauses(branched5, rfd, i, prev, forged)
         assert [c for c, ok in clauses.items() if not ok] == ["expansion-equality"]
         assert clauses == oracle.step_clauses(branched5, rfd, i, prev, forged)
+
+
+def _label_forgeries(branched5, rfd, i, prev, cur):
+    """Step i's record of G_i forged at one daisy bit: a matching of the
+    avoid side outside the lifted inner side, and one inside it, at each
+    position, and a twin at position i.  Yields the position, the side and
+    the forged record."""
+    face = branched5.faces[rfd.faces[i - 1]]
+    inner = handle_column(cur.family, oracle._assemble_path(face.edges & prev.graph.edges))
+    minus = cur.family.full & ~cur.daisy.columns[i - 1]
+    for side, mids in (("outside", minus & ~inner), ("inner", inner)):
+        for p in range(i):
+            yield p, side, _forge_label(cur, bit_ids(mids)[0], p)
+    yield i - 1, "twin", _forge_label(cur, bit_ids(cur.daisy.columns[i - 1])[0], i - 1)
+
+
+def test_forged_kept_label_breaks_the_label_deletion(branched5, branched5_faces):
+    # one daisy bit forged: deleting bit i from the avoid side no longer
+    # gives the previous labels (at step 2, no longer splits G_1's two
+    # matchings), or a twin lacks bit i, so label-deletion fails, and the
+    # inner side's o-closure, read on the kept labels, is undecided; every
+    # other clause is decided as the edge-set oracle decides it, convexity
+    # on G_(i-1)'s own labels
+    rfd = rfd_from_face_order(branched5, branched5_faces)
+    seen = Counter()
+    for i, prev, cur in _step_records(branched5, rfd):
+        for p, side, forged in _label_forgeries(branched5, rfd, i, prev, cur):
+            clauses = _clauses(branched5, rfd, i, prev, forged)
+            expected = oracle.step_clauses(branched5, rfd, i, prev, forged)
+            assert clauses["label-deletion"] is False is expected["label-deletion"]
+            assert clauses["inner-le-subgraph"] is None
+            assert clauses["expansion-flags"] is None
+            undecided = ("inner-le-subgraph", "expansion-flags")
+            assert {c: v for c, v in clauses.items() if c not in undecided} == {
+                c: v for c, v in expected.items() if c not in undecided
+            }
+            if side == "outside" and p < i - 1 and p != rfd.attachment[i] - 1:
+                # only the kept labels are off: the rest of the step holds
+                assert [c for c, ok in clauses.items() if not ok] == ["label-deletion", *undecided]
+            seen[side, p == i - 1] += 1
+    assert seen == {
+        ("outside", False): 10, ("outside", True): 4, ("inner", False): 10, ("inner", True): 4,
+        ("twin", True): 4,
+    }
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -643,7 +772,10 @@ def test_report_rejects_lattice_labels_off_the_daisy_mask(branched5, monkeypatch
 
     def swapped(*args):
         fdl = fdl_labelling(*args)
-        return replace(fdl, labels={**fdl.labels, 0: fdl.labels[1], 1: fdl.labels[0]})
+        # matchings 0 and 1 trade their bits in every column
+        columns = tuple(c & ~3 | (c & 1) << 1 | c >> 1 & 1 for c in fdl.columns)
+        labels = {**fdl.labels, 0: fdl.labels[1], 1: fdl.labels[0]}
+        return replace(fdl, labels=labels, columns=columns)
 
     monkeypatch.setattr(coding, "fdl_labelling", swapped)
     r = resonance_of(branched5)
