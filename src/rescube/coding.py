@@ -14,11 +14,11 @@ alternating cycles at the zero label and realizes the resonance graph
 as a finite distributive lattice.  Swapping the two color classes
 complements every lattice-coding label and fixes every daisy label.
 
-A label is an ``int`` whose bit p - 1 is position p.  Both codings read the
-family's per-edge matching columns: each position is one bitset over
-matching ids, built from the exterior handles' end-edge columns, and the
-labels are the transpose of those bitsets.  A :class:`Labelling` keeps both,
-so a check on a whole position is a few big-int operations on its column.
+A label is an ``int`` whose bit p - 1 is position p.  Each position is one
+bitset over matching ids: one pass over a face's exterior handles reads
+both codings' bitsets off the family's end-edge columns, and the labels are
+their transpose.  A :class:`Labelling` keeps both, so a check on a whole
+position is a few big-int operations on its column.
 :func:`bit_string` is the one place a label becomes text.
 
 A weakly elementary graph is labelled by its elementary components, each
@@ -89,22 +89,59 @@ class Labelling:
         return frozenset(self.labels.values())
 
 
-def _exterior_handles(g: PlaneGraph, order) -> dict:
-    """Exterior handles of every face in the order.
+def _handle_columns(g: PlaneGraph, family: MatchingFamily, order) -> tuple:
+    """Both codings' columns of the faces in the order, each face's exterior
+    handles read once: per face, the daisy column (the OR of the handles'
+    contain columns) and the lattice column (the AND of their proper
+    columns); and the (matching id, face) pairs, by matching and then by
+    position, where some handle is proper and some improper.
 
-    Both codings read each exterior handle as an odd path; an even one means
-    the graph is not peripherally 2-colorable, and raises
+    A clockwise-oriented odd handle's matched darts all have tails of the
+    color of ``path[0]`` when it contains its end edges, and of the other
+    color when it avoids them; a single avoided edge reads the same way.
+    So it is proper, its matched darts running white to black, on the
+    contain column when ``path[0]`` is white and on its complement when
+    ``path[0]`` is black.
+
+    Every face is checked before any matching is read: an even exterior
+    handle means the graph is not peripherally 2-colorable, and raises
     :class:`UnsupportedInput`."""
-    handles_per_face = {}
+    exteriors = []
     for fid in order:
-        handles_per_face[fid] = facial_handle_decomposition(g, fid).exterior
-        for h in handles_per_face[fid]:
+        exteriors.append(facial_handle_decomposition(g, fid).exterior)
+        for h in exteriors[-1]:
             if h.length % 2 == 0:
                 raise UnsupportedInput(
                     f"face {fid} has an exterior handle of even length {h.length}; "
                     "the graph is not peripherally 2-colorable"
                 )
-    return handles_per_face
+    full, coloring, white = family.full, g.coloring, pg.WHITE
+    daisy, fdl, mixed = [], [], []
+    for pos, (fid, handles) in enumerate(zip(order, exteriors)):
+        any_contain, all_proper, any_proper = 0, full, 0
+        for h in handles:
+            contain = handle_column(family, h.path)
+            proper = contain if coloring[h.path[0]] == white else full ^ contain
+            any_contain |= contain
+            all_proper &= proper
+            any_proper |= proper
+        daisy.append(any_contain)
+        fdl.append(all_proper)
+        if any_proper != all_proper:
+            mixed.extend((mid, pos, fid) for mid in bit_ids(any_proper & ~all_proper))
+    return daisy, fdl, tuple((mid, fid) for mid, _, fid in sorted(mixed))
+
+
+def _rfd_columns(g: PlaneGraph, family: MatchingFamily, rfd) -> tuple:
+    """:func:`_handle_columns` on a decomposition.  An even cycle's one bit
+    is 1 where its face is proper resonant, for the daisy coding under the
+    anchor coloring (smallest vertex white), so a color swap fixes it."""
+    if len(rfd.faces) > 1:
+        return _handle_columns(g, family, rfd.faces)
+    if not g.is_cycle_graph():
+        raise UnsupportedInput("a single finite face should mean an even cycle")
+    proper, improper = resonance_columns(g, family, g.finite_faces[0].id)
+    return [proper if g.coloring == pg.canonical_coloring(g) else improper], [proper], ()
 
 
 def daisy_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
@@ -115,23 +152,10 @@ def daisy_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
     iterated label-set construction on the decomposition's attachment map
     and against injectivity; a mismatch raises :class:`LabelSetMismatch`.
     """
-    labelling = _labelling(DAISY, family, _daisy_ones(g, family, rfd), rfd.faces)
+    labelling = _labelling(DAISY, family, _rfd_columns(g, family, rfd)[0], rfd.faces)
     if rfd.n > 1:  # an even cycle's two labels are 0 and 1
         _certify_daisy(labelling.labels, (rfd,))
     return labelling
-
-
-def _daisy_ones(g: PlaneGraph, family: MatchingFamily, rfd) -> list:
-    """The daisy columns of a decomposition: per face in its order, the
-    matchings whose bit is 1.  An even cycle's one bit is 1 where its face
-    is proper resonant under the anchor coloring (smallest vertex white),
-    so a color swap fixes it."""
-    if len(rfd.faces) > 1:
-        return _daisy_columns(g, family, rfd.faces)
-    if not g.is_cycle_graph():
-        raise UnsupportedInput("a single finite face should mean an even cycle")
-    proper, improper = resonance_columns(g, family, g.finite_faces[0].id)
-    return [proper if g.coloring == pg.canonical_coloring(g) else improper]
 
 
 def _certify_daisy(labels: dict, rfds) -> None:
@@ -139,33 +163,19 @@ def _certify_daisy(labels: dict, rfds) -> None:
     decompositions' daisy label sets, each shifted past the positions of
     those before it.  Raises :class:`LabelSetMismatch` otherwise, and
     :class:`BadAttachment` when a decomposition lacks its attachment map."""
-    if len(set(labels.values())) != len(labels):
+    found = set(labels.values())
+    if len(found) != len(labels):
         raise LabelSetMismatch("daisy labels are not injective")
     expected, n = {0}, 0
     for rfd in rfds:
         if rfd.attachment is None:
             raise BadAttachment("decomposition lacks a complete attachment map")
         part = daisy_label_set(rfd.attachment, len(rfd.faces))
-        expected = {x | y << n for x in expected for y in part}
+        expected = {x | y << n for x in expected for y in part} if n else part
         n += len(rfd.faces)
-    if set(labels.values()) != expected:
-        found, wanted = (
-            sorted(bit_string(x, n) for x in side)
-            for side in (labels.values(), expected)
-        )
+    if found != expected:
+        found, wanted = (sorted(bit_string(x, n) for x in side) for side in (found, expected))
         raise LabelSetMismatch(f"daisy label set {found} != expected {wanted}")
-
-
-def _daisy_columns(g: PlaneGraph, family: MatchingFamily, order) -> list:
-    """Per face in the order, the matchings whose daisy bit is 1: those that
-    contain the end edges of some exterior handle of the face."""
-    ones = []
-    for handles in _exterior_handles(g, order).values():
-        col = 0
-        for h in handles:
-            col |= handle_column(family, h.path)
-        ones.append(col)
-    return ones
 
 
 def _labelling(scheme: str, family: MatchingFamily, columns, order, mixed=()) -> Labelling:
@@ -176,35 +186,6 @@ def _labelling(scheme: str, family: MatchingFamily, columns, order, mixed=()) ->
     return Labelling(scheme, labels, tuple(order), mixed, columns=columns)
 
 
-def _proper_column(g: PlaneGraph, family: MatchingFamily, path) -> int:
-    """The matchings under which a clockwise-oriented odd handle is proper.
-
-    Its matched darts all have tails of the color of ``path[0]`` when it
-    contains its end edges, and of the other color when it avoids them; a
-    single avoided edge reads the same way.  So it is proper, its matched
-    darts running white to black, on the contain column when ``path[0]`` is
-    white and on its complement when ``path[0]`` is black."""
-    contain = handle_column(family, path)
-    return contain if g.color(path[0]) == pg.WHITE else family.full & ~contain
-
-
-def _fdl_columns(g: PlaneGraph, family: MatchingFamily, order) -> tuple:
-    """Per face in the order, the matchings under which every exterior
-    handle of the face is proper; and the (matching id, face) pairs, by
-    matching and then by position, where some handle is proper and some
-    improper."""
-    ones, mixed = [], []
-    for pos, (fid, handles) in enumerate(_exterior_handles(g, order).items()):
-        all_proper, any_proper = family.full, 0
-        for h in handles:
-            col = _proper_column(g, family, h.path)
-            all_proper &= col
-            any_proper |= col
-        ones.append(all_proper)
-        mixed.extend((mid, pos, fid) for mid in bit_ids(any_proper & ~all_proper))
-    return ones, tuple((mid, fid) for mid, _, fid in sorted(mixed))
-
-
 def fdl_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
     """Per-matching lattice bits from the proper-alternation rule.
 
@@ -213,20 +194,8 @@ def fdl_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
     disagree in orientation are recorded in ``mixed_orientation`` rather
     than normalized away; the list stays empty on peripherally 2-colorable
     inputs."""
-    ones, mixed = _fdl_ones(g, family, rfd)
+    _, ones, mixed = _rfd_columns(g, family, rfd)
     return _labelling(FDL, family, ones, rfd.faces, mixed)
-
-
-def _fdl_ones(g: PlaneGraph, family: MatchingFamily, rfd) -> tuple:
-    """The lattice columns of a decomposition and its mixed orientations, as
-    :func:`_fdl_columns` reads them.  An even cycle's one bit is 1 where its
-    face is proper resonant."""
-    if len(rfd.faces) > 1:
-        return _fdl_columns(g, family, rfd.faces)
-    if not g.is_cycle_graph():
-        raise UnsupportedInput("a single finite face should mean an even cycle")
-    proper, _ = resonance_columns(g, family, g.finite_faces[0].id)
-    return [proper], ()
 
 
 @dataclass(frozen=True)
@@ -301,10 +270,8 @@ def composed_labels(g: PlaneGraph, family: MatchingFamily, parts, scheme: str) -
     columns, rfds, order = [], [], []
     for sub in parts:
         rfd = auto_rfd(sub)
-        if scheme == DAISY:
-            columns += _daisy_ones(sub, family, rfd)
-        else:
-            columns += _fdl_ones(sub, family, rfd)[0]
+        daisy, fdl, _ = _rfd_columns(sub, family, rfd)
+        columns += daisy if scheme == DAISY else fdl
         rfds.append(rfd)
         order += (g.face_by_edge_set.get(sub.faces[fid].edges) for fid in rfd.faces)
     labelling = _labelling(scheme, family, columns, order)

@@ -359,10 +359,10 @@ class _Prefix:
     daisy: coding.Labelling
 
 
-def _prefix(g, r, rfd, k, cap=DEFAULT_MATCHING_CAP) -> _Prefix:
-    """The record of prefix k, on the subgraph the decomposition carries;
-    the last prefix is ``g`` itself, whose matchings and resonance graph
-    ``r`` already holds."""
+def _prefix(g, r, rfd, k, cap) -> _Prefix:
+    """The record of prefix k, on the subgraph the decomposition carries,
+    whose enumeration ``cap`` bounds; the last prefix is ``g`` itself, whose
+    matchings and resonance graph ``r`` already holds."""
     if k == rfd.n:
         return _Prefix(g, rfd, r.family, r, coding.daisy_labelling(g, r.family, rfd))
     sub = rfd.graphs[k - 1]
@@ -384,12 +384,13 @@ def verify_reducible_split(g: PlaneGraph, r: ResonanceGraph, rfd: RfdSequence) -
     appended (:func:`_check_step`).  ``r`` is the resonance graph of ``g``.
     Every clause is returned; only a decomposition without a complete
     attachment map raises :class:`TheoremViolated`.  The steps run in one
-    pass, as in :func:`theorem_report` (see :func:`_chain`).
+    pass, as in :func:`theorem_report` (see :func:`_chain`); a prefix's
+    matchings extend to distinct matchings of ``g``, so ``len(r)`` bounds them.
     """
-    return _chain(g, r, rfd)[0]
+    return _chain(g, r, rfd, len(r))[0]
 
 
-def _chain(g, r, rfd, cap=DEFAULT_MATCHING_CAP):
+def _chain(g, r, rfd, cap):
     """Steps 2..n checked in order: their reports, the record of the whole
     graph (prefix n), and True when every step holds, else None.
 

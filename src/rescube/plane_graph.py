@@ -129,7 +129,7 @@ class FacialHandleDecomposition:
     def interior(self) -> tuple:
         return tuple(h for h in self.sequence if h.kind == "interior")
 
-    @property
+    @cached_property
     def exterior(self) -> tuple:
         return tuple(h for h in self.sequence if h.kind == "exterior")
 
@@ -529,7 +529,8 @@ def graph_from_json(text: str) -> PlaneGraph:
     """The graph of :func:`graph_to_json`'s format.  Raises ValueError (or
     its subclass ``json.JSONDecodeError``) when the text is not of that
     shape, naming a missing top-level field, a vertex that lacks a field (by
-    its index, with the fields it lacks), or an edge that is not a pair."""
+    its index, with the fields it lacks) or has a boolean id, or an edge
+    that is not a pair or has a boolean end (by its index)."""
     obj = json.loads(text)
     missing = [k for k in ("vertices", "edges") if not isinstance(obj, dict) or k not in obj]
     if missing:
@@ -542,10 +543,14 @@ def graph_from_json(text: str) -> PlaneGraph:
             missing = [k for k in ("id", "x", "y") if k not in v]
             if missing:
                 raise ValueError(f"vertex at index {i} lacks {', '.join(map(repr, missing))}")
+            if isinstance(v["id"], bool):  # Python reads true and false as 1 and 0
+                raise ValueError(f"vertex at index {i} has a boolean id: {json.dumps(v['id'])}")
             vertices.append((v["id"], v["x"], v["y"]))
         for i, e in enumerate(obj["edges"]):
             if not isinstance(e, list) or len(e) != 2:
                 raise ValueError(f"edge at index {i} is not a pair of vertex ids: {e!r}")
+            if any(isinstance(u, bool) for u in e):
+                raise ValueError(f"edge at index {i} has a boolean end: {json.dumps(e)}")
         edges = [tuple(e) for e in obj["edges"]]
     except TypeError as exc:
         raise ValueError(

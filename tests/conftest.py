@@ -20,6 +20,22 @@ def zigzag(h):
 
 
 @pytest.fixture()
+def enumerations(monkeypatch):
+    """The cap of every perfect-matching enumeration, by enumerated edge set."""
+    from rescube import plane_graph
+
+    calls = []
+    enumerate_columns = plane_graph.enumerate_matching_columns
+
+    def spy(g, cap=plane_graph.DEFAULT_MATCHING_CAP):
+        calls.append((g.edges, cap))
+        return enumerate_columns(g, cap)
+
+    monkeypatch.setattr(plane_graph, "enumerate_matching_columns", spy)
+    return calls
+
+
+@pytest.fixture()
 def families(monkeypatch):
     """The size of every MatchingFamily constructed, in order."""
     from rescube.matchings import MatchingFamily

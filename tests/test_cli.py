@@ -153,22 +153,6 @@ def test_verify_cap_exit_three(branched_file, capsys, monkeypatch, how):
     assert "cap" in err.lower()
 
 
-@pytest.fixture()
-def enumerations(monkeypatch):
-    """The cap of every perfect-matching enumeration, by enumerated edge set."""
-    from rescube import plane_graph
-
-    calls = []
-    enumerate_columns = plane_graph.enumerate_matching_columns
-
-    def spy(g, cap=plane_graph.DEFAULT_MATCHING_CAP):
-        calls.append((g.edges, cap))
-        return enumerate_columns(g, cap)
-
-    monkeypatch.setattr(plane_graph, "enumerate_matching_columns", spy)
-    return calls
-
-
 @pytest.mark.parametrize(
     "argv",
     [["label", "--scheme", "daisy"], ["label", "--scheme", "fdl", "--verify"],
@@ -321,6 +305,30 @@ def test_malformed_edge_names_its_index(tmp_path, capsys):
         graph_from_json('{"vertices": [{"id": 0, "x": 0, "y": 0}], "edges": [[0]]}')
     with pytest.raises(ValueError, match="edge at index 2 is not a pair of vertex ids: 7"):
         graph_from_json('{"vertices": [], "edges": [[0, 1], [1, 2], 7]}')
+
+
+def test_boolean_vertex_id_names_its_index(tmp_path, capsys):
+    # JSON true would be vertex 1 to Python: a 4-cycle with ids true, 2, 3, 4
+    # must not pass, nor true beside 1 read as a duplicate of 1
+    p = tmp_path / "g.json"
+    p.write_text(
+        '{"vertices": [{"id": true, "x": 0, "y": 0}, {"id": 2, "x": 1, "y": 0},'
+        ' {"id": 3, "x": 1, "y": 1}, {"id": 4, "x": 0, "y": 1}],'
+        ' "edges": [[true, 2], [2, 3], [3, 4], [4, true]]}'
+    )
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, out) == (1, "")
+    assert err == "rescube: bad input: vertex at index 0 has a boolean id: true\n"
+    with pytest.raises(ValueError, match="vertex at index 1 has a boolean id: true"):
+        graph_from_json(
+            '{"vertices": [{"id": 1, "x": 0, "y": 0}, {"id": true, "x": 1, "y": 0}],'
+            ' "edges": []}'
+        )
+    with pytest.raises(ValueError, match=r"edge at index 1 has a boolean end: \[1, false\]"):
+        graph_from_json(
+            '{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}],'
+            ' "edges": [[0, 1], [1, false]]}'
+        )
 
 
 def test_missing_top_level_field_names_field_and_shape(tmp_path, capsys):

@@ -5,8 +5,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
 
+from rescube import coding
 from rescube.coding import (
     _certify_daisy,
+    _handle_columns,
     color_swap_effect,
     codings_differ,
     composed_labels,
@@ -22,12 +24,13 @@ from rescube.cube_kit import (
     is_isometric_labelling,
 )
 from rescube.decomposition import auto_rfd, rfd_from_face_order
-from rescube.errors import BadAttachment, LabelSetMismatch, RescubeError
-from rescube.matchings import enumerate_matchings, extremal_matchings
-from rescube.plane_graph import elementary_analysis, swap_colors
+from rescube.errors import BadAttachment, LabelSetMismatch, RescubeError, UnsupportedInput
+from rescube.matchings import bit_ids, enumerate_matchings, extremal_matchings
+from rescube.plane_graph import edge_key, elementary_analysis, swap_colors
 from rescube.resonance import build_resonance
 
 import cube_oracles as oracle
+from conftest import _shifted_union
 from cube_oracles import bits, label_leq, matching_subset, text
 from test_resonance import matchable_edge_subsets, small_corpus
 
@@ -184,7 +187,7 @@ def test_prefix_one_daisy_bit_matches_reference_matching():
             continue
         for h in (g, swap_colors(g)):
             r = build_resonance(h, enumerate_matchings(h))
-            first = decomposition._prefix(h, r, auto_rfd(h), 1)
+            first = decomposition._prefix(h, r, auto_rfd(h), 1, len(r))
             ones = oracle.even_cycle_daisy_bits(first.graph, first.family)
             assert first.daisy.labels == {mid: ones >> mid & 1 for mid in first.family.ids}
             checked += 1
@@ -418,6 +421,44 @@ def test_codings_reject_even_exterior_handle(anthracene, fn):
     family = enumerate_matchings(anthracene)
     with pytest.raises(UnsupportedInput, match="even length"):
         fn(anthracene, family, auto_rfd(anthracene))
+
+
+def _hexagon_face(g, first):
+    """The face of the hexagon on vertices first..first + 5, in ring order."""
+    ring = frozenset(edge_key(first + i, first + (i + 1) % 6) for i in range(6))
+    return g.face_by_edge_set[ring]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_mixed_pairs_sort_by_matching_then_position(even_interior, reverse):
+    # two disjoint copies of the three-hexagon row: every matching reads its
+    # middle faces' two exterior edges with mixed orientation, so the pairs
+    # of the two faces interleave, matching by matching
+    g = _shifted_union([even_interior, even_interior])
+    order = [_hexagon_face(g, 0), _hexagon_face(g, 12)][::-1 if reverse else 1]
+    family = enumerate_matchings(g)
+    expected = sorted(
+        (mid, pos, fid)
+        for pos, fid in enumerate(order)
+        for mid in bit_ids(oracle.fdl_bits(g, family, fid)[1])
+    )
+    _, _, mixed = _handle_columns(g, family, order)
+    assert mixed == tuple((mid, fid) for mid, _, fid in expected)
+    assert (len(family), len(mixed)) == (16, 32)
+    assert mixed[:3] == ((0, order[0]), (0, order[1]), (1, order[0]))
+
+
+def test_even_exterior_handle_rejected_before_any_read(even_interior, monkeypatch):
+    # the middle face's exterior handles are single edges, a side face's is
+    # a path of four: the order is rejected before any face is read
+    reads = []
+    monkeypatch.setattr(coding, "handle_column", lambda *args: reads.append(args))
+    middle = _hexagon_face(even_interior, 0)
+    side = next(f.id for f in even_interior.finite_faces if f.id != middle)
+    family = enumerate_matchings(even_interior)
+    with pytest.raises(UnsupportedInput, match=f"face {side} has an exterior handle"):
+        _handle_columns(even_interior, family, (middle, side))
+    assert reads == []
 
 
 def test_octagon_even_cycle_codings():

@@ -506,6 +506,17 @@ def test_step_requires_attachment(pyrene):
     assert err.value.clause == "attachment-unique"
 
 
+def test_prefix_enumerations_bounded_by_the_graph(enumerations):
+    # each matching of a prefix extends to its own matching of the graph, so
+    # the graph's count bounds every prefix, past the default cap as well
+    g = zigzag(6)
+    r, rfd = resonance_of(g), auto_rfd(g)
+    enumerations.clear()  # the graph's own enumeration
+    verify_reducible_split(g, r, rfd)
+    assert len(enumerations) == rfd.n - 1  # the last prefix is g itself
+    assert all(cap == len(r) for _, cap in enumerations)
+
+
 def test_single_face_has_no_steps(hexagon):
     assert verify_reducible_split(hexagon, resonance_of(hexagon), auto_rfd(hexagon)) == ()
 
@@ -514,7 +525,7 @@ def _step_records(g, rfd):
     """(i, prev, cur) for every step of the decomposition, on the prefix
     records the report hands from step to step."""
     r = resonance_of(g)
-    records = [decomposition._prefix(g, r, rfd, k) for k in range(1, rfd.n + 1)]
+    records = [decomposition._prefix(g, r, rfd, k, len(r)) for k in range(1, rfd.n + 1)]
     return [(i, records[i - 2], records[i - 1]) for i in range(2, rfd.n + 1)]
 
 

@@ -31,7 +31,7 @@ from rescube.plane_graph import (
     handles,
 )
 from rescube.decomposition import auto_rfd, rfd_from_face_order
-from rescube.coding import _daisy_columns, _fdl_columns, daisy_labelling, fdl_labelling
+from rescube.coding import _handle_columns, daisy_labelling, fdl_labelling
 
 from conftest import zigzag
 import cube_oracles as oracle
@@ -488,15 +488,14 @@ def assert_columns_match_oracles(g):
                     family, lambda m: end_edge_state(m, h.path) == CONTAINS_END_EDGES
                 )
             )
-        daisy = outcome(lambda: _daisy_columns(g, family, (fid,)))
-        fdl = outcome(lambda: _fdl_columns(g, family, (fid,)))
+        columns = outcome(lambda: _handle_columns(g, family, (fid,)))
         if any(h.length % 2 == 0 for h in dec.exterior):
             # the codings reject the face before reading any matching
-            assert daisy == fdl == UnsupportedInput
+            assert columns == UnsupportedInput
             continue
-        assert daisy == outcome(lambda: [oracle.daisy_bits(g, family, fid)])
+        daisy = oracle.daisy_bits(g, family, fid)
         ones, mixed = oracle.fdl_bits(g, family, fid)
-        assert fdl == ([ones], tuple((mid, fid) for mid in bit_ids(mixed)))
+        assert columns == ([daisy], [ones], tuple((mid, fid) for mid in bit_ids(mixed)))
 
     fully, bottoms, tops = oracle.face_scan_extremes(g, family)
     ext = outcome(lambda: extremal_matchings(g, family))
@@ -525,7 +524,7 @@ def test_columns_match_oracles_on_fixtures(
     middle = even_interior.face_by_edge_set[
         frozenset(edge_key(i, (i + 1) % 6) for i in range(6))
     ]
-    assert _fdl_columns(even_interior, family, (middle,))[1]
+    assert _handle_columns(even_interior, family, (middle,))[2]
 
 
 @settings(max_examples=200, deadline=None)
