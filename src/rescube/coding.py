@@ -82,12 +82,6 @@ class Labelling:
     def length(self) -> int:
         return len(self.face_order)
 
-    def position_of(self, face_id) -> int:
-        return self.face_order.index(face_id) + 1
-
-    def label_set(self) -> frozenset:
-        return frozenset(self.labels.values())
-
 
 def _handle_columns(g: PlaneGraph, family: MatchingFamily, order) -> tuple:
     """Both codings' columns of the faces in the order, each face's exterior
@@ -152,7 +146,13 @@ def daisy_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
     iterated label-set construction on the decomposition's attachment map
     and against injectivity; a mismatch raises :class:`LabelSetMismatch`.
     """
-    labelling = _labelling(DAISY, family, _rfd_columns(g, family, rfd)[0], rfd.faces)
+    return _certified_daisy(family, _rfd_columns(g, family, rfd)[0], rfd)
+
+
+def _certified_daisy(family: MatchingFamily, columns, rfd) -> Labelling:
+    """The daisy labelling of these columns, certified by
+    :func:`_certify_daisy` unless it is an even cycle's."""
+    labelling = _labelling(DAISY, family, columns, rfd.faces)
     if rfd.n > 1:  # an even cycle's two labels are 0 and 1
         _certify_daisy(labelling.labels, (rfd,))
     return labelling
@@ -210,13 +210,17 @@ class ColorSwapReport:
 
 def color_swap_effect(g: PlaneGraph, family: MatchingFamily, rfd) -> ColorSwapReport:
     """Check that swapping the color classes complements the lattice coding
-    and fixes the daisy coding; raises :class:`PropertyViolated` otherwise."""
+    and fixes the daisy coding; raises :class:`PropertyViolated` otherwise.
+
+    Each coloring's faces are read once, for both codings' columns.  The
+    daisy labels are certified on ``g`` alone (:func:`daisy_labelling`):
+    the swapped side's must then equal them column by column."""
     # swapping colours changes no edge set, so the family serves both sides
-    swapped = swap_colors(g)
-    here, there = (fdl_labelling(h, family, rfd).columns for h in (g, swapped))
-    fdl_ok = there == tuple(col ^ family.full for col in here)
-    here, there = (daisy_labelling(h, family, rfd).columns for h in (g, swapped))
-    daisy_ok = here == there
+    (daisy, fdl, _), (daisy_swapped, fdl_swapped, _) = (
+        _rfd_columns(h, family, rfd) for h in (g, swap_colors(g))
+    )
+    fdl_ok = fdl_swapped == [col ^ family.full for col in fdl]
+    daisy_ok = list(_certified_daisy(family, daisy, rfd).columns) == daisy_swapped
 
     report = ColorSwapReport(fdl_complemented=fdl_ok, daisy_fixed=daisy_ok)
     if not report.ok:

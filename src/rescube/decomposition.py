@@ -21,9 +21,15 @@ matchings, face pairs and daisy columns to the next by packing, so no
 check builds a matching as an edge set or lists an edge, and each label
 clause compares whole positions; the inner side's convexity is read off
 the same face pairs.  R(G) is certified along the decomposition, step by
-step, and not again as a whole graph.  A face order is checked ear by ear
-with no elementary analysis of its prefixes: an even cycle with odd ears
-is elementary (the bipartite ear theorem).
+step, and not again as a whole graph.
+
+Decompositions are found and checked on the graph's own facial walks, and
+embed no subgraph.  The greedy peel keeps the remaining faces and their
+periphery, and decides each candidate's elementarity from the rest's
+adjacency alone.  A face order is checked ear by ear with no elementary
+analysis of its prefixes: an even cycle with odd ears is elementary (the
+bipartite ear theorem).  A prefix subgraph is embedded only when a step
+check reads it.
 """
 
 from __future__ import annotations
@@ -54,11 +60,36 @@ from .plane_graph import (
     PlaneGraph,
     edge_key,
     edge_subgraph,
-    elementary_analysis,
+    elementary_verdict,
     facial_handle_decomposition,
     is_peripherally_two_colorable,
 )
 from .resonance import ResonanceGraph, build_resonance
+
+
+class _Prefixes:
+    """The growing subgraphs of a decomposition of ``g`` with this face
+    order: prefix k has the edges of the first k faces, and the last is
+    ``g`` itself.  Prefix k is embedded the first time it is read, from
+    prefix k + 1, and kept."""
+
+    def __init__(self, g: PlaneGraph, order: tuple):
+        self.g, self.order = g, order
+        self._graphs = {len(order): g}
+
+    @cached_property
+    def edges(self) -> tuple:
+        union, prefixes = frozenset(), []
+        for fid in self.order[:-1]:
+            union |= self.g.faces[fid].edges
+            prefixes.append(union)
+        return (*prefixes, self.g.edges)
+
+    def graph(self, k: int) -> PlaneGraph:
+        graphs = self._graphs  # prefixes min(graphs)..n, embedded downwards
+        for j in range(min(graphs) - 1, k - 1, -1):
+            graphs[j] = edge_subgraph(graphs[j + 1], self.edges[j - 1])
+        return graphs[k]
 
 
 @dataclass(frozen=True)
@@ -67,15 +98,16 @@ class RfdSequence:
     and the attachment map (1-based positions) when every step attaches to
     exactly one earlier face.
 
-    ``graphs`` holds the growing subgraphs themselves, embedded once when
-    the decomposition is found or checked (the last is the graph itself),
-    so that the checks on each prefix re-embed none of them.  They take no
-    part in equality or in the repr."""
+    The decomposition is found and checked on the graph's own faces, so it
+    embeds none of its prefixes.  ``prefixes`` holds them: their edge sets,
+    and each subgraph embedded the first time the step checks read it
+    (:func:`_prefix`), and then kept.  ``prefix(i)`` shares them.  They take
+    no part in equality or in the repr."""
 
     faces: tuple
     attachment: dict = None
     notes: tuple = field(default_factory=tuple)
-    graphs: tuple = field(compare=False, repr=False, kw_only=True)
+    prefixes: _Prefixes = field(compare=False, repr=False, kw_only=True)
 
     @property
     def n(self) -> int:
@@ -84,13 +116,18 @@ class RfdSequence:
     @property
     def subgraph_edges(self) -> tuple:
         """The edge sets of the growing subgraphs."""
-        return tuple(sub.edges for sub in self.graphs)
+        return self.prefixes.edges[: self.n]
+
+    @property
+    def graphs(self) -> tuple:
+        """The growing subgraphs, each embedded once (the last is the graph)."""
+        return tuple(self.prefixes.graph(k) for k in range(1, self.n + 1))
 
     def prefix(self, i: int) -> "RfdSequence":
         att = None
         if self.attachment is not None:
             att = {k: v for k, v in self.attachment.items() if k <= i}
-        return RfdSequence(self.faces[:i], att, self.notes, graphs=self.graphs[:i])
+        return RfdSequence(self.faces[:i], att, self.notes, prefixes=self.prefixes)
 
 
 def _arc(face, edges):
@@ -107,51 +144,56 @@ def _arc(face, edges):
     return path if len(set(path)) == len(path) else None
 
 
-def _is_plane_elementary(g: PlaneGraph) -> bool:
-    try:
-        return elementary_analysis(g).is_elementary
-    except NoPerfectMatching:
-        return False
-
-
-def _rest(g: PlaneGraph, face_id: int):
-    """The edges of ``g`` left when the face's shared periphery path, its
-    internal vertices and their edges are removed, if that path is odd;
-    otherwise None.  The one rule of a decomposition step: read forward,
-    the face attaches to the rest by an odd ear.  The path is the one run of
-    peripheral edges on the face's walk (:func:`_arc`), so a face all on the
-    periphery has none."""
-    path = _arc(g.faces[face_id], g.periphery_edges)
+def _rest(face, edges, periphery):
+    """The edges left of ``edges`` when the face's shared periphery path,
+    its internal vertices and their edges are removed, if that path is odd;
+    otherwise None.  The one rule of a decomposition step: read forward, the
+    face attaches to the rest by an odd ear.  The path is the one run of
+    ``periphery`` edges on the face's walk (:func:`_arc`), so a face all on
+    the periphery has none."""
+    path = _arc(face, periphery)
     if path is None or len(path) % 2:  # a path of an even number of edges
         return None
     internal = set(path[1:-1])
     path_edges = {edge_key(a, b) for a, b in zip(path, path[1:])}
-    return frozenset(e for e in g.edges if e not in path_edges and not set(e) & internal)
+    return frozenset(
+        e for e in edges
+        if e not in path_edges and e[0] not in internal and e[1] not in internal
+    )
 
 
-def _reduction(g: PlaneGraph, face_id: int):
-    """``g`` embedded on the face's :func:`_rest`, when that is plane
-    elementary bipartite; otherwise None."""
-    rest = _rest(g, face_id)
+def _reduction(g: PlaneGraph, face_id: int, edges, periphery):
+    """The face's :func:`_rest` in the subgraph of ``g`` on ``edges``, whose
+    periphery is ``periphery``, when that rest is elementary; otherwise
+    None.  Elementarity is decided from the rest's adjacency under ``g``'s
+    coloring (:func:`~rescube.plane_graph.elementary_verdict`)."""
+    rest = _rest(g.faces[face_id], edges, periphery)
     if rest is None:
         return None
-    reduced = edge_subgraph(g, rest)
-    if len(reduced.vertices) >= 2 and _is_plane_elementary(reduced):
-        return reduced
-    return None
+    adjacency = {}
+    for u, v in rest:
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
+    try:
+        elementary, _ = elementary_verdict(list(adjacency), adjacency.__getitem__, g.coloring)
+    except NoPerfectMatching:
+        return None
+    return rest if elementary else None
 
 
 def find_reducible_faces(g: PlaneGraph) -> frozenset:
     """Every finite face whose shared periphery is a single odd path and whose
     reduction stays plane elementary bipartite."""
-    return frozenset(f.id for f in g.finite_faces if _reduction(g, f.id) is not None)
+    return frozenset(
+        f.id for f in g.finite_faces
+        if _reduction(g, f.id, g.edges, g.periphery_edges) is not None
+    )
 
 
-def _sequence(g: PlaneGraph, order: tuple, graphs: tuple) -> RfdSequence:
-    """The decomposition of ``g`` with this face order and these prefix
-    subgraphs; its attachment map names, for every step, the one earlier
-    face whose edges the step's face shares, and is None when some step
-    shares edges with several."""
+def _sequence(g: PlaneGraph, order: tuple) -> RfdSequence:
+    """The decomposition of ``g`` with this face order; its attachment map
+    names, for every step, the one earlier face whose edges the step's face
+    shares, and is None when some step shares edges with several."""
     attachment = {}
     for idx in range(1, len(order)):
         edges = g.faces[order[idx]].edges
@@ -161,74 +203,81 @@ def _sequence(g: PlaneGraph, order: tuple, graphs: tuple) -> RfdSequence:
             break
         attachment[idx + 1] = sharers[0]
     note = f"first face {order[0]} accepted because its boundary is a cycle"
-    return RfdSequence(order, attachment, (note,), graphs=graphs)
+    return RfdSequence(order, attachment, (note,), prefixes=_Prefixes(g, order))
 
 
 def rfd_from_face_order(g: PlaneGraph, order) -> RfdSequence:
     """Validate a full face order as a reducible face decomposition.
 
     The first face only needs to bound a cycle.  Step i grows the union of
-    the faces so far by face i; it holds when the face is a face of the
-    grown subgraph and its :func:`_rest` there is the previous subgraph.
-    Then face i adds an odd ear whose interior vertices are new, so every
-    prefix is an even cycle (the graph is bipartite) with odd ears, which
-    is elementary by the bipartite ear theorem (Lovasz and Plummer,
-    *Matching Theory*, 4.1); no prefix is analysed again.  Raises
-    :class:`NotReducibleAtStep` at the first failing step.  Every prefix but
-    the whole graph is embedded once.
+    the faces so far by face i; it holds when the face's edges outside the
+    union are one odd path along its walk (:func:`_arc`) whose interior
+    vertices are new.  Then every prefix is an even cycle (the graph is
+    bipartite) with odd ears, which is elementary by the bipartite ear
+    theorem (Lovasz and Plummer, *Matching Theory*, 4.1), and 2-connected,
+    and its finite faces are the faces so far: each ear runs in the infinite
+    face, since a face of the graph holds no edge, and splits off face i.
+    So the ear is the face's shared periphery in the grown union, and the
+    union before is its :func:`_rest` there.  Raises
+    :class:`NotReducibleAtStep` at the first failing step.  No prefix is
+    embedded or analysed.
     """
     order = tuple(order)
     finite_ids = sorted(f.id for f in g.finite_faces)
     if sorted(order) != finite_ids:
         raise ValueError(f"order must list all finite faces {finite_ids}")
 
-    def embedded(edges):
-        return g if edges == g.edges else edge_subgraph(g, edges)
-
     first = g.faces[order[0]]
     if len(set(first.boundary)) != len(first.boundary):
         raise NotReducibleAtStep(1, "first face boundary is not a cycle")
-    graphs = [embedded(first.edges)]
+    edges, vertices = first.edges, set(first.boundary)
     for step in range(2, len(order) + 1):
-        previous = graphs[-1]
         face = g.faces[order[step - 1]]
-        grown = embedded(previous.edges | face.edges)
-        fid = grown.face_by_edge_set.get(face.edges)
-        if fid is None or _rest(grown, fid) != previous.edges:
+        ear = _arc(face, face.edges - edges)
+        if ear is None or len(ear) % 2 or vertices.intersection(ear[1:-1]):
             raise NotReducibleAtStep(step, "face is not an odd ear on the periphery")
-        graphs.append(grown)
-    if graphs[-1] is not g:
+        edges |= face.edges
+        vertices.update(ear)
+    if edges != g.edges:
         raise NotReducibleAtStep(len(order), "edges remain outside all faces")
-    return _sequence(g, order, tuple(graphs))
+    return _sequence(g, order)
 
 
 def auto_rfd(g: PlaneGraph) -> RfdSequence:
-    """Greedy decomposition: repeatedly peel the reducible face with the
-    smallest id.  The peel read backwards is the decomposition, and its
-    reductions are the prefix subgraphs."""
+    """Greedy decomposition: repeatedly peel the face of smallest id that
+    has a :func:`_reduction`, until one face is left.  The peel read
+    backwards is the decomposition, and its rests are the prefixes.
+
+    The peel runs on the graph's own faces.  The finite faces of an
+    elementary rest are the other faces: removing the ear P merges the
+    peeled face into the infinite face, and an internal vertex of P with a
+    third edge would be a cut vertex, the infinite face passing it on both
+    sides of P, so the rest would be disconnected or that edge a pendant
+    one.  The rest is 2-connected, so its periphery is the set of its edges
+    on exactly one of its finite faces: ``(periphery - P) | (face - P)``,
+    less a pendant edge."""
     if len(g.vertices) <= 2:
         raise UnsupportedInput("need more than two vertices")
     if g.is_cycle_graph():
         face = g.finite_faces[0]
         return RfdSequence(
-            (face.id,), {}, ("even cycle: single-face decomposition",), graphs=(g,)
+            (face.id,), {}, ("even cycle: single-face decomposition",),
+            prefixes=_Prefixes(g, (face.id,)),
         )
 
-    graphs = [g]
+    edges, periphery, faces = g.edges, g.periphery_edges, [f.id for f in g.finite_faces]
     peeled = []
-    while not graphs[-1].is_cycle_graph():
-        current = graphs[-1]
-        own = {g.face_by_edge_set[f.edges]: f.id for f in current.finite_faces}
-        for fid in sorted(own):
-            reduced = _reduction(current, own[fid])
-            if reduced is not None:
+    while not peeled or len(faces) != 1:  # g is not a cycle: one peel at least
+        for fid in faces:
+            rest = _reduction(g, fid, edges, periphery)
+            if rest is not None:
                 break
         else:
             raise PeelingStuck("no reducible face; the graph is not plane elementary")
+        periphery = (periphery ^ g.faces[fid].edges) & rest
+        edges, faces = rest, [h for h in faces if h != fid]
         peeled.append(fid)
-        graphs.append(reduced)
-    base = g.face_by_edge_set[graphs[-1].finite_faces[0].edges]
-    return _sequence(g, (base, *reversed(peeled)), tuple(reversed(graphs)))
+    return _sequence(g, (faces[0], *reversed(peeled)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +414,7 @@ def _prefix(g, r, rfd, k, cap) -> _Prefix:
     matchings and resonance graph ``r`` already holds."""
     if k == rfd.n:
         return _Prefix(g, rfd, r.family, r, coding.daisy_labelling(g, r.family, rfd))
-    sub = rfd.graphs[k - 1]
+    sub = rfd.prefixes.graph(k)
     faces = tuple(sub.face_by_edge_set[g.faces[fid].edges] for fid in rfd.faces[:k])
     sub_rfd = replace(rfd.prefix(k), faces=faces)
     family = enumerate_matchings(sub, cap)

@@ -691,19 +691,19 @@ def enumerate_matching_columns(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -
 # ---------------------------------------------------------------------------
 
 
-def _perfect_matching(g: PlaneGraph) -> dict:
+def _perfect_matching(vertices, neighbours, coloring) -> dict:
     """One perfect matching as a two-way mate map, grown by augmenting paths
-    from the white vertices in id order.  Raises :class:`NoPerfectMatching`
-    when the colour classes differ in size or a white vertex has no
-    augmenting path, since it then stays unmatched in every maximum
-    matching."""
-    whites = [v for v in g.vertices if g.coloring[v] == WHITE]
-    if 2 * len(whites) != len(g.vertices):
+    from the white vertices in the given order.  Raises
+    :class:`NoPerfectMatching` when the colour classes differ in size or a
+    white vertex has no augmenting path, since it then stays unmatched in
+    every maximum matching."""
+    whites = [v for v in vertices if coloring[v] == WHITE]
+    if 2 * len(whites) != len(vertices):
         raise NoPerfectMatching("graph has no perfect matching")
     mate = {}
     for root in whites:
         reached_from = {}  # black vertex -> the white vertex that reached it
-        stack = [(root, iter(g.rotation[root]))]  # alternating path so far
+        stack = [(root, iter(neighbours(root)))]  # alternating path so far
         free = None
         while stack and free is None:
             w, it = stack[-1]
@@ -711,7 +711,7 @@ def _perfect_matching(g: PlaneGraph) -> dict:
                 if b not in reached_from:
                     reached_from[b] = w
                     if b in mate:
-                        stack.append((mate[b], iter(g.rotation[mate[b]])))
+                        stack.append((mate[b], iter(neighbours(mate[b]))))
                     else:
                         free = b
                     break
@@ -772,42 +772,56 @@ def elementary_analysis(g: PlaneGraph) -> ElementaryReport:
     elementary when re-tracing the faces of the allowed subgraph yields no
     finite face that was not already a finite face of ``g``.
 
-    One perfect matching M decides every edge (the Dulmage-Mendelsohn
-    structure; Lovasz & Plummer, *Matching Theory*, ch. 4): with the edges
-    of M oriented black to white and all others white to black, an edge is
-    allowed exactly when it is in M or both its ends lie in one strongly
-    connected component.  No perfect matching raises
-    :class:`NoPerfectMatching`.
+    One perfect matching decides every edge (:func:`elementary_verdict`, which
+    the decomposition's peel runs on its candidate reductions too).  No
+    perfect matching raises :class:`NoPerfectMatching`.
 
-    The report is memoised on the graph, so the decomposition's peel, its
-    order validation and the commands share one verdict per graph.
+    The report is memoised on the graph, so the commands share one verdict
+    per graph.
     """
     return g._elementary
 
 
-def _analyse_elementary(g: PlaneGraph) -> ElementaryReport:
-    mate = _perfect_matching(g)
+def elementary_verdict(vertices, neighbours, coloring) -> tuple:
+    """Whether the bipartite graph on ``vertices`` (``neighbours(v)`` the
+    neighbours of v, properly 2-coloured by ``coloring``) is elementary, and
+    a test whether an edge ``(u, v)`` is allowed (in some perfect matching).
+
+    One perfect matching M decides both (Dulmage-Mendelsohn; Lovasz &
+    Plummer, *Matching Theory*, ch. 4).  In the digraph on the white
+    vertices where w points to the mate of each other neighbour, an edge
+    not in M is allowed exactly when it closes an M-alternating cycle: when
+    its white end and its black end's mate are strongly connected.  The
+    graph is elementary (connected, every edge allowed) exactly when that
+    digraph is strongly connected, since its arcs are the edges not in M
+    and each black vertex is a mate.  Raises :class:`NoPerfectMatching`
+    when there is no perfect matching."""
+    mate = _perfect_matching(vertices, neighbours, coloring)
+    whites = [v for v in vertices if coloring[v] == WHITE]
     comp = _strong_components(
-        g.vertices,
-        lambda v: (
-            (w for w in g.rotation[v] if w != mate[v])
-            if g.coloring[v] == WHITE
-            else (mate[v],)
-        ),
+        whites, lambda w: (mate[b] for b in neighbours(w) if b != mate[w])
     )
-    allowed = frozenset(
-        e for e in g.edges if comp[e[0]] == comp[e[1]] or mate[e[0]] == e[1]
-    )
-    forbidden = g.edges - allowed
-    sub = edge_subgraph(g, allowed) if forbidden else g
+
+    def allowed(u, v) -> bool:
+        w, b = (u, v) if coloring[u] == WHITE else (v, u)
+        return mate[w] == b or comp[w] == comp[mate[b]]
+
+    return len(set(comp.values())) == 1, allowed
+
+
+def _analyse_elementary(g: PlaneGraph) -> ElementaryReport:
+    elementary, allowed = elementary_verdict(g.vertices, g.rotation.__getitem__, g.coloring)
+    allowed_edges = frozenset(e for e in g.edges if allowed(*e))
+    forbidden = g.edges - allowed_edges
+    sub = edge_subgraph(g, allowed_edges) if forbidden else g
 
     return ElementaryReport(
-        is_elementary=g.is_connected and not forbidden,
+        is_elementary=elementary,
         elementary_components=sub.components,
         is_weakly_elementary=all(
             f.edges in g.face_by_edge_set for f in sub.finite_faces
         ),
-        allowed_edges=allowed,
+        allowed_edges=allowed_edges,
         forbidden_edges=forbidden,
     )
 

@@ -70,13 +70,17 @@ reference for the packed-column step check of ``rescube.decomposition``,
 which reads the ear and inner path as arcs of the face's walk, the labels
 as daisy columns, and o-closure as a down-set test.
 
-The last section validates a face order as a decomposition ear by ear,
-each new face's edges checked as an odd path attached at its ends: the
-reference for the one reducible-step rule that
+The decomposition sections validate a face order ear by ear, each new
+face's edges checked as an odd path attached at its ends and each prefix
+embedded and analysed: the reference for the one reducible-step rule that
 ``rescube.decomposition.rfd_from_face_order`` and ``auto_rfd`` share.
+They also peel a graph with every candidate reduction embedded and
+analysed, as a full plane graph: the reference for the peel of
+``auto_rfd`` and ``find_reducible_faces``, which reads the reductions off
+the graph's own faces.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from weakref import WeakKeyDictionary
 
@@ -89,7 +93,8 @@ from rescube.cube_kit import (
 )
 from rescube.decomposition import (
     RfdSequence,
-    _is_plane_elementary,
+    _rest,
+    _sequence,
     auto_rfd,
 )
 from rescube.errors import (
@@ -98,6 +103,7 @@ from rescube.errors import (
     NoHandles,
     NoPerfectMatching,
     NotReducibleAtStep,
+    PeelingStuck,
     RescubeError,
     UnsupportedInput,
 )
@@ -1376,5 +1382,79 @@ def rfd_by_ears(g, order) -> RfdSequence:
         faces=order,
         attachment=attachments if complete else None,
         notes=notes,
-        graphs=tuple(graphs),
+        prefixes=Carried(graphs),
     )
+
+
+# ---------------------------------------------------------------------------
+# decompositions by embedding every reduction
+# ---------------------------------------------------------------------------
+
+
+class Carried:
+    """Prefix subgraphs built up front, read as a decomposition reads its
+    lazily embedded ones."""
+
+    def __init__(self, graphs):
+        self.graphs = tuple(graphs)
+        self.edges = tuple(sub.edges for sub in self.graphs)
+
+    def graph(self, k):
+        return self.graphs[k - 1]
+
+
+def _is_plane_elementary(g) -> bool:
+    try:
+        return elementary_analysis(g).is_elementary
+    except NoPerfectMatching:
+        return False
+
+
+def _reduction(g, face_id):
+    """``g`` embedded on the face's rest (``rescube.decomposition._rest``
+    on ``g``'s own periphery), when that is plane elementary bipartite;
+    otherwise None."""
+    rest = _rest(g.faces[face_id], g.edges, g.periphery_edges)
+    if rest is None:
+        return None
+    reduced = edge_subgraph(g, rest)
+    if len(reduced.vertices) >= 2 and _is_plane_elementary(reduced):
+        return reduced
+    return None
+
+
+def embedded_reducible_faces(g) -> frozenset:
+    """The reducible faces, each reduction embedded and analysed: the
+    reference for ``rescube.decomposition.find_reducible_faces``."""
+    return frozenset(f.id for f in g.finite_faces if _reduction(g, f.id) is not None)
+
+
+def embedded_auto_rfd(g) -> RfdSequence:
+    """The greedy peel with every reduction embedded and analysed, and the
+    reductions carried as the prefixes: the reference for
+    ``rescube.decomposition.auto_rfd``, which peels on the graph's own faces."""
+    if len(g.vertices) <= 2:
+        raise UnsupportedInput("need more than two vertices")
+    if g.is_cycle_graph():
+        face = g.finite_faces[0]
+        return RfdSequence(
+            (face.id,), {}, ("even cycle: single-face decomposition",),
+            prefixes=Carried((g,)),
+        )
+
+    graphs = [g]
+    peeled = []
+    while not graphs[-1].is_cycle_graph():
+        current = graphs[-1]
+        own = {g.face_by_edge_set[f.edges]: f.id for f in current.finite_faces}
+        for fid in sorted(own):
+            reduced = _reduction(current, own[fid])
+            if reduced is not None:
+                break
+        else:
+            raise PeelingStuck("no reducible face; the graph is not plane elementary")
+        peeled.append(fid)
+        graphs.append(reduced)
+    base = g.face_by_edge_set[graphs[-1].finite_faces[0].edges]
+    order = (base, *reversed(peeled))
+    return replace(_sequence(g, order), prefixes=Carried(reversed(graphs)))

@@ -80,7 +80,7 @@ def test_criterion_1_branched_fixture(branched5, branched5_faces):
         rfd = rfd_from_face_order(branched5, branched5_faces)
         assert rfd.attachment == {2: 1, 3: 2, 4: 3, 5: 2}
         labelling = daisy_labelling(branched5, family, rfd)
-        assert labelling.label_set() == BRANCHED_LABEL_SET
+        assert set(labelling.labels.values()) == BRANCHED_LABEL_SET
 
 
 def test_criterion_2_label_set_trace():

@@ -698,3 +698,26 @@ def test_parser_is_built_once_and_dispatch_reads_the_module(
     code, out, _ = run(capsys, "verify", branched_file)
     assert code == 0 and calls == [branched_file]
     assert out.encode() == outs[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["rfd"], ["label", "--scheme", "daisy"], ["label", "--scheme", "fdl", "--emit-dot", "DOT"]],
+    ids=["rfd", "label-daisy", "label-fdl-dot"],
+)
+def test_rfd_and_plain_label_embed_no_subgraph(argv, branched_file, tmp_path, capsys, monkeypatch):
+    """The decomposition is found on the graph's own faces, and without
+    --verify nothing reads its prefixes, so none is embedded; with --verify
+    each of the n - 1 proper prefixes is embedded once."""
+    from rescube import decomposition, plane_graph
+
+    built = []
+    embed = plane_graph.edge_subgraph
+    for module in (decomposition, plane_graph):
+        monkeypatch.setattr(module, "edge_subgraph", lambda *a: built.append(a) or embed(*a))
+    argv = [str(tmp_path / "l.dot") if a == "DOT" else a for a in argv]
+    code, _, _ = run(capsys, *argv, branched_file)
+    assert code == 0 and built == []
+    code, _, _ = run(capsys, "label", "--scheme", "daisy", "--verify", branched_file)
+    assert code == 0 and len(built) == 4
+

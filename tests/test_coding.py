@@ -1,5 +1,7 @@
 """The daisy and lattice codings, their anchors, and composition."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -24,13 +26,19 @@ from rescube.cube_kit import (
     is_isometric_labelling,
 )
 from rescube.decomposition import auto_rfd, rfd_from_face_order
-from rescube.errors import BadAttachment, LabelSetMismatch, RescubeError, UnsupportedInput
+from rescube.errors import (
+    BadAttachment,
+    LabelSetMismatch,
+    PropertyViolated,
+    RescubeError,
+    UnsupportedInput,
+)
 from rescube.matchings import bit_ids, enumerate_matchings, extremal_matchings
 from rescube.plane_graph import edge_key, elementary_analysis, swap_colors
 from rescube.resonance import build_resonance
 
 import cube_oracles as oracle
-from conftest import _shifted_union
+from conftest import _shifted_union, zigzag
 from cube_oracles import bits, label_leq, matching_subset, text
 from test_resonance import matchable_edge_subsets, small_corpus
 
@@ -109,7 +117,7 @@ def test_daisy_matches_figure_set(branched5, branched5_faces):
     family = enumerate_matchings(branched5)
     rfd = rfd_from_face_order(branched5, branched5_faces)
     labelling = daisy_labelling(branched5, family, rfd)
-    assert labelling.label_set() == BRANCHED_LABEL_SET
+    assert set(labelling.labels.values()) == BRANCHED_LABEL_SET
 
 
 def test_daisy_fully_resonant_is_minimum(branched5, branched5_faces):
@@ -127,7 +135,7 @@ def test_daisy_edges_flip_their_face_bit(branched5, branched5_faces):
     r = build_resonance(branched5, family)
     for u, v, fid in r.edges:
         a, b = text(labelling.labels[u], 5), text(labelling.labels[v], 5)
-        pos = labelling.position_of(fid) - 1
+        pos = labelling.face_order.index(fid)
         assert [i for i, (x, y) in enumerate(zip(a, b)) if x != y] == [pos]
 
 
@@ -199,7 +207,7 @@ def test_theta_sides_match_bits(branched5, branched5_faces):
     rfd = rfd_from_face_order(branched5, branched5_faces)
     labelling = daisy_labelling(branched5, family, rfd)
     for fid in branched5_faces:
-        pos = labelling.position_of(fid) - 1
+        pos = labelling.face_order.index(fid)
         zeros = {m for m, lab in labelling.labels.items() if text(lab, 5)[pos] == "0"}
         assert zeros == matching_subset(
             branched5, family, fid, "all-exterior-avoid"
@@ -229,7 +237,7 @@ def test_fdl_isometric_and_one_bit_edges(branched5, branched5_faces):
     assert is_isometric_labelling(r.metric(), labelling.labels)
     for u, v, fid in r.edges:
         a, b = text(labelling.labels[u], 5), text(labelling.labels[v], 5)
-        pos = labelling.position_of(fid) - 1
+        pos = labelling.face_order.index(fid)
         assert [i for i, (x, y) in enumerate(zip(a, b)) if x != y] == [pos]
 
 
@@ -240,7 +248,7 @@ def test_fdl_not_downward_closed_here(branched5, branched5_faces):
     daisy = daisy_labelling(branched5, family, rfd)
     fdl = fdl_labelling(branched5, family, rfd)
     assert codings_differ(daisy, fdl)
-    assert not is_downward_closed(fdl.label_set())
+    assert not is_downward_closed(fdl.labels.values())
 
 
 def test_fdl_even_cycle(hexagon):
@@ -282,6 +290,42 @@ def test_color_swap_even_cycle(hexagon):
     fdl_a = fdl_labelling(hexagon, family, rfd).labels
     fdl_b = fdl_labelling(swapped, enumerate_matchings(swapped), rfd).labels
     assert all(fdl_b[m] == fdl_a[m] ^ bits("1") for m in fdl_a)  # complemented
+
+
+def test_color_swap_reads_each_coloring_once(monkeypatch):
+    """One pass over the faces' handles per coloring gives both codings'
+    columns, and only the graph's own daisy labels are certified."""
+    g = zigzag(6)
+    family = enumerate_matchings(g)
+    rfd = auto_rfd(g)
+    calls = Counter()
+    for name in ("_handle_columns", "_certify_daisy"):
+        fn = getattr(coding, name)
+        monkeypatch.setattr(
+            coding, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a)
+        )
+    assert color_swap_effect(g, family, rfd).ok
+    assert calls == {"_handle_columns": 2, "_certify_daisy": 1}
+
+
+def test_color_swap_daisy_mismatch_raises(monkeypatch):
+    """The swapped daisy columns are compared with the certified labels'
+    columns: a swapped column that differs makes the check raise."""
+    g = zigzag(4)
+    family = enumerate_matchings(g)
+    rfd = auto_rfd(g)
+    columns, seen = coding._rfd_columns, []
+
+    def second_differs(h, fam, order):
+        daisy, fdl, mixed = columns(h, fam, order)
+        seen.append(h)
+        if len(seen) == 2:
+            daisy = [daisy[0] ^ 1, *daisy[1:]]
+        return daisy, fdl, mixed
+
+    monkeypatch.setattr(coding, "_rfd_columns", second_differs)
+    with pytest.raises(PropertyViolated, match="daisy_fixed=False"):
+        color_swap_effect(g, family, rfd)
 
 
 def test_color_swap_enumerates_nothing(branched5, monkeypatch, families):

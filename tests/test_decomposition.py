@@ -1,5 +1,6 @@
 """Reducible faces, decompositions, and the split/expansion instance checks."""
 
+import functools
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations
@@ -41,7 +42,7 @@ from rescube.plane_graph import (
 from rescube.resonance import ResonanceGraph, build_resonance
 
 import cube_oracles as oracle
-from conftest import zigzag
+from conftest import BRANCHED_CELLS, zigzag
 from cube_oracles import AVOIDS_END_EDGES, CONTAINS_END_EDGES, end_edge_state
 from test_resonance import matchable_edge_subsets, small_corpus
 
@@ -218,44 +219,72 @@ def embedded(monkeypatch):
     return built
 
 
+@pytest.fixture
+def verdicts(monkeypatch):
+    """The vertex lists of every elementarity verdict the decomposition
+    module asks for."""
+    asked = []
+    verdict = decomposition.elementary_verdict
+
+    def spy(vertices, neighbours, coloring):
+        asked.append(tuple(vertices))
+        return verdict(vertices, neighbours, coloring)
+
+    monkeypatch.setattr(decomposition, "elementary_verdict", spy)
+    return asked
+
+
 @pytest.mark.parametrize("h, calls", [(9, 8), (14, 13)])
-def test_auto_rfd_reduces_each_face_once(h, calls, embedded):
-    """Every peel keeps the reduction that chose its face, and the
-    decomposition carries those reductions as its prefixes: one subgraph
-    per face tried, h - 1 peels whose first candidate reduces."""
-    assert auto_rfd(zigzag(h)).n == h
-    assert len(embedded) == calls
+def test_auto_rfd_reduces_each_face_once(h, calls, embedded, verdicts):
+    """The peel reads every reduction off the graph's own faces: it embeds
+    no subgraph, and decides one candidate per peel, h - 1 peels whose first
+    candidate reduces.  The decomposition embeds its prefixes only when
+    they are read, each once, from the next larger one."""
+    rfd = auto_rfd(zigzag(h))
+    assert rfd.n == h
+    assert embedded == [] and len(verdicts) == calls
+    rfd.graphs
+    assert embedded == list(reversed(rfd.subgraph_edges[:-1]))
+    rfd.graphs
+    assert len(embedded) == h - 1
 
 
 @pytest.mark.parametrize("h", [1, 2, 5, 9])
 def test_rfd_from_face_order_embeds_each_prefix_once(h, embedded):
-    """A face order of n faces embeds its n - 1 proper prefixes, each once;
-    the last prefix is the graph itself."""
+    """A face order is checked on the graph's faces, embedding nothing;
+    reading its n - 1 proper prefixes embeds each once, and the last prefix
+    is the graph itself."""
     g = zigzag(h)
     order = auto_rfd(g).faces
-    embedded.clear()
     rfd = rfd_from_face_order(g, order)
-    assert embedded == list(rfd.subgraph_edges[:-1])
-    assert len(embedded) == h - 1 and rfd.graphs[-1] is g
+    assert embedded == []
+    assert rfd.graphs[-1] is g
+    assert embedded == list(reversed(rfd.subgraph_edges[:-1]))
+    assert len(embedded) == h - 1
 
 
-@pytest.mark.parametrize("shape", ["branched5", "zigzag9"])
-def test_rfd_from_face_order_analyses_no_prefix(shape, request, monkeypatch):
-    """Each accepted step adds an odd ear with new interior vertices to an
+@pytest.mark.parametrize(
+    "build", [lambda: build_benzenoid(BRANCHED_CELLS), lambda: zigzag(9)],
+    ids=["branched5", "zigzag9"],
+)
+def test_decompositions_embed_and_analyse_nothing(build, monkeypatch):
+    """Finding and checking a decomposition run on the graph's own faces:
+    no subgraph is embedded and no elementary analysis runs.  Each accepted
+    step of a face order adds an odd ear with new interior vertices to an
     even cycle with odd ears, which is elementary (the bipartite ear
-    theorem), so checking a face order runs no elementary analysis; the
-    ear-by-ear oracle, which does analyse each prefix, agrees on every face
-    order (test_face_orders_agree_with_ears)."""
-    g = request.getfixturevalue(shape) if shape == "branched5" else zigzag(9)
+    theorem); the ear-by-ear oracle, which does analyse each prefix, agrees
+    on every face order (test_face_orders_agree_with_ears).  The peel
+    decides its candidates by :func:`plane_graph.elementary_verdict` alone."""
+    g = build()  # a fresh graph, not yet analysed
+    called = []
+    embed, analyse = plane_graph.edge_subgraph, plane_graph._analyse_elementary
+    monkeypatch.setattr(decomposition, "edge_subgraph", lambda *a: called.append(a) or embed(*a))
+    monkeypatch.setattr(plane_graph, "edge_subgraph", lambda *a: called.append(a) or embed(*a))
+    monkeypatch.setattr(plane_graph, "_analyse_elementary", lambda h: called.append(h) or analyse(h))
     order = auto_rfd(g).faces
-    analysed = []
-    analyse = plane_graph._analyse_elementary
-    monkeypatch.setattr(decomposition, "elementary_analysis", analysed.append)
-    monkeypatch.setattr(
-        plane_graph, "_analyse_elementary", lambda h: analysed.append(h) or analyse(h)
-    )
+    assert find_reducible_faces(g)
     assert rfd_from_face_order(g, order).faces == order
-    assert analysed == []
+    assert called == []
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +332,19 @@ def _polyomino(cells):
     return build_plane_graph([(i, *p) for p, i in vid.items()], sorted(edges))
 
 
+# a pericondensed six-ring system: the peel's first candidate leaves a
+# reduction that is not elementary
+PERI6 = ((0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0))
+SQUARE_OFFSETS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
 STEP_RULE_CORPUS = (
     # every polyhex of up to 5 rings: catacondensed, pyrene-type and ones
     # with an odd number of vertices
     [(f"hex{cells}", lambda cells=cells: build_benzenoid(cells))
      for cells in _free_animals(5, AXIAL_NEIGHBORS, canonical_polyhex)]
     + [(f"square{cells}", lambda cells=cells: _polyomino(cells))
-       for cells in _free_animals(5, ((1, 0), (0, 1), (-1, 0), (0, -1)), _canonical_polyomino)]
+       for cells in _free_animals(5, SQUARE_OFFSETS, _canonical_polyomino)]
+    + [("peri6", lambda: build_benzenoid(PERI6))]
 )
 
 
@@ -348,6 +383,126 @@ def test_face_orders_agree_with_ears(name, build):
 )
 def test_face_orders_agree_with_ears_on_fixtures(name, request):
     _assert_one_step_rule(request.getfixturevalue(name))
+
+
+# ---------------------------------------------------------------------------
+# the peel on the graph's own faces against the embedding peel
+# ---------------------------------------------------------------------------
+
+
+def _peel_outcome(fn, g):
+    """The decomposition's faces, attachment, notes and prefix edge sets,
+    or the error's type and message."""
+    try:
+        rfd = fn(g)
+    except Exception as err:  # the oracle's errors are compared, not judged
+        return type(err), str(err)
+    return rfd.faces, rfd.attachment, rfd.notes, rfd.subgraph_edges
+
+
+def _assert_peel_matches_embedding(g):
+    assert _peel_outcome(auto_rfd, g) == _peel_outcome(oracle.embedded_auto_rfd, g)
+    assert find_reducible_faces(g) == oracle.embedded_reducible_faces(g)
+
+
+@functools.cache
+def _animals(lattice):
+    """Every free polyhex or square polyomino of up to 7 cells."""
+    if lattice == "hex":
+        return _free_animals(7, AXIAL_NEIGHBORS, canonical_polyhex)
+    return _free_animals(7, SQUARE_OFFSETS, _canonical_polyomino)
+
+
+@pytest.mark.parametrize("cells", range(1, 8))
+@pytest.mark.parametrize("lattice", ["hex", "square"])
+def test_peel_matches_embedding_on_lattice_animals(lattice, cells):
+    """Every polyhex and every square polyomino of this many cells,
+    catacondensed or not, with holes or not, with odd order or not."""
+    build = build_benzenoid if lattice == "hex" else _polyomino
+    shapes = [a for a in _animals(lattice) if len(a) == cells]
+    assert shapes
+    for shape in shapes:
+        _assert_peel_matches_embedding(build(shape))
+
+
+def test_lattice_animal_counts():
+    """The corpus above is complete: 1, 1, 3, 7, 22, 82 and 333 free
+    polyhexes (449 in all), and 1, 1, 2, 5, 12, 35 and 108 free polyominoes."""
+    for lattice, counts in [("hex", [1, 1, 3, 7, 22, 82, 333]), ("square", [1, 1, 2, 5, 12, 35, 108])]:
+        sizes = Counter(len(a) for a in _animals(lattice))
+        assert [sizes[k] for k in range(1, 8)] == counts
+
+
+@pytest.mark.parametrize(
+    "name", ["nested_rings", "hexagon_with_pendant_path", "pyrene", "two_hexagons",
+             "even_interior", "branched5", "triphenylene", "hexagon"]
+)
+def test_peel_matches_embedding_on_fixtures(name, request):
+    _assert_peel_matches_embedding(request.getfixturevalue(name))
+
+
+def test_peel_rejects_a_non_elementary_reduction(monkeypatch):
+    """On the pericondensed six-ring system the first candidate's rest is
+    not elementary; the peel, like the embedding peel, moves on to the
+    next face."""
+    g = build_benzenoid(PERI6)
+    decided = []
+    reduction = decomposition._reduction
+    monkeypatch.setattr(
+        decomposition, "_reduction",
+        lambda *args: decided.append(reduction(*args)) or decided[-1],
+    )
+    rfd = auto_rfd(g)
+    # face 0 has an odd ear, but its rest is not elementary; face 1 reduces
+    assert decomposition._rest(g.faces[0], g.edges, g.periphery_edges)
+    assert decided[0] is None and decided[1] is not None
+    assert rfd.faces == (5, 3, 4, 0, 2, 1)
+    assert [len(e) for e in rfd.subgraph_edges] == [6, 11, 16, 21, 24, 27]
+    monkeypatch.undo()
+    _assert_peel_matches_embedding(g)
+
+
+def test_peel_drops_a_pendant_edge_on_the_ear():
+    """Anthracene with a pendant edge at a degree-2 vertex of an end ring:
+    the first peel removes that ring's ear and the pendant edge with it,
+    and the peel goes on on the faces left, as the embedding peel does."""
+    g = build_benzenoid([(0, 0), (1, 0), (2, 0)])
+    v = max(g.vertices, key=lambda u: g.coords[u])
+    x, y = g.coords[v]
+    g = build_plane_graph(
+        [(u, *g.coords[u]) for u in g.vertices] + [(99, x + 2, y)], [*g.edges, (v, 99)]
+    )
+    rfd = auto_rfd(g)
+    assert rfd.n == 3 and rfd.subgraph_edges[-1] == g.edges
+    assert all(99 not in {u for e in edges for u in e} for edges in rfd.subgraph_edges[:-1])
+    _assert_peel_matches_embedding(g)
+
+
+@functools.cache
+def _peel_corpus():
+    return tuple(build_benzenoid(a) for a in _animals("hex") if len(a) <= 5) + tuple(
+        _polyomino(a) for a in _animals("square") if len(a) <= 6
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_peel_matches_embedding_on_edge_subsets(pyrene, nested_rings, data):
+    """Edge subgraphs: most edges kept, or the union of a few perfect
+    matchings and random edges; they have cut vertices, pendant paths,
+    faces merged into holes and several components."""
+    if data.draw(st.booleans()):
+        g = data.draw(st.sampled_from(_peel_corpus() + (pyrene, nested_rings)))
+        drop = data.draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=4))
+        if not g.edges - drop:
+            return
+        g = plane_graph.edge_subgraph(g, g.edges - drop)
+    else:
+        g = data.draw(matchable_edge_subsets(small_corpus() + (pyrene, nested_rings)))
+    _assert_peel_matches_embedding(g)
+    order = data.draw(st.permutations([f.id for f in g.finite_faces]))
+    if order:
+        assert _outcome(rfd_from_face_order, g, order) == _outcome(oracle.rfd_by_ears, g, order)
 
 
 @pytest.mark.parametrize("shape", catacondensed_polyhexes(5), ids=str)

@@ -481,22 +481,22 @@ def test_elementary_analysis_is_memoised_on_the_graph(branched5, monkeypatch):
 
     g = plane_graph.edge_subgraph(branched5, branched5.edges)  # not yet analysed
     calls = []
-    grow = plane_graph._perfect_matching
+    verdict = plane_graph.elementary_verdict
 
-    def counted(graph):
-        calls.append(graph)
-        return grow(graph)
+    def counted(vertices, neighbours, coloring):
+        calls.append(vertices)
+        return verdict(vertices, neighbours, coloring)
 
-    monkeypatch.setattr(plane_graph, "_perfect_matching", counted)
+    monkeypatch.setattr(plane_graph, "elementary_verdict", counted)
     assert elementary_analysis(g) is elementary_analysis(g)
     assert is_peripherally_two_colorable(g).ok
-    assert calls == [g]
+    assert calls == [g.vertices]
     # a raise is not cached: every call looks for a perfect matching again
     path = build_plane_graph([(0, 0, 0), (1, 1, 0), (2, 2, 0)], [(0, 1), (1, 2)])
     for _ in range(2):
         with pytest.raises(NoPerfectMatching):
             elementary_analysis(path)
-    assert calls == [g, path, path]
+    assert calls == [g.vertices, path.vertices, path.vertices]
 
 
 def analyses(g) -> list:
