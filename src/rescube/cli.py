@@ -163,9 +163,10 @@ def cmd_label(args) -> int:
     elementary = elementary_analysis(g).is_elementary
     if not elementary and args.rfd not in (None, "auto"):
         raise ValueError("--rfd applies to elementary graphs; this one is not")
-    # weakly elementary graphs label componentwise, concatenated, each
-    # component by its own automatic decomposition
-    parts = (g,) if elementary else coding.elementary_parts(g)
+    # weakly elementary graphs, and K2 (no face) without a face order, label
+    # componentwise, concatenated, each component by its own automatic decomposition
+    whole = elementary and (bool(g.finite_faces) or args.rfd not in (None, "auto"))
+    parts = (g,) if whole else coding.elementary_parts(g)
     for part in parts:
         verdict = is_peripherally_two_colorable(part)
         if not verdict.ok:
@@ -173,7 +174,7 @@ def cmd_label(args) -> int:
                          "verdict": _verdict_obj(verdict)}), args.output)
             return EXIT_FALSE
     family = enumerate_matchings(g, cap=cap)
-    if elementary:
+    if whole:
         rfd = _resolve_rfd(g, args.rfd)
         labelling = fn(g, family, rfd)
     else:
@@ -194,7 +195,7 @@ def cmd_label(args) -> int:
                 else None
             ),
         }
-        if elementary and not g.is_cycle_graph():
+        if whole and not g.is_cycle_graph():
             obj["verification"]["theorem_report"] = theorem_report(
                 g, rfd, cap, resonance=r
             )

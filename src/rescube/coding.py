@@ -83,12 +83,13 @@ class Labelling:
         return len(self.face_order)
 
 
-def _handle_columns(g: PlaneGraph, family: MatchingFamily, order) -> tuple:
-    """Both codings' columns of the faces in the order, each face's exterior
-    handles read once: per face, the daisy column (the OR of the handles'
-    contain columns) and the lattice column (the AND of their proper
-    columns); and the (matching id, face) pairs, by matching and then by
-    position, where some handle is proper and some improper.
+def _handle_columns(g: PlaneGraph, family: MatchingFamily, exteriors) -> tuple:
+    """Both codings' columns of the faces in ``exteriors``, (face id, its
+    exterior handles) in position order, each face's handles read once: per
+    face, the daisy column (the OR of the handles' contain columns) and the
+    lattice column (the AND of their proper columns); and the (matching id,
+    face) pairs, by matching and then by position, where some handle is
+    proper and some improper.
 
     A clockwise-oriented odd handle's matched darts all have tails of the
     color of ``path[0]`` when it contains its end edges, and of the other
@@ -100,10 +101,10 @@ def _handle_columns(g: PlaneGraph, family: MatchingFamily, order) -> tuple:
     Every face is checked before any matching is read: an even exterior
     handle means the graph is not peripherally 2-colorable, and raises
     :class:`UnsupportedInput`."""
-    exteriors = []
-    for fid in order:
-        exteriors.append(facial_handle_decomposition(g, fid).exterior)
-        for h in exteriors[-1]:
+    faces = []
+    for fid, handles in exteriors:
+        faces.append((fid, handles))
+        for h in handles:
             if h.length % 2 == 0:
                 raise UnsupportedInput(
                     f"face {fid} has an exterior handle of even length {h.length}; "
@@ -111,7 +112,7 @@ def _handle_columns(g: PlaneGraph, family: MatchingFamily, order) -> tuple:
                 )
     full, coloring, white = family.full, g.coloring, pg.WHITE
     daisy, fdl, mixed = [], [], []
-    for pos, (fid, handles) in enumerate(zip(order, exteriors)):
+    for pos, (fid, handles) in enumerate(faces):
         any_contain, all_proper, any_proper = 0, full, 0
         for h in handles:
             contain = handle_column(family, h.path)
@@ -127,15 +128,22 @@ def _handle_columns(g: PlaneGraph, family: MatchingFamily, order) -> tuple:
 
 
 def _rfd_columns(g: PlaneGraph, family: MatchingFamily, rfd) -> tuple:
-    """:func:`_handle_columns` on a decomposition.  An even cycle's one bit
-    is 1 where its face is proper resonant, for the daisy coding under the
-    anchor coloring (smallest vertex white), so a color swap fixes it."""
+    """:func:`_handle_columns` on a decomposition, or an even cycle's."""
     if len(rfd.faces) > 1:
-        return _handle_columns(g, family, rfd.faces)
+        faces = ((fid, facial_handle_decomposition(g, fid).exterior) for fid in rfd.faces)
+        return _handle_columns(g, family, faces)
     if not g.is_cycle_graph():
         raise UnsupportedInput("a single finite face should mean an even cycle")
-    proper, improper = resonance_columns(g, family, g.finite_faces[0].id)
-    return [proper if g.coloring == pg.canonical_coloring(g) else improper], [proper], ()
+    pair = resonance_columns(g, family, g.finite_faces[0].id)
+    return [_cycle_column(g.coloring, pair, g.vertices)], [pair[0]], ()
+
+
+def _cycle_column(coloring, pair, cycle) -> int:
+    """An even cycle's one daisy bit, from its face pair under ``coloring``:
+    1 where the face is proper resonant under the coloring that makes the
+    cycle's smallest vertex white, so a color swap fixes it."""
+    proper, improper = pair
+    return proper if coloring[min(cycle)] == pg.WHITE else improper
 
 
 def daisy_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
@@ -196,6 +204,13 @@ def fdl_labelling(g: PlaneGraph, family: MatchingFamily, rfd) -> Labelling:
     inputs."""
     _, ones, mixed = _rfd_columns(g, family, rfd)
     return _labelling(FDL, family, ones, rfd.faces, mixed)
+
+
+def labellings(g: PlaneGraph, family: MatchingFamily, rfd) -> tuple:
+    """:func:`daisy_labelling` and :func:`fdl_labelling`, read in one pass
+    over the faces' exterior handles."""
+    daisy, ones, mixed = _rfd_columns(g, family, rfd)
+    return _certified_daisy(family, daisy, rfd), _labelling(FDL, family, ones, rfd.faces, mixed)
 
 
 @dataclass(frozen=True)

@@ -28,17 +28,20 @@ embed no subgraph.  The greedy peel keeps the remaining faces and their
 periphery, and decides each candidate's elementarity from the rest's
 adjacency alone.  A face order is checked ear by ear with no elementary
 analysis of its prefixes: an even cycle with odd ears is elementary (the
-bipartite ear theorem).  A prefix subgraph is embedded only when a step
-check reads it.
+bipartite ear theorem).  The step checks read each prefix off the graph's
+first faces too (:func:`_prefix`), so no prefix is embedded either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from itertools import accumulate
+from operator import or_, xor
 
 from . import cube_kit as ck
 from . import coding
+from . import plane_graph as pg
 from .errors import (
     NoPerfectMatching,
     NotReducibleAtStep,
@@ -58,8 +61,8 @@ from .matchings import (
 from .plane_graph import (
     DEFAULT_MATCHING_CAP,
     PlaneGraph,
+    _face_handles,
     edge_key,
-    edge_subgraph,
     elementary_verdict,
     facial_handle_decomposition,
     is_peripherally_two_colorable,
@@ -67,67 +70,28 @@ from .plane_graph import (
 from .resonance import ResonanceGraph, build_resonance
 
 
-class _Prefixes:
-    """The growing subgraphs of a decomposition of ``g`` with this face
-    order: prefix k has the edges of the first k faces, and the last is
-    ``g`` itself.  Prefix k is embedded the first time it is read, from
-    prefix k + 1, and kept."""
-
-    def __init__(self, g: PlaneGraph, order: tuple):
-        self.g, self.order = g, order
-        self._graphs = {len(order): g}
-
-    @cached_property
-    def edges(self) -> tuple:
-        union, prefixes = frozenset(), []
-        for fid in self.order[:-1]:
-            union |= self.g.faces[fid].edges
-            prefixes.append(union)
-        return (*prefixes, self.g.edges)
-
-    def graph(self, k: int) -> PlaneGraph:
-        graphs = self._graphs  # prefixes min(graphs)..n, embedded downwards
-        for j in range(min(graphs) - 1, k - 1, -1):
-            graphs[j] = edge_subgraph(graphs[j + 1], self.edges[j - 1])
-        return graphs[k]
-
-
 @dataclass(frozen=True)
 class RfdSequence:
-    """A reducible face decomposition: face order, the growing subgraphs,
-    and the attachment map (1-based positions) when every step attaches to
-    exactly one earlier face.
-
-    The decomposition is found and checked on the graph's own faces, so it
-    embeds none of its prefixes.  ``prefixes`` holds them: their edge sets,
-    and each subgraph embedded the first time the step checks read it
-    (:func:`_prefix`), and then kept.  ``prefix(i)`` shares them.  They take
-    no part in equality or in the repr."""
+    """A reducible face decomposition: face order, the edge sets of the
+    growing subgraphs, and the attachment map (1-based positions) when every
+    step attaches to exactly one earlier face.  Prefix k is the union of the
+    first k faces, ``subgraph_edges[k - 1]`` its edges (the last is the
+    graph's); they take no part in equality or in the repr."""
 
     faces: tuple
     attachment: dict = None
     notes: tuple = field(default_factory=tuple)
-    prefixes: _Prefixes = field(compare=False, repr=False, kw_only=True)
+    subgraph_edges: tuple = field(compare=False, repr=False, kw_only=True)
 
     @property
     def n(self) -> int:
         return len(self.faces)
 
-    @property
-    def subgraph_edges(self) -> tuple:
-        """The edge sets of the growing subgraphs."""
-        return self.prefixes.edges[: self.n]
-
-    @property
-    def graphs(self) -> tuple:
-        """The growing subgraphs, each embedded once (the last is the graph)."""
-        return tuple(self.prefixes.graph(k) for k in range(1, self.n + 1))
-
     def prefix(self, i: int) -> "RfdSequence":
         att = None
         if self.attachment is not None:
             att = {k: v for k, v in self.attachment.items() if k <= i}
-        return RfdSequence(self.faces[:i], att, self.notes, prefixes=self.prefixes)
+        return RfdSequence(self.faces[:i], att, self.notes, subgraph_edges=self.subgraph_edges[:i])
 
 
 def _arc(face, edges):
@@ -170,15 +134,21 @@ def _reduction(g: PlaneGraph, face_id: int, edges, periphery):
     rest = _rest(g.faces[face_id], edges, periphery)
     if rest is None:
         return None
-    adjacency = {}
-    for u, v in rest:
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
+    adjacency = _adjacency(rest)
     try:
         elementary, _ = elementary_verdict(list(adjacency), adjacency.__getitem__, g.coloring)
     except NoPerfectMatching:
         return None
     return rest if elementary else None
+
+
+def _adjacency(edges) -> dict:
+    """Each vertex of the edges -> its neighbours along them."""
+    adjacency = {}
+    for u, v in edges:
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
+    return adjacency
 
 
 def find_reducible_faces(g: PlaneGraph) -> frozenset:
@@ -194,6 +164,7 @@ def _sequence(g: PlaneGraph, order: tuple) -> RfdSequence:
     """The decomposition of ``g`` with this face order; its attachment map
     names, for every step, the one earlier face whose edges the step's face
     shares, and is None when some step shares edges with several."""
+    prefixes = accumulate((g.faces[fid].edges for fid in order[:-1]), or_)
     attachment = {}
     for idx in range(1, len(order)):
         edges = g.faces[order[idx]].edges
@@ -203,7 +174,7 @@ def _sequence(g: PlaneGraph, order: tuple) -> RfdSequence:
             break
         attachment[idx + 1] = sharers[0]
     note = f"first face {order[0]} accepted because its boundary is a cycle"
-    return RfdSequence(order, attachment, (note,), prefixes=_Prefixes(g, order))
+    return RfdSequence(order, attachment, (note,), subgraph_edges=(*prefixes, g.edges))
 
 
 def rfd_from_face_order(g: PlaneGraph, order) -> RfdSequence:
@@ -262,7 +233,7 @@ def auto_rfd(g: PlaneGraph) -> RfdSequence:
         face = g.finite_faces[0]
         return RfdSequence(
             (face.id,), {}, ("even cycle: single-face decomposition",),
-            prefixes=_Prefixes(g, (face.id,)),
+            subgraph_edges=(g.edges,),
         )
 
     edges, periphery, faces = g.edges, g.periphery_edges, [f.id for f in g.finite_faces]
@@ -396,30 +367,46 @@ class StepReport:
 
 @dataclass(frozen=True)
 class _Prefix:
-    """One RFD prefix G_k, analysed once: its subgraph, the decomposition
-    translated to its face ids, its matchings, resonance graph and daisy
-    labelling.  Step k checks G_k against G_(k-1), so :func:`_chain` hands
-    each record on to the next step."""
+    """One RFD prefix G_k, read once: its edges, matchings, face pairs in
+    decomposition order (each face's proper and improper resonant
+    matchings) and daisy labelling, and the whole graph's lattice
+    labelling.  :func:`_chain` hands each record on to the next step."""
 
-    graph: PlaneGraph
-    rfd: RfdSequence
+    edges: frozenset
     family: MatchingFamily
-    resonance: ResonanceGraph
+    pairs: tuple
     daisy: coding.Labelling
+    fdl: coding.Labelling = None
 
 
 def _prefix(g, r, rfd, k, cap) -> _Prefix:
-    """The record of prefix k, on the subgraph the decomposition carries,
-    whose enumeration ``cap`` bounds; the last prefix is ``g`` itself, whose
-    matchings and resonance graph ``r`` already holds."""
+    """The record of prefix k, read off ``g``'s first k faces, whose
+    enumeration ``cap`` bounds; the last is ``g``'s, whose matchings and
+    R(G) ``r`` holds, and whose codings are read in one pass.
+
+    A prefix is 2-connected (an even cycle with odd ears) with those k
+    faces of ``g`` as its finite faces (:func:`rfd_from_face_order`), so
+    its periphery, the edges on just one of them, is their symmetric
+    difference.  The matchings are enumerated on its adjacency, the face
+    pairs read on ``g``'s walks, and the daisy columns split each walk by
+    the prefix's own degrees.  G_1 is an even cycle, with one daisy bit."""
+    faces = rfd.faces[:k]
     if k == rfd.n:
-        return _Prefix(g, rfd, r.family, r, coding.daisy_labelling(g, r.family, rfd))
-    sub = rfd.prefixes.graph(k)
-    faces = tuple(sub.face_by_edge_set[g.faces[fid].edges] for fid in rfd.faces[:k])
-    sub_rfd = replace(rfd.prefix(k), faces=faces)
-    family = enumerate_matchings(sub, cap)
-    res = build_resonance(sub, family)
-    return _Prefix(sub, sub_rfd, family, res, coding.daisy_labelling(sub, family, sub_rfd))
+        daisy, fdl = coding.labellings(g, r.family, rfd)
+        return _Prefix(g.edges, r.family, tuple(r.pairs[f] for f in faces), daisy, fdl)
+    edges = rfd.subgraph_edges[k - 1]
+    adjacency = _adjacency(edges)
+    size, columns = pg.enumerate_matching_columns(sorted(adjacency), adjacency.__getitem__, cap)
+    family = MatchingFamily(columns, size)
+    pairs = tuple(resonance_columns(g, family, f) for f in faces)
+    if k == 1:
+        columns = [coding._cycle_column(g.coloring, pairs[0], adjacency)]
+    else:
+        periphery = reduce(xor, (g.faces[f].edges for f in faces))
+        degree = {v: len(ns) for v, ns in adjacency.items()}.__getitem__
+        exteriors = ((f, _face_handles(g.faces[f], degree, periphery).exterior) for f in faces)
+        columns = coding._handle_columns(g, family, exteriors)[0]
+    return _Prefix(edges, family, pairs, coding._certified_daisy(family, columns, rfd.prefix(k)))
 
 
 def verify_reducible_split(g: PlaneGraph, r: ResonanceGraph, rfd: RfdSequence) -> tuple:
@@ -498,14 +485,15 @@ def _check_step(
     set.  Matching k of G_(i-1) is the k-th matching of G_i that avoids the
     ear's end edges (the minus side), and the k-th twin is the k-th
     matching that holds them (the plus side).  Both families must come from
-    :func:`enumerate_matchings`, whose ids order matchings by the mate of
-    the smallest vertex where two differ; the two orders follow from that:
+    :func:`~rescube.plane_graph.enumerate_matching_columns`, whose ids order
+    matchings by the mate of the smallest vertex where two differ; the two
+    orders follow from that:
 
     - restriction keeps rank: a minus matching avoids the ear's end edges,
       so it holds the ear's even edges, whose interior vertices have degree
       2.  Two minus matchings then agree on the ear and first differ at a
-      vertex of G_(i-1), whose mates lie in G_(i-1), and
-      :func:`edge_subgraph` keeps vertex ids;
+      vertex of G_(i-1), whose mates lie in G_(i-1), and both enumerations
+      run on the graph's vertex ids;
     - twins keep order: lifted matchings under which C alternates hold the
       same half of C (the ear's even edges), so argument (c) of
       :func:`~rescube.resonance.build_resonance` applies to their twists.
@@ -523,11 +511,11 @@ def _check_step(
     R(G_i), so the prediction of ``expansion-equality`` stays independent
     of that pairing; a lifted matching under which C does not alternate
     makes it false, and so does a twin whose daisy label is not its lift's
-    with bit i set.  It meets R(G_i) position by position on face pairs
-    (:func:`_inside`): earlier, the lifts of R(G_(i-1))'s edges on the
-    minus side, the twins of those inside the inner side on the plus side
-    and no edge between; at i, the k-th lifted inner matching joined to
-    the k-th twin.  Equal pairs, in either order, join the same ids.
+    with bit i set.  It meets R(G_i) position by position on the records'
+    face pairs (:func:`_inside`): earlier, the lifts of R(G_(i-1))'s edges
+    on the minus side, the twins of those inside the inner side on the plus
+    side and no edge between; at i, the k-th lifted inner matching joined
+    to the k-th twin.  Equal pairs, in either order, join the same ids.
 
     No distance table and no label certificate is built, and no edge of
     R(G_(i-1)) is listed.  With ``chain`` the daisy labels of G_(i-1) are
@@ -551,12 +539,11 @@ def _check_step(
 
     fam_i, fam_prev = cur.family, prev.family
     col_i, col_prev = fam_i.columns, fam_prev.columns
-    res_i, res_prev = cur.resonance, prev.resonance
     daisy_i = cur.daisy.columns
 
     face = g.faces[rfd.faces[i - 1]]
-    ear = _arc(face, face.edges - prev.graph.edges)
-    inner = _arc(face, prev.graph.edges)
+    ear = _arc(face, face.edges - prev.edges)
+    inner = _arc(face, prev.edges)
     clauses["inner-path"] = ear is not None and inner is not None
     if not clauses["inner-path"]:
         return StepReport(i, clauses, details)
@@ -567,15 +554,14 @@ def _check_step(
     details["minus_size"] = minus_bits.bit_count()
     details["plus_size"] = plus_bits.bit_count()
     ok = details["minus_size"] == len(fam_prev) and all(
-        pack(col_i.get(e, 0), minus_bits) == col_prev.get(e, 0) for e in prev.graph.edges
+        pack(col_i.get(e, 0), minus_bits) == col_prev.get(e, 0) for e in prev.edges
     )
     clauses["restriction-bijection"] = ok
     if not ok:
         return StepReport(i, clauses, details)
 
-    # both records order the same faces; R(G_(i-1)) has no edge at position i
-    pairs = [res_i.pairs[f] for f in cur.rfd.faces]
-    prev_pairs = [res_prev.pairs[f] for f in prev.rfd.faces] + [(0, 0)]
+    # R(G_(i-1)) has no edge at position i
+    pairs, prev_pairs = cur.pairs, (*prev.pairs, (0, 0))
     on_minus = [_inside(pair, minus_bits) for pair in pairs]
     clauses["restriction-isomorphism"] = all(
         sorted(inside) == sorted(pair) for (inside, _), pair in zip(on_minus, prev_pairs)
@@ -615,7 +601,7 @@ def _check_step(
     twins = details["plus_size"] == size and all(
         pack(col_i.get(e, 0), plus_bits)
         == pack(col_i.get(e, 0), inner_i) ^ (on_cycle if e in face.edges else 0)
-        for e in cur.graph.edges
+        for e in cur.edges
     )
     # each twin's label is its lift's with the new bit set
     twins = twins and not plus_bits & ~daisy_i[-1] and all(
@@ -701,8 +687,7 @@ def theorem_report(
     steps, last, chain = _chain(g, r, rfd, cap)
     report["steps"] = {str(step.step): dict(step.clauses) for step in steps}
 
-    daisy = last.daisy  # the last step's record is the whole graph's
-    fdl = coding.fdl_labelling(g, family, rfd)
+    daisy, fdl = last.daisy, last.fdl  # the last step's record is the whole graph's
     metric = r.metric()
     extremal = extremal_matchings(g, family)
     bottom, top = extremal.lattice_bottom, extremal.lattice_top

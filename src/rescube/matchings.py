@@ -70,7 +70,7 @@ def enumerate_matchings(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -> Match
     Ids are given in enumeration order, the order :class:`MatchingFamily`
     documents.  Raises :class:`NoPerfectMatching` when there is none and
     :class:`CapExceeded` past ``cap`` matchings."""
-    size, columns = pg.enumerate_matching_columns(g, cap)
+    size, columns = pg.enumerate_matching_columns(g.vertices, g.rotation.__getitem__, cap)
     if not size:
         raise NoPerfectMatching("graph has no perfect matching")
     return MatchingFamily(columns, size)

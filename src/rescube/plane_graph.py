@@ -564,14 +564,15 @@ def graph_from_json(text: str) -> PlaneGraph:
 # ---------------------------------------------------------------------------
 
 
-def _handle_runs(g: PlaneGraph, face: Face) -> list:
+def _handle_runs(face: Face, degree, periphery) -> list:
     """The handles on one facial walk: its runs between consecutive vertices
-    of degree >= 3, each oriented along the walk, from the first such vertex
-    of the boundary; none when the walk has no such vertex.  A run's inner
-    vertices have degree 2, so both its sides are the same two faces and
-    either all or none of its edges are peripheral."""
+    of degree >= 3 (``degree(v)``), each oriented along the walk, from the
+    first such vertex of the boundary; none when the walk has no such
+    vertex.  A run's inner vertices have degree 2, so both its sides are
+    the same two faces and either all or none of its edges lie in
+    ``periphery``."""
     b = face.boundary
-    branch = [i for i, v in enumerate(b) if g.degree(v) >= 3]
+    branch = [i for i, v in enumerate(b) if degree(v) >= 3]
     if not branch:
         return []
     walk = b[branch[0]:] + b[:branch[0] + 1]  # closed, from the first branch vertex
@@ -579,7 +580,7 @@ def _handle_runs(g: PlaneGraph, face: Face) -> list:
     runs = []
     for i, j in zip(ends, ends[1:]):
         path = walk[i:j + 1]
-        peripheral = {edge_key(a, c) in g.periphery_edges for a, c in zip(path, path[1:])}
+        peripheral = {edge_key(a, c) in periphery for a, c in zip(path, path[1:])}
         if len(peripheral) > 1:
             raise InternalInvariantBroken("handle mixes peripheral and interior edges")
         runs.append(Handle(path, "exterior" if peripheral.pop() else "interior"))
@@ -597,37 +598,39 @@ def handles(g: PlaneGraph) -> frozenset:
     on a finite face, so every handle is such a run.
     """
     g._facial_handles  # the graph-wide check: raises when g has no handles
-    return frozenset(h for f in g.finite_faces for h in _handle_runs(g, f))
+    periphery = g.periphery_edges
+    return frozenset(h for f in g.finite_faces for h in _handle_runs(f, g.degree, periphery))
 
 
 def facial_handle_decomposition(g: PlaneGraph, face_id: int) -> FacialHandleDecomposition:
-    """Split a finite facial cycle into alternating interior/exterior handles.
-
-    The handles are the runs of the clockwise facial walk between vertices
-    of degree >= 3.  They are listed clockwise starting with the interior
-    handle whose first vertex is smallest; every handle path is oriented
-    along the walk and consecutive handles meet in exactly one vertex.
-    Each face is decomposed once per graph; a face that raises raises on
-    every call.
-    """
+    """Split a finite facial cycle into alternating handles (:func:`_face_handles`),
+    once per graph; a face that raises raises on every call."""
     face = g.faces[face_id]
     if face.is_infinite:
         raise ValueError("facial handle decomposition needs a finite face")
     memo = g._facial_handles
-    if face_id in memo:
-        return memo[face_id]
-    runs = _handle_runs(g, face)
+    if face_id not in memo:
+        memo[face_id] = _face_handles(face, g.degree, g.periphery_edges)
+    return memo[face_id]
+
+
+def _face_handles(face: Face, degree, periphery) -> FacialHandleDecomposition:
+    """The handles of a face (:func:`_handle_runs` by these degrees and
+    periphery), listed clockwise from the interior handle whose first vertex
+    is smallest; consecutive handles meet in exactly one vertex.  Raises
+    :class:`NoHandles` when there is none, and :class:`NotAlternating` when
+    two consecutive handles are of one kind."""
+    runs = _handle_runs(face, degree, periphery)
     if not runs:
-        raise NoHandles(f"face {face_id} lies on a cycle component")
+        raise NoHandles(f"face {face.id} lies on a cycle component")
     if len(runs) % 2 != 0:
-        raise NotAlternating(f"odd number of handle runs on face {face_id}")
+        raise NotAlternating(f"odd number of handle runs on face {face.id}")
     for h1, h2 in zip(runs, runs[1:] + runs[:1]):
         if h1.kind == h2.kind:
-            raise NotAlternating(f"consecutive {h1.kind} handles on face {face_id}")
+            raise NotAlternating(f"consecutive {h1.kind} handles on face {face.id}")
     starts = [i for i, h in enumerate(runs) if h.kind == "interior"]
     first = min(starts, key=lambda i: runs[i].path[0])
-    memo[face_id] = FacialHandleDecomposition(face_id, tuple(runs[first:] + runs[:first]))
-    return memo[face_id]
+    return FacialHandleDecomposition(face.id, tuple(runs[first:] + runs[:first]))
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +638,9 @@ def facial_handle_decomposition(g: PlaneGraph, face_id: int) -> FacialHandleDeco
 # ---------------------------------------------------------------------------
 
 
-def enumerate_matching_columns(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -> tuple:
-    """All perfect matchings, as their count and per-edge columns.
+def enumerate_matching_columns(vertices, neighbours, cap: int = DEFAULT_MATCHING_CAP) -> tuple:
+    """All perfect matchings of the graph on ``vertices`` (in id order) whose
+    neighbours are ``neighbours(v)``, as their count and per-edge columns.
 
     Backtracking over vertices in id order, branching on incident edges in
     neighbor-id order; the k-th leaf reached is matching k.  The columns map
@@ -651,12 +655,11 @@ def enumerate_matching_columns(g: PlaneGraph, cap: int = DEFAULT_MATCHING_CAP) -
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    order = g.vertices
-    n = len(order)
+    n = len(vertices)
     if n % 2 == 1:
         return 0, {}
-    pos = {v: i for i, v in enumerate(order)}
-    options = [[(pos[w], edge_key(v, w)) for w in sorted(g.rotation[v])] for v in order]
+    pos = {v: i for i, v in enumerate(vertices)}
+    options = [[(pos[w], edge_key(v, w)) for w in sorted(neighbours(v))] for v in vertices]
     matched = bytearray(n + 1)  # the 0 at index n stops the skip below
     columns = {}
     count = 0
@@ -875,9 +878,4 @@ def swap_colors(g: PlaneGraph) -> PlaneGraph:
     """The same graph with the two color classes exchanged."""
     flipped = {v: (BLACK if c == WHITE else WHITE) for v, c in g.coloring.items()}
     return g._with_coloring(flipped)
-
-
-def canonical_coloring(g: PlaneGraph) -> dict:
-    """The anchor coloring: the smallest vertex id of every component is white."""
-    return _two_color(g.rotation)[1]
 

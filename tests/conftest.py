@@ -10,13 +10,22 @@ from rescube.plane_graph import build_plane_graph
 BRANCHED_CELLS = ((0, 0), (1, -1), (2, -1), (2, 0), (1, -2))
 
 
-def zigzag(h):
+def zigzag_cells(h):
     """h rings from (0, 0), stepping q + 1 and r + 1 in turn."""
     cells = [(0, 0)]
     for i in range(1, h):
         q, r = cells[-1]
         cells.append((q + 1, r) if i % 2 else (q, r + 1))
-    return build_benzenoid(cells)
+    return cells
+
+
+def zigzag(h):
+    return build_benzenoid(zigzag_cells(h))
+
+
+def edge_set(vertices, neighbours) -> frozenset:
+    """The edges of a graph given as its vertices and their neighbours."""
+    return frozenset((min(v, w), max(v, w)) for v in vertices for w in neighbours(v))
 
 
 @pytest.fixture()
@@ -27,9 +36,9 @@ def enumerations(monkeypatch):
     calls = []
     enumerate_columns = plane_graph.enumerate_matching_columns
 
-    def spy(g, cap=plane_graph.DEFAULT_MATCHING_CAP):
-        calls.append((g.edges, cap))
-        return enumerate_columns(g, cap)
+    def spy(vertices, neighbours, cap=plane_graph.DEFAULT_MATCHING_CAP):
+        calls.append((edge_set(vertices, neighbours), cap))
+        return enumerate_columns(vertices, neighbours, cap)
 
     monkeypatch.setattr(plane_graph, "enumerate_matching_columns", spy)
     return calls

@@ -68,7 +68,11 @@ inner path assembled from edge sets, its labels read matching by matching,
 and o-closure by the downward-closure operator (:func:`operator_o`): the
 reference for the packed-column step check of ``rescube.decomposition``,
 which reads the ear and inner path as arcs of the face's walk, the labels
-as daisy columns, and o-closure as a down-set test.
+as daisy columns, and o-closure as a down-set test.  It also embeds each
+prefix of a decomposition as a plane graph of its own, with its matchings,
+resonance graph and daisy labelling (:func:`embedded_prefix`): the
+reference for the prefix records that ``rescube.decomposition._prefix``
+reads off the graph's own faces.
 
 The decomposition sections validate a face order ear by ear, each new
 face's edges checked as an odd path attached at its ends and each prefix
@@ -108,13 +112,13 @@ from rescube.errors import (
     UnsupportedInput,
 )
 from rescube.matchings import enumerate_matchings
+from rescube.resonance import ResonanceGraph, build_resonance
 from rescube.plane_graph import (
     BLACK,
     DEFAULT_MATCHING_CAP,
     WHITE,
     ElementaryReport,
     Handle,
-    canonical_coloring,
     edge_key,
     edge_subgraph,
     elementary_analysis,
@@ -1130,6 +1134,21 @@ def daisy_bits(g, family, face_id) -> int:
     )
 
 
+def canonical_coloring(g) -> dict:
+    """The anchor coloring, by breadth-first search: the smallest vertex of
+    every component is white, and the colors alternate along every edge."""
+    coloring = {}
+    for root in g.vertices:
+        if root not in coloring:
+            coloring[root], queue = WHITE, [root]
+            for v in queue:
+                for w in g.rotation[v]:
+                    if w not in coloring:
+                        coloring[w] = BLACK if coloring[v] == WHITE else WHITE
+                        queue.append(w)
+    return coloring
+
+
 def even_cycle_daisy_bits(g, family) -> int:
     """The matchings whose daisy bit on the even cycle ``g`` is 1: all but
     the reference matching, the cycle's darts whose tails are black under
@@ -1157,6 +1176,25 @@ def fdl_bits(g, family, face_id) -> tuple:
 # ---------------------------------------------------------------------------
 # decomposition steps by edge sets
 # ---------------------------------------------------------------------------
+
+
+def prefix_resonance(record) -> ResonanceGraph:
+    """R(G_k) of a decomposition prefix's record, its edges labelled by
+    position 1..k instead of by face."""
+    return ResonanceGraph(record.family, dict(enumerate(record.pairs, start=1)))
+
+
+def embedded_prefix(g, rfd, k) -> tuple:
+    """Prefix k of the decomposition embedded as a plane graph of its own,
+    with its matchings, its resonance graph and its daisy labelling on the
+    decomposition translated to its face ids: the reference for the record
+    that ``rescube.decomposition._prefix`` reads off ``g``'s own faces."""
+    edges = rfd.subgraph_edges[k - 1]
+    sub = g if edges == g.edges else edge_subgraph(g, edges)
+    faces = tuple(sub.face_by_edge_set[g.faces[f].edges] for f in rfd.faces[:k])
+    family = enumerate_matchings(sub)
+    daisy = daisy_labelling(sub, family, replace(rfd.prefix(k), faces=faces))
+    return sub, faces, family, build_resonance(sub, family), daisy
 
 
 def _assemble_path(edges):
@@ -1193,8 +1231,8 @@ def _assemble_path(edges):
 
 def step_clauses(g, rfd, i, prev, cur) -> dict:
     """The clauses of decomposition step i by definition, from the records of
-    prefixes i - 1 and i (``prev`` and ``cur``: graph, translated
-    decomposition, family, resonance graph, daisy labelling).
+    prefixes i - 1 and i (``prev`` and ``cur``: edges, family, face pairs in
+    decomposition order, daisy labelling).
 
     The ear and inner sides are read by :func:`end_edge_state` one matching
     at a time; the restriction, the lift and the twist along the face's
@@ -1203,7 +1241,7 @@ def step_clauses(g, rfd, i, prev, cur) -> dict:
     ``rescube.decomposition``.  A map that finds no matching makes its
     clause false, as the packed check does."""
     fam_i, fam_prev = cur.family, prev.family
-    res_i, res_prev = cur.resonance, prev.resonance
+    res_i, res_prev = prefix_resonance(cur), prefix_resonance(prev)
     labels_i = cur.daisy.labels
     clauses = {}
 
@@ -1222,7 +1260,7 @@ def step_clauses(g, rfd, i, prev, cur) -> dict:
     plus = side(fam_i, ear, CONTAINS_END_EDGES)
     restrict = {}
     for mid in minus:
-        image = index(fam_prev).get(matchings(fam_i)[mid].edges & prev.graph.edges)
+        image = index(fam_prev).get(matchings(fam_i)[mid].edges & prev.edges)
         if image is not None:
             restrict[mid] = image
     clauses["restriction-bijection"] = ok = (
@@ -1231,17 +1269,14 @@ def step_clauses(g, rfd, i, prev, cur) -> dict:
     if not ok:
         return clauses
 
-    pos_i = {fid: p for p, fid in enumerate(cur.rfd.faces, start=1)}
-    pos_prev = {fid: p for p, fid in enumerate(prev.rfd.faces, start=1)}
-
     def edge(a, b, pos):
         return (min(a, b), max(a, b), pos)
 
     clauses["restriction-isomorphism"] = {
-        edge(restrict[u], restrict[v], pos_i[f])
-        for u, v, f in res_i.edges
+        edge(restrict[u], restrict[v], p)
+        for u, v, p in res_i.edges
         if u in restrict and v in restrict
-    } == {(u, v, pos_prev[f]) for u, v, f in res_prev.edges}
+    } == set(res_prev.edges)
 
     new = 1 << (i - 1)
     labels_prev = {restrict[mid]: labels_i[mid] & ~new for mid in minus}
@@ -1275,18 +1310,17 @@ def step_clauses(g, rfd, i, prev, cur) -> dict:
     found = set(lift.values()) | set(twin.values())
     expected_edges = set()
     if None not in found:
-        for u, v, f in res_prev.edges:
-            pos = pos_i[cur.rfd.faces[pos_prev[f] - 1]]
-            expected_edges.add(edge(lift[u], lift[v], pos))
+        for u, v, p in res_prev.edges:
+            expected_edges.add(edge(lift[u], lift[v], p))
             if u in inner_set and v in inner_set:
-                expected_edges.add(edge(twin[u], twin[v], pos))
+                expected_edges.add(edge(twin[u], twin[v], p))
         for k in inner_set:
-            expected_edges.add(edge(lift[k], twin[k], pos_i[cur.rfd.faces[i - 1]]))
+            expected_edges.add(edge(lift[k], twin[k], i))
     clauses["expansion-equality"] = (
         None not in found
         and found == set(res_i.vertices)
         and all(labels_i[twin[k]] == labels_i[lift[k]] | new for k in inner_set)
-        and expected_edges == {(u, v, pos_i[f]) for u, v, f in res_i.edges}
+        and expected_edges == set(res_i.edges)
     )
 
     clauses["expansion-flags"] = bool(inner_set) and convex and o_closed
@@ -1382,25 +1416,13 @@ def rfd_by_ears(g, order) -> RfdSequence:
         faces=order,
         attachment=attachments if complete else None,
         notes=notes,
-        prefixes=Carried(graphs),
+        subgraph_edges=tuple(sub.edges for sub in graphs),
     )
 
 
 # ---------------------------------------------------------------------------
 # decompositions by embedding every reduction
 # ---------------------------------------------------------------------------
-
-
-class Carried:
-    """Prefix subgraphs built up front, read as a decomposition reads its
-    lazily embedded ones."""
-
-    def __init__(self, graphs):
-        self.graphs = tuple(graphs)
-        self.edges = tuple(sub.edges for sub in self.graphs)
-
-    def graph(self, k):
-        return self.graphs[k - 1]
 
 
 def _is_plane_elementary(g) -> bool:
@@ -1431,7 +1453,7 @@ def embedded_reducible_faces(g) -> frozenset:
 
 def embedded_auto_rfd(g) -> RfdSequence:
     """The greedy peel with every reduction embedded and analysed, and the
-    reductions carried as the prefixes: the reference for
+    reductions' edge sets carried as the prefixes: the reference for
     ``rescube.decomposition.auto_rfd``, which peels on the graph's own faces."""
     if len(g.vertices) <= 2:
         raise UnsupportedInput("need more than two vertices")
@@ -1439,7 +1461,7 @@ def embedded_auto_rfd(g) -> RfdSequence:
         face = g.finite_faces[0]
         return RfdSequence(
             (face.id,), {}, ("even cycle: single-face decomposition",),
-            prefixes=Carried((g,)),
+            subgraph_edges=(g.edges,),
         )
 
     graphs = [g]
@@ -1457,4 +1479,5 @@ def embedded_auto_rfd(g) -> RfdSequence:
         graphs.append(reduced)
     base = g.face_by_edge_set[graphs[-1].finite_faces[0].edges]
     order = (base, *reversed(peeled))
-    return replace(_sequence(g, order), prefixes=Carried(reversed(graphs)))
+    edges = tuple(sub.edges for sub in reversed(graphs))
+    return replace(_sequence(g, order), subgraph_edges=edges)

@@ -10,7 +10,7 @@ from rescube import cli
 from rescube.cli import main
 from rescube.plane_graph import DEFAULT_MATCHING_CAP, graph_from_json, graph_to_json
 
-from conftest import zigzag
+from conftest import zigzag, zigzag_cells
 
 BRANCHED = "0 0\n1 -1\n2 -1\n2 0\n1 -2\n"
 GOLDEN = Path(__file__).parent / "golden"
@@ -517,6 +517,45 @@ def test_hexagon_label_single_bit(tmp_path, capsys):
     assert sorted(json.loads(out)["labels"].values()) == ["0", "1"]
 
 
+K2 = '{"vertices": [{"id": 0, "x": 0, "y": 0}, {"id": 1, "x": 1, "y": 0}], "edges": [[0, 1]]}'
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
+@pytest.mark.parametrize("scheme", ["daisy", "fdl"])
+def test_single_edge_gets_the_empty_label(tmp_path, capsys, scheme, verify):
+    """K2 is elementary with no finite face: its one matching is labelled
+    by no position, as a K2 component beside a hexagon is, while verify,
+    and label given a face order, still refuse it as too small for the
+    theorem."""
+    p = tmp_path / "k2.json"
+    p.write_text(K2)
+    code, out, _ = run(capsys, "label", "--scheme", scheme, *verify, str(p))
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["labels"] == {"0": ""}
+    if verify:
+        assert obj["verification"]["isometric"] is True
+        assert "theorem_report" not in obj["verification"]
+    code, out, _ = run(capsys, "verify", str(p))
+    assert code == 2
+    assert json.loads(out)["failed_clause"] == "min-size"
+    code, out, _ = run(capsys, "label", "--scheme", scheme, *verify, "--rfd", "0", str(p))
+    assert code == 2
+    assert json.loads(out)["verdict"]["failed_clause"] == "min-size"
+
+
+@pytest.mark.parametrize("name, h", [("branched5", None), ("zigzag9", 9)])
+def test_verify_matches_its_golden_report(name, h, branched_file, tmp_path, capsys):
+    """The report's bytes are pinned: tests/golden/<name>_verify.json."""
+    path = branched_file
+    if h is not None:
+        path = tmp_path / f"{name}.benz"
+        path.write_text("".join(f"{q} {r}\n" for q, r in zigzag_cells(h)))
+    out = tmp_path / "verify.json"
+    assert run(capsys, "verify", str(path), "-o", str(out))[0] == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}_verify.json").read_bytes()
+
+
 def test_bad_rfd_order_exit_one(branched_file, capsys):
     code, _, err = run(
         capsys, "label", branched_file, "--scheme", "daisy", "--rfd", "1,2,bogus"
@@ -702,22 +741,25 @@ def test_parser_is_built_once_and_dispatch_reads_the_module(
 
 @pytest.mark.parametrize(
     "argv",
-    [["rfd"], ["label", "--scheme", "daisy"], ["label", "--scheme", "fdl", "--emit-dot", "DOT"]],
-    ids=["rfd", "label-daisy", "label-fdl-dot"],
+    [
+        ["rfd"],
+        ["label", "--scheme", "daisy"],
+        ["label", "--scheme", "fdl", "--emit-dot", "DOT"],
+        ["label", "--scheme", "daisy", "--verify"],
+        ["verify"],
+    ],
+    ids=["rfd", "label-daisy", "label-fdl-dot", "label-verify", "verify"],
 )
-def test_rfd_and_plain_label_embed_no_subgraph(argv, branched_file, tmp_path, capsys, monkeypatch):
-    """The decomposition is found on the graph's own faces, and without
-    --verify nothing reads its prefixes, so none is embedded; with --verify
-    each of the n - 1 proper prefixes is embedded once."""
-    from rescube import decomposition, plane_graph
+def test_commands_embed_no_subgraph(argv, branched_file, tmp_path, capsys, monkeypatch):
+    """The decomposition is found on the graph's own faces, and the step
+    checks read every prefix off them too, so no command on an elementary
+    graph embeds a subgraph."""
+    from rescube import plane_graph
 
     built = []
     embed = plane_graph.edge_subgraph
-    for module in (decomposition, plane_graph):
-        monkeypatch.setattr(module, "edge_subgraph", lambda *a: built.append(a) or embed(*a))
+    monkeypatch.setattr(plane_graph, "edge_subgraph", lambda *a: built.append(a) or embed(*a))
     argv = [str(tmp_path / "l.dot") if a == "DOT" else a for a in argv]
     code, _, _ = run(capsys, *argv, branched_file)
     assert code == 0 and built == []
-    code, _, _ = run(capsys, "label", "--scheme", "daisy", "--verify", branched_file)
-    assert code == 0 and len(built) == 4
 

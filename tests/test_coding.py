@@ -34,7 +34,13 @@ from rescube.errors import (
     UnsupportedInput,
 )
 from rescube.matchings import bit_ids, enumerate_matchings, extremal_matchings
-from rescube.plane_graph import edge_key, elementary_analysis, swap_colors
+from rescube.plane_graph import (
+    edge_key,
+    edge_subgraph,
+    elementary_analysis,
+    facial_handle_decomposition,
+    swap_colors,
+)
 from rescube.resonance import build_resonance
 
 import cube_oracles as oracle
@@ -196,7 +202,7 @@ def test_prefix_one_daisy_bit_matches_reference_matching():
         for h in (g, swap_colors(g)):
             r = build_resonance(h, enumerate_matchings(h))
             first = decomposition._prefix(h, r, auto_rfd(h), 1, len(r))
-            ones = oracle.even_cycle_daisy_bits(first.graph, first.family)
+            ones = oracle.even_cycle_daisy_bits(edge_subgraph(h, first.edges), first.family)
             assert first.daisy.labels == {mid: ones >> mid & 1 for mid in first.family.ids}
             checked += 1
     assert checked == 40
@@ -338,7 +344,7 @@ def test_color_swap_enumerates_nothing(branched5, monkeypatch, families):
     assert enumerate_matchings(swap_colors(branched5)).columns == family.columns
     rfd = auto_rfd(branched5)
 
-    def refuse(g, cap=plane_graph.DEFAULT_MATCHING_CAP):
+    def refuse(vertices, neighbours, cap=plane_graph.DEFAULT_MATCHING_CAP):
         raise AssertionError("color_swap_effect enumerated perfect matchings")
 
     monkeypatch.setattr(plane_graph, "enumerate_matching_columns", refuse)
@@ -486,10 +492,15 @@ def test_mixed_pairs_sort_by_matching_then_position(even_interior, reverse):
         for pos, fid in enumerate(order)
         for mid in bit_ids(oracle.fdl_bits(g, family, fid)[1])
     )
-    _, _, mixed = _handle_columns(g, family, order)
+    _, _, mixed = _handle_columns(g, family, _exteriors(g, order))
     assert mixed == tuple((mid, fid) for mid, _, fid in expected)
     assert (len(family), len(mixed)) == (16, 32)
     assert mixed[:3] == ((0, order[0]), (0, order[1]), (1, order[0]))
+
+
+def _exteriors(g, order):
+    """The faces in the order, each with its exterior handles."""
+    return [(fid, facial_handle_decomposition(g, fid).exterior) for fid in order]
 
 
 def test_even_exterior_handle_rejected_before_any_read(even_interior, monkeypatch):
@@ -501,7 +512,7 @@ def test_even_exterior_handle_rejected_before_any_read(even_interior, monkeypatc
     side = next(f.id for f in even_interior.finite_faces if f.id != middle)
     family = enumerate_matchings(even_interior)
     with pytest.raises(UnsupportedInput, match=f"face {side} has an exterior handle"):
-        _handle_columns(even_interior, family, (middle, side))
+        _handle_columns(even_interior, family, _exteriors(even_interior, (middle, side)))
     assert reads == []
 
 

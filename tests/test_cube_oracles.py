@@ -25,7 +25,7 @@ from hypothesis import assume, given, settings, strategies as st
 import cube_oracles as oracle
 from rescube import cube_kit as ck, decomposition
 from rescube.benzenoid import build_benzenoid, catacondensed_polyhexes
-from rescube.decomposition import theorem_report
+from rescube.decomposition import auto_rfd, theorem_report
 from rescube.errors import NotAPartialCube
 from rescube.matchings import bit_ids, enumerate_matchings, handle_column, pack
 from rescube.plane_graph import edge_key, is_peripherally_two_colorable
@@ -359,7 +359,7 @@ def pair_rule_convex(prev, subset):
     G_(i-1): each face pair of R(G_(i-1)) read on the set, then the rule on
     G_(i-1)'s daisy columns."""
     side = sum(1 << v for v in subset)
-    on_side = [decomposition._inside(prev.resonance.pairs[f], side) for f in prev.rfd.faces]
+    on_side = [decomposition._inside(pair, side) for pair in prev.pairs]
     return decomposition._is_convex(on_side, prev.daisy.columns, side)
 
 
@@ -383,7 +383,8 @@ def _report_steps(shape, monkeypatch):
         return records[-1]
 
     monkeypatch.setattr(decomposition, "_prefix", prefix_spy)
-    report = theorem_report(g)
+    rfd = auto_rfd(g)
+    report = theorem_report(g, rfd)
     monkeypatch.undo()
 
     steps = [report["steps"][k] for k in sorted(report["steps"], key=int)]
@@ -391,8 +392,8 @@ def _report_steps(shape, monkeypatch):
     out = []
     for i, clauses in enumerate(steps, start=2):
         prev, cur = records[i - 2], records[i - 1]
-        ear = oracle._assemble_path(cur.graph.edges - prev.graph.edges)
-        cycle = cur.graph.faces[cur.rfd.faces[i - 1]].edges
+        ear = oracle._assemble_path(cur.edges - prev.edges)
+        cycle = g.faces[rfd.faces[i - 1]].edges
         ear_edges = {edge_key(a, b) for a, b in zip(ear, ear[1:])}
         inner = oracle._assemble_path(cycle - ear_edges)
         inner_set = frozenset(bit_ids(handle_column(prev.family, inner)))
@@ -402,7 +403,7 @@ def _report_steps(shape, monkeypatch):
         labels = dict(enumerate(ck._transpose(kept, lifts.bit_count())))
         bits = dict(enumerate(ck._transpose(list(prev.daisy.columns), len(prev.family))))
         assert bits == prev.daisy.labels  # a labelling's labels are its columns transposed
-        mg = prev.resonance.metric()
+        mg = oracle.prefix_resonance(prev).metric()
         out.append((clauses, prev, mg, labels, bits, inner_set))
     return out
 
@@ -425,8 +426,8 @@ def test_step_convexity_matches_oracle(shape, monkeypatch):
         assert oracle.is_isometric_labelling(mg, bits)
         assert oracle.is_isometric_labelling(mg, labels)
         # every edge of R(G_(i-1)) at position p flips bit p - 1
-        position = {f: p for p, f in enumerate(prev.rfd.faces)}
-        assert all(bits[u] ^ bits[v] == 1 << position[f] for u, v, f in prev.resonance.edges)
+        edges = oracle.prefix_resonance(prev).edges
+        assert all(bits[u] ^ bits[v] == 1 << (p - 1) for u, v, p in edges)
         assert clauses["inner-convex"] == oracle.is_convex_subset(mg, inner)
         assert clauses["expansion-flags"] == oracle_expansion_flags(mg, labels, inner)
         larger = larger or len(mg.vertices) > 2

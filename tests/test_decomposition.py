@@ -42,7 +42,7 @@ from rescube.plane_graph import (
 from rescube.resonance import ResonanceGraph, build_resonance
 
 import cube_oracles as oracle
-from conftest import BRANCHED_CELLS, zigzag
+from conftest import BRANCHED_CELLS, edge_set, zigzag
 from cube_oracles import AVOIDS_END_EDGES, CONTAINS_END_EDGES, end_edge_state
 from test_resonance import matchable_edge_subsets, small_corpus
 
@@ -129,7 +129,7 @@ def test_walk_arcs_match_assembled_paths(arc_fixtures):
     graphs = arc_fixtures + [build_benzenoid(cells) for cells in catacondensed_polyhexes(6)]
     for g in graphs:
         try:
-            prefixes = [sub.edges for sub in auto_rfd(g).graphs]
+            prefixes = auto_rfd(g).subgraph_edges
         except RescubeError:
             prefixes = []
         for face in g.finite_faces:
@@ -206,16 +206,16 @@ def test_auto_rfd_stuck_on_non_elementary(hexagon_with_pendant_path):
 
 @pytest.fixture
 def embedded(monkeypatch):
-    """The edge sets of every subgraph the decomposition module embeds."""
+    """The edge sets of every subgraph embedded."""
     built = []
-    subgraph = decomposition.edge_subgraph
+    subgraph = plane_graph.edge_subgraph
 
     def spy(g, keep):
         keep = frozenset(keep)
         built.append(keep)
         return subgraph(g, keep)
 
-    monkeypatch.setattr(decomposition, "edge_subgraph", spy)
+    monkeypatch.setattr(plane_graph, "edge_subgraph", spy)
     return built
 
 
@@ -238,29 +238,24 @@ def verdicts(monkeypatch):
 def test_auto_rfd_reduces_each_face_once(h, calls, embedded, verdicts):
     """The peel reads every reduction off the graph's own faces: it embeds
     no subgraph, and decides one candidate per peel, h - 1 peels whose first
-    candidate reduces.  The decomposition embeds its prefixes only when
-    they are read, each once, from the next larger one."""
+    candidate reduces."""
     rfd = auto_rfd(zigzag(h))
     assert rfd.n == h
     assert embedded == [] and len(verdicts) == calls
-    rfd.graphs
-    assert embedded == list(reversed(rfd.subgraph_edges[:-1]))
-    rfd.graphs
-    assert len(embedded) == h - 1
 
 
 @pytest.mark.parametrize("h", [1, 2, 5, 9])
-def test_rfd_from_face_order_embeds_each_prefix_once(h, embedded):
-    """A face order is checked on the graph's faces, embedding nothing;
-    reading its n - 1 proper prefixes embeds each once, and the last prefix
-    is the graph itself."""
+def test_rfd_from_face_order_prefixes_are_face_unions(h, embedded):
+    """A face order is checked on the graph's faces, embedding nothing; its
+    prefix k is the union of its first k faces, and the last prefix is the
+    graph itself."""
     g = zigzag(h)
     order = auto_rfd(g).faces
     rfd = rfd_from_face_order(g, order)
     assert embedded == []
-    assert rfd.graphs[-1] is g
-    assert embedded == list(reversed(rfd.subgraph_edges[:-1]))
-    assert len(embedded) == h - 1
+    assert rfd.subgraph_edges[-1] is g.edges
+    for k, edges in enumerate(rfd.subgraph_edges, start=1):
+        assert edges == frozenset().union(*(g.faces[f].edges for f in order[:k]))
 
 
 @pytest.mark.parametrize(
@@ -278,7 +273,6 @@ def test_decompositions_embed_and_analyse_nothing(build, monkeypatch):
     g = build()  # a fresh graph, not yet analysed
     called = []
     embed, analyse = plane_graph.edge_subgraph, plane_graph._analyse_elementary
-    monkeypatch.setattr(decomposition, "edge_subgraph", lambda *a: called.append(a) or embed(*a))
     monkeypatch.setattr(plane_graph, "edge_subgraph", lambda *a: called.append(a) or embed(*a))
     monkeypatch.setattr(plane_graph, "_analyse_elementary", lambda h: called.append(h) or analyse(h))
     order = auto_rfd(g).faces
@@ -506,9 +500,9 @@ def test_peel_matches_embedding_on_edge_subsets(pyrene, nested_rings, data):
 
 
 @pytest.mark.parametrize("shape", catacondensed_polyhexes(5), ids=str)
-def test_carried_graphs_are_the_prefixes(shape):
-    """The graphs an RFD carries are its prefixes as a fresh embedding would
-    give them, and they take no part in equality."""
+def test_subgraph_edges_are_the_prefixes(shape):
+    """The edge sets an RFD carries are its prefixes, the unions of its
+    first faces, and they take no part in equality."""
     g = build_benzenoid(shape)
     try:
         rfd = auto_rfd(g)
@@ -516,39 +510,29 @@ def test_carried_graphs_are_the_prefixes(shape):
         return  # not plane elementary: no decomposition to carry
     if rfd.n > 1:  # an even cycle's decomposition carries its own note
         assert rfd == rfd_from_face_order(g, rfd.faces)
-    assert rfd.graphs[-1] is g
-    assert len(rfd.graphs) == rfd.n
-    for edges, sub in zip(rfd.subgraph_edges, rfd.graphs):
-        fresh = plane_graph.edge_subgraph(g, edges)
-        assert sub.edges == edges
-        assert sub.rotation == fresh.rotation and sub.coloring == fresh.coloring
-        assert [(f.id, f.boundary, f.is_infinite) for f in sub.faces] == [
-            (f.id, f.boundary, f.is_infinite) for f in fresh.faces
-        ]
+    assert rfd.subgraph_edges[-1] == g.edges
+    assert len(rfd.subgraph_edges) == rfd.n
+    union = frozenset()
+    for fid, edges in zip(rfd.faces, rfd.subgraph_edges):
+        union |= g.faces[fid].edges
+        assert edges == union
     pre = rfd.prefix(2)
-    assert pre.graphs == rfd.graphs[:2]
+    assert pre.subgraph_edges == rfd.subgraph_edges[:2]
+    assert pre == replace(pre, subgraph_edges=())
 
 
-def test_theorem_report_embeds_each_prefix_once(monkeypatch):
-    """The report checks every prefix on the graphs the peel built: it
-    embeds nothing beyond the h - 1 reductions."""
-    h = 9
+@pytest.mark.parametrize("h", [2, 9])
+def test_theorem_report_embeds_no_prefix(h, embedded):
+    """The report and the step reports read every prefix off the graph's own
+    faces: no subgraph is embedded, and the decomposition module has no
+    embedding to call and carries no prefix graph."""
+    assert not any(hasattr(decomposition, name) for name in ("edge_subgraph", "_Prefixes"))
+    assert not hasattr(decomposition.RfdSequence, "graphs")
     g = zigzag(h)
-    built = []
-    embed = plane_graph.edge_subgraph
-
-    def spy(graph, keep):
-        keep = frozenset(keep)
-        built.append(keep)
-        return embed(graph, keep)
-
-    monkeypatch.setattr(decomposition, "edge_subgraph", spy)
-    monkeypatch.setattr(plane_graph, "edge_subgraph", spy)
     report = theorem_report(g)
-    monkeypatch.undo()
-    assert report["ok"]
-    assert len(built) == h - 1
-    assert set(built) == set(auto_rfd(g).subgraph_edges[:-1])
+    assert report["ok"] and len(report["steps"]) == h - 1
+    assert all(step.ok for step in verify_reducible_split(g, resonance_of(g), auto_rfd(g)))
+    assert embedded == []
 
 
 def test_prefix(branched5, branched5_faces):
@@ -715,7 +699,7 @@ def test_forged_column_breaks_the_restriction(branched5, branched5_faces):
     rfd = rfd_from_face_order(branched5, branched5_faces)
     for i, prev, cur in _step_records(branched5, rfd):
         family = cur.family
-        e = min(prev.graph.edges)
+        e = min(prev.edges)
         columns = {**family.columns, e: family.columns.get(e, 0) ^ family.full}
         forged = replace(cur, family=MatchingFamily(columns, len(family)))
         clauses = _clauses(branched5, rfd, i, prev, forged)
@@ -723,16 +707,27 @@ def test_forged_column_breaks_the_restriction(branched5, branched5_faces):
         assert clauses == oracle.step_clauses(branched5, rfd, i, prev, forged)
 
 
+def _without_first_edge(pair):
+    """A face pair without its first edge, the one that joins its smallest
+    proper and improper ids."""
+    proper, improper = pair
+    return proper & proper - 1, improper & improper - 1
+
+
 def _drop_first_edge(r, fid):
-    """R(G) without the face's first edge, the one that joins its smallest
-    proper and improper ids, and so its smallest edge."""
-    proper, improper = r.pairs[fid]
-    dropped = (proper & proper - 1, improper & improper - 1)
-    forged = ResonanceGraph(r.family, {**r.pairs, fid: dropped})
+    """R(G) without the face's first edge, and so its smallest edge."""
+    forged = ResonanceGraph(r.family, {**r.pairs, fid: _without_first_edge(r.pairs[fid])})
     assert set(r.edges) - set(forged.edges) == {
         next(e for e in r.edges if e[2] == fid)
     }
     return forged
+
+
+def _forge_pair(record, pos, pair):
+    """The prefix record with its face pair at position pos + 1 replaced."""
+    pairs = list(record.pairs)
+    pairs[pos] = pair
+    return replace(record, pairs=tuple(pairs))
 
 
 def test_dropped_resonance_edge_breaks_the_expansion(branched5, branched5_faces):
@@ -740,7 +735,7 @@ def test_dropped_resonance_edge_breaks_the_expansion(branched5, branched5_faces)
     # holds, the expansion no longer reproduces R(G_i)
     rfd = rfd_from_face_order(branched5, branched5_faces)
     for i, prev, cur in _step_records(branched5, rfd):
-        forged = replace(cur, resonance=_drop_first_edge(cur.resonance, cur.rfd.faces[i - 1]))
+        forged = _forge_pair(cur, i - 1, _without_first_edge(cur.pairs[i - 1]))
         clauses = _clauses(branched5, rfd, i, prev, forged)
         assert [c for c, ok in clauses.items() if not ok] == ["expansion-equality"]
         assert clauses == oracle.step_clauses(branched5, rfd, i, prev, forged)
@@ -752,17 +747,12 @@ def _straddling_forgeries(i, cur):
     of the expansion does there.  Yields each forged record with whether
     the restriction to the avoid side still holds."""
     minus = sum(1 << m for m, label in cur.daisy.labels.items() if not label >> (i - 1) & 1)
-
-    def forge(face, pair):
-        pairs = {**cur.resonance.pairs, face: pair}
-        return replace(cur, resonance=ResonanceGraph(cur.family, pairs))
-
-    for face in cur.rfd.faces[: i - 1]:
-        proper, improper = cur.resonance.pairs[face]
+    for pos in range(i - 1):
+        proper, improper = cur.pairs[pos]
         free = cur.family.full & ~(proper | improper)
         ends, targets = bit_ids(improper & minus), bit_ids(free & ~minus)
         if ends and targets:  # move an improper end off the avoid side
-            yield forge(face, (proper, improper ^ 1 << ends[0] ^ 1 << targets[0])), False
+            yield _forge_pair(cur, pos, (proper, improper ^ 1 << ends[0] ^ 1 << targets[0])), False
         # add an edge with as many smaller proper ids as smaller improper
         # ids, so that every other edge keeps its ends
         added = [
@@ -772,7 +762,7 @@ def _straddling_forgeries(i, cur):
             if (proper & (1 << u) - 1).bit_count() == (improper & (1 << v) - 1).bit_count()
         ]
         if added:
-            yield forge(face, added[0]), True
+            yield _forge_pair(cur, pos, added[0]), True
 
 
 def test_straddling_resonance_edge_breaks_the_step(branched5, branched5_faces):
@@ -798,7 +788,7 @@ def test_forged_twin_breaks_the_expansion(branched5, branched5_faces):
     for i, prev, cur in _step_records(branched5, rfd):
         family = cur.family
         mid = next(m for m, label in cur.daisy.labels.items() if label >> (i - 1) & 1)
-        e = min(prev.graph.edges - branched5.faces[rfd.faces[i - 1]].edges)
+        e = min(prev.edges - branched5.faces[rfd.faces[i - 1]].edges)
         columns = {**family.columns, e: family.columns.get(e, 0) ^ (1 << mid)}
         forged = replace(cur, family=MatchingFamily(columns, len(family)))
         clauses = _clauses(branched5, rfd, i, prev, forged)
@@ -841,7 +831,7 @@ def _label_forgeries(branched5, rfd, i, prev, cur):
     position, and a twin at position i.  Yields the position, the side and
     the forged record."""
     face = branched5.faces[rfd.faces[i - 1]]
-    inner = handle_column(cur.family, oracle._assemble_path(face.edges & prev.graph.edges))
+    inner = handle_column(cur.family, oracle._assemble_path(face.edges & prev.edges))
     minus = cur.family.full & ~cur.daisy.columns[i - 1]
     for side, mids in (("outside", minus & ~inner), ("inner", inner)):
         for p in range(i):
@@ -934,21 +924,21 @@ def test_report_rejects_lattice_labels_off_the_daisy_mask(branched5, monkeypatch
     """Lattice labels of two matchings swapped: they are no longer the daisy
     labels XOR one mask, and fdl_isometric reads false, as the whole-graph
     certificate does, while every step still holds."""
-    fdl_labelling = coding.fdl_labelling
+    labellings = coding.labellings
 
     def swapped(*args):
-        fdl = fdl_labelling(*args)
-        # matchings 0 and 1 trade their bits in every column
+        daisy, fdl = labellings(*args)
+        # matchings 0 and 1 trade their lattice bits in every column
         columns = tuple(c & ~3 | (c & 1) << 1 | c >> 1 & 1 for c in fdl.columns)
         labels = {**fdl.labels, 0: fdl.labels[1], 1: fdl.labels[0]}
-        return replace(fdl, labels=labels, columns=columns)
+        return daisy, replace(fdl, labels=labels, columns=columns)
 
-    monkeypatch.setattr(coding, "fdl_labelling", swapped)
+    monkeypatch.setattr(coding, "labellings", swapped)
     r = resonance_of(branched5)
     report = theorem_report(branched5, resonance=r)
     assert all(all(clauses.values()) for clauses in report["steps"].values())
     assert report["labelling"]["fdl_isometric"] is False
-    forged = swapped(branched5, r.family, auto_rfd(branched5)).labels
+    forged = swapped(branched5, r.family, auto_rfd(branched5))[1].labels
     assert ck.is_isometric_labelling(r.metric(), forged) is False
     assert report["ok"] is False
 
@@ -997,9 +987,10 @@ def test_report_builds_no_edge_set(request, shape):
 
 @pytest.mark.parametrize("shape", ["branched5", "zigzag9"])
 def test_report_lists_no_resonance_edges(request, monkeypatch, shape):
-    """A passing report reads every R(G_k), and R(G) itself, from its pairs
-    of bitsets: none of them lists its edges, and only R(G) walks them, for
-    its metric graph and the flip check; no step walks R(G_(k-1))'s."""
+    """A passing report reads every R(G_k) as the face pairs of its record,
+    and R(G) itself from its pairs of bitsets: no record holds a resonance
+    graph, R(G) lists no edges, and only R(G) walks them, for its metric
+    graph and the flip check."""
     g = request.getfixturevalue(shape) if shape == "branched5" else zigzag(9)
     r = resonance_of(g)
     records, prefix = [], decomposition._prefix
@@ -1016,9 +1007,10 @@ def test_report_lists_no_resonance_edges(request, monkeypatch, shape):
     monkeypatch.setattr(decomposition, "_prefix", prefix_spy)
     monkeypatch.setattr(ResonanceGraph, "iter_edges", walk_spy)
     assert theorem_report(g, resonance=r)["ok"]
-    assert len(records) == auto_rfd(g).n and records[-1].resonance is r
-    assert all("edges" not in vars(record.resonance) for record in records)
-    assert walked == {id(r)}
+    rfd = auto_rfd(g)
+    assert len(records) == rfd.n and records[-1].pairs == tuple(r.pairs[f] for f in rfd.faces)
+    assert not any(isinstance(v, ResonanceGraph) for rec in records for v in vars(rec).values())
+    assert "edges" not in vars(r) and walked == {id(r)}
 
 
 # ---------------------------------------------------------------------------
@@ -1199,9 +1191,9 @@ def test_report_steps_equal_standalone_steps(shape, monkeypatch):
     enumerated = Counter()
     enumerate_columns = plane_graph.enumerate_matching_columns
 
-    def spy(graph, cap=plane_graph.DEFAULT_MATCHING_CAP):
-        enumerated[graph.edges] += 1
-        return enumerate_columns(graph, cap)
+    def spy(vertices, neighbours, cap=plane_graph.DEFAULT_MATCHING_CAP):
+        enumerated[edge_set(vertices, neighbours)] += 1
+        return enumerate_columns(vertices, neighbours, cap)
 
     monkeypatch.setattr(plane_graph, "enumerate_matching_columns", spy)
     report = theorem_report(g, rfd)
@@ -1228,9 +1220,9 @@ def test_step_reports_come_from_one_chain_pass(monkeypatch):
     calls = []
     enumerate_columns = plane_graph.enumerate_matching_columns
 
-    def spy(graph, cap=plane_graph.DEFAULT_MATCHING_CAP):
-        calls.append(graph.edges)
-        return enumerate_columns(graph, cap)
+    def spy(vertices, neighbours, cap=plane_graph.DEFAULT_MATCHING_CAP):
+        calls.append(edge_set(vertices, neighbours))
+        return enumerate_columns(vertices, neighbours, cap)
 
     monkeypatch.setattr(plane_graph, "enumerate_matching_columns", spy)
     steps = verify_reducible_split(g, r, rfd)
@@ -1238,6 +1230,92 @@ def test_step_reports_come_from_one_chain_pass(monkeypatch):
     theorem_report(g, rfd, resonance=r)
     assert [step.step for step in steps] == list(range(2, 13))
     assert by_steps == len(calls) - by_steps == 11  # prefixes 1..11; G_12 is g
+
+
+def test_report_reads_the_graph_columns_once(monkeypatch):
+    """The graph's daisy and lattice columns come from one pass over its
+    faces' exterior handles, shared with the last step's record: with the
+    proper prefixes 2..n - 1 (G_1 is a cycle, with no handles), a report
+    makes n - 1 passes."""
+    g = zigzag(9)
+    calls = []
+    handle_columns = coding._handle_columns
+    monkeypatch.setattr(
+        coding, "_handle_columns", lambda *a: calls.append(a[1]) or handle_columns(*a)
+    )
+    r = resonance_of(g)
+    assert theorem_report(g, resonance=r)["ok"]
+    assert len(calls) == 8 and calls.count(r.family) == 1
+
+
+@pytest.fixture
+def handle_splits(monkeypatch):
+    """The degree map and periphery of every call of the handle splitter."""
+    splits, runs = [], plane_graph._handle_runs
+
+    def spy(face, degree, periphery):
+        splits.append((degree, periphery))
+        return runs(face, degree, periphery)
+
+    monkeypatch.setattr(plane_graph, "_handle_runs", spy)
+    return splits
+
+
+def _assert_prefixes_match_embedding(g, rfd, splits):
+    """Every prefix record read off ``g``'s own faces equals the embedded
+    prefix's (:func:`cube_oracles.embedded_prefix`): the same edges and
+    family columns, the same face pairs up to orientation, face ids mapped
+    through ``face_by_edge_set``, the same daisy columns, and its handles
+    split by the embedded prefix's degrees and periphery (``splits``, the
+    :func:`handle_splits` record); or both raise the same error."""
+    r = resonance_of(g)
+    for k in range(1, rfd.n + 1):
+        try:
+            sub, faces, family, res, daisy = oracle.embedded_prefix(g, rfd, k)
+        except RescubeError as err:
+            with pytest.raises(type(err)):
+                decomposition._prefix(g, r, rfd, k, len(r))
+            continue
+        splits.clear()
+        record = decomposition._prefix(g, r, rfd, k, len(r))
+        assert record.edges == sub.edges
+        assert (len(record.family), record.family.columns) == (len(family), family.columns)
+        assert [sorted(pair) for pair in record.pairs] == [sorted(res.pairs[f]) for f in faces]
+        assert record.daisy.columns == daisy.columns
+        if 1 < k < rfd.n:  # G_1 is a cycle; G_n's handles are the graph's own
+            assert len(splits) == k
+        for degree, periphery in splits:
+            assert periphery == sub.periphery_edges
+            assert all(degree(v) == sub.degree(v) for v in sub.vertices)
+
+
+@pytest.mark.parametrize("corpus", ["hex7", "zigzag", "square7"])
+def test_prefixes_match_the_embedded_prefixes(corpus, handle_splits):
+    """The peripherally 2-colorable shapes of up to seven hexagons or
+    squares, and zigzag chains of 2..14 rings, on their own decompositions."""
+    if corpus == "zigzag":
+        graphs = [zigzag(h) for h in range(2, 15)]
+    elif corpus == "hex7":
+        graphs = [build_benzenoid(cells) for cells in catacondensed_polyhexes(7)]
+    else:
+        graphs = [_polyomino(cells) for cells in _animals("square")]
+    graphs = [g for g in graphs if plane_graph.is_peripherally_two_colorable(g).ok]
+    assert len(graphs) == {"hex7": 44, "zigzag": 13, "square7": 7}[corpus]
+    for g in graphs:
+        _assert_prefixes_match_embedding(g, auto_rfd(g), handle_splits)
+
+
+@pytest.mark.parametrize("name, build", STEP_RULE_CORPUS, ids=[n for n, _ in STEP_RULE_CORPUS])
+def test_prefixes_match_the_embedded_prefixes_on_every_face_order(name, build, handle_splits):
+    """Every face order of the every-face-order corpus that the forward
+    check accepts."""
+    g = build()
+    for order in permutations(f.id for f in g.finite_faces):
+        try:
+            rfd = rfd_from_face_order(g, order)
+        except NotReducibleAtStep:
+            continue
+        _assert_prefixes_match_embedding(g, rfd, handle_splits)
 
 
 @pytest.fixture
@@ -1397,14 +1475,19 @@ def test_in_state_matches_per_matching_read(pyrene, anthracene, even_interior, d
 
 def test_report_reads_each_face_once(branched5, monkeypatch):
     """split_by_face and the handle-set equalities share one record per
-    face, so each face's resonance columns are read once per report."""
-    reads = Counter()
+    face, so each face's resonance columns are read once per report on the
+    graph's family; the proper prefixes read theirs on their own families,
+    once per prefix that holds the face."""
+    r = resonance_of(branched5)
+    rfd = auto_rfd(branched5)
+    reads, prefix_reads = Counter(), Counter()
     real = decomposition.resonance_columns
 
     def spy(g, family, face_id):
-        reads[face_id] += 1
+        (reads if family is r.family else prefix_reads)[face_id] += 1
         return real(g, family, face_id)
 
     monkeypatch.setattr(decomposition, "resonance_columns", spy)
-    assert theorem_report(branched5)["ok"]
+    assert theorem_report(branched5, rfd, resonance=r)["ok"]
     assert reads == Counter({f.id: 1 for f in branched5.finite_faces})
+    assert prefix_reads == Counter({f: rfd.n - p for p, f in enumerate(rfd.faces, start=1)})

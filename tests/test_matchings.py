@@ -148,7 +148,9 @@ def assert_family_matches_oracle(g):
     """The columns and the family derived from them equal the edge-set
     oracle's matchings, id for id; no matching means NoPerfectMatching."""
     sets = oracle.enumerate_matching_edge_sets(g)
-    assert enumerate_matching_columns(g) == (len(sets), oracle_columns(sets))
+    assert enumerate_matching_columns(g.vertices, g.rotation.__getitem__) == (
+        len(sets), oracle_columns(sets)
+    )
     if not sets:
         with pytest.raises(NoPerfectMatching):
             enumerate_matchings(g)
@@ -196,9 +198,9 @@ def test_cap_boundary():
         enumerate_matchings(g, cap=88)
     with pytest.raises(ValueError):
         enumerate_matchings(g, cap=0)
-    assert enumerate_matching_columns(g, cap=89)[0] == 89
+    assert enumerate_matching_columns(g.vertices, g.rotation.__getitem__, cap=89)[0] == 89
     with pytest.raises(CapExceeded):
-        enumerate_matching_columns(g, cap=88)
+        enumerate_matching_columns(g.vertices, g.rotation.__getitem__, cap=88)
 
 
 def test_family_holds_only_columns(branched5):
@@ -488,7 +490,7 @@ def assert_columns_match_oracles(g):
                     family, lambda m: end_edge_state(m, h.path) == CONTAINS_END_EDGES
                 )
             )
-        columns = outcome(lambda: _handle_columns(g, family, (fid,)))
+        columns = outcome(lambda: _handle_columns(g, family, [(fid, dec.exterior)]))
         if any(h.length % 2 == 0 for h in dec.exterior):
             # the codings reject the face before reading any matching
             assert columns == UnsupportedInput
@@ -524,7 +526,8 @@ def test_columns_match_oracles_on_fixtures(
     middle = even_interior.face_by_edge_set[
         frozenset(edge_key(i, (i + 1) % 6) for i in range(6))
     ]
-    assert _handle_columns(even_interior, family, (middle,))[2]
+    exterior = facial_handle_decomposition(even_interior, middle).exterior
+    assert _handle_columns(even_interior, family, [(middle, exterior)])[2]
 
 
 @settings(max_examples=200, deadline=None)

@@ -18,7 +18,6 @@ from rescube.errors import (
 )
 from rescube.plane_graph import (
     build_plane_graph,
-    canonical_coloring,
     edge_key,
     edge_subgraph,
     elementary_analysis,
@@ -35,6 +34,7 @@ from rescube.plane_graph import (
 from cube_oracles import (
     all_cycles,
     branch_walk_handles,
+    canonical_coloring,
     enumerated_elementary_analysis,
     has_cut_vertex,
 )
@@ -295,9 +295,9 @@ def test_each_face_walked_once_per_graph(
     walks = []
     runs = plane_graph._handle_runs
 
-    def spy(g, face):
-        walks.append((g, face.id))
-        return runs(g, face)
+    def spy(face, degree, periphery):
+        walks.append((degree.__self__, face.id))
+        return runs(face, degree, periphery)
 
     monkeypatch.setattr(plane_graph, "handles", refuse)
     monkeypatch.setattr(plane_graph, "_handle_runs", spy)
@@ -465,7 +465,7 @@ def test_verdicts_enumerate_nothing(
     from rescube import plane_graph
     from rescube.decomposition import auto_rfd
 
-    def refuse(g, cap=plane_graph.DEFAULT_MATCHING_CAP):
+    def refuse(vertices, neighbours, cap=plane_graph.DEFAULT_MATCHING_CAP):
         raise AssertionError("perfect matchings enumerated")
 
     monkeypatch.setattr(plane_graph, "enumerate_matching_columns", refuse)
