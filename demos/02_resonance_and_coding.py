@@ -49,7 +49,7 @@ print("\ndaisy labels:", sorted(shown.values()))
 # resonant at once; the lattice coding bottoms out at the matching without
 # proper alternating cycles and tops out at its improper twin.
 lattice = fdl_labelling(g, family, rfd)
-special = extremal_matchings(g, family)
+special = extremal_matchings(r)
 bottom, top = (
     bit_string(lattice.labels[mid], lattice.length)
     for mid in (special.lattice_bottom, special.lattice_top)

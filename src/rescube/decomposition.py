@@ -35,7 +35,7 @@ first faces too (:func:`_prefix`), so no prefix is embedded either.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import accumulate
 from operator import or_, xor
 
@@ -270,47 +270,19 @@ def _in_state(family, handles, contain: bool) -> int:
     return held
 
 
-class _FaceRead:
-    """One face's handle decomposition and its column reads, shared by
-    :func:`split_by_face` and :func:`_subset_equalities_hold`.  Each read
-    runs on first use, so a face raises where its first reader reaches it:
-    the decomposition, then all exterior handles avoiding their end edges,
-    then all containing them."""
-
-    def __init__(self, g: PlaneGraph, family: MatchingFamily, face_id: int):
-        self.g, self.family, self.face_id = g, family, face_id
-
-    @cached_property
-    def dec(self):
-        return facial_handle_decomposition(self.g, self.face_id)
-
-    @cached_property
-    def avoid(self) -> int:
-        return _in_state(self.family, self.dec.exterior, contain=False)
-
-    @cached_property
-    def contain(self) -> int:
-        return _in_state(self.family, self.dec.exterior, contain=True)
-
-    @cached_property
-    def resonant(self) -> int:
-        proper, improper = resonance_columns(self.g, self.family, self.face_id)
-        return proper | improper
-
-
-def split_by_face(
-    g: PlaneGraph, r: ResonanceGraph, face_id: int, *, read: _FaceRead = None
-):
+def split_by_face(g: PlaneGraph, r: ResonanceGraph, face_id: int):
     """Check the face-class split of the resonance graph.
 
     Removing the edges labelled by the face must leave exactly the
-    avoid-all-end-edges side and the contain-all-and-resonant side, with the
-    class a perfect matching between their boundary sets and the plus side
-    peripheral.  Returns the clauses; they stop at the first clause before
-    ``class-matching`` that fails or is undecided.  ``read`` is the face's
-    record when :func:`theorem_report` shares it with the handle-set
-    equalities.  Every clause compares bitsets over matching ids: the sides,
-    and the ends of the class's edges (:attr:`ResonanceGraph.pairs`).
+    avoid-all-end-edges side and the contain-all side, with the class a
+    perfect matching between their boundary sets and the plus (contain)
+    side peripheral: all of it ends of class edges, so resonant.  Returns
+    the clauses; they stop at the first clause before ``class-matching``
+    that fails or is undecided.  Every clause compares bitsets over
+    matching ids: the sides, read from ``g``'s exterior handles (the face's
+    handle decomposition, made once per graph), and the ends of the class's
+    edges, read from R(G) (:attr:`ResonanceGraph.pairs`).  Raises
+    ValueError when ``face_id`` is not a finite face of ``g``.
 
     The two components come from R(G)'s certified partial-cube embedding,
     not from a flood.  Let the face's edges be exactly Theta class i, and S
@@ -324,11 +296,11 @@ def split_by_face(
     no Theta class, ``two-components`` is None (undecided) and the check
     stops there.
     """
-    if read is None:
-        read = _FaceRead(g, r.family, face_id)
+    if face_id not in r.pairs:
+        raise ValueError(f"face {face_id} is not a finite face of the graph")
     clauses = {}
 
-    proper, improper = r.pairs.get(face_id, (0, 0))
+    proper, improper = r.pairs[face_id]
     clauses["class-nonempty"] = bool(proper)
     if not proper:
         return clauses
@@ -338,7 +310,9 @@ def split_by_face(
     if side is None:
         return clauses
 
-    minus, plus = read.avoid, read.contain & read.resonant
+    exterior = facial_handle_decomposition(g, face_id).exterior
+    minus = _in_state(r.family, exterior, contain=False)
+    plus = _in_state(r.family, exterior, contain=True)
     clauses["side-sets"] = {minus, plus} == {side, r.family.full ^ side}
     if not clauses["side-sets"]:
         return clauses
@@ -645,7 +619,8 @@ def theorem_report(
     matchings of the graph and of each decomposition prefix; more of them
     raise :class:`CapExceeded`.  ``resonance`` is R(G) when the caller has
     built it already; the report then reuses it and its matching family
-    instead of enumerating the graph again.
+    instead of enumerating the graph again, and every face's resonant
+    matchings are read off its face pairs.
 
     R(G) is certified once, by the step chain (:func:`_chain`): ``median``
     is its verdict, ``daisy_proper`` adds that the daisy labels are a
@@ -680,16 +655,15 @@ def theorem_report(
         "notes": list(rfd.notes),
     }
 
-    reads = {face.id: _FaceRead(g, family, face.id) for face in g.finite_faces}
-    for fid, read in reads.items():
-        report["faces"][str(fid)] = split_by_face(g, r, fid, read=read)
+    for face in g.finite_faces:
+        report["faces"][str(face.id)] = split_by_face(g, r, face.id)
 
     steps, last, chain = _chain(g, r, rfd, cap)
     report["steps"] = {str(step.step): dict(step.clauses) for step in steps}
 
     daisy, fdl = last.daisy, last.fdl  # the last step's record is the whole graph's
     metric = r.metric()
-    extremal = extremal_matchings(g, family)
+    extremal = extremal_matchings(r)
     bottom, top = extremal.lattice_bottom, extremal.lattice_top
     lab = report["labelling"]
     lab["daisy_proper"] = chain and ck.is_downward_closed(daisy.labels.values())
@@ -711,9 +685,7 @@ def theorem_report(
     )
     lab["codings_differ"] = coding.codings_differ(daisy, fdl)
 
-    subsets_ok = True
-    for read in reads.values():
-        subsets_ok = subsets_ok and _subset_equalities_hold(read)
+    subsets_ok = all(_subset_equalities_hold(g, r, face.id) for face in g.finite_faces)
     report["subsets"]["handle-set-equalities"] = subsets_ok
 
     # face classes are disjoint, so the faces whose edges form a Theta class
@@ -734,8 +706,10 @@ def theorem_report(
     return report
 
 
-def _subset_equalities_hold(read: _FaceRead) -> bool:
-    """The handle-set equalities of one face, read on bitsets of matchings.
+def _subset_equalities_hold(g: PlaneGraph, r: ResonanceGraph, face_id: int) -> bool:
+    """The handle-set equalities of one finite face, read on bitsets of
+    matchings: the handles from the face's handle decomposition, the
+    resonant matchings from R(G)'s face pairs.
 
     With ext(M) and int(M) the state that all exterior, or all interior,
     handles of the face share under M, and res(M) whether M makes the face
@@ -750,13 +724,15 @@ def _subset_equalities_hold(read: _FaceRead) -> bool:
     Every exterior condition is read before any interior handle, so a face
     that fails one returns False before an even interior handle can
     raise."""
-    family, interior = read.family, read.dec.interior
-    avoid, contain = read.avoid, read.contain
+    family, dec = r.family, facial_handle_decomposition(g, face_id)
+    avoid = _in_state(family, dec.exterior, contain=False)
+    contain = _in_state(family, dec.exterior, contain=True)
     if (avoid | contain) != family.full:
         return False
-    resonant = read.resonant
+    proper, improper = r.pairs[face_id]
+    resonant = proper | improper
     if contain & ~resonant:
         return False
-    if (_in_state(family, interior, contain=False) & resonant) != contain:
+    if (_in_state(family, dec.interior, contain=False) & resonant) != contain:
         return False
-    return _in_state(family, interior, contain=True) == (avoid & resonant)
+    return _in_state(family, dec.interior, contain=True) == (avoid & resonant)

@@ -164,8 +164,9 @@ class ExtremalMatchings:
     lattice_top: int
 
 
-def extremal_matchings(g: PlaneGraph, family: MatchingFamily) -> ExtremalMatchings:
-    """Locate the three distinguished matchings in one pass over the faces.
+def extremal_matchings(r) -> ExtremalMatchings:
+    """Locate the three distinguished matchings of R(G) ``r`` (a
+    :class:`~rescube.resonance.ResonanceGraph`) in one pass over its faces.
 
     In a plane elementary bipartite graph every proper (improper)
     M-alternating cycle encloses a proper (improper) M-resonant finite face
@@ -183,12 +184,13 @@ def extremal_matchings(g: PlaneGraph, family: MatchingFamily) -> ExtremalMatchin
     qualifies (on an even cycle both do, and on graphs that are not
     peripherally 2-colorable none may).
 
-    Read from the columns: fully resonant is the AND of resonant over the
+    Read from R(G)'s face pairs (:attr:`~rescube.resonance.ResonanceGraph.pairs`),
+    so no face is read again: fully resonant is the AND of resonant over the
     faces, and bottom and top are the complements of the ORs of proper and
     of improper resonant."""
+    family = r.family
     fully, any_proper, any_improper = family.full, 0, 0
-    for face in g.finite_faces:
-        proper, improper = resonance_columns(g, family, face.id)
+    for proper, improper in r.pairs.values():
         fully &= proper | improper
         any_proper |= proper
         any_improper |= improper

@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .cube_kit import MetricGraph, class_sides
 from .errors import InternalInvariantBroken, NotAPartialCube
-from .matchings import MatchingFamily, bit_ids, resonance_columns
+from .matchings import MatchingFamily, bit_ids, pack, resonance_columns
 from .plane_graph import PlaneGraph
 
 
@@ -66,16 +66,28 @@ class ResonanceGraph:
         """Face -> the side of the Theta class of R(G) that its edges form,
         as a bitset over matching ids (the metric graph's vertex positions),
         for every face whose edges form one: one map per R(G).  Empty when
-        R(G) is not a partial cube."""
+        R(G) is not a partial cube.
+
+        A Theta class of a partial cube is exactly the cut between its two
+        sides (Djokovic, J. Combin. Theory B 14, 1973; Winkler, Discrete
+        Appl. Math. 7, 1984), so a face's edges form the class when every
+        one of its pairs crosses the side and the class has as many edges:
+        no edge set of a face is built."""
         try:
             sides = class_sides(self.metric())
         except NotAPartialCube:
             return {}
-        faces = {}
-        for u, v, fid in self.iter_edges():
-            faces.setdefault(fid, set()).add((min(u, v), max(u, v)))
-        faces = {frozenset(edges): fid for fid, edges in faces.items()}
-        return {faces[cls]: side for cls, side in sides.items() if cls in faces}
+        found = {}
+        for cls, side in sides.items():
+            size, everyone = len(cls), (1 << len(cls)) - 1
+            for fid, (proper, improper) in self.pairs.items():
+                # bit k of the XOR: the k-th edge has just one end in side
+                if proper.bit_count() == size and (
+                    pack(side, proper) ^ pack(side, improper) == everyone
+                ):
+                    found[fid] = side
+                    break
+        return found
 
 
 def build_resonance(g: PlaneGraph, family: MatchingFamily) -> ResonanceGraph:

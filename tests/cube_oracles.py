@@ -20,7 +20,10 @@ them: the reference for a decomposition step's inner side, which
 the Theta-class side sets and the median split check build graphs and
 tables that no library path needs; they live here too, read the distance
 table directly, and serve as references for the step checks of
-``rescube.decomposition``.
+``rescube.decomposition``.  The face of each Theta class of a resonance
+graph, found by looking each face's edge set up among the classes, is the
+reference for ``rescube.resonance.ResonanceGraph.theta_sides``, which reads
+it off the face pairs.
 
 The cycle-space section enumerates every cycle of a plane graph as a union
 of finite faces (2^F of them, so at most ``MAX_FACES_FOR_CYCLES`` faces per
@@ -94,6 +97,7 @@ from rescube.cube_kit import (
     MetricGraph,
     PartialCubeVerdict,
     ThetaClasses,
+    class_sides,
 )
 from rescube.decomposition import (
     RfdSequence,
@@ -106,6 +110,7 @@ from rescube.errors import (
     InternalInvariantBroken,
     NoHandles,
     NoPerfectMatching,
+    NotAPartialCube,
     NotReducibleAtStep,
     PeelingStuck,
     RescubeError,
@@ -509,6 +514,22 @@ def split_class(mg: MetricGraph, class_edges) -> ClassSplit:
     u_x = frozenset(v for v in w_x if mg.adjacency[v] & w_y)
     u_y = frozenset(v for v in w_y if mg.adjacency[v] & w_x)
     return ClassSplit((x, y), w_x, w_y, u_x, u_y)
+
+
+def theta_sides_by_edge_sets(r: ResonanceGraph) -> dict:
+    """Face -> the side of the Theta class of R(G) that its edges form, by
+    set equality: each face's edges as a set of id pairs, looked up among
+    the classes of R(G)'s metric graph, in class order.  Empty when R(G) is
+    not a partial cube."""
+    try:
+        sides = class_sides(r.metric())
+    except NotAPartialCube:
+        return {}
+    faces = {}
+    for u, v, fid in r.iter_edges():
+        faces.setdefault(fid, set()).add((min(u, v), max(u, v)))
+    faces = {frozenset(edges): fid for fid, edges in faces.items()}
+    return {faces[cls]: side for cls, side in sides.items() if cls in faces}
 
 
 @dataclass(frozen=True)

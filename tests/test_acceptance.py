@@ -138,7 +138,7 @@ def test_criterion_5_two_coding_contrast(branched5, branched5_faces):
         family = enumerate_matchings(branched5)
         rfd = rfd_from_face_order(branched5, branched5_faces)
         fdl = fdl_labelling(branched5, family, rfd)
-        ext = extremal_matchings(branched5, family)
+        ext = extremal_matchings(build_resonance(branched5, family))
         assert fdl.labels[ext.lattice_bottom] == oracle.bits("00000")
         assert fdl.labels[ext.lattice_top] == oracle.bits("11111")
         assert color_swap_effect(branched5, family, rfd).ok

@@ -130,7 +130,7 @@ def test_daisy_fully_resonant_is_minimum(branched5, branched5_faces):
     family = enumerate_matchings(branched5)
     rfd = rfd_from_face_order(branched5, branched5_faces)
     labelling = daisy_labelling(branched5, family, rfd)
-    ext = extremal_matchings(branched5, family)
+    ext = extremal_matchings(build_resonance(branched5, family))
     assert labelling.labels[ext.fully_resonant] == bits("00000")
 
 
@@ -229,7 +229,7 @@ def test_fdl_anchors(branched5, branched5_faces):
     family = enumerate_matchings(branched5)
     rfd = rfd_from_face_order(branched5, branched5_faces)
     labelling = fdl_labelling(branched5, family, rfd)
-    ext = extremal_matchings(branched5, family)
+    ext = extremal_matchings(build_resonance(branched5, family))
     assert labelling.labels[ext.lattice_bottom] == bits("00000")
     assert labelling.labels[ext.lattice_top] == bits("11111")
     assert not labelling.mixed_orientation
@@ -356,8 +356,8 @@ def test_color_swap_enumerates_nothing(branched5, monkeypatch, families):
 def test_extremal_swap_under_color_swap(branched5, branched5_faces):
     family = enumerate_matchings(branched5)
     swapped = swap_colors(branched5)
-    ext = extremal_matchings(branched5, family)
-    ext_swapped = extremal_matchings(swapped, enumerate_matchings(swapped))
+    ext = extremal_matchings(build_resonance(branched5, family))
+    ext_swapped = extremal_matchings(build_resonance(swapped, enumerate_matchings(swapped)))
     assert ext_swapped.lattice_bottom == ext.lattice_top
     assert ext_swapped.lattice_top == ext.lattice_bottom
     assert ext_swapped.fully_resonant == ext.fully_resonant

@@ -1,6 +1,7 @@
 """Reducible faces, decompositions, and the split/expansion instance checks."""
 
 import functools
+import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations
@@ -17,13 +18,13 @@ from rescube.benzenoid import (
 )
 from rescube.errors import (
     NotAPartialCube,
+    NotFound,
     NotReducibleAtStep,
     PeelingStuck,
     RescubeError,
     TheoremViolated,
 )
 from rescube.decomposition import (
-    _FaceRead,
     _in_state,
     _subset_equalities_hold,
     auto_rfd,
@@ -33,7 +34,13 @@ from rescube.decomposition import (
     theorem_report,
     verify_reducible_split,
 )
-from rescube.matchings import MatchingFamily, bit_ids, enumerate_matchings, handle_column
+from rescube.matchings import (
+    MatchingFamily,
+    bit_ids,
+    enumerate_matchings,
+    extremal_matchings,
+    handle_column,
+)
 from rescube.plane_graph import (
     build_plane_graph,
     elementary_analysis,
@@ -600,6 +607,14 @@ def test_split_naphthalene(naphthalene):
         assert split_sizes(r, f.id) == (2, 1)
 
 
+def test_split_rejects_a_face_that_is_not_finite(phenanthrene):
+    r = resonance_of(phenanthrene)
+    (infinite,) = phenanthrene.infinite_faces
+    for fid in (infinite.id, 999):
+        with pytest.raises(ValueError, match=f"face {fid} "):
+            split_by_face(phenanthrene, r, fid)
+
+
 # ---------------------------------------------------------------------------
 # step verification
 # ---------------------------------------------------------------------------
@@ -1073,14 +1088,21 @@ def test_report_on_a_metric_that_is_not_a_partial_cube(branched5, monkeypatch, f
 
 
 @pytest.mark.parametrize("face", range(5))
-def test_report_on_a_resonance_graph_missing_a_class_edge(branched5, face):
+def test_report_on_a_resonance_graph_missing_a_class_edge(branched5, face, monkeypatch):
     """R(G) forged to lose one edge of a face's class: every split clause
-    the report decides equals the flood oracle's, and the report fails."""
+    the report decides equals the flood oracle's, and the report fails.
+    The report reads the lattice extremes off the forged pairs, which leave
+    two matchings with no improper resonant face, so it raises NotFound;
+    given G's own extremes, the report fails as the checks below pin."""
     r = resonance_of(branched5)
     fid = branched5.finite_faces[face].id
     forged = _drop_first_edge(r, fid)
     for other in branched5.finite_faces:
         assert_split_matches_flood(branched5, forged, other.id)
+    with pytest.raises(NotFound, match="2 matchings have no improper resonant face"):
+        theorem_report(branched5, resonance=forged)
+    extremes = extremal_matchings(r)
+    monkeypatch.setattr(decomposition, "extremal_matchings", lambda _: extremes)
     report = theorem_report(branched5, resonance=forged)
     # the face is undecided (None) or fails a clause
     assert not all(report["faces"][str(fid)].values())
@@ -1388,10 +1410,15 @@ def assert_split_matches_flood(g, r, fid):
     return clauses
 
 
-def sides(read):
+def sides(g, r, fid):
     """The split's two sides as bitsets: every exterior handle avoiding its
     end edges, and every one containing them with the face resonant."""
-    return read.avoid, read.contain & read.resonant
+    exterior = plane_graph.facial_handle_decomposition(g, fid).exterior
+    proper, improper = r.pairs[fid]
+    return (
+        _in_state(r.family, exterior, contain=False),
+        _in_state(r.family, exterior, contain=True) & (proper | improper),
+    )
 
 
 def assert_face_conditions_match_oracle(g):
@@ -1406,10 +1433,10 @@ def assert_face_conditions_match_oracle(g):
     )
     for face in g.finite_faces:
         fid = face.id
-        assert outcome(lambda: _subset_equalities_hold(_FaceRead(g, family, fid))) == outcome(
+        assert outcome(lambda: _subset_equalities_hold(g, r, fid)) == outcome(
             lambda: oracle.subset_equalities_hold(g, family, fid)
         )
-        assert outcome(lambda: sides(_FaceRead(g, family, fid))) == outcome(
+        assert outcome(lambda: sides(g, r, fid)) == outcome(
             lambda: tuple(
                 sum(1 << mid for mid in oracle.matching_subset(g, family, fid, selector))
                 for selector in ("all-exterior-avoid", "all-exterior-contain-resonant")
@@ -1435,11 +1462,10 @@ def test_face_conditions_match_oracle_on_fixtures(
     middle = even_interior.face_by_edge_set[frozenset(
         plane_graph.edge_key(i, (i + 1) % 6) for i in range(6)
     )]
-    family = enumerate_matchings(even_interior)
-    read = _FaceRead(even_interior, family, middle)
-    assert sides(read) == (family.full, 0)
+    r = resonance_of(even_interior)
+    assert sides(even_interior, r, middle) == (r.family.full, 0)
     with pytest.raises(ValueError):
-        _subset_equalities_hold(read)
+        _subset_equalities_hold(even_interior, r, middle)
     for g in (branched5, pyrene, triphenylene, anthracene, nested_rings,
               hexagon_plus_naphthalene, branched5_plus_hexagon,
               hexagon_with_pendant_path, even_interior):
@@ -1473,21 +1499,35 @@ def test_in_state_matches_per_matching_read(pyrene, anthracene, even_interior, d
     )
 
 
-def test_report_reads_each_face_once(branched5, monkeypatch):
-    """split_by_face and the handle-set equalities share one record per
-    face, so each face's resonance columns are read once per report on the
-    graph's family; the proper prefixes read theirs on their own families,
-    once per prefix that holds the face."""
-    r = resonance_of(branched5)
-    rfd = auto_rfd(branched5)
-    reads, prefix_reads = Counter(), Counter()
-    real = decomposition.resonance_columns
+def test_report_reads_each_face_once(monkeypatch):
+    """R(G) holds each face's pairs, so a report reads the graph's face
+    pairs only in build_resonance, once per face, and none when it is given
+    R(G); the proper prefixes read theirs on their own families, once per
+    prefix that holds the face."""
+    real, calls = decomposition.resonance_columns, []
 
-    def spy(g, family, face_id):
-        (reads if family is r.family else prefix_reads)[face_id] += 1
-        return real(g, family, face_id)
+    def spy_in(module):
+        def spy(graph, family, face_id):
+            calls.append((module, family, face_id))
+            return real(graph, family, face_id)
+        return spy
 
-    monkeypatch.setattr(decomposition, "resonance_columns", spy)
-    assert theorem_report(branched5, rfd, resonance=r)["ok"]
-    assert reads == Counter({f.id: 1 for f in branched5.finite_faces})
-    assert prefix_reads == Counter({f: rfd.n - p for p, f in enumerate(rfd.faces, start=1)})
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rescube" and getattr(module, "resonance_columns", None) is real:
+            monkeypatch.setattr(module, "resonance_columns", spy_in(name))
+    for g in (build_benzenoid(BRANCHED_CELLS), zigzag(9)):
+        calls.clear()
+        assert theorem_report(g)["ok"]
+        built = [(family, fid) for module, family, fid in calls if module == "rescube.resonance"]
+        assert sorted(fid for _, fid in built) == sorted(f.id for f in g.finite_faces)
+        family = built[0][0]  # G's, which build_resonance reads
+        assert all(f is family for f, _ in built)
+        assert not any(f is family for module, f, _ in calls if module != "rescube.resonance")
+
+        r, rfd = build_resonance(g, enumerate_matchings(g)), auto_rfd(g)
+        calls.clear()
+        assert theorem_report(g, rfd, resonance=r)["ok"]
+        assert not any(family is r.family for _, family, _ in calls)
+        assert Counter(fid for _, _, fid in calls) == Counter(
+            {f: rfd.n - p for p, f in enumerate(rfd.faces, start=1)}
+        )

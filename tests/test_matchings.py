@@ -32,6 +32,7 @@ from rescube.plane_graph import (
 )
 from rescube.decomposition import auto_rfd, rfd_from_face_order
 from rescube.coding import _handle_columns, daisy_labelling, fdl_labelling
+from rescube.resonance import build_resonance
 
 from conftest import zigzag
 import cube_oracles as oracle
@@ -254,14 +255,14 @@ def test_not_alternating_walk(naphthalene):
 
 def test_branched_fully_resonant_matching(branched5, branched5_faces):
     family = enumerate_matchings(branched5)
-    ext = extremal_matchings(branched5, family)
+    ext = extremal_matchings(build_resonance(branched5, family))
     m = oracle.matchings(family)[ext.fully_resonant]
     assert all(is_resonant(branched5, m, fid) for fid in branched5_faces)
 
 
 def test_bottom_matching_never_proper(branched5):
     family = enumerate_matchings(branched5)
-    ext = extremal_matchings(branched5, family)
+    ext = extremal_matchings(build_resonance(branched5, family))
     bottom = oracle.matchings(family)[ext.lattice_bottom]
     for walk in all_cycles(branched5):
         assert alternation_kind(branched5, bottom, walk) != PROPER
@@ -374,7 +375,7 @@ def test_resonant_refinements(branched5, branched5_faces):
 
 def test_extremal_on_cycle(hexagon):
     family = enumerate_matchings(hexagon)
-    ext = extremal_matchings(hexagon, family)
+    ext = extremal_matchings(build_resonance(hexagon, family))
     assert ext.fully_resonant is None  # both matchings make the face resonant
     assert {ext.lattice_bottom, ext.lattice_top} == {0, 1}
     walk = hexagon.finite_faces[0].boundary
@@ -386,14 +387,14 @@ def test_extremal_on_cycle(hexagon):
 
 def test_extremal_unique_on_branched(branched5):
     family = enumerate_matchings(branched5)
-    ext = extremal_matchings(branched5, family)
+    ext = extremal_matchings(build_resonance(branched5, family))
     assert ext.fully_resonant is not None
     assert len({ext.fully_resonant, ext.lattice_bottom, ext.lattice_top}) == 3
 
 
 def assert_extremes_match_cycle_scan(g):
     family = enumerate_matchings(g)
-    ext = extremal_matchings(g, family)
+    ext = extremal_matchings(build_resonance(g, family))
     assert cycle_scan_extremes(g, family) == ([ext.lattice_bottom], [ext.lattice_top])
 
 
@@ -435,14 +436,14 @@ def test_extremes_outside_weakly_elementary_graphs(nested_rings):
     bottoms, tops = cycle_scan_extremes(nested_rings, family)
     assert len(bottoms) == len(tops) == 1
     with pytest.raises(NotFound):
-        extremal_matchings(nested_rings, family)
+        extremal_matchings(build_resonance(nested_rings, family))
 
 
 def test_extremes_past_sixteen_faces():
     g = zigzag(17)
     family = enumerate_matchings(g)
     assert len(family) == 4181
-    ext = extremal_matchings(g, family)
+    ext = extremal_matchings(build_resonance(g, family))
     fdl = fdl_labelling(g, family, auto_rfd(g)).labels
     assert fdl[ext.lattice_bottom] == oracle.bits("0" * 17)
     assert fdl[ext.lattice_top] == oracle.bits("1" * 17)
@@ -500,7 +501,7 @@ def assert_columns_match_oracles(g):
         assert columns == ([daisy], [ones], tuple((mid, fid) for mid in bit_ids(mixed)))
 
     fully, bottoms, tops = oracle.face_scan_extremes(g, family)
-    ext = outcome(lambda: extremal_matchings(g, family))
+    ext = outcome(lambda: extremal_matchings(build_resonance(g, family)))
     if len(bottoms) != 1 or len(tops) != 1:
         assert ext == NotFound
     else:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rescube.cube_kit import MetricGraph, is_median
-from rescube.errors import InternalInvariantBroken
+from rescube.errors import InternalInvariantBroken, NoPerfectMatching
 from rescube.matchings import (
     MatchingFamily,
     bit_ids,
@@ -166,6 +166,78 @@ def test_theta_sides_are_the_sides_of_each_face_class(branched5, nested_rings):
         assert halves == {side, r.family.full ^ side}
     # a disconnected R(G) is no partial cube: no face has a side
     assert resonance_of(nested_rings).theta_sides == {}
+
+
+def assert_theta_sides_match_oracle(r):
+    """The faces whose pairs all cross a Theta class's side, with as many
+    edges as the class, are the faces whose edge sets equal the class: the
+    same map, in the same order."""
+    assert list(r.theta_sides.items()) == list(oracle.theta_sides_by_edge_sets(r).items())
+    return r.theta_sides
+
+
+def test_theta_sides_match_oracle_on_corpus():
+    for shape in catacondensed_polyhexes(7):
+        g = build_benzenoid(shape)
+        try:
+            enumerate_matchings(g)
+        except NoPerfectMatching:
+            continue
+        assert_theta_sides_match_oracle(resonance_of(g))
+
+
+def test_theta_sides_match_oracle_on_fixtures(
+    pyrene, triphenylene, even_interior, hexagon_plus_naphthalene,
+    branched5_plus_hexagon, hexagon_with_pendant_path, nested_rings,
+):
+    for g in (pyrene, triphenylene, even_interior, hexagon_plus_naphthalene,
+              branched5_plus_hexagon, hexagon_with_pendant_path):
+        assert assert_theta_sides_match_oracle(resonance_of(g))
+    assert assert_theta_sides_match_oracle(resonance_of(nested_rings)) == {}
+
+
+def extended_pair(r, fid, other):
+    """Face fid's pair followed by the edges of face ``other`` whose two ends
+    come after all of fid's ids, so that the k-th ids still join."""
+    (proper, improper), (more_proper, more_improper) = r.pairs[fid], r.pairs[other]
+    tail = [
+        (u, v) for u, v in zip(bit_ids(more_proper), bit_ids(more_improper))
+        if u >= proper.bit_length() and v >= improper.bit_length()
+    ]
+    return proper | sum(1 << u for u, _ in tail), improper | sum(1 << v for _, v in tail)
+
+
+@pytest.mark.parametrize("forgery", ["part", "more"])
+def test_a_face_that_is_not_one_theta_class_has_no_side(branched5, forgery):
+    """A face forged to hold part of a Theta class, or a whole class and
+    more, has no side: every pair of the part crosses the class's side, as
+    do the first pairs of the larger face, but neither has as many edges as
+    the class.  The forged faces only relabel or repeat edges, so the
+    metric graph and its Theta classes stay as they are."""
+    r = resonance_of(branched5)
+    if forgery == "part":  # the face's first edge, and the rest as a new face
+        fid = max(r.pairs, key=lambda f: r.pairs[f][0].bit_count())
+        proper, improper = r.pairs[fid]
+        first = (proper & -proper, improper & -improper)
+        forged = {fid: first, max(r.pairs) + 1: (proper ^ first[0], improper ^ first[1])}
+    else:
+        fid, pair = next(
+            (f, extended_pair(r, f, h))
+            for f in r.pairs for h in r.pairs
+            if extended_pair(r, f, h) != r.pairs[f]
+        )
+        forged = {fid: pair}
+    forged = ResonanceGraph(r.family, {**r.pairs, **forged})
+    assert {e[:2] for e in forged.edges} == {e[:2] for e in r.edges}
+    expected = {f: side for f, side in r.theta_sides.items() if f != fid}
+    assert assert_theta_sides_match_oracle(forged) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_theta_sides_match_oracle_on_edge_subsets(pyrene, nested_rings, data):
+    graphs = small_corpus() + (pyrene, nested_rings)
+    assert_theta_sides_match_oracle(resonance_of(data.draw(matchable_edge_subsets(graphs))))
 
 
 def component_parts(g):
